@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .extension import (ExtensionData, PositivePart, check_ideal_preserved,
+from .extension import (ExtensionData, PositivePart, TruncationError, check_ideal_preserved,
                         koszul_mode, solve_general_extension, solve_residues_explicit,
                         verify_extension, verify_incl_proj, verify_product_defect)
 from .forest import AlgebraElement, enumerate_tree_basis, tree_str
@@ -125,18 +125,24 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
     options: dict = {}
     for number, key, value in sections.get("options", []):
         options[key] = value
-    mode = options.get("mode", "explicit")
+
+    name = path.rsplit("/", 1)[-1]
+    spec = ProblemSpec(name, ring, ideal, resolution, positive, symbols,
+                       koszul_tables, options)
+    check_mode(spec)
+    return spec
+
+
+def check_mode(spec: ProblemSpec) -> None:
+    """Reject a mode the spec cannot run, whether the spec or the command line set it."""
+    mode = spec.mode
     if mode not in ("explicit", "general", "koszul-compare"):
         raise SpecError(f"unknown mode {mode!r}")
     if mode == "koszul-compare":
-        if not isinstance(resolution, KoszulComplex):
+        if not isinstance(spec.resolution, KoszulComplex):
             raise SpecError("koszul-compare mode needs `koszul = true` in [resolution]")
-        if positive is None or not koszul_tables:
+        if spec.positive is None or not spec.koszul_tables:
             raise SpecError("koszul-compare mode needs [positive] and [koszul_q] sections")
-
-    name = path.rsplit("/", 1)[-1]
-    return ProblemSpec(name, ring, ideal, resolution, positive, symbols,
-                       koszul_tables, options)
 
 
 def _parse_resolution(sections, ring, ideal):
@@ -475,10 +481,18 @@ def run(spec: ProblemSpec, threads: int = 1,
         if ext is not None:
             t0 = clock()
             report.residues = ext.residue_records()
-            add_verdict(verify_extension(ext, depth), "extension")
-            add_verdict(verify_incl_proj(ext, max(depth - 1, 1)), "incl_proj")
+            checks = [("verify_extension", "extension", verify_extension, depth),
+                      ("verify_incl_proj", "incl_proj", verify_incl_proj, max(depth - 1, 1))]
             if ext.level_max >= 1 or ext.chi:
-                add_verdict(verify_product_defect(ext, 1), "star")
+                checks.append(("verify_product_defect", "star", verify_product_defect, 1))
+            for name, tag, verifier, bound in checks:
+                try:
+                    add_verdict(verifier(ext, bound), tag)
+                except TruncationError as exc:
+                    # a general-mode table solved through too low a degree
+                    stage(name, "fail", str(exc))
+                    report.failed_stage = name
+                    return report
             report.timings["extension_checks"] = clock() - t0
     except SolveError as exc:
         stage(exc.stage, "no-solution", f"{exc.item}: {exc.detail}")
@@ -544,6 +558,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         spec = parse_spec(args.spec)
         _apply_overrides(spec, args)
+        check_mode(spec)
     except (SpecError, ParseError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

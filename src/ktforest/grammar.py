@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .forest import AlgebraElement, Node, canonicalize_node, leaf
+from .forest import AlgebraElement, Node, canonicalize_node, leaf, tree_str
 from .poly import Poly, RingSpec, tokenize
 from .resolution import GeneratorId, ModuleElement
 
@@ -125,7 +125,16 @@ def parse_module_element(text: str, symbols: SymbolTable) -> ModuleElement:
 
 
 def parse_tree(text: str, symbols: SymbolTable) -> Optional[Node]:
-    """Parse `V(a,b)` / nested / bare-label trees into a canonical node."""
+    """Parse `V(a,b)` / nested / bare-label trees into a canonical node.
+
+    The Koszul sign of reordering the children is dropped; None for a tree
+    that vanishes.
+    """
+    return canonicalize_node(_parse_written_tree(text, symbols))[0]
+
+
+def _parse_written_tree(text: str, symbols: SymbolTable) -> Node:
+    """The tree as written, children in the written order."""
     tokens = tokenize(text)
     pos = [0]
 
@@ -158,28 +167,38 @@ def parse_tree(text: str, symbols: SymbolTable) -> Optional[Node]:
             return ("N", tuple(children))
         return leaf(decoration(val))
 
-    raw = node()
+    written = node()
     if peek() != ("end", None):
         raise ParseError(f"trailing input in tree {text!r}")
-    cnode, _sign = canonicalize_node(raw)
-    return cnode
+    return written
 
 
 def parse_hook_table(lines, symbols: SymbolTable) -> dict:
-    """Parse `V(a,b) -> value` lines into a tree-to-module table."""
+    """Parse `V(a,b) -> value` lines into a tree-to-module table.
+
+    Keys are the trees as written, children in any order: `HookMap.set_value`
+    brings each to its canonical form and applies the Koszul sign of the
+    reordering.  A tree given on two lines is an error.
+    """
     table = {}
-    for raw in lines:
+    first_line = {}  # canonical tree -> line number
+    for number, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "->" not in line:
             raise ParseError(f"hook line needs '->': {line!r}")
         tree_text, value_text = line.split("->", 1)
-        node = parse_tree(tree_text.strip(), symbols)
+        node = _parse_written_tree(tree_text.strip(), symbols)
         value = parse_module_element(value_text.strip(), symbols)
-        if node is None:
+        cnode, _sign = canonicalize_node(node)
+        if cnode is None:
             if not value.is_zero():
                 raise ParseError(f"hook value on a vanishing tree: {line!r}")
             continue
+        if cnode in first_line:
+            raise ParseError(f"line {number}: tree {tree_str(cnode)} already given "
+                             f"on line {first_line[cnode]}")
+        first_line[cnode] = number
         table[node] = value
     return table

@@ -6,11 +6,16 @@ Monomials are ordered graded-lexicographically: lower total degree first,
 and within a degree x^2 before x*y before y^2.  All arithmetic is exact;
 there are no floating-point coefficients anywhere in this package.
 
-The module also provides the exact linear solver `solve_lift` used by every
-lifting step in the higher layers: given columns and a target in a free
-module over the ring, it finds polynomial coefficients c with
-sum(columns[j] * c[j]) == target, solving one rational linear system over
-the monomials up to a degree cap.
+The module also provides the exact linear algebra of the higher layers.
+`solve_lift`, used by every lifting step: given columns and a target in a
+free module over the ring, it finds polynomial coefficients c with
+sum(columns[j] * c[j]) == target, through a rational linear system over the
+monomials up to a degree cap.  `matrix_rank`, used by the exactness oracle
+and the quotient dimensions.  Both split their system into the connected
+components of its unknowns and equations, which for graded input include
+the split by internal degree, and run one Gauss-Jordan kernel on each
+component; `solve_lift` skips every component whose right-hand side is
+zero, since its answer is zero.
 """
 
 from __future__ import annotations
@@ -125,13 +130,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == degree})
-
-    def constant_value(self) -> Fraction:
-        zero_exp = (0,) * self.ring.num_vars
-        return self.terms.get(zero_exp, Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -378,18 +376,19 @@ def slice_dim(num_vars: int, poly_degree: int) -> int:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def rref_solve(rows: list, rhs: list, num_unknowns: int):
-    """Solve rows * x = rhs over Fraction, free variables set to zero.
+def _reduce(m: list, num_cols: int) -> dict:
+    """Gauss-Jordan on dense Fraction rows, in place, over the first columns.
 
-    `rows` is a list of dense lists of Fractions.  Returns the solution list
-    or None when inconsistent.  Reduced row echelon form is unique, so the
-    answer does not depend on the incoming row order.
+    Brings `m` to reduced row echelon form in its first `num_cols` columns
+    (later columns, such as a right-hand side, are carried along) and
+    returns {pivot column: its row}; the pivot rows come first.
     """
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
     n_rows = len(m)
     pivot_of_col: dict = {}
     pr = 0
-    for pc in range(num_unknowns):
+    for pc in range(num_cols):
+        if pr == n_rows:
+            break
         pivot_row = None
         for r in range(pr, n_rows):
             if m[r][pc] != 0:
@@ -406,9 +405,56 @@ def rref_solve(rows: list, rhs: list, num_unknowns: int):
                 m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
         pivot_of_col[pc] = pr
         pr += 1
-        if pr == n_rows:
-            break
-    for r in range(pr, n_rows):
+    return pivot_of_col
+
+
+def _blocks(equations: Sequence[dict], num_unknowns: int) -> list:
+    """Split a sparse system into its connected components.
+
+    `equations` are dicts {unknown index: coefficient}.  Two unknowns are
+    connected when an equation involves both.  Returns (equation indices,
+    unknown indices) per component, both increasing; equations without
+    unknowns and unknowns without equations belong to no component.
+    """
+    parent = list(range(num_unknowns))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for eq in equations:
+        it = iter(eq)
+        first = next(it, None)
+        if first is None:
+            continue
+        root = find(first)
+        for i in it:
+            other = find(i)
+            if other != root:
+                parent[other] = root
+    blocks: dict = {}
+    for e, eq in enumerate(equations):
+        if eq:
+            blocks.setdefault(find(next(iter(eq))), ([], []))[0].append(e)
+    for i in range(num_unknowns):
+        block = blocks.get(find(i))
+        if block is not None:
+            block[1].append(i)
+    return list(blocks.values())
+
+
+def rref_solve(rows: list, rhs: list, num_unknowns: int):
+    """Solve rows * x = rhs over Fraction, free variables set to zero.
+
+    `rows` is a list of dense lists of Fractions.  Returns the solution list
+    or None when inconsistent.  Reduced row echelon form is unique, so the
+    answer does not depend on the incoming row order.
+    """
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivot_of_col = _reduce(m, num_unknowns)
+    for r in range(len(pivot_of_col), len(m)):
         if m[r][num_unknowns] != 0:
             return None
     sol = [Fraction(0)] * num_unknowns
@@ -429,6 +475,13 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
     all free variables of the reduced echelon form set to zero, unknowns
     ordered graded-lexicographically by monomial and then by column index.
     Returns None when no solution exists within the cap.
+
+    The rational system is split into the connected components of its
+    unknowns and equations.  A component whose right-hand side is zero has
+    the zero solution and is skipped; every other component is eliminated
+    on its own, its unknowns in their global order.  Within a component a
+    pivot depends only on earlier columns of that component, so the answer
+    is the one elimination of the whole system would give.
     """
     if not columns:
         return [] if all(t.is_zero() for t in target) else None
@@ -445,23 +498,22 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
             raise ValueError("column length does not match target length")
     if all(t.is_zero() for t in target):
         return [Poly.zero(ring) for _ in columns]
+    target_max = max(t.total_degree() for t in target if not t.is_zero())
     if poly_degree_cap is None:
-        poly_degree_cap = max(t.total_degree() for t in target if not t.is_zero())
+        poly_degree_cap = target_max
 
     # Unknowns: (column j, monomial m), ordered by (monomial graded-lex, j).
-    target_max = max(t.total_degree() for t in target if not t.is_zero())
-    monomials = []
-    for d in range(poly_degree_cap + 1):
-        monomials.extend(slice_basis(ring, d))
+    # slice_basis is graded-lex within a degree, so this order is already sorted.
+    # A zero column never contributes; its coefficient stays 0.
+    low = [min((p.total_degree() for p in vec if not p.is_zero()), default=None)
+           for vec in columns]
+    bound = max(target_max, poly_degree_cap)
     unknowns = []
-    for m in monomials:
-        for j, vec in enumerate(columns):
-            degs = [p.total_degree() for p in vec if not p.is_zero()]
-            if not degs:
-                continue  # zero column never contributes; coefficient stays 0
-            if sum(m) + min(degs) <= max(target_max, poly_degree_cap):
-                unknowns.append((j, m))
-    unknowns.sort(key=lambda jm: (monomial_key(jm[1]), jm[0]))
+    for d in range(poly_degree_cap + 1):
+        for m in slice_basis(ring, d):
+            for j, lo in enumerate(low):
+                if lo is not None and d + lo <= bound:
+                    unknowns.append((j, m))
 
     # Equations: one per (row, result monomial).
     equations: dict = {}
@@ -473,53 +525,49 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
                 eq[i] = eq.get(i, Fraction(0)) + c
     for r in range(n_rows):
         for mu in target[r].terms:
-            equations.setdefault((r, mu), {})
+            if equations.setdefault((r, mu), {}) == {}:
+                return None  # a target term no unknown can reach
 
     eq_keys = sorted(equations, key=lambda k: (k[0], monomial_key(k[1])))
-    rows, rhs = [], []
-    for key in eq_keys:
-        r, mu = key
-        row = [Fraction(0)] * len(unknowns)
-        for i, c in equations[key].items():
-            row[i] = c
-        rows.append(row)
-        rhs.append(target[r].terms.get(mu, Fraction(0)))
-
-    sol = rref_solve(rows, rhs, len(unknowns))
-    if sol is None:
-        return None
+    eq_rows = [equations[k] for k in eq_keys]
+    rhs = [target[r].terms.get(mu, Fraction(0)) for r, mu in eq_keys]
+    solution: dict = {}  # unknown index -> nonzero value
+    for eqs, unks in _blocks(eq_rows, len(unknowns)):
+        if not any(rhs[e] for e in eqs):
+            continue
+        local = {i: k for k, i in enumerate(unks)}
+        rows = []
+        for e in eqs:
+            row = [Fraction(0)] * len(unks)
+            for i, c in eq_rows[e].items():
+                row[local[i]] = c
+            rows.append(row)
+        sol = rref_solve(rows, [rhs[e] for e in eqs], len(unks))
+        if sol is None:
+            return None
+        solution.update((i, v) for i, v in zip(unks, sol) if v)
     out = [Poly.zero(ring) for _ in columns]
-    for i, (j, m) in enumerate(unknowns):
-        if sol[i]:
-            out[j] = out[j] + Poly.monomial(ring, m, sol[i])
+    for i in sorted(solution):
+        j, m = unknowns[i]
+        out[j] = out[j] + Poly.monomial(ring, m, solution[i])
     return out
 
 
 def matrix_rank(columns: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix given by columns of Fractions."""
+    """Rank of a matrix given by columns of Fractions.
+
+    The sum of the ranks of the connected components of its rows and
+    columns (joined by nonzero entries), each found by its own elimination.
+    """
     if not columns:
         return 0
-    n_rows = len(columns[0])
-    m = [list(col) for col in columns]  # row-reduce the transpose
+    rows = [{} for _ in columns[0]]
+    for j, col in enumerate(columns):
+        for r, v in enumerate(col):
+            if v != 0:
+                rows[r][j] = v
     rank = 0
-    pivot_row = 0
-    for c in range(n_rows):
-        sel = None
-        for r in range(pivot_row, len(m)):
-            if m[r][c] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[pivot_row], m[sel] = m[sel], m[pivot_row]
-        inv = m[pivot_row][c]
-        m[pivot_row] = [v / inv for v in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(m):
-            break
+    for rs, js in _blocks(rows, len(columns)):
+        m = [[rows[r].get(j, Fraction(0)) for j in js] for r in rs]
+        rank += len(_reduce(m, len(js)))
     return rank

@@ -333,20 +333,18 @@ class FreeResolution:
             return HomologyReport(graded=False, poly_degree_max=poly_degree_max,
                                   dims={}, exact=False)
         report = HomologyReport(graded=True, poly_degree_max=poly_degree_max)
+        ranks = {}  # (depth, k) -> (rank of the slice matrix, source dimension)
         for depth in range(1, self.length + 1):
             for k in range(poly_degree_max + 1):
                 cols, n_src = self._slice_matrix(depth, k, weights)
-                rank_d = matrix_rank(cols) if cols else 0
-                dim_ker = n_src - rank_d
-                if depth < self.length:
-                    cols_up, _ = self._slice_matrix(depth + 1, k, weights)
-                    rank_up = matrix_rank(cols_up) if cols_up else 0
-                else:
-                    rank_up = 0
-                h = dim_ker - rank_up
-                report.dims[(-depth, k)] = (dim_ker, rank_up, h)
-                if h != 0:
-                    report.exact = False
+                ranks[depth, k] = (matrix_rank(cols) if cols else 0, n_src)
+        for (depth, k), (rank_d, n_src) in ranks.items():
+            dim_ker = n_src - rank_d
+            rank_up = ranks[depth + 1, k][0] if depth < self.length else 0
+            h = dim_ker - rank_up
+            report.dims[(-depth, k)] = (dim_ker, rank_up, h)
+            if h != 0:
+                report.exact = False
         return report
 
     # -- lifting through the differential ----------------------------------------

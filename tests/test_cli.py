@@ -274,3 +274,55 @@ mode = koszul-compare
 """
     with pytest.raises(SpecError):
         parse_spec("inline.kt", text=text)
+
+
+def _quadratic_hook_check(lines):
+    from ktforest.grammar import parse_hook_table
+    from ktforest.kt import HookMap, verify_hook
+
+    spec = parse_spec(spec_path("quadratic.kt"))
+    table = parse_hook_table(lines, spec.symbols)
+    hook = HookMap(spec.resolution, table, spec.neg_degree_max)
+    return verify_hook(spec.resolution, hook, spec.neg_degree_max)
+
+
+def test_hook_line_with_permuted_children_keeps_its_sign():
+    # V(pi2,pi1) = -V(pi1,pi2): both odd leaves, so the swap costs a sign
+    rest = ["V(pi2,pi3) -> y*pib", "V(pi1,pi3) -> y*pi + x*pib"]
+    assert _quadratic_hook_check(["V(pi2,pi1) -> -x*pi"] + rest).passed
+    assert not _quadratic_hook_check(["V(pi2,pi1) -> x*pi"] + rest).passed
+
+
+def test_duplicate_hook_line_is_rejected():
+    from ktforest.grammar import ParseError, parse_hook_table
+
+    spec = parse_spec(spec_path("quadratic.kt"))
+    lines = ["# header", "V(pi1,pi2) -> x*pi", "V(pi2,pi3) -> y*pib",
+             "V(pi2,pi1) -> -x*pi"]
+    with pytest.raises(ParseError) as err:
+        parse_hook_table(lines, spec.symbols)
+    assert "line 4" in str(err.value) and "line 2" in str(err.value)
+
+
+def test_cli_mode_override_is_checked():
+    code, out, err = run_cli("run", spec_path("quadratic.kt"), "--mode", "koszul-compare")
+    assert code == 2 and out == ""
+    assert "input error" in err and "koszul = true" in err
+
+
+@pytest.mark.parametrize("name", ["koszul_compare.kt", "koszul_function.kt",
+                                  "monomial_ideal.kt", "quadratic.kt",
+                                  "regular_sequence.kt"])
+def test_cli_every_spec_and_mode_ends_in_a_report_or_input_error(name):
+    koszul_ready = name == "koszul_compare.kt"
+    for mode in ("explicit", "general", "koszul-compare"):
+        code, out, err = run_cli("run", spec_path(name), "--mode", mode,
+                                 "--neg-degree-max", "4")
+        assert code in (0, 1, 2, 3), (mode, err)
+        assert "Traceback" not in err, (mode, err)
+        if mode == "koszul-compare" and not koszul_ready:
+            assert code == 2 and "input error" in err
+        elif mode == "explicit" or code == 0:
+            assert code == 0 and "result: PASS" in out, (mode, out)
+        else:
+            assert "result: FAIL" in out, (mode, out)

@@ -1,0 +1,220 @@
+"""The component-wise elimination in `poly` against dense references.
+
+`solve_lift` is compared with the single dense Gauss-Jordan over all
+unknowns that it replaced, kept below as the oracle; `matrix_rank` with
+sympy's rank.  The drawn systems are sparse and fall apart into blocks:
+by polynomial degree, and by rows of the target that no column shares.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ktforest.poly import Poly, RingSpec, matrix_rank, monomial_key, slice_basis, solve_lift
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# the dense oracle: one elimination over every unknown and equation
+# ---------------------------------------------------------------------------
+
+def dense_rref_solve(rows, rhs, num_unknowns):
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n_rows = len(m)
+    pivot_of_col = {}
+    pr = 0
+    for pc in range(num_unknowns):
+        pivot_row = None
+        for r in range(pr, n_rows):
+            if m[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = m[pr][pc]
+        m[pr] = [v / inv for v in m[pr]]
+        for r in range(n_rows):
+            if r != pr and m[r][pc] != 0:
+                f = m[r][pc]
+                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivot_of_col[pc] = pr
+        pr += 1
+        if pr == n_rows:
+            break
+    for r in range(pr, n_rows):
+        if m[r][num_unknowns] != 0:
+            return None
+    sol = [Fraction(0)] * num_unknowns
+    for pc, r in pivot_of_col.items():
+        sol[pc] = m[r][num_unknowns]
+    return sol
+
+
+def dense_solve_lift(columns, target, poly_degree_cap=None):
+    if not columns:
+        return [] if all(t.is_zero() for t in target) else None
+    ring = (list(target) + [p for vec in columns for p in vec])[0].ring
+    n_rows = len(target)
+    if all(t.is_zero() for t in target):
+        return [Poly.zero(ring) for _ in columns]
+    if poly_degree_cap is None:
+        poly_degree_cap = max(t.total_degree() for t in target if not t.is_zero())
+    target_max = max(t.total_degree() for t in target if not t.is_zero())
+    monomials = []
+    for d in range(poly_degree_cap + 1):
+        monomials.extend(slice_basis(ring, d))
+    unknowns = []
+    for m in monomials:
+        for j, vec in enumerate(columns):
+            degs = [p.total_degree() for p in vec if not p.is_zero()]
+            if not degs:
+                continue
+            if sum(m) + min(degs) <= max(target_max, poly_degree_cap):
+                unknowns.append((j, m))
+    unknowns.sort(key=lambda jm: (monomial_key(jm[1]), jm[0]))
+    equations = {}
+    for i, (j, m) in enumerate(unknowns):
+        for r in range(n_rows):
+            for e, c in columns[j][r].terms.items():
+                mu = tuple(a + b for a, b in zip(e, m))
+                eq = equations.setdefault((r, mu), {})
+                eq[i] = eq.get(i, Fraction(0)) + c
+    for r in range(n_rows):
+        for mu in target[r].terms:
+            equations.setdefault((r, mu), {})
+    eq_keys = sorted(equations, key=lambda k: (k[0], monomial_key(k[1])))
+    rows, rhs = [], []
+    for key in eq_keys:
+        r, mu = key
+        row = [Fraction(0)] * len(unknowns)
+        for i, c in equations[key].items():
+            row[i] = c
+        rows.append(row)
+        rhs.append(target[r].terms.get(mu, Fraction(0)))
+    sol = dense_rref_solve(rows, rhs, len(unknowns))
+    if sol is None:
+        return None
+    out = [Poly.zero(ring) for _ in columns]
+    for i, (j, m) in enumerate(unknowns):
+        if sol[i]:
+            out[j] = out[j] + Poly.monomial(ring, m, sol[i])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@st.composite
+def polys(draw, ring, max_degree, min_terms=0, max_terms=3):
+    terms = {}
+    for _ in range(draw(st.integers(min_terms, max_terms))):
+        degree = draw(st.integers(0, max_degree))
+        exp = draw(st.sampled_from(slice_basis(ring, degree)))
+        terms[exp] = draw(nonzero_fractions)
+    return Poly(ring, terms)
+
+
+@st.composite
+def lifting_problems(draw):
+    """Columns over a few target rows, each column on a subset of the rows."""
+    ring = RingSpec(["x", "y", "z"][:draw(st.integers(1, 3))])
+    n_rows = draw(st.integers(1, 3))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.sets(st.integers(0, n_rows - 1), min_size=1, max_size=n_rows))
+        columns.append([draw(polys(ring, 2, min_terms=1, max_terms=2)) if r in support
+                        else Poly.zero(ring) for r in range(n_rows)])
+    kind = draw(st.sampled_from(["consistent", "consistent", "random", "zero", "unreachable"]))
+    zero = Poly.zero(ring)
+    if kind == "zero":
+        target = [zero] * n_rows
+    elif kind == "random":
+        target = [draw(polys(ring, 3)) for _ in range(n_rows)]
+    else:
+        multipliers = [draw(polys(ring, 1, min_terms=1, max_terms=2)) for _ in columns]
+        target = []
+        for r in range(n_rows):
+            acc = zero
+            for col, c in zip(columns, multipliers):
+                acc = acc + col[r] * c
+            target.append(acc)
+        if kind == "unreachable":
+            # a term of degree 0 that only a constant entry of a column can reach
+            r = draw(st.integers(0, n_rows - 1))
+            target[r] = target[r] + Poly.const(ring, draw(nonzero_fractions))
+    cap = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return columns, target, cap
+
+
+@st.composite
+def block_matrices(draw):
+    """Columns of a block-diagonal matrix with rows and columns shuffled."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_r, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        blocks.append([[draw(st.one_of(st.just(Fraction(0)), small_fractions))
+                        for _ in range(n_c)] for _ in range(n_r)])
+    extra_rows, extra_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n_rows = sum(len(b) for b in blocks) + extra_rows
+    n_cols = sum(len(b[0]) for b in blocks) + extra_cols
+    dense = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                dense[r0 + i][c0 + j] = v
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    row_order = draw(st.permutations(range(n_rows)))
+    col_order = draw(st.permutations(range(n_cols)))
+    return [[dense[r][c] for r in row_order] for c in col_order]
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(lifting_problems())
+def test_solve_lift_matches_dense_elimination(problem):
+    columns, target, cap = problem
+    got = solve_lift(columns, target, cap)
+    assert got == dense_solve_lift(columns, target, cap)
+    if got is not None:
+        for r, t in enumerate(target):
+            acc = Poly.zero(t.ring)
+            for col, c in zip(columns, got):
+                acc = acc + col[r] * c
+            assert acc == t
+
+
+@SETTINGS
+@given(block_matrices())
+def test_matrix_rank_matches_sympy(columns):
+    expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in col]
+                             for col in columns]).rank()
+    assert matrix_rank(columns) == expected
+
+
+def test_unreachable_target_term_has_no_lift():
+    ring = RingSpec(["x", "y"])
+    x, one = Poly.variable(ring, 0), Poly.const(ring, 1)
+    assert solve_lift([[x]], [x * x + one]) is None
+    assert dense_solve_lift([[x]], [x * x + one]) is None
+
+
+def test_matrix_rank_of_zero_and_empty_columns():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[Fraction(0)] * 3, [Fraction(0)] * 3]) == 0
+    assert matrix_rank([[Fraction(1), Fraction(0)], [Fraction(0)] * 2,
+                        [Fraction(2), Fraction(0)]]) == 1
