@@ -378,7 +378,8 @@ def run(spec: ProblemSpec, threads: int = 1,
     """Execute the full pipeline on a parsed spec.
 
     The optional `verify` option (space-separated names) restricts the
-    verifier list; everything applicable runs by default.
+    verifier list; everything applicable runs by default.  `threads` is
+    accepted and ignored: the pipeline runs in one thread.
     """
     report = RunReport(spec.name, spec.mode, dict(spec.options))
     wanted = spec.options.get("verify")
@@ -419,10 +420,12 @@ def run(spec: ProblemSpec, threads: int = 1,
         if not homology.exact:
             report.failed_stage = "check_exactness"
             return report
+    t0 = clock()
     try:
         report.quotient = quotient_dims(spec.ring, spec.ideal, cap)
     except ValueError:
         report.quotient = []
+    report.timings["quotient_dims"] = clock() - t0
 
     try:
         t0 = clock()
@@ -437,7 +440,7 @@ def run(spec: ProblemSpec, threads: int = 1,
         elif spec.mode == "koszul-compare":
             hook = None
         else:
-            hook = solve_hook(res, depth, threads=threads)
+            hook = solve_hook(res, depth)
             stage("solve_hook", "pass", f"{len(hook.table)} nonzero values")
         report.timings["hook"] = clock() - t0
 
@@ -448,9 +451,8 @@ def run(spec: ProblemSpec, threads: int = 1,
             add_verdict(verify_square_zero(
                 differential.apply, tree_basis_elements(res, depth),
                 label="tree differential square zero",
-                checked=f"basis trees through negative degree {depth}",
-                threads=threads), "square_zero")
-            add_verdict(verify_retract(res, hook, depth, threads=threads), "retract")
+                checked=f"basis trees through negative degree {depth}"), "square_zero")
+            add_verdict(verify_retract(res, hook, depth), "retract")
             add_verdict(verify_hook_product_leibniz(res, hook), "hook_product")
             report.timings["negative_part_checks"] = clock() - t0
 
@@ -464,7 +466,9 @@ def run(spec: ProblemSpec, threads: int = 1,
                   "ingested tables extended through the exterior product")
             report.timings["extension"] = clock() - t0
         elif spec.positive is not None:
+            t0 = clock()
             gate = check_ideal_preserved(spec.positive, spec.ideal, cap)
+            report.timings["check_ideal_preserved"] = clock() - t0
             report.add_verdict(gate)
             if spec.mode == "explicit" and not gate.passed:
                 report.failed_stage = "check_ideal_preserved"
@@ -537,7 +541,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--mode", choices=["explicit", "general", "koszul-compare"])
         p.add_argument("--neg-degree-max", dest="neg_degree_max", type=int)
         p.add_argument("--poly-cap", dest="poly_cap", type=int)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored")
 
     p_run = sub.add_parser("run", help="run the full pipeline")
     common(p_run)

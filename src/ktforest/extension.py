@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .forest import (AlgebraElement, Node, apply_derivation, canonicalize_node,
+from .forest import (AlgebraElement, Node, apply_derivation, canonicalize_node, collect,
                      enumerate_tree_basis, inner_vertex_paths, is_leaf, leaf,
-                     leaf_paths, make_monomial, parity_sign, subtree_at,
+                     leaf_paths, make_monomial, mono_label, parity_sign, subtree_at,
                      tree_degree, tree_str, vertex_weight)
 from .kt import (CheckResult, HookMap, SolveError, TreeDifferential, apply_hook_linear,
-                 homotopy, hook_product, project_to_resolution)
+                 homotopy, hook_product, project_to_resolution, substitute_into)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -213,6 +213,10 @@ class ExtensionData:
         self.level_max = -1
         self._delta = TreeDifferential(res, hook)
         self._tree_memo: Dict[Tuple[int, Node], AlgebraElement] = {}
+        # images summed over levels -1..level_max, built for `_total_level`;
+        # keyed by tree, or by ("positive", generator)
+        self._total_memo: Dict[object, AlgebraElement] = {}
+        self._total_level = None
 
     # -- per-level generator images ------------------------------------------
 
@@ -248,47 +252,50 @@ class ExtensionData:
         return out
 
     def q_level_on_tree(self, k: int, node: Node) -> AlgebraElement:
+        if is_leaf(node) or k == -1:
+            return self._level_image(k, node)
+        key = (k, node)
+        cached = self._tree_memo.get(key)
+        if cached is None:
+            cached = self._tree_memo[key] = self._level_image(k, node)
+        return cached
+
+    def _level_image(self, k: int, node: Node) -> AlgebraElement:
+        """The level-k image of a tree; not memoized here for k >= 0."""
         if is_leaf(node):
             return self.q_level_on_gen(k, node[1])
         if k == -1:
             return self._delta.on_tree(node)
-        key = (k, node)
-        cached = self._tree_memo.get(key)
-        if cached is not None:
-            return cached
-        if self.mode == "general":
-            if key in self.tree_q:
-                result = self.tree_q[key]
-            elif k - tree_degree(node) > self.neg_degree_max:
-                raise TruncationError(
-                    f"level {k} table not solved for {tree_str(node)}")
-            else:
-                result = AlgebraElement.zero(self.res.ring)
-        else:
-            result = self._tree_formula(k, node, include_root_hook=True)
-        self._tree_memo[key] = result
-        return result
+        if self.mode != "general":
+            return self._tree_formula(k, node, include_root_hook=True)
+        if (k, node) in self.tree_q:
+            return self.tree_q[(k, node)]
+        if k - tree_degree(node) > self.neg_degree_max:
+            raise TruncationError(f"level {k} table not solved for {tree_str(node)}")
+        return AlgebraElement.zero(self.res.ring)
 
     def _tree_formula(self, k: int, node: Node, include_root_hook: bool) -> AlgebraElement:
         """Level-k action on a tree: corrected leaves plus hook substitutions."""
-        from .kt import _substituted
-
-        ring = self.res.ring
-        result = AlgebraElement.zero(ring)
+        acc: dict = {}
         for path, gen in leaf_paths(node):
             value = self.q_level_on_gen(k, gen)
             if value.is_zero():
                 continue
             w = vertex_weight(node, path)
-            result = result + _substituted(ring, node, path, value, parity_sign(w), w)
+            substitute_into(acc, node, path, value, parity_sign(w), w)
         paths = inner_vertex_paths(node) + ([()] if include_root_hook else [])
         for path in paths:
             value = self.chi_level(k, subtree_at(node, path))
             if value.is_zero():
                 continue
             w = vertex_weight(node, path)
-            result = result + _substituted(ring, node, path, value, -parity_sign(w), w)
-        return result
+            substitute_into(acc, node, path, value, -parity_sign(w), w)
+        return collect(self.res.ring, acc)
+
+    def forget(self, k: int, node: Node):
+        """Drop the memoized images of a tree whose level-k table changed."""
+        self._tree_memo.pop((k, node), None)
+        self._total_memo.pop(node, None)
 
     # -- assembled operators ------------------------------------------------------
 
@@ -301,9 +308,43 @@ class ExtensionData:
         )
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
+        """The total differential: one Leibniz pass with level-summed images."""
+        if self._total_level != self.level_max:
+            self._total_memo.clear()
+            self._total_level = self.level_max
+        try:
+            return apply_derivation(
+                elem,
+                on_tree=lambda node: self._summed(
+                    node, lambda k: self._level_image(k, node)),
+                on_positive=lambda g: self._summed(
+                    ("positive", g), lambda k: self.q_level_on_positive(k, g)),
+                on_coeff=self._total_on_coeff)
+        except TruncationError:
+            # report the first missing table in level order, as the sum of
+            # apply_level over the levels meets it
+            for k in range(-1, self.level_max + 1):
+                self.apply_level(k, elem)
+            raise
+
+    def _summed(self, key, image) -> AlgebraElement:
+        """The sum of image(k) over levels -1..level_max, memoized under key.
+
+        Tree images are summed from `_level_image`, so the levels are not
+        also kept one by one.
+        """
+        cached = self._total_memo.get(key)
+        if cached is None:
+            cached = AlgebraElement.zero(self.res.ring)
+            for k in range(-1, self.level_max + 1):
+                cached = cached + image(k)
+            self._total_memo[key] = cached
+        return cached
+
+    def _total_on_coeff(self, c: Poly) -> AlgebraElement:
         out = AlgebraElement.zero(self.res.ring)
-        for k in range(-1, self.level_max + 1):
-            out = out + self.apply_level(k, elem)
+        for k in range(0, self.level_max + 1):
+            out = out + self.q_level_on_coeff(k, c)
         return out
 
     def q_on_gen_total(self, g: GeneratorId) -> AlgebraElement:
@@ -478,7 +519,7 @@ def _solve_level_on_trees(ext: ExtensionData, k: int):
                                  "no preimage under the resolution differential")
             if not lifted.is_zero():
                 ext.chi[(k, node)] = lifted
-                ext._tree_memo.pop((k, node), None)
+                ext.forget(k, node)
 
 
 def _assert_square_on_generators(ext: ExtensionData, k: int):
@@ -575,7 +616,7 @@ def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMa
                     value = preimage_or_raise(f"residue level {k}", tree_str(node), closed)
                     if not value.is_zero():
                         ext.tree_q[(k, node)] = value
-                        ext._tree_memo.pop((k, node), None)
+                        ext.forget(k, node)
             ext.level_max = max(ext.level_max, k)
     return ext
 
@@ -676,9 +717,9 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
         lhs = _proj(ext, x)
         rhs = x - homotopy(ext.apply(x)) - ext.apply(homotopy(x))
         if not homotopy(homotopy(x)).is_zero():
-            failures.append((_label(mono), "h h != 0"))
+            failures.append((mono_label(mono), "h h != 0"))
         if lhs != rhs:
-            failures.append((_label(mono), f"Incl Proj mismatch: {lhs - rhs}"))
+            failures.append((mono_label(mono), f"Incl Proj mismatch: {lhs - rhs}"))
     # Proj Incl = Id on core monomials: trivial tree and pure positive samples
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):
@@ -693,20 +734,14 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
         x = AlgebraElement.from_positive(ring, g)
         if _proj(ext, x) != x:
             failures.append((g.label, "Proj Incl != Id"))
-    for mono in monos[: 50]:
+    for mono in monos:
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
         h = homotopy(x)
         if not h.is_zero() and not _proj(ext, h).is_zero():
-            failures.append((_label(mono), "Proj h != 0"))
+            failures.append((mono_label(mono), "Proj h != 0"))
     return CheckResult("inclusion/projection homotopy", not failures,
                        f"{count} monomials through negative degree {neg_degree_max}",
                        failures)
-
-
-def _label(mono) -> str:
-    trees, pos = mono
-    parts = [g.label for g in pos] + [tree_str(t) for t in trees]
-    return "*".join(parts) if parts else "1"
 
 
 # ---------------------------------------------------------------------------

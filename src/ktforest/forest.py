@@ -20,6 +20,7 @@ and reorderings carry Koszul signs computed from homogeneous degrees.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import Poly, RingSpec
@@ -91,14 +92,6 @@ def tree_str(node: Node) -> str:
     if node[0] == "L":
         return node[1].label
     return "V(" + ",".join(tree_str(c) for c in node[1]) + ")"
-
-
-def is_admissible(node: Node) -> bool:
-    if node[0] == "L":
-        return True
-    if len(node[1]) < 2:
-        return False
-    return all(is_admissible(c) for c in node[1])
 
 
 class TreeError(ValueError):
@@ -306,14 +299,16 @@ def mono_degree(mono: Monomial) -> int:
     return sum(tree_degree(t) for t in trees) + sum(g.module_degree for g in pos)
 
 
-def mono_neg_degree(mono: Monomial) -> int:
-    trees, _ = mono
-    return -sum(tree_degree(t) for t in trees)
-
-
 def mono_pos_degree(mono: Monomial) -> int:
     _, pos = mono
     return sum(g.module_degree for g in pos)
+
+
+def mono_label(mono: Monomial) -> str:
+    """A monomial as its factors joined by '*', positives first; '1' if empty."""
+    trees, pos = mono
+    parts = [g.label for g in pos] + [tree_str(t) for t in trees]
+    return "*".join(parts) if parts else "1"
 
 
 def _mono_sort_key(mono: Monomial):
@@ -346,6 +341,115 @@ def make_monomial(factors: Iterable[tuple]) -> Tuple[Optional[Monomial], int]:
     return (trees, pos), sign
 
 
+@lru_cache(maxsize=None)
+def _tree_order(node: Node) -> tuple:
+    """(tree_key, tree_degree) in one cache lookup."""
+    return tree_key(node), tree_degree(node)
+
+
+def _merge(xs: tuple, ys: tuple, order) -> Tuple[Optional[tuple], int]:
+    """Sorted merge of two sorted factor tuples, as in xs * ys.
+
+    `order` maps a factor to (key, degree).  Each factor of ys moves past the
+    factors of xs not yet placed, at the cost of (-1)^(its degree times their
+    degree sum); equal keys keep xs first.  Returns (merged, parity of the
+    sign), or (None, 0) when an odd factor occurs in both.
+    """
+    info = [order(x) for x in xs]
+    suffix = [0] * (len(xs) + 1)
+    for i in range(len(xs) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + info[i][1]
+    out = []
+    parity = 0
+    i, n = 0, len(xs)
+    for y in ys:
+        ky, dy = order(y)
+        while i < n and info[i][0] <= ky:
+            if dy & 1 and info[i][0] == ky:
+                return None, 0
+            out.append(xs[i])
+            i += 1
+        if dy & 1 and suffix[i] & 1:
+            parity ^= 1
+        out.append(y)
+    out.extend(xs[i:])
+    return tuple(out), parity
+
+
+def _gen_order(g: GeneratorId) -> tuple:
+    return g.key, g.module_degree
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
+    """The product a*b of two canonical monomials: (monomial, sign).
+
+    Positives and trees are merged separately by their canonical keys, so
+    the result equals `make_monomial` on the concatenated factors of a and b
+    without re-sorting them.  The positives of b also pass every tree of a.
+    Returns (None, 0) when an odd factor repeats.
+    """
+    ta, pa = a
+    tb, pb = b
+    parity = 0
+    if pa and pb:
+        pos, parity = _merge(pa, pb, _gen_order)
+        if pos is None:
+            return None, 0
+    else:
+        pos = pa or pb
+    if ta and tb:
+        trees, p = _merge(ta, tb, _tree_order)
+        if trees is None:
+            return None, 0
+        parity ^= p
+    else:
+        trees = ta or tb
+    if ta and pb and sum(g.module_degree for g in pb) & 1 \
+            and sum(_tree_order(t)[1] for t in ta) & 1:
+        parity ^= 1
+    return (trees, pos), -1 if parity else 1
+
+
+def accumulate(acc: dict, mono: Monomial, coeff: dict, sign: int = 1,
+               factor: Optional[dict] = None):
+    """acc[mono] += sign * factor * coeff, in place.
+
+    `acc` maps monomials to {exponent: Fraction} dicts, and so do `coeff`
+    and `factor` (`Poly.terms`); a `factor` of None stands for 1.  `collect`
+    turns the sums into an element.
+    """
+    slot = acc.get(mono)
+    if slot is None:
+        slot = acc[mono] = {}
+    get = slot.get
+    if factor is None:
+        for e, v in coeff.items():
+            if sign < 0:
+                v = -v
+            old = get(e)
+            slot[e] = v if old is None else old + v
+        return
+    for e1, v1 in factor.items():
+        for e2, v2 in coeff.items():
+            e = tuple(map(add, e1, e2))
+            v = v1 * v2
+            if sign < 0:
+                v = -v
+            old = get(e)
+            slot[e] = v if old is None else old + v
+
+
+def collect(ring: RingSpec, acc: dict) -> "AlgebraElement":
+    """The element of the sums built by `accumulate`, zeros dropped."""
+    out = AlgebraElement.zero(ring)
+    terms = out.terms
+    for mono, slot in acc.items():
+        p = Poly(ring, slot)
+        if p.terms:
+            terms[mono] = p
+    return out
+
+
 class AlgebraElement:
     """O-linear combination of canonical monomials in trees and positives."""
 
@@ -371,7 +475,7 @@ class AlgebraElement:
         cnode, sign = canonicalize_node(node)
         if cnode is None:
             return AlgebraElement.zero(ring)
-        return AlgebraElement(ring, {((cnode,), ()): c.scale(sign)})
+        return AlgebraElement(ring, {((cnode,), ()): c if sign > 0 else -c})
 
     @staticmethod
     def from_module_element(me: ModuleElement) -> "AlgebraElement":
@@ -417,23 +521,13 @@ class AlgebraElement:
         return AlgebraElement(self.ring, {m: c.scale(value) for m, c in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = AlgebraElement.zero(self.ring)
         acc: dict = {}
-        for (t1, p1), c1 in self.terms.items():
-            for (t2, p2), c2 in other.terms.items():
-                factors = [("p", g) for g in p1] + [("t", t) for t in t1] \
-                    + [("p", g) for g in p2] + [("t", t) for t in t2]
-                mono, sign = make_monomial(factors)
-                if mono is None:
-                    continue
-                c = (c1 * c2).scale(sign)
-                s = acc.get(mono, Poly.zero(self.ring)) + c
-                if s.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
-        out.terms = acc
-        return out
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono, sign = mono_mul(m1, m2)
+                if mono is not None:
+                    accumulate(acc, mono, c2.terms, sign, c1.terms)
+        return collect(self.ring, acc)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.terms == other.terms
@@ -442,16 +536,6 @@ class AlgebraElement:
 
     def is_homogeneous(self) -> bool:
         return len({mono_degree(m) for m in self.terms}) <= 1
-
-    def neg_component(self, neg_degree: int) -> "AlgebraElement":
-        return AlgebraElement(self.ring, {
-            m: c for m, c in self.terms.items() if mono_neg_degree(m) == neg_degree})
-
-    def split_by_neg_degree(self) -> dict:
-        out: dict = {}
-        for m, c in self.terms.items():
-            out.setdefault(mono_neg_degree(m), {})[m] = c
-        return {k: AlgebraElement(self.ring, v) for k, v in out.items()}
 
     # -- projections --------------------------------------------------------------
 
@@ -465,11 +549,6 @@ class AlgebraElement:
         return AlgebraElement(self.ring, {
             m: c for m, c in self.terms.items()
             if len(m[0]) == 1 and is_leaf(m[0][0])})
-
-    def project_single_nontrivial(self) -> "AlgebraElement":
-        return AlgebraElement(self.ring, {
-            m: c for m, c in self.terms.items()
-            if len(m[0]) == 1 and not is_leaf(m[0][0])})
 
     def project_scalar(self) -> "AlgebraElement":
         """Monomials with no tree factor (the purely positive part)."""
@@ -532,7 +611,7 @@ def root_join(elem: AlgebraElement) -> AlgebraElement:
     A map of degree -1; positive factors pass with the Koszul sign of an odd
     operator.  Monomials with fewer than two tree factors are rejected.
     """
-    out = AlgebraElement.zero(elem.ring)
+    acc: dict = {}
     for (trees, pos), c in elem.terms.items():
         if len(trees) < 2:
             raise TreeError("root_join needs at least two tree factors")
@@ -541,25 +620,23 @@ def root_join(elem: AlgebraElement) -> AlgebraElement:
             continue
         sign *= parity_sign(mono_pos_degree((trees, pos)))
         mono, s2 = make_monomial([("p", g) for g in pos] + [("t", node)])
-        if mono is None:
-            continue
-        out = out + AlgebraElement(elem.ring, {mono: c.scale(sign * s2)})
-    return out
+        if mono is not None:
+            accumulate(acc, mono, c.terms, sign * s2)
+    return collect(elem.ring, acc)
 
 
 def root_split(elem: AlgebraElement) -> AlgebraElement:
     """Inverse of root_join: cut each non-trivial tree at its root."""
-    out = AlgebraElement.zero(elem.ring)
+    acc: dict = {}
     for (trees, pos), c in elem.terms.items():
         if len(trees) != 1 or is_leaf(trees[0]):
             raise TreeError("root_split expects single non-trivial tree factors")
         sign = parity_sign(mono_pos_degree((trees, pos)))
         mono, s2 = make_monomial(
             [("p", g) for g in pos] + [("t", child) for child in trees[0][1]])
-        if mono is None:
-            continue
-        out = out + AlgebraElement(elem.ring, {mono: c.scale(sign * s2)})
-    return out
+        if mono is not None:
+            accumulate(acc, mono, c.terms, sign * s2)
+    return collect(elem.ring, acc)
 
 
 def contract_vertex(node: Node, path: tuple) -> Tuple[Optional[Node], int]:
@@ -595,13 +672,13 @@ def substitute_at_path(elem_ring: RingSpec, node: Node, path: tuple,
     left = left_leaf_degree(node, path) if pull_weight is None else pull_weight
     for (trees, pos), c in value.terms.items():
         pull = parity_sign(sum(g.module_degree for g in pos) * left)
-        coeff = c.scale(pull)
+        coeff = c if pull > 0 else -c
         if len(trees) == 1 and is_leaf(trees[0]):
             raw = replace_at_path(node, path, trees[0])
             cnode, sign = canonicalize_node(raw)
             if cnode is None:
                 continue
-            out.append((coeff.scale(sign), pos, cnode))
+            out.append((coeff if sign > 0 else -coeff, pos, cnode))
         elif not trees:
             if not path:
                 out.append((coeff, pos, None))
@@ -612,7 +689,7 @@ def substitute_at_path(elem_ring: RingSpec, node: Node, path: tuple,
             cnode, sign = canonicalize_node(raw)
             if cnode is None:
                 continue
-            out.append((coeff.scale(sign), pos, cnode))
+            out.append((coeff if sign > 0 else -coeff, pos, cnode))
         else:
             raise TreeError("substitution value must be module + scalar valued")
     return out
@@ -652,34 +729,43 @@ def apply_derivation(elem: AlgebraElement,
 
     The operator is odd (degree +1): passing a factor of degree d costs
     (-1)^d.  Monomial factors are ordered positives-then-trees, with the
-    polynomial coefficient in front (even, so it contributes no sign).
+    polynomial coefficient in front (even, so it contributes no sign).  The
+    image m of factor i, preceded by factors of total degree `passed`, moves
+    to the front of the monomial with factor i removed: its term is
+    (-1)^(passed * (1 + deg m)) * c * (m * rest), summed in place.
     """
-    ring = elem.ring
-    one = Poly.const(ring, 1)
-    out = AlgebraElement.zero(ring)
-    for (trees, pos), c in elem.terms.items():
-        rest = AlgebraElement(ring, {(trees, pos): one})
+    acc: dict = {}
+    unit = Poly.const(elem.ring, 1).terms
+
+    def insert(img, rest, passed, c):
+        for m, d in img.terms.items():
+            mono, sign = mono_mul(m, rest)
+            if mono is None:
+                continue
+            if passed & 1 and not mono_degree(m) & 1:
+                sign = -sign
+            accumulate(acc, mono, d.terms, sign, c)
+
+    for mono, c in elem.terms.items():
+        trees, pos = mono
+        ct = None if c.terms == unit else c.terms  # skip multiplying by 1
         if on_coeff is not None:
             dc = on_coeff(c)
-            if dc is not None and not dc.is_zero():
-                out = out + dc * rest
+            if dc is not None and dc.terms:
+                insert(dc, mono, 0, None)
         passed = 0
         for i, g in enumerate(pos):
             if on_positive is not None:
                 img = on_positive(g)
-                if img is not None and not img.is_zero():
-                    left = AlgebraElement(ring, {((), pos[:i]): c.scale(parity_sign(passed))})
-                    right = AlgebraElement(ring, {(trees, pos[i + 1:]): one})
-                    out = out + left * img * right
+                if img is not None and img.terms:
+                    insert(img, (trees, pos[:i] + pos[i + 1:]), passed, ct)
             passed += g.module_degree
         for i, t in enumerate(trees):
             img = on_tree(t)
-            if img is not None and not img.is_zero():
-                left = AlgebraElement(ring, {(trees[:i], pos): c.scale(parity_sign(passed))})
-                right = AlgebraElement(ring, {(trees[i + 1:], ()): one})
-                out = out + left * img * right
+            if img is not None and img.terms:
+                insert(img, (trees[:i] + trees[i + 1:], pos), passed, ct)
             passed += tree_degree(t)
-    return out
+    return collect(elem.ring, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ trees too deep for the resolution are forced to zero.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .forest import (AlgebraElement, Node, apply_derivation, canonicalize_node,
-                     enumerate_monomial_basis, enumerate_tree_basis, inner_vertex_paths,
-                     is_leaf, leaf, leaf_paths, make_monomial, parity_sign, root_join,
+from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
+                     collect, enumerate_monomial_basis, enumerate_tree_basis, inner_vertex_paths,
+                     is_leaf, leaf, leaf_paths, make_monomial, mono_label, parity_sign, root_join,
                      root_split, contract_vertex, subtree_at, substitute_at_path,
                      tree_degree, tree_str, vertex_weight, mono_pos_degree)
 from .poly import Poly
@@ -142,23 +141,26 @@ class TreeDifferential:
             result = self.leaf_value(node[1])
             self._memo[node] = result
             return result
-        result = root_split(AlgebraElement.from_tree(ring, node))
+        acc: dict = {}
+        for mono, c in root_split(AlgebraElement.from_tree(ring, node)).terms.items():
+            accumulate(acc, mono, c.terms)
+        one = Poly.const(ring, 1).terms
         for path in inner_vertex_paths(node):
             w = vertex_weight(node, path)
             cnode, sign = contract_vertex(node, path)
             if cnode is not None:
-                result = result + AlgebraElement.from_tree(
-                    ring, cnode, Poly.const(ring, sign * parity_sign(w)))
+                accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
         for path, gen in leaf_paths(node):
             w = vertex_weight(node, path)
             value = self.leaf_value(gen)
-            result = result + _substituted(ring, node, path, value, parity_sign(w), w)
+            substitute_into(acc, node, path, value, parity_sign(w), w)
         for path in inner_vertex_paths(node) + [()]:
             w = vertex_weight(node, path)
             value = self.hook_value_elem(subtree_at(node, path))
             if value.is_zero():
                 continue
-            result = result + _substituted(ring, node, path, value, -parity_sign(w), w)
+            substitute_into(acc, node, path, value, -parity_sign(w), w)
+        result = collect(ring, acc)
         self._memo[node] = result
         return result
 
@@ -166,18 +168,16 @@ class TreeDifferential:
         return apply_derivation(elem, self.on_tree)
 
 
-def _substituted(ring, node: Node, path: tuple, value: AlgebraElement,
-                 sign: int, pull_weight: int) -> AlgebraElement:
-    out = AlgebraElement.zero(ring)
-    for coeff, pos, cnode in substitute_at_path(ring, node, path, value, pull_weight):
+def substitute_into(acc: dict, node: Node, path: tuple, value: AlgebraElement,
+                    sign: int, pull_weight: int):
+    """Add sign times the substitution of `value` at `path` to an accumulator."""
+    for coeff, pos, cnode in substitute_at_path(value.ring, node, path, value, pull_weight):
         factors = [("p", g) for g in pos]
         if cnode is not None:
             factors.append(("t", cnode))
         mono, s2 = make_monomial(factors)
-        if mono is None:
-            continue
-        out = out + AlgebraElement(ring, {mono: coeff.scale(sign * s2)})
-    return out
+        if mono is not None:
+            accumulate(acc, mono, coeff.terms, sign * s2)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,7 @@ def solve_hook(res: FreeResolution, neg_degree_max: int, threads: int = 1) -> Ho
 
     Values land in the module one degree up; beyond the resolution length
     they are forced to zero and the recursion is checked to be consistent.
+    `threads` is accepted and ignored: the work runs in one thread.
     """
     hook = HookMap(res, {}, neg_degree_max)
     differential = TreeDifferential(res, hook)
@@ -210,12 +211,8 @@ def solve_hook(res: FreeResolution, neg_degree_max: int, threads: int = 1) -> Ho
         trees = [t for t in enumerate_tree_basis(res, degree) if not is_leaf(t)]
         if not trees:
             continue
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rhs_list = list(pool.map(lambda t: hook_equation_rhs(differential, t), trees))
-        else:
-            rhs_list = [hook_equation_rhs(differential, t) for t in trees]
-        for node, rhs in zip(trees, rhs_list):
+        for node in trees:
+            rhs = hook_equation_rhs(differential, node)
             source_depth = degree - 1
             if source_depth > res.length:
                 if not rhs.is_zero():
@@ -294,58 +291,36 @@ def project_to_resolution(hook: HookMap, elem: AlgebraElement) -> AlgebraElement
 
 def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int,
                    threads: int = 1) -> CheckResult:
-    """delta h + h delta = Id - (inclusion of the projection), per monomial."""
-    differential = TreeDifferential(res, hook)
-    failures = []
-    count = 0
+    """delta h + h delta = Id - (inclusion of the projection), per monomial.
 
-    def check(mono) -> Optional[Tuple[str, str]]:
-        ring = res.ring
+    `threads` is accepted and ignored: the work runs in one thread.
+    """
+    differential = TreeDifferential(res, hook)
+    ring = res.ring
+    failures = []
+    monos = []
+    for degree in range(1, neg_degree_max + 1):
+        monos.extend(enumerate_monomial_basis(res, degree))
+    for mono in monos:
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
         lhs = differential.apply(homotopy(x)) + homotopy(differential.apply(x))
         rhs = x - project_to_resolution(hook, x)
         if lhs != rhs:
-            return (_mono_str(mono), f"lhs - rhs = {lhs - rhs}")
-        return None
-
-    monos = []
-    for degree in range(1, neg_degree_max + 1):
-        monos.extend(enumerate_monomial_basis(res, degree))
-    count = len(monos)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, monos))
-    else:
-        results = [check(m) for m in monos]
-    failures = [r for r in results if r is not None]
+            failures.append((mono_label(mono), f"lhs - rhs = {lhs - rhs}"))
     return CheckResult("homotopy retract", not failures,
-                       f"{count} algebra monomials through negative degree {neg_degree_max}",
+                       f"{len(monos)} algebra monomials through negative degree {neg_degree_max}",
                        failures)
-
-
-def _mono_str(mono) -> str:
-    trees, pos = mono
-    parts = [g.label for g in pos] + [tree_str(t) for t in trees]
-    return "*".join(parts) if parts else "1"
 
 
 def verify_square_zero(apply_fn: Callable[[AlgebraElement], AlgebraElement],
                        basis: List[AlgebraElement], label: str = "square zero",
                        checked: str = "", threads: int = 1) -> CheckResult:
+    """apply_fn(apply_fn(x)) = 0 on every basis element; `threads` is ignored."""
     failures = []
-
-    def check(x):
+    for x in basis:
         residue = apply_fn(apply_fn(x))
         if not residue.is_zero():
-            return (str(x), f"residue {residue}")
-        return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, basis))
-    else:
-        results = [check(x) for x in basis]
-    failures = [r for r in results if r is not None]
+            failures.append((str(x), f"residue {residue}"))
     return CheckResult(label, not failures, checked or f"{len(basis)} basis elements", failures)
 
 

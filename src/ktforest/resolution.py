@@ -34,9 +34,17 @@ class GeneratorId:
     index: int
     label: str
 
-    @property
-    def key(self):
-        return (abs(self.module_degree), self.index, self.label)
+    def __post_init__(self):
+        # Generators sit at the leaves of every tree key and monomial, so
+        # their hash and sort key are computed once, from the same fields
+        # that decide equality.
+        object.__setattr__(self, "_hash",
+                           hash((self.module_degree, self.index, self.label)))
+        object.__setattr__(self, "key",
+                           (abs(self.module_degree), self.index, self.label))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return self.label

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -85,6 +86,32 @@ def test_reports_are_deterministic(tmp_path):
     data = json.loads(text1)
     assert data["result"] == "pass"
     assert "timings" not in data
+
+
+def test_timings_list_quotient_dims_and_ideal_gate(capsys):
+    assert main(["run", spec_path("koszul_function.kt"), "--timings"]) == 0
+    text = capsys.readouterr().out
+    section = text.split("\n[timings]\n", 1)[1].split("\n\n", 1)[0]
+    keys = {line.split(":", 1)[0] for line in section.splitlines()}
+    assert {"quotient_dims", "check_ideal_preserved"} <= keys
+    assert main(["run", spec_path("koszul_function.kt"), "--timings",
+                 "--format", "json"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    assert {"quotient_dims", "check_ideal_preserved"} <= set(timings)
+
+
+def test_report_bytes_without_timings_are_unchanged(capsys):
+    args = ["run", spec_path("koszul_function.kt"), "--mode", "explicit",
+            "--neg-degree-max", "5"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    # the pin of this spec and mode in test_report_digests.py
+    assert hashlib.sha256(plain.encode("utf-8")).hexdigest() == \
+        "e4a9afcf769a7781d656c8c1f55ab7e334a83cb32fb49c731bffc7dd7293aed1"
+    assert main(args + ["--timings"]) == 0
+    timed = capsys.readouterr().out
+    head, rest = timed.split("\n[timings]\n", 1)
+    assert head + "\n" + rest.split("\n\n", 1)[1] == plain
 
 
 def test_determinism_across_thread_counts():

@@ -1,0 +1,224 @@
+"""The one-pass Leibniz evaluator against the formulas it replaced.
+
+`mono_mul` is compared with `make_monomial` on the concatenated factors,
+`apply_derivation` with the former left * image * right evaluation (kept
+below as the oracle, multiplying through `make_monomial`), and the one-pass
+`ExtensionData.apply` with the sum of its levels.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ktforest
+from ktforest.cli import parse_spec
+from ktforest.extension import (TruncationError, solve_general_extension,
+                                solve_residues_explicit)
+from ktforest.forest import (AlgebraElement, apply_derivation, enumerate_tree_basis,
+                             make_monomial, mono_mul, parity_sign, tree_degree)
+from ktforest.grammar import parse_tree
+from ktforest.kt import TreeDifferential, solve_hook
+from ktforest.poly import Poly
+from ktforest.resolution import GeneratorId
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+K = 5
+
+# positive generators of odd and of even degree
+POSITIVES = (GeneratorId(1, 0, "xi1"), GeneratorId(1, 1, "xi2"), GeneratorId(2, 0, "eta"))
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the evaluator before the merged products
+# ---------------------------------------------------------------------------
+
+def factors_of(mono):
+    trees, pos = mono
+    return [("p", g) for g in pos] + [("t", t) for t in trees]
+
+
+def product_by_sorting(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    out = AlgebraElement.zero(a.ring)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            mono, sign = make_monomial(factors_of(m1) + factors_of(m2))
+            if mono is not None:
+                out = out + AlgebraElement(a.ring, {mono: (c1 * c2).scale(sign)})
+    return out
+
+
+def leibniz_oracle(elem, on_tree, on_positive=None, on_coeff=None):
+    ring = elem.ring
+    one = Poly.const(ring, 1)
+    out = AlgebraElement.zero(ring)
+    for (trees, pos), c in elem.terms.items():
+        rest = AlgebraElement(ring, {(trees, pos): one})
+        if on_coeff is not None:
+            dc = on_coeff(c)
+            if dc is not None and not dc.is_zero():
+                out = out + product_by_sorting(dc, rest)
+        passed = 0
+        for i, g in enumerate(pos):
+            if on_positive is not None:
+                img = on_positive(g)
+                if img is not None and not img.is_zero():
+                    left = AlgebraElement(ring, {((), pos[:i]): c.scale(parity_sign(passed))})
+                    right = AlgebraElement(ring, {(trees, pos[i + 1:]): one})
+                    out = out + product_by_sorting(product_by_sorting(left, img), right)
+            passed += g.module_degree
+        for i, t in enumerate(trees):
+            img = on_tree(t)
+            if img is not None and not img.is_zero():
+                left = AlgebraElement(ring, {(trees[:i], pos): c.scale(parity_sign(passed))})
+                right = AlgebraElement(ring, {(trees[i + 1:], ()): one})
+                out = out + product_by_sorting(product_by_sorting(left, img), right)
+            passed += tree_degree(t)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# data: monomial_ideal.kt solved at K = 5
+# ---------------------------------------------------------------------------
+
+SPEC = parse_spec(ktforest.example_path("monomial_ideal.kt"))
+RES = SPEC.resolution
+RING = RES.ring
+TREES = tuple(t for d in range(1, K + 1) for t in enumerate_tree_basis(RES, d))
+FACTORS = tuple([("p", g) for g in POSITIVES + SPEC.positive.gens]
+                + [("t", t) for t in TREES])
+
+
+@pytest.fixture(scope="module")
+def ext():
+    hook = solve_hook(RES, K)
+    return solve_residues_explicit(RES, SPEC.positive, hook, K)
+
+
+polys = st.builds(
+    lambda terms: Poly(RING, {e: Fraction(c) for e, c in terms}),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * RING.num_vars),
+                       st.integers(-3, 3)), min_size=1, max_size=2))
+factor_lists = st.lists(st.sampled_from(FACTORS), max_size=4)
+
+
+def element_from(draws) -> AlgebraElement:
+    out = AlgebraElement.zero(RING)
+    for factors, coeff in draws:
+        mono, sign = make_monomial(factors)
+        if mono is not None:
+            out = out + AlgebraElement(RING, {mono: coeff.scale(sign)})
+    return out
+
+
+elements = st.builds(element_from, st.lists(st.tuples(factor_lists, polys), max_size=3))
+
+
+# ---------------------------------------------------------------------------
+# merged products
+# ---------------------------------------------------------------------------
+
+XI1, XI2, ETA = (("p", g) for g in POSITIVES)
+LEAF = ("t", TREES[0])  # a trivial tree of odd degree
+
+
+@SETTINGS
+@given(factor_lists, factor_lists)
+@example([XI1, LEAF], [XI2, LEAF])  # an odd tree in both: zero
+@example([LEAF, ETA], [XI1, XI2])  # positives of b pass the tree of a
+def test_mono_mul_matches_make_monomial(fa, fb):
+    a, _ = make_monomial(fa)
+    b, _ = make_monomial(fb)
+    if a is None or b is None:
+        return
+    assert mono_mul(a, b) == make_monomial(factors_of(a) + factors_of(b))
+
+
+def test_mono_mul_zero_case():
+    a, _ = make_monomial([XI1, LEAF])
+    assert mono_mul(a, a) == (None, 0)
+    assert make_monomial(factors_of(a) * 2) == (None, 0)
+
+
+@SETTINGS
+@given(elements, elements)
+def test_algebra_product_matches_sorting(x, y):
+    assert x * y == product_by_sorting(x, y)
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz rule
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(elements, st.integers(-1, 1))
+def test_apply_derivation_matches_oracle_per_level(ext, x, k):
+    k = min(k, ext.level_max)
+    images = dict(on_tree=lambda t: ext.q_level_on_tree(k, t),
+                  on_positive=lambda g: ext.q_level_on_positive(k, g)
+                  if g in SPEC.positive.gens else None,
+                  on_coeff=lambda c: ext.q_level_on_coeff(k, c))
+    assert apply_derivation(x, **images) == leibniz_oracle(x, **images)
+
+
+@SETTINGS
+@given(elements, st.lists(elements, min_size=1, max_size=4))
+def test_apply_derivation_matches_oracle_on_any_images(x, table):
+    """Images of mixed degree: the sign follows each image term's degree."""
+    images = dict(on_tree=lambda t: table[TREES.index(t) % len(table)],
+                  on_positive=lambda g: table[g.index % len(table)],
+                  on_coeff=lambda c: table[-1].scale(c))
+    assert apply_derivation(x, **images) == leibniz_oracle(x, **images)
+
+
+@SETTINGS
+@given(elements)
+def test_tree_differential_matches_oracle(ext, x):
+    delta = TreeDifferential(RES, ext.hook)
+    x = AlgebraElement(RING, {m: c for m, c in x.terms.items() if not m[1]})
+    assert delta.apply(x) == leibniz_oracle(x, delta.on_tree)
+
+
+@SETTINGS
+@given(elements)
+def test_extension_apply_is_the_sum_of_its_levels(ext, x):
+    x = AlgebraElement(RING, {m: c for m, c in x.terms.items()
+                              if set(m[1]) <= set(SPEC.positive.gens)})
+    total = AlgebraElement.zero(RING)
+    for k in range(-1, ext.level_max + 1):
+        total = total + ext.apply_level(k, x)
+    assert ext.apply(x) == total
+
+
+def test_missing_table_is_reported_in_level_order():
+    """A product of two trees whose level tables run out at different levels
+    names the lower level, as the sum of apply_level meets it first."""
+    spec = parse_spec(ktforest.example_path("quadratic.kt"))
+    res = spec.resolution
+    general = solve_general_extension(res, spec.positive, solve_hook(res, K), K)
+    symbols = spec.symbols
+    mono, sign = make_monomial([("t", parse_tree("V(pi1,pi)", symbols)),
+                                ("t", parse_tree("V(pi,pi)", symbols))])
+    x = AlgebraElement(res.ring, {mono: Poly.const(res.ring, sign)})
+    with pytest.raises(TruncationError) as per_level:
+        for k in range(-1, general.level_max + 1):
+            general.apply_level(k, x)
+    with pytest.raises(TruncationError) as one_pass:
+        general.apply(x)
+    assert str(one_pass.value) == str(per_level.value) \
+        == "level 1 table not solved for V(pi,pi)"
+
+
+# ---------------------------------------------------------------------------
+# generator hashes
+# ---------------------------------------------------------------------------
+
+def test_equal_generators_hash_equal():
+    a, b = GeneratorId(-2, 3, "e13"), GeneratorId(-2, 3, "e13")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert GeneratorId(2, 3, "e13") != a
+    assert a.key == (2, 3, "e13")

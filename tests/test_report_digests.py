@@ -1,4 +1,5 @@
-"""Report bytes pinned: every bundled spec in each mode it runs, at K = 5.
+"""Report bytes pinned: every bundled spec in each mode it runs, at K = 5,
+and the Lie-Rinehart example `quadratic.kt` at K = 7, the benchmark's shape.
 
 The digests were recorded with the single dense elimination over all
 unknowns that `poly` used before it split systems into components, so a
@@ -6,6 +7,8 @@ change of the linear algebra that moves any byte of a report fails here.
 The general-mode reports of specs whose level tables run out before the
 verifiers do end in a failed `verify_incl_proj` stage; those were recorded
 with the same dense elimination and the failed-stage report of `cli.run`.
+The K = 7 pin was recorded with the Leibniz evaluator that formed every
+term as left * image * right and summed the levels one by one.
 """
 
 from __future__ import annotations
@@ -57,15 +60,32 @@ DIGESTS = {
 }
 
 
+# (spec, mode, K) -> sha256 of the text report, of the JSON report
+DIGESTS_DEEP = {
+    ("quadratic.kt", "explicit", 7): (
+        "840c378aea077b6a3c05cbb34bb038777d44b887dca07a719549002e355e6037",
+        "331c58a56d2cbad2afacf4eb6e19c67847625f7136c0d62f4462ceaf64bb6aa8"),
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("name,mode", sorted(DIGESTS))
-def test_report_bytes_unchanged(name, mode):
+def report_digests(name: str, mode: str, depth: int):
     spec = parse_spec(ktforest.example_path(name))
     spec.options["mode"] = mode
-    spec.options["neg_degree_max"] = K
+    spec.options["neg_degree_max"] = depth
     check_mode(spec)
     report = run(spec)
-    assert (sha256(emit(report, "text")), sha256(emit(report, "json"))) == DIGESTS[name, mode]
+    return sha256(emit(report, "text")), sha256(emit(report, "json"))
+
+
+@pytest.mark.parametrize("name,mode", sorted(DIGESTS))
+def test_report_bytes_unchanged(name, mode):
+    assert report_digests(name, mode, K) == DIGESTS[name, mode]
+
+
+@pytest.mark.parametrize("name,mode,depth", sorted(DIGESTS_DEEP))
+def test_deep_report_bytes_unchanged(name, mode, depth):
+    assert report_digests(name, mode, depth) == DIGESTS_DEEP[name, mode, depth]
