@@ -123,8 +123,11 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
     koszul_tables = _parse_koszul_tables(sections, resolution, symbols)
 
     options: dict = {}
+    option_line: dict = {}
     for number, key, value in sections.get("options", []):
-        options[key] = value
+        if key in options:
+            raise SpecError(f"option {key!r} already given on line {option_line[key]}", number)
+        options[key], option_line[key] = value, number
 
     name = path.rsplit("/", 1)[-1]
     spec = ProblemSpec(name, ring, ideal, resolution, positive, symbols,
@@ -134,7 +137,15 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
 
 
 def check_mode(spec: ProblemSpec) -> None:
-    """Reject a mode the spec cannot run, whether the spec or the command line set it."""
+    """Reject a mode or truncation the spec cannot run, from the spec or the command line."""
+    for key, least in (("neg_degree_max", 1), ("poly_cap", 0)):
+        try:
+            valid = getattr(spec, key) >= least
+        except ValueError:
+            valid = False
+        if not valid:
+            raise SpecError(f"{key} must be an integer of at least {least}, "
+                            f"got {spec.options[key]!r}")
     mode = spec.mode
     if mode not in ("explicit", "general", "koszul-compare"):
         raise SpecError(f"unknown mode {mode!r}")
@@ -378,16 +389,16 @@ def run(spec: ProblemSpec, threads: int = 1,
     """Execute the full pipeline on a parsed spec.
 
     The optional `verify` option (space-separated names) restricts the
-    verifier list; everything applicable runs by default.  `threads` is
-    accepted and ignored: the pipeline runs in one thread.
+    verifiers that run; everything applicable runs by default, and the
+    ideal-preservation gate always.  `threads` is accepted and ignored: the
+    pipeline runs in one thread.
     """
     report = RunReport(spec.name, spec.mode, dict(spec.options))
-    wanted = spec.options.get("verify")
-    wanted = set(wanted.split()) if wanted else None
+    selected = spec.options.get("verify")
+    selected = set(selected.split()) if selected else None
 
-    def add_verdict(check, tag):
-        if wanted is None or tag in wanted:
-            report.add_verdict(check)
+    def wanted(tag):
+        return selected is None or tag in selected
     depth = spec.neg_degree_max
     cap = spec.poly_cap
     report.truncation = {"neg_degree_max": depth, "poly_degree_max": cap}
@@ -446,14 +457,16 @@ def run(spec: ProblemSpec, threads: int = 1,
 
         if hook is not None:
             report.hook_lines = hook.lines()
-            differential = TreeDifferential(res, hook)
             t0 = clock()
-            add_verdict(verify_square_zero(
-                differential.apply, tree_basis_elements(res, depth),
-                label="tree differential square zero",
-                checked=f"basis trees through negative degree {depth}"), "square_zero")
-            add_verdict(verify_retract(res, hook, depth), "retract")
-            add_verdict(verify_hook_product_leibniz(res, hook), "hook_product")
+            if wanted("square_zero"):
+                report.add_verdict(verify_square_zero(
+                    TreeDifferential(res, hook).apply, tree_basis_elements(res, depth),
+                    label="tree differential square zero",
+                    checked=f"basis trees through negative degree {depth}"))
+            if wanted("retract"):
+                report.add_verdict(verify_retract(res, hook, depth))
+            if wanted("hook_product"):
+                report.add_verdict(verify_hook_product_leibniz(res, hook))
             report.timings["negative_part_checks"] = clock() - t0
 
         ext: Optional[ExtensionData] = None
@@ -490,8 +503,10 @@ def run(spec: ProblemSpec, threads: int = 1,
             if ext.level_max >= 1 or ext.chi:
                 checks.append(("verify_product_defect", "star", verify_product_defect, 1))
             for name, tag, verifier, bound in checks:
+                if not wanted(tag):
+                    continue
                 try:
-                    add_verdict(verifier(ext, bound), tag)
+                    report.add_verdict(verifier(ext, bound))
                 except TruncationError as exc:
                     # a general-mode table solved through too low a degree
                     stage(name, "fail", str(exc))
@@ -569,6 +584,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if args.command == "basis":
+        if args.degree < 1:
+            print(f"input error: --degree must be at least 1, got {args.degree}",
+                  file=sys.stderr)
+            return 2
         for node in enumerate_tree_basis(spec.resolution, args.degree):
             print(tree_str(node))
         return 0

@@ -20,14 +20,14 @@ correction tables on the ring variables and the positive generators.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .forest import (AlgebraElement, Node, apply_derivation, canonicalize_node, collect,
-                     enumerate_tree_basis, inner_vertex_paths, is_leaf, leaf,
-                     leaf_paths, make_monomial, mono_label, parity_sign, subtree_at,
-                     tree_degree, tree_str, vertex_weight)
-from .kt import (CheckResult, HookMap, SolveError, TreeDifferential, apply_hook_linear,
-                 homotopy, hook_product, project_to_resolution, substitute_into)
+from .forest import (AlgebraElement, Node, apply_derivation, collect, enumerate_tree_basis,
+                     is_leaf, leaf, make_monomial, mono_label, parity_sign, tree_degree,
+                     tree_str)
+from .kt import (CheckResult, HookMap, SolveError, TreeDifferential, add_tree_formula,
+                 homotopy, hook_product, project_to_resolution, two_leaf_product)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -227,7 +227,7 @@ class ExtensionData:
 
     def chi_level(self, k: int, node: Node) -> AlgebraElement:
         if k == -1:
-            return AlgebraElement.from_module_element(self.hook.value(node))
+            return self.hook.element(node)
         return self.chi.get((k, node), AlgebraElement.zero(self.res.ring))
 
     def q_level_on_positive(self, k: int, g: GeneratorId) -> AlgebraElement:
@@ -277,19 +277,8 @@ class ExtensionData:
     def _tree_formula(self, k: int, node: Node, include_root_hook: bool) -> AlgebraElement:
         """Level-k action on a tree: corrected leaves plus hook substitutions."""
         acc: dict = {}
-        for path, gen in leaf_paths(node):
-            value = self.q_level_on_gen(k, gen)
-            if value.is_zero():
-                continue
-            w = vertex_weight(node, path)
-            substitute_into(acc, node, path, value, parity_sign(w), w)
-        paths = inner_vertex_paths(node) + ([()] if include_root_hook else [])
-        for path in paths:
-            value = self.chi_level(k, subtree_at(node, path))
-            if value.is_zero():
-                continue
-            w = vertex_weight(node, path)
-            substitute_into(acc, node, path, value, -parity_sign(w), w)
+        add_tree_formula(acc, node, lambda g: self.q_level_on_gen(k, g),
+                         lambda t: self.chi_level(k, t), include_root_hook)
         return collect(self.res.ring, acc)
 
     def forget(self, k: int, node: Node):
@@ -548,7 +537,7 @@ def _closed_preimage(ext: ExtensionData, closed: AlgebraElement) -> Optional[Alg
     the projected part cannot be lifted.
     """
     h_part = homotopy(closed)
-    projected = project_to_resolution(ext.hook, closed)
+    projected = project_to_resolution(ext.hook.element, closed)
     lifted = lift_delta_preimage(ext.res, projected)
     if lifted is None:
         return None
@@ -681,22 +670,6 @@ def boundary_equivalent(res: FreeResolution, a: AlgebraElement, b: AlgebraElemen
 # inclusion / projection homotopy equivalence
 # ---------------------------------------------------------------------------
 
-def _proj(ext: ExtensionData, elem: AlgebraElement) -> AlgebraElement:
-    """Projection onto (module x positives) + positives with hooked joins."""
-    out = elem.project_module() + elem.project_scalar()
-    joined = homotopy(elem)  # join of the product part, a single tree each
-    if not joined.is_zero():
-        out = out + apply_hook_linear(lambda t: _chi_total(ext, t), joined)
-    return out
-
-
-def _chi_total(ext: ExtensionData, node: Node) -> AlgebraElement:
-    out = AlgebraElement.from_module_element(ext.hook.value(node))
-    for k in range(0, ext.level_max + 1):
-        out = out + ext.chi_level(k, node)
-    return out
-
-
 def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     """The chain homotopy equivalence between the algebra and its core.
 
@@ -706,6 +679,16 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     from .forest import enumerate_monomial_basis
 
     ring = ext.res.ring
+
+    def chi_total(node):  # the hook plus every correction table
+        out = AlgebraElement.zero(ring)
+        for k in range(-1, ext.level_max + 1):
+            out = out + ext.chi_level(k, node)
+        return out
+
+    def proj(elem):
+        return project_to_resolution(chi_total, elem)
+
     failures = []
     count = 0
     monos = []
@@ -714,7 +697,7 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     for mono in monos:
         count += 1
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
-        lhs = _proj(ext, x)
+        lhs = proj(x)
         rhs = x - homotopy(ext.apply(x)) - ext.apply(homotopy(x))
         if not homotopy(homotopy(x)).is_zero():
             failures.append((mono_label(mono), "h h != 0"))
@@ -725,19 +708,19 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
         for g in ext.res.generators(depth):
             count += 1
             x = AlgebraElement.from_tree(ring, leaf(g))
-            if _proj(ext, x) != x:
+            if proj(x) != x:
                 failures.append((g.label, "Proj Incl != Id"))
             if not homotopy(x).is_zero():
                 failures.append((g.label, "h Incl != 0"))
     for g in ext.pos.gens:
         count += 1
         x = AlgebraElement.from_positive(ring, g)
-        if _proj(ext, x) != x:
+        if proj(x) != x:
             failures.append((g.label, "Proj Incl != Id"))
     for mono in monos:
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
         h = homotopy(x)
-        if not h.is_zero() and not _proj(ext, h).is_zero():
+        if not h.is_zero() and not proj(h).is_zero():
             failures.append((mono_label(mono), "Proj h != 0"))
     return CheckResult("inclusion/projection homotopy", not failures,
                        f"{count} monomials through negative degree {neg_degree_max}",
@@ -762,28 +745,7 @@ def higher_product(ext: ExtensionData, a: ModuleElement, b: ModuleElement,
 def _star_extended(ext: ExtensionData, x: AlgebraElement, y: AlgebraElement,
                    k: int) -> AlgebraElement:
     """The level-k product on (module x positives)-valued arguments."""
-    ring = ext.res.ring
-    out = AlgebraElement.zero(ring)
-    for (tx, px), cx in x.terms.items():
-        for (ty, py), cy in y.terms.items():
-            if len(tx) != 1 or not is_leaf(tx[0]) or len(ty) != 1 or not is_leaf(ty[0]):
-                raise ValueError("product arguments must be module-valued")
-            gx, gy = tx[0][1], ty[0][1]
-            cnode, sign = canonicalize_node(("N", (leaf(gx), leaf(gy))))
-            if cnode is None:
-                continue
-            # the second argument's positives exit past the first decoration;
-            # the product map is even, so the blocks themselves pass freely
-            sign *= parity_sign(sum(g.module_degree for g in py) * gx.module_degree)
-            value = ext.chi_level(k - 1, cnode)
-            if value.is_zero():
-                continue
-            dressed, s2 = make_monomial([("p", g) for g in px] + [("p", g) for g in py])
-            if dressed is None:
-                continue
-            coeff = (cx * cy).scale(sign * s2)
-            out = out + AlgebraElement(ring, {dressed: coeff}) * value
-    return out
+    return two_leaf_product(x, y, lambda t: ext.chi_level(k - 1, t))
 
 
 def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
@@ -836,11 +798,9 @@ def koszul_hook(kres: KoszulComplex, neg_degree_max: int) -> HookMap:
         for node in enumerate_tree_basis(kres, degree):
             if is_leaf(node) or any(not is_leaf(c) for c in node[1]):
                 continue
-            value: Optional[ModuleElement] = None
-            for child in node[1]:
-                gen_elem = ModuleElement.of_gen(kres.ring, child[1])
-                value = gen_elem if value is None else kres.wedge(value, gen_elem)
-            if value is not None and not value.is_zero():
+            value = reduce(kres.wedge, [ModuleElement.of_gen(kres.ring, child[1])
+                                        for child in node[1]])
+            if not value.is_zero():
                 table[node] = value
     return HookMap(kres, table, neg_degree_max)
 
@@ -904,17 +864,8 @@ def _koszul_leibniz_extend(kres: KoszulComplex,
             h = trees[0][1]
             # operator passes idx odd generators; positives then exit past them
             sign = parity_sign(idx) * parity_sign(sum(p.module_degree for p in pos) * idx)
-            value: Optional[ModuleElement] = None
-            ok = True
-            for pos_idx, s2 in enumerate(subset):
-                gen_elem = ModuleElement.of_gen(ring, depth1[s2]) if pos_idx != idx \
-                    else ModuleElement.of_gen(ring, h)
-                value = gen_elem if value is None else kres.wedge(value, gen_elem)
-                if value.is_zero():
-                    ok = False
-                    break
-            if not ok or value is None:
-                continue
+            value = reduce(kres.wedge, [ModuleElement.of_gen(ring, h if i == idx else depth1[s2])
+                                        for i, s2 in enumerate(subset)])
             for gg, p in value.terms.items():
                 mono, s2 = make_monomial([("p", u) for u in pos] + [("t", leaf(gg))])
                 if mono is not None:

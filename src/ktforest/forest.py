@@ -103,13 +103,7 @@ def koszul_sign(degrees: Sequence[int], permutation: Sequence[int]) -> int:
     perm = list(permutation)
     if sorted(perm) != list(range(len(degrees))):
         raise ValueError("not a permutation of the index set")
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(len(perm) - 1 - i):
-            if perm[j] > perm[j + 1]:
-                sign *= parity_sign(degrees[perm[j]] * degrees[perm[j + 1]])
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return sign
+    return _sort_factors_with_sign([(i, degrees[i], i) for i in perm])[1]
 
 
 def _sort_factors_with_sign(items: list) -> Tuple[Optional[list], int]:
@@ -653,10 +647,9 @@ def contract_vertex(node: Node, path: tuple) -> Tuple[Optional[Node], int]:
     return canonicalize_node(raw)
 
 
-def substitute_at_path(elem_ring: RingSpec, node: Node, path: tuple,
-                       value: AlgebraElement, pull_weight: Optional[int] = None
-                       ) -> List[Tuple[Poly, tuple, Optional[Node]]]:
-    """Replace the subtree at `path` by a decoration value.
+def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement,
+                       sign: int = 1, pull_weight: Optional[int] = None):
+    """Add sign times `node` with the subtree at `path` replaced by a value.
 
     The value must live in (module + scalar) tensor positives.  Module terms
     decorate a fresh leaf; scalar terms delete the leaf slot, killing the
@@ -665,34 +658,31 @@ def substitute_at_path(elem_ring: RingSpec, node: Node, path: tuple,
     decorations strictly to the left, or, when `pull_weight` is given (the
     vertex weight, inside the differential's substitution terms), with the
     parity of weight times factor degree accumulated from the odd join maps
-    along the path.  Returns raw (coefficient, positive factors,
-    node-or-None) triples; nodes are canonical.
+    along the path.  The terms are summed into `acc` by `accumulate`.
     """
-    out: List[Tuple[Poly, tuple, Optional[Node]]] = []
     left = left_leaf_degree(node, path) if pull_weight is None else pull_weight
     for (trees, pos), c in value.terms.items():
-        pull = parity_sign(sum(g.module_degree for g in pos) * left)
-        coeff = c if pull > 0 else -c
-        if len(trees) == 1 and is_leaf(trees[0]):
+        factors = [("p", g) for g in pos]
+        term_sign = sign * parity_sign(sum(g.module_degree for g in pos) * left)
+        if trees:
+            if len(trees) != 1 or not is_leaf(trees[0]):
+                raise TreeError("substitution value must be module + scalar valued")
             raw = replace_at_path(node, path, trees[0])
-            cnode, sign = canonicalize_node(raw)
-            if cnode is None:
-                continue
-            out.append((coeff if sign > 0 else -coeff, pos, cnode))
-        elif not trees:
-            if not path:
-                out.append((coeff, pos, None))
-                continue
+        elif path:
             raw = delete_at_path(node, path)
             if raw is None:
                 continue
-            cnode, sign = canonicalize_node(raw)
+        else:
+            raw = None  # a scalar in place of the whole tree
+        if raw is not None:
+            cnode, s = canonicalize_node(raw)
             if cnode is None:
                 continue
-            out.append((coeff if sign > 0 else -coeff, pos, cnode))
-        else:
-            raise TreeError("substitution value must be module + scalar valued")
-    return out
+            factors.append(("t", cnode))
+            term_sign *= s
+        mono, s = make_monomial(factors)
+        if mono is not None:
+            accumulate(acc, mono, c.terms, term_sign * s)
 
 
 def absorb_O_decorations(ring: RingSpec, node: Node, path: tuple, f: Poly) -> AlgebraElement:
@@ -705,16 +695,10 @@ def absorb_O_decorations(ring: RingSpec, node: Node, path: tuple, f: Poly) -> Al
     target = subtree_at(node, path)
     if not is_leaf(target):
         raise TreeError("absorb_O_decorations expects a leaf position")
-    value = AlgebraElement.from_tree(ring, target) + AlgebraElement.scalar(f)
-    out = AlgebraElement.zero(ring)
-    for coeff, pos, cnode in substitute_at_path(ring, node, path, value):
-        if cnode is None:
-            out = out + AlgebraElement.scalar(coeff)
-        else:
-            mono, sign = make_monomial([("p", g) for g in pos] + [("t", cnode)])
-            if mono is not None:
-                out = out + AlgebraElement(ring, {mono: coeff.scale(sign)})
-    return out
+    acc: dict = {}
+    substitute_at_path(acc, node, path,
+                       AlgebraElement.from_tree(ring, target) + AlgebraElement.scalar(f))
+    return collect(ring, acc)
 
 
 # ---------------------------------------------------------------------------

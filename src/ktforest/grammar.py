@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .forest import AlgebraElement, Node, canonicalize_node, leaf, tree_str
-from .poly import Poly, RingSpec, tokenize
+from .poly import Poly, RingSpec, TokenCursor, parse_expression
 from .resolution import GeneratorId, ModuleElement
 
 
@@ -38,85 +38,22 @@ class SymbolTable:
         raise ParseError(f"unknown name {name!r}")
 
 
-class _ElementParser:
-    def __init__(self, tokens, symbols: SymbolTable):
-        self.tokens = tokens
-        self.pos = 0
-        self.symbols = symbols
-        self.ring = symbols.ring
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse_sum(self) -> AlgebraElement:
-        result = self.parse_signed_term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.take()
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
-
-    def parse_signed_term(self) -> AlgebraElement:
-        sign = 1
-        while self.peek() in (("op", "+"), ("op", "-")):
-            if self.take() == ("op", "-"):
-                sign = -sign
-        term = self.parse_term()
-        return term if sign == 1 else -term
-
-    def parse_term(self) -> AlgebraElement:
-        result = self.parse_factor()
-        while True:
-            kind, val = self.peek()
-            if (kind, val) == ("op", "*"):
-                self.take()
-                result = result * self.parse_factor()
-            elif kind in ("num", "name") or (kind, val) == ("op", "("):
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> AlgebraElement:
-        kind, val = self.take()
-        if kind == "num":
-            base = AlgebraElement.scalar(Poly.const(self.ring, val))
-        elif kind == "name":
-            what, obj = self.symbols.lookup(val)
-            if what == "var":
-                base = AlgebraElement.scalar(Poly.variable(self.ring, obj))
-            elif obj.module_degree < 0:
-                base = AlgebraElement.from_tree(self.ring, leaf(obj))
-            else:
-                base = AlgebraElement.from_positive(self.ring, obj)
-        elif (kind, val) == ("op", "("):
-            base = self.parse_sum()
-            if self.take() != ("op", ")"):
-                raise ParseError("expected closing parenthesis")
-        else:
-            raise ParseError(f"unexpected token {val!r}")
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, power = self.take()
-            if kind != "num" or power.denominator != 1 or power < 0:
-                raise ParseError("exponent must be a nonnegative integer")
-            result = AlgebraElement.scalar(Poly.const(self.ring, 1))
-            for _ in range(int(power)):
-                result = result * base
-            return result
-        return base
-
-
 def parse_element(text: str, symbols: SymbolTable) -> AlgebraElement:
-    parser = _ElementParser(tokenize(text), symbols)
-    result = parser.parse_sum()
-    if parser.peek() != ("end", None):
-        raise ParseError(f"trailing input in {text!r}")
-    return result
+    """An algebra element; malformed input raises ParseError."""
+    ring = symbols.ring
+
+    def factor(kind, value):
+        if kind == "num":
+            return AlgebraElement.scalar(Poly.const(ring, value))
+        what, obj = symbols.lookup(value)
+        if what == "var":
+            return AlgebraElement.scalar(Poly.variable(ring, obj))
+        if obj.module_degree < 0:
+            return AlgebraElement.from_tree(ring, leaf(obj))
+        return AlgebraElement.from_positive(ring, obj)
+
+    return parse_expression(text, factor, AlgebraElement.scalar(Poly.const(ring, 1)),
+                            ParseError)
 
 
 def parse_module_element(text: str, symbols: SymbolTable) -> ModuleElement:
@@ -135,16 +72,8 @@ def parse_tree(text: str, symbols: SymbolTable) -> Optional[Node]:
 
 def _parse_written_tree(text: str, symbols: SymbolTable) -> Node:
     """The tree as written, children in the written order."""
-    tokens = tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else ("end", None)
-
-    def take():
-        tok = peek()
-        pos[0] += 1
-        return tok
+    cursor = TokenCursor(text, ParseError)
+    peek, take = cursor.peek, cursor.take
 
     def decoration(name):
         what, obj = symbols.lookup(name)
@@ -168,8 +97,7 @@ def _parse_written_tree(text: str, symbols: SymbolTable) -> Node:
         return leaf(decoration(val))
 
     written = node()
-    if peek() != ("end", None):
-        raise ParseError(f"trailing input in tree {text!r}")
+    cursor.finish()
     return written
 
 

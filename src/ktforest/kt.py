@@ -87,6 +87,10 @@ class HookMap:
     def value(self, node: Node) -> ModuleElement:
         return self.table.get(node, ModuleElement.zero(self.res.ring))
 
+    def element(self, node: Node) -> AlgebraElement:
+        """The value on a tree as an algebra element."""
+        return AlgebraElement.from_module_element(self.value(node))
+
     def entries(self) -> List[Tuple[Node, ModuleElement]]:
         from .forest import tree_key
 
@@ -94,25 +98,6 @@ class HookMap:
 
     def lines(self) -> List[str]:
         return [f"{tree_str(node)} -> {val}" for node, val in self.entries()]
-
-
-def apply_hook_linear(hook_value: Callable[[Node], AlgebraElement],
-                      elem: AlgebraElement) -> AlgebraElement:
-    """Apply a degree +1 tree-to-module table to single-tree monomials.
-
-    Positive factors pass with the sign of an odd operator.
-    """
-    out = AlgebraElement.zero(elem.ring)
-    for (trees, pos), c in elem.terms.items():
-        if len(trees) != 1:
-            raise ValueError("hook application expects single tree factors")
-        val = hook_value(trees[0])
-        if val.is_zero():
-            continue
-        sign = parity_sign(mono_pos_degree((trees, pos)))
-        dressed = AlgebraElement(elem.ring, {((), pos): c.scale(sign)})
-        out = out + dressed * val
-    return out
 
 
 class TreeDifferential:
@@ -124,13 +109,9 @@ class TreeDifferential:
         self._memo: Dict[Node, AlgebraElement] = {}
 
     def leaf_value(self, gen: GeneratorId) -> AlgebraElement:
-        ring = self.res.ring
         if gen.module_degree == -1:
             return AlgebraElement.scalar(self.res.augment[gen])
         return AlgebraElement.from_module_element(self.res.diff[gen])
-
-    def hook_value_elem(self, node: Node) -> AlgebraElement:
-        return AlgebraElement.from_module_element(self.hook.value(node))
 
     def on_tree(self, node: Node) -> AlgebraElement:
         cached = self._memo.get(node)
@@ -150,16 +131,7 @@ class TreeDifferential:
             cnode, sign = contract_vertex(node, path)
             if cnode is not None:
                 accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
-        for path, gen in leaf_paths(node):
-            w = vertex_weight(node, path)
-            value = self.leaf_value(gen)
-            substitute_into(acc, node, path, value, parity_sign(w), w)
-        for path in inner_vertex_paths(node) + [()]:
-            w = vertex_weight(node, path)
-            value = self.hook_value_elem(subtree_at(node, path))
-            if value.is_zero():
-                continue
-            substitute_into(acc, node, path, value, -parity_sign(w), w)
+        add_tree_formula(acc, node, self.leaf_value, self.hook.element, include_root=True)
         result = collect(ring, acc)
         self._memo[node] = result
         return result
@@ -168,16 +140,30 @@ class TreeDifferential:
         return apply_derivation(elem, self.on_tree)
 
 
-def substitute_into(acc: dict, node: Node, path: tuple, value: AlgebraElement,
-                    sign: int, pull_weight: int):
-    """Add sign times the substitution of `value` at `path` to an accumulator."""
-    for coeff, pos, cnode in substitute_at_path(value.ring, node, path, value, pull_weight):
-        factors = [("p", g) for g in pos]
-        if cnode is not None:
-            factors.append(("t", cnode))
-        mono, s2 = make_monomial(factors)
-        if mono is not None:
-            accumulate(acc, mono, coeff.terms, sign * s2)
+def add_tree_formula(acc: dict, node: Node,
+                     leaf_value: Callable[[GeneratorId], AlgebraElement],
+                     hook_value: Callable[[Node], AlgebraElement], include_root: bool):
+    """Add the substitution terms of the tree formula to an accumulator.
+
+    Each leaf decoration g is replaced by leaf_value(g), and the subtree t
+    at each inner vertex, and at the root when `include_root`, by
+    -hook_value(t); each term carries the sign of its vertex weight.  Zero
+    values are skipped.  Level -1 (`TreeDifferential.on_tree`, which adds
+    the root split and the vertex contractions) and every correction level
+    (`ExtensionData`) share this formula.
+    """
+    for path, gen in leaf_paths(node):
+        value = leaf_value(gen)
+        if value.is_zero():
+            continue
+        w = vertex_weight(node, path)
+        substitute_at_path(acc, node, path, value, parity_sign(w), w)
+    for path in inner_vertex_paths(node) + ([()] if include_root else []):
+        value = hook_value(subtree_at(node, path))
+        if value.is_zero():
+            continue
+        w = vertex_weight(node, path)
+        substitute_at_path(acc, node, path, value, -parity_sign(w), w)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +255,7 @@ def retract_apply(hook: HookMap, elem: AlgebraElement, which: str) -> AlgebraEle
     elements already inside (module + scalar) x positives.
     """
     if which == "p":
-        return project_to_resolution(hook, elem)
+        return project_to_resolution(hook.element, elem)
     if which == "h":
         return homotopy(elem)
     if which == "iota":
@@ -279,13 +265,22 @@ def retract_apply(hook: HookMap, elem: AlgebraElement, which: str) -> AlgebraEle
     raise ValueError(f"unknown retract leg {which!r}")
 
 
-def project_to_resolution(hook: HookMap, elem: AlgebraElement) -> AlgebraElement:
-    """The retract projection: module part, scalar part, and hooked joins."""
+def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
+                          elem: AlgebraElement) -> AlgebraElement:
+    """The retract projection: module part, scalar part, and hooked joins.
+
+    The products are joined at a new root and sent through the degree +1
+    table `hook_value` on trees; positive factors pass it with the sign of
+    an odd operator.  The hook (`HookMap.element`) gives the projection of
+    the tree differential's retract, the hook plus every correction table
+    that of the extension.
+    """
     out = elem.project_module() + elem.project_scalar()
-    joined = root_join(elem.project_products())
-    if not joined.is_zero():
-        out = out + apply_hook_linear(
-            lambda t: AlgebraElement.from_module_element(hook.value(t)), joined)
+    for (trees, pos), c in homotopy(elem).terms.items():
+        value = hook_value(trees[0])
+        if not value.is_zero():
+            sign = parity_sign(mono_pos_degree((trees, pos)))
+            out = out + AlgebraElement(elem.ring, {((), pos): c.scale(sign)}) * value
     return out
 
 
@@ -304,7 +299,7 @@ def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int,
     for mono in monos:
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
         lhs = differential.apply(homotopy(x)) + homotopy(differential.apply(x))
-        rhs = x - project_to_resolution(hook, x)
+        rhs = x - project_to_resolution(hook.element, x)
         if lhs != rhs:
             failures.append((mono_label(mono), f"lhs - rhs = {lhs - rhs}"))
     return CheckResult("homotopy retract", not failures,
@@ -342,20 +337,47 @@ def hook_product(hook: HookMap, a, b):
 
     Operands are module elements; base-ring operands multiply as scalars.
     """
-    ring = hook.res.ring
     if isinstance(a, Poly) and isinstance(b, Poly):
         return a * b
     if isinstance(a, Poly):
         return b.scale(a)
     if isinstance(b, Poly):
         return a.scale(b)
-    out = ModuleElement.zero(ring)
-    for g, p in a.terms.items():
-        for h, q in b.terms.items():
-            cnode, sign = canonicalize_node(("N", (leaf(g), leaf(h))))
+    product = two_leaf_product(AlgebraElement.from_module_element(a),
+                               AlgebraElement.from_module_element(b),
+                               hook.element)
+    return product.module_part()
+
+
+def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
+                     chi: Callable[[Node], AlgebraElement]) -> AlgebraElement:
+    """The product that a table chi on two-leaf trees defines.
+
+    Arguments are (module x positives)-valued; the product of g and h is
+    chi(V(g,h)), the tree taken in canonical order with its Koszul sign.
+    The hook gives the product of the resolution (`hook_product`), a level
+    k - 1 correction table the level-k product of the extension.
+    """
+    out = AlgebraElement.zero(x.ring)
+    for (tx, px), cx in x.terms.items():
+        for (ty, py), cy in y.terms.items():
+            if len(tx) != 1 or not is_leaf(tx[0]) or len(ty) != 1 or not is_leaf(ty[0]):
+                raise ValueError("product arguments must be module-valued")
+            gx, gy = tx[0][1], ty[0][1]
+            cnode, sign = canonicalize_node(("N", (leaf(gx), leaf(gy))))
             if cnode is None:
                 continue
-            out = out + hook.value(cnode).scale((p * q).scale(sign))
+            # the second argument's positives exit past the first decoration;
+            # the product map is even, so the blocks themselves pass freely
+            sign *= parity_sign(sum(g.module_degree for g in py) * gx.module_degree)
+            value = chi(cnode)
+            if value.is_zero():
+                continue
+            dressed, s2 = make_monomial([("p", g) for g in px] + [("p", g) for g in py])
+            if dressed is None:
+                continue
+            coeff = (cx * cy).scale(sign * s2)
+            out = out + AlgebraElement(x.ring, {dressed: coeff}) * value
     return out
 
 

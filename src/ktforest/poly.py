@@ -247,6 +247,8 @@ def tokenize(text: str) -> list:
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
+                if int(text[j + 1:k]) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
                 tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k]))))
                 i = k
             else:
@@ -268,78 +270,106 @@ def tokenize(text: str) -> list:
     return tokens
 
 
-class _PolyParser:
-    def __init__(self, tokens, ring: RingSpec):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = ring
+class TokenCursor:
+    """The tokens of one text, read left to right; malformed input, whether
+    the tokenizer or the grammar finds it, raises the caller's `error`."""
 
-    def peek(self):
+    def __init__(self, text: str, error=ValueError):
+        self.text = text
+        self.error = error
+        try:
+            self.tokens = tokenize(text)
+        except ValueError as exc:
+            raise error(str(exc)) from None
+        self.pos = 0
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", None)
 
-    def take(self):
+    def take(self) -> tuple:
         tok = self.peek()
         self.pos += 1
         return tok
 
-    def parse_sum(self) -> Poly:
-        result = self.parse_signed_term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            term = self.parse_term()
+    def finish(self):
+        """Reject any input left after a complete parse."""
+        if self.pos < len(self.tokens):
+            raise self.error(f"trailing input in {self.text!r}")
+
+
+_SIGNS = (("op", "+"), ("op", "-"))
+
+
+def parse_expression(text: str, factor, unit, error=ValueError):
+    """Parse a sum of products of powers, `*` optional between factors.
+
+    `factor(kind, value)` turns a number ("num", Fraction) or a name
+    ("name", str) into an operand; operands support +, -, unary - and *,
+    and multiply in the written order.  `unit` is the value of a zeroth
+    power.  Malformed input raises `error`.  Only the first term of a sum,
+    or of a parenthesized sum, may carry leading signs.
+    """
+    cursor = TokenCursor(text, error)
+    peek, take = cursor.peek, cursor.take
+
+    def parse_sum():
+        negative = False
+        while peek() in _SIGNS:
+            negative ^= take() == ("op", "-")
+        result = parse_term()
+        if negative:
+            result = -result
+        while peek() in _SIGNS:
+            _, op = take()
+            term = parse_term()
             result = result + term if op == "+" else result - term
         return result
 
-    def parse_signed_term(self) -> Poly:
-        sign = 1
-        while self.peek() in (("op", "+"), ("op", "-")):
-            if self.take() == ("op", "-"):
-                sign = -sign
-        term = self.parse_term()
-        return term if sign == 1 else -term
-
-    def parse_term(self) -> Poly:
-        result = self.parse_factor()
+    def parse_term():
+        result = parse_power()
         while True:
-            kind, val = self.peek()
+            kind, val = peek()
             if (kind, val) == ("op", "*"):
-                self.take()
-                result = result * self.parse_factor()
-            elif kind in ("num", "name") or (kind, val) == ("op", "("):
-                result = result * self.parse_factor()
-            else:
+                take()
+            elif kind not in ("num", "name") and (kind, val) != ("op", "("):
                 return result
+            result = result * parse_power()
 
-    def parse_factor(self) -> Poly:
-        kind, val = self.take()
-        if kind == "num":
-            base = Poly.const(self.ring, val)
-        elif kind == "name":
-            base = Poly.variable(self.ring, self.ring.var_index(val))
+    def parse_power():
+        kind, val = take()
+        if kind in ("num", "name"):
+            base = factor(kind, val)
         elif (kind, val) == ("op", "("):
-            base = self.parse_sum()
-            if self.take() != ("op", ")"):
-                raise ValueError("expected closing parenthesis")
+            base = parse_sum()
+            if take() != ("op", ")"):
+                raise error("expected closing parenthesis")
         else:
-            raise ValueError(f"unexpected token {val!r} in polynomial")
-        if self.peek() == ("op", "^"):
-            self.take()
-            kind, power = self.take()
-            if kind != "num" or power.denominator != 1 or power < 0:
-                raise ValueError("exponent must be a nonnegative integer")
-            result = Poly.const(self.ring, 1)
-            for _ in range(int(power)):
-                result = result * base
-            return result
-        return base
+            raise error(f"unexpected token {val!r}")
+        if peek() != ("op", "^"):
+            return base
+        take()
+        kind, power = take()
+        if kind != "num" or power.denominator != 1 or power < 0:
+            raise error("exponent must be a nonnegative integer")
+        result = unit
+        for _ in range(int(power)):
+            result = result * base
+        return result
+
+    result = parse_sum()
+    cursor.finish()
+    return result
 
 
 def parse_poly(text: str, ring: RingSpec) -> Poly:
-    parser = _PolyParser(tokenize(text), ring)
-    result = parser.parse_sum()
-    if parser.peek() != ("end", None):
-        raise ValueError(f"trailing input in polynomial {text!r}")
-    return result
+    """A polynomial over `ring`; malformed input raises ValueError."""
+
+    def factor(kind, value):
+        if kind == "num":
+            return Poly.const(ring, value)
+        return Poly.variable(ring, ring.var_index(value))
+
+    return parse_expression(text, factor, Poly.const(ring, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -404,10 +404,9 @@ class KoszulComplex(FreeResolution):
         sa, sb = self.subset_of_gen[a], self.subset_of_gen[b]
         if set(sa) & set(sb):
             return None
-        merged = sa + sb
-        target = tuple(sorted(merged))
-        sign = _sort_sign(list(merged))
-        return sign, self.gen_of_subset[target]
+        # sorting sa + sb passes each b of sb past the larger a of sa
+        inversions = sum(1 for a in sa for b in sb if b < a)
+        return (-1) ** inversions, self.gen_of_subset[tuple(sorted(sa + sb))]
 
     def wedge(self, a, b):
         """Product of module elements (Poly operands act as scalars)."""
@@ -426,18 +425,6 @@ class KoszulComplex(FreeResolution):
                 sign, gen = w
                 out = out + ModuleElement.of_gen(self.ring, gen, (p * q).scale(sign))
         return out
-
-
-def _sort_sign(items: list) -> int:
-    """Signature of the permutation sorting a list of distinct integers."""
-    sign = 1
-    items = list(items)
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                items[j], items[j + 1] = items[j + 1], items[j]
-                sign = -sign
-    return sign
 
 
 def build_koszul_complex(phis: Sequence[Poly], labels: Optional[Sequence[str]] = None) -> KoszulComplex:

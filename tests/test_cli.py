@@ -353,3 +353,79 @@ def test_cli_every_spec_and_mode_ends_in_a_report_or_input_error(name):
             assert code == 0 and "result: PASS" in out, (mode, out)
         else:
             assert "result: FAIL" in out, (mode, out)
+
+
+def test_unselected_verifiers_do_not_run(monkeypatch):
+    import ktforest.cli as cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("an unselected verifier ran")
+
+    for name in ("verify_retract", "verify_hook_product_leibniz", "verify_incl_proj",
+                 "verify_product_defect"):
+        monkeypatch.setattr(cli, name, boom)
+    spec = parse_spec(spec_path("koszul_function.kt"))
+    spec.options["verify"] = "square_zero extension"
+    report = run(spec)
+    assert report.all_passed(), emit(report, "text")
+    assert [v["name"] for v in report.verdicts] == [
+        "tree differential square zero", "ideal preservation",
+        "total differential square zero"]
+
+
+def _quadratic_with_options(tmp_path, *option_lines):
+    text = open(spec_path("quadratic.kt"), encoding="utf-8").read()
+    head = text.split("[options]")[0]
+    path = tmp_path / "spec.kt"
+    path.write_text(head + "[options]\n" + "".join(f"{line}\n" for line in option_lines))
+    return str(path)
+
+
+def test_zero_denominator_is_an_input_error(tmp_path):
+    text = open(spec_path("quadratic.kt"), encoding="utf-8").read()
+    bad = tmp_path / "bad.kt"
+    bad.write_text(text.replace("gens = x^2, x*y, y^2", "gens = x^2, 1/0*y^2"))
+    code, out, err = run_cli("run", str(bad))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "input error" in err and "zero denominator" in err
+
+    table = tmp_path / "hook.txt"
+    table.write_text("V(pi1,pi2) -> 1/0*x*pi\n")
+    code, out, err = run_cli("verify", spec_path("quadratic.kt"), "--hook", str(table))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "input error" in err and "zero denominator" in err
+
+
+@pytest.mark.parametrize("options,flags", [
+    (["neg_degree_max = abc"], []),
+    (["poly_cap = x"], []),
+    (["poly_cap = -1"], []),
+    (["neg_degree_max = 0"], []),
+    ([], ["--neg-degree-max", "0"]),
+    ([], ["--poly-cap", "-1"]),
+])
+def test_bad_truncation_is_an_input_error(tmp_path, options, flags):
+    path = _quadratic_with_options(tmp_path, *options)
+    code, out, err = run_cli("run", path, *flags)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "input error" in err
+    assert "neg_degree_max" in err or "poly_cap" in err
+
+
+def test_repeated_option_is_rejected(tmp_path):
+    path = _quadratic_with_options(tmp_path, "mode = explicit", "poly_cap = 4",
+                                   "poly_cap = 5")
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    first, second = [i + 1 for i, line in enumerate(lines) if line.startswith("poly_cap")]
+    assert str(err.value) == f"line {second}: option 'poly_cap' already given on line {first}"
+    code, out, err_text = run_cli("run", path)
+    assert code == 2 and out == "" and "input error" in err_text
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_cli_basis_degree_below_one_is_an_input_error(degree):
+    code, out, err = run_cli("basis", spec_path("quadratic.kt"), "--degree", degree)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "input error" in err
