@@ -136,8 +136,11 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
     return spec
 
 
+VERIFIERS = ("square_zero", "retract", "hook_product", "extension", "incl_proj", "star")
+
+
 def check_mode(spec: ProblemSpec) -> None:
-    """Reject a mode or truncation the spec cannot run, from the spec or the command line."""
+    """Reject a mode, truncation or verifier name, from the spec or the command line."""
     for key, least in (("neg_degree_max", 1), ("poly_cap", 0)):
         try:
             valid = getattr(spec, key) >= least
@@ -146,6 +149,10 @@ def check_mode(spec: ProblemSpec) -> None:
         if not valid:
             raise SpecError(f"{key} must be an integer of at least {least}, "
                             f"got {spec.options[key]!r}")
+    unknown = sorted(set(spec.options.get("verify", "").split()) - set(VERIFIERS))
+    if unknown:
+        raise SpecError(f"unknown verifier name(s) {', '.join(unknown)}; "
+                        f"known: {' '.join(VERIFIERS)}")
     mode = spec.mode
     if mode not in ("explicit", "general", "koszul-compare"):
         raise SpecError(f"unknown mode {mode!r}")
@@ -384,14 +391,12 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def run(spec: ProblemSpec, threads: int = 1,
-        hook_table: Optional[HookMap] = None) -> RunReport:
+def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
     """Execute the full pipeline on a parsed spec.
 
     The optional `verify` option (space-separated names) restricts the
     verifiers that run; everything applicable runs by default, and the
-    ideal-preservation gate always.  `threads` is accepted and ignored: the
-    pipeline runs in one thread.
+    ideal-preservation gate always.
     """
     report = RunReport(spec.name, spec.mode, dict(spec.options))
     selected = spec.options.get("verify")
@@ -556,8 +561,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--mode", choices=["explicit", "general", "koszul-compare"])
         p.add_argument("--neg-degree-max", dest="neg_degree_max", type=int)
         p.add_argument("--poly-cap", dest="poly_cap", type=int)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and ignored")
 
     p_run = sub.add_parser("run", help="run the full pipeline")
     common(p_run)
@@ -597,7 +600,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.hook, "r", encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
             table = parse_hook_table(lines, spec.symbols)
-            hook = HookMap(spec.resolution, table, spec.neg_degree_max)
+            hook = HookMap(spec.resolution, table)
         except (ParseError, OSError, ValueError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             return 2
@@ -606,7 +609,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if check.passed else 1
 
     try:
-        report = run(spec, threads=args.threads)
+        report = run(spec)
     except SolveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -802,7 +802,7 @@ def koszul_hook(kres: KoszulComplex, neg_degree_max: int) -> HookMap:
                                         for child in node[1]])
             if not value.is_zero():
                 table[node] = value
-    return HookMap(kres, table, neg_degree_max)
+    return HookMap(kres, table)
 
 
 def koszul_mode(kres: KoszulComplex, pos: PositivePart,

@@ -93,6 +93,8 @@ def _parse_written_tree(text: str, symbols: SymbolTable) -> Node:
                 children.append(node())
             if take() != ("op", ")"):
                 raise ParseError("expected closing parenthesis in tree")
+            if len(children) < 2:
+                raise ParseError(f"a tree vertex needs at least two children in {text!r}")
             return ("N", tuple(children))
         return leaf(decoration(val))
 

@@ -59,11 +59,9 @@ class HookMap:
     exist are forced to zero and never stored.
     """
 
-    def __init__(self, res: FreeResolution, table: Optional[dict] = None,
-                 neg_degree_max: int = 0):
+    def __init__(self, res: FreeResolution, table: Optional[dict] = None):
         self.res = res
         self.table: Dict[Node, ModuleElement] = {}
-        self.neg_degree_max = neg_degree_max
         for node, val in (table or {}).items():
             self.set_value(node, val)
 
@@ -184,14 +182,13 @@ def hook_equation_rhs(differential: TreeDifferential, node: Node) -> ModuleEleme
     return rhs
 
 
-def solve_hook(res: FreeResolution, neg_degree_max: int, threads: int = 1) -> HookMap:
+def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
     """Solve the hook recursion for every basis tree through the truncation.
 
     Values land in the module one degree up; beyond the resolution length
     they are forced to zero and the recursion is checked to be consistent.
-    `threads` is accepted and ignored: the work runs in one thread.
     """
-    hook = HookMap(res, {}, neg_degree_max)
+    hook = HookMap(res, {})
     differential = TreeDifferential(res, hook)
     for degree in range(3, neg_degree_max + 1):
         trees = [t for t in enumerate_tree_basis(res, degree) if not is_leaf(t)]
@@ -284,12 +281,8 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
     return out
 
 
-def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int,
-                   threads: int = 1) -> CheckResult:
-    """delta h + h delta = Id - (inclusion of the projection), per monomial.
-
-    `threads` is accepted and ignored: the work runs in one thread.
-    """
+def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> CheckResult:
+    """delta h + h delta = Id - (inclusion of the projection), per monomial."""
     differential = TreeDifferential(res, hook)
     ring = res.ring
     failures = []
@@ -309,8 +302,8 @@ def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int,
 
 def verify_square_zero(apply_fn: Callable[[AlgebraElement], AlgebraElement],
                        basis: List[AlgebraElement], label: str = "square zero",
-                       checked: str = "", threads: int = 1) -> CheckResult:
-    """apply_fn(apply_fn(x)) = 0 on every basis element; `threads` is ignored."""
+                       checked: str = "") -> CheckResult:
+    """apply_fn(apply_fn(x)) = 0 on every basis element."""
     failures = []
     for x in basis:
         residue = apply_fn(apply_fn(x))

@@ -7,15 +7,17 @@ and within a degree x^2 before x*y before y^2.  All arithmetic is exact;
 there are no floating-point coefficients anywhere in this package.
 
 The module also provides the exact linear algebra of the higher layers.
+`linear_system` is the one place where a map of free modules, given by
+columns of Polys, becomes rational equations on chosen unknown monomials.
 `solve_lift`, used by every lifting step: given columns and a target in a
 free module over the ring, it finds polynomial coefficients c with
-sum(columns[j] * c[j]) == target, through a rational linear system over the
-monomials up to a degree cap.  `matrix_rank`, used by the exactness oracle
-and the quotient dimensions.  Both split their system into the connected
-components of its unknowns and equations, which for graded input include
-the split by internal degree, and run one Gauss-Jordan kernel on each
-component; `solve_lift` skips every component whose right-hand side is
-zero, since its answer is zero.
+sum(columns[j] * c[j]) == target, through that system over the monomials
+up to a degree cap.  `matrix_rank`, used on such systems by the exactness
+oracle and the quotient dimensions.  Both split their system into the
+connected components of its unknowns and equations, which for graded input
+include the split by internal degree, and run one Gauss-Jordan kernel on
+each component; `solve_lift` skips every component whose right-hand side
+is zero, since its answer is zero.
 """
 
 from __future__ import annotations
@@ -438,17 +440,18 @@ def _reduce(m: list, num_cols: int) -> dict:
     return pivot_of_col
 
 
-def _blocks(equations: Sequence[dict], num_unknowns: int) -> list:
+def _blocks(equations: Sequence[dict]) -> list:
     """Split a sparse system into its connected components.
 
-    `equations` are dicts {unknown index: coefficient}.  Two unknowns are
-    connected when an equation involves both.  Returns (equation indices,
-    unknown indices) per component, both increasing; equations without
-    unknowns and unknowns without equations belong to no component.
+    `equations` are dicts {unknown: coefficient}, unknowns being sortable.
+    Two unknowns are connected when an equation involves both.  Returns
+    (equation indices, unknowns) per component, both increasing; equations
+    without unknowns belong to no component.
     """
-    parent = list(range(num_unknowns))
+    parent: dict = {}
 
     def find(i):
+        parent.setdefault(i, i)
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
@@ -468,11 +471,19 @@ def _blocks(equations: Sequence[dict], num_unknowns: int) -> list:
     for e, eq in enumerate(equations):
         if eq:
             blocks.setdefault(find(next(iter(eq))), ([], []))[0].append(e)
-    for i in range(num_unknowns):
-        block = blocks.get(find(i))
-        if block is not None:
-            block[1].append(i)
+    for i in sorted(parent):
+        blocks[find(i)][1].append(i)
     return list(blocks.values())
+
+
+def _dense(equations: Sequence[dict], eqs: Sequence[int], unks: Sequence) -> list:
+    """The rows `eqs` of a sparse system as dense Fraction rows over `unks`."""
+    local = {i: k for k, i in enumerate(unks)}
+    rows = [[Fraction(0)] * len(unks) for _ in eqs]
+    for row, e in zip(rows, eqs):
+        for i, c in equations[e].items():
+            row[local[i]] = c
+    return rows
 
 
 def rref_solve(rows: list, rhs: list, num_unknowns: int):
@@ -491,6 +502,22 @@ def rref_solve(rows: list, rhs: list, num_unknowns: int):
     for pc, r in pivot_of_col.items():
         sol[pc] = m[r][num_unknowns]
     return sol
+
+
+def linear_system(columns: Sequence[Sequence[Poly]], unknowns: Sequence[tuple]) -> dict:
+    """The rational equations of sum_j columns[j] * c[j] on given monomials.
+
+    Each column is a vector of Polys.  `unknowns` are (column j, exponent m)
+    pairs, the coefficient of x^m in c[j].  Returns one sparse equation per
+    (row, result monomial) the products reach, as
+    {(row, monomial): {index into `unknowns`: coefficient}}.
+    """
+    equations: dict = {}
+    for i, (j, m) in enumerate(unknowns):
+        for r, p in enumerate(columns[j]):
+            for e, c in p.terms.items():  # distinct terms give distinct e + m
+                equations.setdefault((r, tuple(a + b for a, b in zip(e, m))), {})[i] = c
+    return equations
 
 
 def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
@@ -545,14 +572,7 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
                 if lo is not None and d + lo <= bound:
                     unknowns.append((j, m))
 
-    # Equations: one per (row, result monomial).
-    equations: dict = {}
-    for i, (j, m) in enumerate(unknowns):
-        for r in range(n_rows):
-            for e, c in columns[j][r].terms.items():
-                mu = tuple(a + b for a, b in zip(e, m))
-                eq = equations.setdefault((r, mu), {})
-                eq[i] = eq.get(i, Fraction(0)) + c
+    equations = linear_system(columns, unknowns)
     for r in range(n_rows):
         for mu in target[r].terms:
             if equations.setdefault((r, mu), {}) == {}:
@@ -562,17 +582,10 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
     eq_rows = [equations[k] for k in eq_keys]
     rhs = [target[r].terms.get(mu, Fraction(0)) for r, mu in eq_keys]
     solution: dict = {}  # unknown index -> nonzero value
-    for eqs, unks in _blocks(eq_rows, len(unknowns)):
+    for eqs, unks in _blocks(eq_rows):
         if not any(rhs[e] for e in eqs):
             continue
-        local = {i: k for k, i in enumerate(unks)}
-        rows = []
-        for e in eqs:
-            row = [Fraction(0)] * len(unks)
-            for i, c in eq_rows[e].items():
-                row[local[i]] = c
-            rows.append(row)
-        sol = rref_solve(rows, [rhs[e] for e in eqs], len(unks))
+        sol = rref_solve(_dense(eq_rows, eqs, unks), [rhs[e] for e in eqs], len(unks))
         if sol is None:
             return None
         solution.update((i, v) for i, v in zip(unks, sol) if v)
@@ -583,21 +596,11 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
     return out
 
 
-def matrix_rank(columns: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix given by columns of Fractions.
+def matrix_rank(rows: Sequence[dict]) -> int:
+    """Rank of a matrix given by sparse rows {column: Fraction}.
 
     The sum of the ranks of the connected components of its rows and
     columns (joined by nonzero entries), each found by its own elimination.
     """
-    if not columns:
-        return 0
-    rows = [{} for _ in columns[0]]
-    for j, col in enumerate(columns):
-        for r, v in enumerate(col):
-            if v != 0:
-                rows[r][j] = v
-    rank = 0
-    for rs, js in _blocks(rows, len(columns)):
-        m = [[rows[r].get(j, Fraction(0)) for j in js] for r in rs]
-        rank += len(_reduce(m, len(js)))
-    return rank
+    return sum(len(_reduce(_dense(rows, eqs, unks), len(unks)))
+               for eqs, unks in _blocks(rows))

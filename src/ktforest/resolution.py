@@ -14,11 +14,11 @@ extension layer uses for hook comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Poly, RingSpec, matrix_rank, slice_basis, slice_dim, solve_lift
+from .poly import (Poly, RingSpec, linear_system, matrix_rank, slice_basis, slice_dim,
+                   solve_lift)
 
 
 @dataclass(frozen=True)
@@ -287,65 +287,45 @@ class FreeResolution:
         self._weights = weights
         return weights
 
-    # -- exactness oracle -------------------------------------------------------
+    # -- the differential as Poly columns ----------------------------------------
 
-    def _slice_matrix(self, depth: int, internal_degree: int, weights: dict):
-        """Matrix of d: M_{-depth} -> M_{-depth+1} on one internal-degree slice.
+    def _columns(self, depth: int) -> list:
+        """d on the module of degree -depth, one Poly column per generator.
 
-        Columns are indexed by (monomial, generator) of the source slice; rows
-        by (monomial, generator) of the target slice (target = O for depth 1).
+        Rows are the generators of degree -depth+1, or the single row O of
+        the augmentation at depth 1.
         """
-        source_cols = []
-        source_basis = []
-        for g in self.generators(depth):
-            mdeg = internal_degree - weights[g]
-            if mdeg < 0:
-                continue
-            for m in slice_basis(self.ring, mdeg):
-                source_basis.append((m, g))
+        gens = self.generators(depth)
         if depth == 1:
-            rows = {e: i for i, e in enumerate(slice_basis(self.ring, internal_degree))}
-            n_rows = len(rows)
-            for m, g in source_basis:
-                col = [Fraction(0)] * n_rows
-                for e, c in self.augment[g].terms.items():
-                    tot = tuple(a + b for a, b in zip(e, m))
-                    col[rows[tot]] += c
-                source_cols.append(col)
-        else:
-            rows = {}
-            for h in self.generators(depth - 1):
-                mdeg = internal_degree - weights[h]
-                if mdeg < 0:
-                    continue
-                for e in slice_basis(self.ring, mdeg):
-                    rows[(e, h)] = len(rows)
-            n_rows = len(rows)
-            for m, g in source_basis:
-                col = [Fraction(0)] * n_rows
-                for h, c in self.diff[g].terms.items():
-                    for e, v in c.terms.items():
-                        tot = tuple(a + b for a, b in zip(e, m))
-                        col[rows[(tot, h)]] += v
-                source_cols.append(col)
-        return source_cols, len(source_basis)
+            return [[self.augment[g]] for g in gens]
+        zero = Poly.zero(self.ring)
+        return [[self.diff[g].terms.get(h, zero) for h in self.generators(depth - 1)]
+                for g in gens]
+
+    # -- exactness oracle -------------------------------------------------------
 
     def check_exactness(self, poly_degree_max: int) -> HomologyReport:
         """Slice-by-slice homology dimensions for degrees -1 .. -(L-1).
 
         Requires an internal grading; exactness is only claimed through the
-        verified polynomial-degree window.
+        verified polynomial-degree window.  On the slice of internal degree
+        k, d on the module of degree -depth has the unknowns (j, m) with
+        deg m = k - weight(g_j).
         """
         weights = self.internal_weights()
         if weights is None:
             return HomologyReport(graded=False, poly_degree_max=poly_degree_max,
                                   dims={}, exact=False)
         report = HomologyReport(graded=True, poly_degree_max=poly_degree_max)
-        ranks = {}  # (depth, k) -> (rank of the slice matrix, source dimension)
+        ranks = {}  # (depth, k) -> (rank of d on the slice, source dimension)
         for depth in range(1, self.length + 1):
+            columns = self._columns(depth)
+            gens = self.generators(depth)
             for k in range(poly_degree_max + 1):
-                cols, n_src = self._slice_matrix(depth, k, weights)
-                ranks[depth, k] = (matrix_rank(cols) if cols else 0, n_src)
+                unknowns = [(j, m) for j, g in enumerate(gens) if weights[g] <= k
+                            for m in slice_basis(self.ring, k - weights[g])]
+                system = linear_system(columns, unknowns)
+                ranks[depth, k] = (matrix_rank(list(system.values())), len(unknowns))
         for (depth, k), (rank_d, n_src) in ranks.items():
             dim_ker = n_src - rank_d
             rank_up = ranks[depth + 1, k][0] if depth < self.length else 0
@@ -366,22 +346,13 @@ class FreeResolution:
         """
         gens = self.generators(source_depth)
         if not gens:
-            ok = target.is_zero()
-            return ModuleElement.zero(self.ring) if ok else None
+            return ModuleElement.zero(self.ring) if target.is_zero() else None
         if source_depth == 1:
-            columns = [[self.augment[g]] for g in gens]
             tvec = [target]
         else:
-            target_gens = self.generators(source_depth - 1)
-            row_of = {h: i for i, h in enumerate(target_gens)}
-            columns = []
-            for g in gens:
-                col = [Poly.zero(self.ring) for _ in target_gens]
-                for h, c in self.diff[g].terms.items():
-                    col[row_of[h]] = c
-                columns.append(col)
-            tvec = [target.terms.get(h, Poly.zero(self.ring)) for h in target_gens]
-        sol = solve_lift(columns, tvec, poly_degree_cap)
+            zero = Poly.zero(self.ring)
+            tvec = [target.terms.get(h, zero) for h in self.generators(source_depth - 1)]
+        sol = solve_lift(self._columns(source_depth), tvec, poly_degree_cap)
         if sol is None:
             return None
         return ModuleElement(self.ring, dict(zip(gens, sol)))
@@ -476,54 +447,29 @@ def build_koszul_complex(phis: Sequence[Poly], labels: Optional[Sequence[str]] =
 def quotient_dims(ring: RingSpec, ideal_gens: Sequence[Poly], poly_degree_max: int) -> List[int]:
     """dim of each polynomial-degree slice of O / <ideal_gens>.
 
-    For homogeneous generators the ideal has honest slices.  Otherwise the
+    For homogeneous generators the ideal has honest slices: slice k is O_k
+    modulo the multiples phi * x^m with deg m = k - deg phi.  Otherwise the
     entries are the dimension increments of the filtration quotient
-    O_{<=k} / (multiples of the generators of degree <= k), the best
-    degreewise data available below the cap.
+    O_{<=k} / (multiples phi * x^m with deg m <= k - deg phi, deg phi the
+    highest degree of phi), the best degreewise data available below the cap.
     """
     if not ideal_gens or any(p.is_zero() for p in ideal_gens):
         raise ValueError("ideal generators must be nonzero")
-    if all(p.is_homogeneous() for p in ideal_gens):
-        dims = []
-        for k in range(poly_degree_max + 1):
-            rows = {e: i for i, e in enumerate(slice_basis(ring, k))}
-            cols = []
-            for phi in ideal_gens:
-                d = phi.total_degree()
-                if d > k:
-                    continue
-                for m in slice_basis(ring, k - d):
-                    col = [Fraction(0)] * len(rows)
-                    for e, c in phi.terms.items():
-                        tot = tuple(a + b for a, b in zip(e, m))
-                        col[rows[tot]] += c
-                    cols.append(col)
-            dims.append(slice_dim(ring.num_vars, k) - (matrix_rank(cols) if cols else 0))
-        return dims
-    monomials: List[tuple] = []
-    cumulative = []
+    homogeneous = all(p.is_homogeneous() for p in ideal_gens)
+
+    def window(top):  # monomial degrees through `top`: only `top` itself when graded
+        return range(max(top, 0) if homogeneous else 0, top + 1)
+
+    columns = [[phi] for phi in ideal_gens]
+    dims = []
     for k in range(poly_degree_max + 1):
-        monomials.extend(slice_basis(ring, k))
-        rows = {e: i for i, e in enumerate(monomials)}
-        cols = []
-        for phi in ideal_gens:
-            low = phi.total_degree()
-            for d in range(0, k + 1):
-                for m in slice_basis(ring, d):
-                    if d + low > k:
-                        continue
-                    col = [Fraction(0)] * len(rows)
-                    ok = True
-                    for e, c in phi.terms.items():
-                        tot = tuple(a + b for a, b in zip(e, m))
-                        if tot not in rows:
-                            ok = False
-                            break
-                        col[rows[tot]] += c
-                    if ok:
-                        cols.append(col)
-        cumulative.append(len(monomials) - (matrix_rank(cols) if cols else 0))
-    return [cumulative[0]] + [b - a for a, b in zip(cumulative, cumulative[1:])]
+        unknowns = [(j, m) for j, phi in enumerate(ideal_gens)
+                    for d in window(k - phi.total_degree()) for m in slice_basis(ring, d)]
+        rank = matrix_rank(list(linear_system(columns, unknowns).values()))
+        dims.append(sum(slice_dim(ring.num_vars, d) for d in window(k)) - rank)
+    if homogeneous:
+        return dims
+    return [dims[0]] + [b - a for a, b in zip(dims, dims[1:])]
 
 
 def ideal_member(ring: RingSpec, ideal_gens: Sequence[Poly], p: Poly,

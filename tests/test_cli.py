@@ -114,12 +114,6 @@ def test_report_bytes_without_timings_are_unchanged(capsys):
     assert head + "\n" + rest.split("\n\n", 1)[1] == plain
 
 
-def test_determinism_across_thread_counts():
-    spec1 = parse_spec(spec_path("quadratic.kt"))
-    spec2 = parse_spec(spec_path("quadratic.kt"))
-    assert emit(run(spec1, threads=1), "json") == emit(run(spec2, threads=4), "json")
-
-
 def test_text_report_groups_residues_by_level():
     spec = parse_spec(spec_path("quadratic.kt"))
     text = emit(run(spec), "text")
@@ -281,7 +275,7 @@ def test_run_with_pinned_hook_table():
     spec = parse_spec(spec_path("quadratic.kt"))
     with open(spec_path("quadratic_hook.txt"), "r", encoding="utf-8") as handle:
         table = parse_hook_table(handle.read().splitlines(), spec.symbols)
-    hook = HookMap(spec.resolution, table, spec.neg_degree_max)
+    hook = HookMap(spec.resolution, table)
     report = run(spec, hook_table=hook)
     assert report.all_passed()
     assert any(s["stage"] == "hook" and s["status"] == "verified"
@@ -309,7 +303,7 @@ def _quadratic_hook_check(lines):
 
     spec = parse_spec(spec_path("quadratic.kt"))
     table = parse_hook_table(lines, spec.symbols)
-    hook = HookMap(spec.resolution, table, spec.neg_degree_max)
+    hook = HookMap(spec.resolution, table)
     return verify_hook(spec.resolution, hook, spec.neg_degree_max)
 
 
@@ -410,6 +404,13 @@ def test_bad_truncation_is_an_input_error(tmp_path, options, flags):
     assert code == 2 and out == "" and "Traceback" not in err
     assert "input error" in err
     assert "neg_degree_max" in err or "poly_cap" in err
+
+
+def test_unknown_verifier_name_is_an_input_error(tmp_path):
+    path = _quadratic_with_options(tmp_path, "neg_degree_max = 4", "verify = square_zero retrac")
+    code, out, err = run_cli("run", path)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "input error" in err and "retrac" in err
 
 
 def test_repeated_option_is_rejected(tmp_path):

@@ -1,8 +1,10 @@
 """The component-wise elimination in `poly` against dense references.
 
 `solve_lift` is compared with the single dense Gauss-Jordan over all
-unknowns that it replaced, kept below as the oracle; `matrix_rank` with
-sympy's rank.  The drawn systems are sparse and fall apart into blocks:
+unknowns that it replaced, kept below as the oracle; `matrix_rank`, on the
+sparse rows of drawn dense matrices, with sympy's rank; `quotient_dims` of
+drawn homogeneous ideals with the standard monomials of a sympy Groebner
+basis.  The drawn systems are sparse and fall apart into blocks:
 by polynomial degree, and by rows of the target that no column shares.
 """
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktforest.poly import Poly, RingSpec, matrix_rank, monomial_key, slice_basis, solve_lift
+from ktforest.resolution import quotient_dims
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -180,6 +183,38 @@ def block_matrices(draw):
     return [[dense[r][c] for r in row_order] for c in col_order]
 
 
+def sparse_rows(columns):
+    """The rows {column: nonzero value} of a matrix given by dense columns."""
+    n_rows = len(columns[0]) if columns else 0
+    return [{j: col[r] for j, col in enumerate(columns) if col[r]} for r in range(n_rows)]
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Up to 3 nonzero homogeneous generators of degree <= 3 in <= 3 variables."""
+    ring = RingSpec(["x", "y", "z"][:draw(st.integers(1, 3))])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        basis = slice_basis(ring, draw(st.integers(1, 3)))
+        support = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+        gens.append(Poly(ring, {e: draw(nonzero_fractions) for e in support}))
+    return ring, gens, draw(st.integers(0, 6))
+
+
+def standard_monomial_counts(ring, gens, cap):
+    """Per degree through `cap`, the monomials outside the leading-term ideal
+    of a grevlex Groebner basis of the ideal."""
+    syms = sympy.symbols(ring.names)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+                 for e, c in g.terms.items()) for g in gens]
+    basis = sympy.groebner(exprs, *syms, order="grevlex")
+    leading = [sympy.Poly(g, *syms).monoms(order="grevlex")[0] for g in basis.exprs]
+    return [sum(1 for m in slice_basis(ring, k)
+                if not any(all(a >= b for a, b in zip(m, lead)) for lead in leading))
+            for k in range(cap + 1)]
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -203,7 +238,14 @@ def test_solve_lift_matches_dense_elimination(problem):
 def test_matrix_rank_matches_sympy(columns):
     expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in col]
                              for col in columns]).rank()
-    assert matrix_rank(columns) == expected
+    assert matrix_rank(sparse_rows(columns)) == expected
+
+
+@SETTINGS
+@given(homogeneous_ideals())
+def test_quotient_dims_match_groebner_standard_monomials(problem):
+    ring, gens, cap = problem
+    assert quotient_dims(ring, gens, cap) == standard_monomial_counts(ring, gens, cap)
 
 
 def test_unreachable_target_term_has_no_lift():
@@ -215,6 +257,6 @@ def test_unreachable_target_term_has_no_lift():
 
 def test_matrix_rank_of_zero_and_empty_columns():
     assert matrix_rank([]) == 0
-    assert matrix_rank([[Fraction(0)] * 3, [Fraction(0)] * 3]) == 0
-    assert matrix_rank([[Fraction(1), Fraction(0)], [Fraction(0)] * 2,
-                        [Fraction(2), Fraction(0)]]) == 1
+    assert matrix_rank(sparse_rows([[Fraction(0)] * 3, [Fraction(0)] * 3])) == 0
+    assert matrix_rank(sparse_rows([[Fraction(1), Fraction(0)], [Fraction(0)] * 2,
+                                    [Fraction(2), Fraction(0)]])) == 1

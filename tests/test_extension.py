@@ -102,7 +102,7 @@ def monomial3_hook(monomial3_resolution, monomial3_positive):
     res = monomial3_resolution
     symbols = res_symbols(res, monomial3_positive)
     table = parse_hook_table(MONOMIAL3_HOOK_LINES, symbols)
-    hook = HookMap(res, table, 5)
+    hook = HookMap(res, table)
     report = verify_hook(res, hook, 5)
     assert report.passed, report.summary()
     return hook

@@ -65,7 +65,7 @@ def test_quadratic_worked_hook_table_verifies(quadratic_resolution):
         corolla(res, "pi2", "pi3"): module(res, {"pib": "y"}),
         corolla(res, "pi1", "pi3"): module(res, {"pi": "y", "pib": "x"}),
     }
-    hook = HookMap(res, table, 6)
+    hook = HookMap(res, table)
     report = verify_hook(res, hook, 6)
     assert report.passed, report.summary()
 
@@ -76,7 +76,7 @@ def test_quadratic_corrupted_hook_fails(quadratic_resolution):
         corolla(res, "pi2", "pi3"): module(res, {"pib": "y"}),
         corolla(res, "pi1", "pi3"): module(res, {"pi": "y", "pib": "x"}),
     }
-    hook = HookMap(res, table, 6)  # the x*pi entry is dropped
+    hook = HookMap(res, table)  # the x*pi entry is dropped
     report = verify_hook(res, hook, 6)
     assert not report.passed
     assert any("V(pi1,pi2)" in item for item, _ in report.failures)
@@ -283,12 +283,6 @@ def test_hook_product_leibniz_monomial3(monomial3_resolution):
     assert report.passed, report.summary()
 
 
-def test_thread_count_determinism(quadratic_resolution):
-    h1 = solve_hook(quadratic_resolution, 6, threads=1)
-    h4 = solve_hook(quadratic_resolution, 6, threads=4)
-    assert h1.lines() == h4.lines()
-
-
 def test_corrupted_hook_breaks_square_zero(quadratic_resolution):
     # dropping the x*pi value leaves a nonzero square residue
     res = quadratic_resolution
@@ -296,7 +290,7 @@ def test_corrupted_hook_breaks_square_zero(quadratic_resolution):
         corolla(res, "pi2", "pi3"): module(res, {"pib": "y"}),
         corolla(res, "pi1", "pi3"): module(res, {"pi": "y", "pib": "x"}),
     }
-    hook = HookMap(res, table, 6)
+    hook = HookMap(res, table)
     differential = TreeDifferential(res, hook)
     basis = tree_basis_elements(res, 4)
     report = verify_square_zero(differential.apply, basis)

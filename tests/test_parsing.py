@@ -33,6 +33,8 @@ MALFORMED_TREES = {
     "variable decoration": "V(x,pi2)",
     "unknown name": "V(pi1,w)",
     "unknown character": "V(pi1,$)",
+    "one-child vertex": "V(pi1)",
+    "nested one-child vertex": "V(pi1,V(pi2))",
     "empty": "",
 }
 

@@ -159,14 +159,3 @@ def test_evaluation_determinism(quadratic_resolution, quadratic_hook, tree_pool)
         assert str(left) == str(right)
         checked += 1
 
-
-def test_solver_thread_determinism(quadratic_resolution, monomial3_resolution):
-    """The hook solver returns identical tables for any worker count."""
-    for res, depth in ((quadratic_resolution, 6), (monomial3_resolution, 5)):
-        lines = None
-        for threads in (1, 2, 4):
-            hook = solve_hook(res, depth, threads=threads)
-            if lines is None:
-                lines = hook.lines()
-            else:
-                assert hook.lines() == lines

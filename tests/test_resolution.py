@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ktforest.poly import Poly, RingSpec
+from ktforest.poly import Poly, RingSpec, linear_system, matrix_rank, slice_basis
 from ktforest.resolution import (FreeResolution, GeneratorId, ModuleElement,
                                  build_koszul_complex, ideal_member, quotient_dims)
 
@@ -130,10 +130,15 @@ def test_rank_nullity_per_slice(quadratic_resolution):
         dim_slice = sum(
             slice_dim(quadratic_resolution.ring.num_vars, k - weights[g])
             for g in quadratic_resolution.generators(depth) if k >= weights[g])
-        cols, n_src = quadratic_resolution._slice_matrix(depth, k, weights)
-        assert n_src == dim_slice
-        from ktforest.poly import matrix_rank
-        assert dim_ker + matrix_rank(cols) == dim_slice
+        unknowns = [(j, m) for j, g in enumerate(quadratic_resolution.generators(depth))
+                    if k >= weights[g]
+                    for m in slice_basis(quadratic_resolution.ring, k - weights[g])]
+        assert len(unknowns) == dim_slice
+        system = linear_system(quadratic_resolution._columns(depth), unknowns)
+        rank = matrix_rank(list(system.values()))
+        assert dim_ker + rank == dim_slice
+        if depth > 1:
+            assert report.dims[(deg + 1, k)][1] == rank
 
 
 def test_ideal_membership(ring_xy):
