@@ -471,7 +471,7 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
             if wanted("retract"):
                 report.add_verdict(verify_retract(res, hook, depth))
             if wanted("hook_product"):
-                report.add_verdict(verify_hook_product_leibniz(res, hook))
+                report.add_verdict(verify_hook_product_leibniz(res, hook, depth))
             report.timings["negative_part_checks"] = clock() - t0
 
         ext: Optional[ExtensionData] = None

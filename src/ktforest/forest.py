@@ -408,9 +408,10 @@ def accumulate(acc: dict, mono: Monomial, coeff: dict, sign: int = 1,
                factor: Optional[dict] = None):
     """acc[mono] += sign * factor * coeff, in place.
 
-    `acc` maps monomials to {exponent: Fraction} dicts, and so do `coeff`
-    and `factor` (`Poly.terms`); a `factor` of None stands for 1.  `collect`
-    turns the sums into an element.
+    `acc` maps monomials to {exponent: coefficient} dicts, and so do `coeff`
+    and `factor` (`Poly.terms`), each coefficient an int, or Fraction once a
+    division happens; a `factor` of None stands for 1.  `collect` turns the
+    sums into an element.
     """
     slot = acc.get(mono)
     if slot is None:

@@ -374,20 +374,35 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
     return out
 
 
-def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap) -> CheckResult:
-    """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for all pairs of generators."""
+def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap,
+                                neg_degree_max: int) -> CheckResult:
+    """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for pairs of generators.
+
+    A pair is checked when the hook is known on every two-leaf tree its
+    three products read: solved (tree degree at most the truncation) or
+    forced to zero (value module beyond the resolution).  From truncation
+    length + 1 on, that is every pair.
+    """
+
+    def known(g: GeneratorId, h: GeneratorId) -> bool:
+        depth = -(g.module_degree + h.module_degree)
+        return depth + 1 <= neg_degree_max or depth > res.length
+
     failures = []
     count = 0
     gens = [g for depth in range(1, res.length + 1) for g in res.generators(depth)]
     for a in gens:
         for b in gens:
-            count += 1
             ea = ModuleElement.of_gen(res.ring, a)
             eb = ModuleElement.of_gen(res.ring, b)
-            prod = hook_product(hook, ea, eb)
-            lhs_mod, lhs_scalar = res.apply_diff(prod)
             da_mod, da_scalar = res.apply_diff(ea)
             db_mod, db_scalar = res.apply_diff(eb)
+            if not (known(a, b) and all(known(g, b) for g in da_mod.terms)
+                    and all(known(a, h) for h in db_mod.terms)):
+                continue
+            count += 1
+            prod = hook_product(hook, ea, eb)
+            lhs_mod, lhs_scalar = res.apply_diff(prod)
             da = da_mod if da_scalar.is_zero() else da_scalar
             db = db_mod if db_scalar.is_zero() else db_scalar
             rhs = hook_product(hook, da, eb)
@@ -395,5 +410,8 @@ def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap) -> CheckResu
             if not (lhs_scalar.is_zero() and lhs_mod == rhs):
                 failures.append((f"{a.label} * {b.label}",
                                  f"d(product) = {lhs_mod} + {lhs_scalar} vs {rhs}"))
-    return CheckResult("hook product Leibniz", not failures,
-                       f"{count} generator pairs", failures)
+    total = len(gens) ** 2
+    checked = f"{total} generator pairs" if count == total else (
+        f"{count} of {total} generator pairs, "
+        f"hook solved through negative degree {neg_degree_max}")
+    return CheckResult("hook product Leibniz", not failures, checked, failures)

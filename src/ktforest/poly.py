@@ -1,10 +1,13 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a dict mapping exponent tuples (one entry per ring variable)
-to nonzero Fraction coefficients.  The zero polynomial has an empty dict.
-Monomials are ordered graded-lexicographically: lower total degree first,
-and within a degree x^2 before x*y before y^2.  All arithmetic is exact;
-there are no floating-point coefficients anywhere in this package.
+to nonzero coefficients: int, or Fraction once a division happens.  The
+zero polynomial has an empty dict.  Monomials are ordered
+graded-lexicographically: lower total degree first, and within a degree
+x^2 before x*y before y^2.  All arithmetic is exact; there are no
+floating-point coefficients anywhere in this package.  The only division
+is the pivot step of the elimination kernel `_reduce`; an int and an equal
+Fraction compare and hash the same, so dicts may mix them.
 
 The module also provides the exact linear algebra of the higher layers.
 `linear_system` is the one place where a map of free modules, given by
@@ -30,6 +33,17 @@ Exponent = tuple  # tuple[int, ...], one entry per variable
 
 class RingError(ValueError):
     pass
+
+
+def exact(value):
+    """`value` as an exact coefficient: int when integral, else Fraction."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact coefficient {value!r}")
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class RingSpec:
@@ -97,7 +111,7 @@ class Poly:
 
     @staticmethod
     def const(ring: RingSpec, value) -> "Poly":
-        c = Fraction(value)
+        c = exact(value)
         if c == 0:
             return Poly.zero(ring)
         return Poly(ring, {(0,) * ring.num_vars: c})
@@ -106,11 +120,11 @@ class Poly:
     def variable(ring: RingSpec, index: int) -> "Poly":
         exp = [0] * ring.num_vars
         exp[index] = 1
-        return Poly(ring, {tuple(exp): Fraction(1)})
+        return Poly(ring, {tuple(exp): 1})
 
     @staticmethod
     def monomial(ring: RingSpec, exp: Exponent, coeff=1) -> "Poly":
-        return Poly(ring, {tuple(exp): Fraction(coeff)})
+        return Poly(ring, {tuple(exp): exact(coeff)})
 
     # -- queries -----------------------------------------------------------
 
@@ -120,8 +134,8 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def coeff(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coeff(self, exp: Exponent):
+        return self.terms.get(tuple(exp), 0)
 
     def total_degree(self) -> Optional[int]:
         """Maximum total degree, or None for the zero polynomial."""
@@ -143,7 +157,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -162,7 +176,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -170,7 +184,7 @@ class Poly:
         return Poly(self.ring, out)
 
     def scale(self, value) -> "Poly":
-        c = Fraction(value)
+        c = exact(value)
         if c == 0:
             return Poly.zero(self.ring)
         return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
@@ -254,7 +268,7 @@ def tokenize(text: str) -> list:
                 tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k]))))
                 i = k
             else:
-                tokens.append(("num", Fraction(int(text[i:j]))))
+                tokens.append(("num", int(text[i:j])))
                 i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -305,7 +319,7 @@ _SIGNS = (("op", "+"), ("op", "-"))
 def parse_expression(text: str, factor, unit, error=ValueError):
     """Parse a sum of products of powers, `*` optional between factors.
 
-    `factor(kind, value)` turns a number ("num", Fraction) or a name
+    `factor(kind, value)` turns a number ("num", int or Fraction) or a name
     ("name", str) into an operand; operands support +, -, unary - and *,
     and multiply in the written order.  `unit` is the value of a zeroth
     power.  Malformed input raises `error`.  Only the first term of a sum,
@@ -409,11 +423,13 @@ def slice_dim(num_vars: int, poly_degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _reduce(m: list, num_cols: int) -> dict:
-    """Gauss-Jordan on dense Fraction rows, in place, over the first columns.
+    """Gauss-Jordan on dense exact rows, in place, over the first columns.
 
     Brings `m` to reduced row echelon form in its first `num_cols` columns
     (later columns, such as a right-hand side, are carried along) and
-    returns {pivot column: its row}; the pivot rows come first.
+    returns {pivot column: its row}; the pivot rows come first.  Entries
+    may be int or Fraction; the pivot is made a Fraction before it divides,
+    so the division is exact.
     """
     n_rows = len(m)
     pivot_of_col: dict = {}
@@ -429,7 +445,7 @@ def _reduce(m: list, num_cols: int) -> dict:
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = m[pr][pc]
+        inv = Fraction(m[pr][pc])
         m[pr] = [v / inv for v in m[pr]]
         for r in range(n_rows):
             if r != pr and m[r][pc] != 0:
@@ -477,9 +493,9 @@ def _blocks(equations: Sequence[dict]) -> list:
 
 
 def _dense(equations: Sequence[dict], eqs: Sequence[int], unks: Sequence) -> list:
-    """The rows `eqs` of a sparse system as dense Fraction rows over `unks`."""
+    """The rows `eqs` of a sparse system as dense rows over `unks`."""
     local = {i: k for k, i in enumerate(unks)}
-    rows = [[Fraction(0)] * len(unks) for _ in eqs]
+    rows = [[0] * len(unks) for _ in eqs]
     for row, e in zip(rows, eqs):
         for i, c in equations[e].items():
             row[local[i]] = c
@@ -487,18 +503,18 @@ def _dense(equations: Sequence[dict], eqs: Sequence[int], unks: Sequence) -> lis
 
 
 def rref_solve(rows: list, rhs: list, num_unknowns: int):
-    """Solve rows * x = rhs over Fraction, free variables set to zero.
+    """Solve rows * x = rhs over the rationals, free variables set to zero.
 
-    `rows` is a list of dense lists of Fractions.  Returns the solution list
-    or None when inconsistent.  Reduced row echelon form is unique, so the
-    answer does not depend on the incoming row order.
+    `rows` is a list of dense lists of ints or Fractions.  Returns the
+    solution list or None when inconsistent.  Reduced row echelon form is
+    unique, so the answer does not depend on the incoming row order.
     """
     m = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivot_of_col = _reduce(m, num_unknowns)
     for r in range(len(pivot_of_col), len(m)):
         if m[r][num_unknowns] != 0:
             return None
-    sol = [Fraction(0)] * num_unknowns
+    sol = [0] * num_unknowns
     for pc, r in pivot_of_col.items():
         sol[pc] = m[r][num_unknowns]
     return sol
@@ -580,7 +596,7 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
 
     eq_keys = sorted(equations, key=lambda k: (k[0], monomial_key(k[1])))
     eq_rows = [equations[k] for k in eq_keys]
-    rhs = [target[r].terms.get(mu, Fraction(0)) for r, mu in eq_keys]
+    rhs = [target[r].terms.get(mu, 0) for r, mu in eq_keys]
     solution: dict = {}  # unknown index -> nonzero value
     for eqs, unks in _blocks(eq_rows):
         if not any(rhs[e] for e in eqs):
@@ -597,7 +613,7 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
 
 
 def matrix_rank(rows: Sequence[dict]) -> int:
-    """Rank of a matrix given by sparse rows {column: Fraction}.
+    """Rank of a matrix given by sparse rows {column: int or Fraction}.
 
     The sum of the ranks of the connected components of its rows and
     columns (joined by nonzero entries), each found by its own elimination.

@@ -15,36 +15,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (Poly, RingSpec, linear_system, matrix_rank, slice_basis, slice_dim,
                    solve_lift)
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(tuple):
     """A basis element of one free module (or of the positive part).
 
     `module_degree` is the homological degree of the module the generator
     belongs to: negative for resolution generators, positive for the
     generators of the graded symmetric algebra being extended.
+
+    An id is the tuple (module_degree, index, label) and compares and
+    hashes as that tuple, in C: generators sit at the leaves of every tree
+    key and monomial, which hash through them.  The sort key `key` is
+    computed once.  Ids are immutable.
     """
 
-    module_degree: int
-    index: int
-    label: str
+    def __new__(cls, module_degree: int, index: int, label: str):
+        self = tuple.__new__(cls, (module_degree, index, label))
+        object.__setattr__(self, "key", (abs(module_degree), index, label))
+        return self
 
-    def __post_init__(self):
-        # Generators sit at the leaves of every tree key and monomial, so
-        # their hash and sort key are computed once, from the same fields
-        # that decide equality.
-        object.__setattr__(self, "_hash",
-                           hash((self.module_degree, self.index, self.label)))
-        object.__setattr__(self, "key",
-                           (abs(self.module_degree), self.index, self.label))
+    module_degree = property(itemgetter(0))
+    index = property(itemgetter(1))
+    label = property(itemgetter(2))
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GeneratorId is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GeneratorId is immutable: cannot delete {name!r}")
 
     def __repr__(self):
         return self.label

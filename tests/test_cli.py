@@ -430,3 +430,18 @@ def test_cli_basis_degree_below_one_is_an_input_error(degree):
     code, out, err = run_cli("basis", spec_path("quadratic.kt"), "--degree", degree)
     assert code == 2 and out == "" and "Traceback" not in err
     assert "input error" in err
+
+
+@pytest.mark.parametrize("name, depth, checked", [
+    ("monomial_ideal.kt", 3, "25 of 81 generator pairs, hook solved through negative degree 3"),
+    ("quadratic.kt", 1, "4 of 25 generator pairs, hook solved through negative degree 1"),
+    ("quadratic.kt", 2, "4 of 25 generator pairs, hook solved through negative degree 2"),
+])
+def test_hook_product_leibniz_below_the_resolution_length(capsys, name, depth, checked):
+    # a pair is checked when every two-leaf tree it reads is solved (degree
+    # at most K) or lies beyond the resolution length; on monomial_ideal.kt
+    # (ranks 4, 4, 1) at K = 3 those are the 16 pairs of degree -1
+    # generators, the 8 pairs of a degree -2 and a degree -3 generator, and
+    # the degree -3 generator with itself
+    assert main(["run", spec_path(name), "--neg-degree-max", str(depth)]) == 0
+    assert f"hook product Leibniz: pass ({checked})" in capsys.readouterr().out

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+import ktforest
+from ktforest.cli import parse_spec
 from ktforest.extension import (ExtensionData, PositivePart, boundary_equivalent,
                                 check_ideal_preserved, higher_product, koszul_mode,
                                 solve_general_extension, solve_residues_explicit,
@@ -408,3 +412,15 @@ def test_general_mode_nonzero_variable_corrections(ring_xy, quadratic_resolution
         for g in res.generators(depth):
             cell = AlgebraElement.from_tree(ring_xy, leaf(g))
             assert ext.apply(ext.apply(cell)).is_zero(), g.label
+
+
+def test_solved_tables_hold_exact_coefficients():
+    spec = parse_spec(ktforest.example_path("quadratic.kt"))
+    hook = solve_hook(spec.resolution, 5)
+    ext = solve_residues_explicit(spec.resolution, spec.positive, hook, 5)
+    assert hook.table and ext.gen_q  # chi is empty on this spec
+    polys = [p for value in hook.table.values() for p in value.terms.values()]
+    for table in (ext.gen_q, ext.chi):
+        polys += [p for value in table.values() for p in value.terms.values()]
+    coefficients = [c for p in polys for c in p.terms.values()]
+    assert all(type(c) in (int, Fraction) for c in coefficients)

@@ -273,14 +273,15 @@ def test_hook_product_values(quadratic_resolution, quadratic_hook):
 
 
 def test_hook_product_leibniz(quadratic_resolution, quadratic_hook):
-    report = verify_hook_product_leibniz(quadratic_resolution, quadratic_hook)
+    report = verify_hook_product_leibniz(quadratic_resolution, quadratic_hook, 6)
     assert report.passed, report.summary()
 
 
 def test_hook_product_leibniz_monomial3(monomial3_resolution):
     hook = solve_hook(monomial3_resolution, 5)
-    report = verify_hook_product_leibniz(monomial3_resolution, hook)
+    report = verify_hook_product_leibniz(monomial3_resolution, hook, 5)
     assert report.passed, report.summary()
+    assert report.checked == "81 generator pairs"
 
 
 def test_corrupted_hook_breaks_square_zero(quadratic_resolution):

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from ktforest.poly import (Poly, RingSpec, monomial_key, parse_poly, slice_basis,
-                           slice_dim, solve_lift)
+from ktforest.poly import (Poly, RingSpec, matrix_rank, monomial_key, parse_poly, rref_solve,
+                           slice_basis, slice_dim, solve_lift)
 
 
 @pytest.fixture
@@ -145,3 +145,35 @@ def test_arithmetic_properties_randomized(ring):
         a, b = random_poly(), random_poly()
         assert (a + b) - b == a
         assert a * b == b * a
+
+
+def test_integral_coefficients_are_ints(ring):
+    p = P("3*x - 1/2*y + 4/2", ring)
+    assert type(p.coeff((1, 0))) is int
+    assert type(p.coeff((0, 0))) is int and p.coeff((0, 0)) == 2
+    assert p.coeff((0, 1)) == Fraction(-1, 2)
+    assert type(Poly.const(ring, Fraction(6, 3)).coeff((0, 0))) is int
+    assert type(Poly.monomial(ring, (1, 1), Fraction(-4, 2)).coeff((1, 1))) is int
+    assert type(P("2*x", ring).scale(Fraction(3, 3)).coeff((1, 0))) is int
+    q = (P("2*x + y", ring) * P("3*y", ring)) + P("x*y", ring)
+    assert all(type(c) is int for c in q.terms.values())
+
+
+def test_solve_lift_divides_exactly(ring):
+    # 2 * c = 1 over integer columns: the answer is the Fraction 1/2
+    [c] = solve_lift([[Poly.const(ring, 2)]], [Poly.const(ring, 1)])
+    value = c.coeff((0, 0))
+    assert type(value) is Fraction and value == Fraction(1, 2)
+    solution = rref_solve([[3, 1], [1, 2]], [1, 0], 2)
+    assert solution == [Fraction(2, 5), Fraction(-1, 5)]
+    assert all(type(v) is Fraction for v in solution)
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
+    ([[3, 1, 2], [1, 5, 7], [5, 11, 16]], 2),  # float division reads rank 3
+    ([[10, 7, 3], [3, 9, 1], [13, 16, 4]], 2),  # floor division reads rank 3
+    ([[2, 0], [0, 3]], 2),
+])
+def test_matrix_rank_on_int_rows(rows, rank):
+    assert matrix_rank([{j: v for j, v in enumerate(row) if v} for row in rows]) == rank

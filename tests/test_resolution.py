@@ -164,3 +164,20 @@ def test_quotient_dims_inhomogeneous_filtration(ring_xy):
     # C(k,2), so the filtration quotient has cumulative dimension 2k+1
     gens = [Poly.parse("x^2 - y", ring_xy)]
     assert quotient_dims(ring_xy, gens, 5) == [1, 2, 2, 2, 2, 2]
+
+
+def test_generator_id_contract():
+    a, b = GeneratorId(-2, 1, "pi"), GeneratorId(-2, 1, "pi")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert {a: 1}[b] == 1
+    for other in (GeneratorId(-3, 1, "pi"), GeneratorId(-2, 0, "pi"), GeneratorId(-2, 1, "pib")):
+        assert other != a
+    assert (a.module_degree, a.index, a.label) == (-2, 1, "pi")
+    assert a.key == (2, 1, "pi")
+    assert GeneratorId(3, 0, "xi").key == (3, 0, "xi")
+    for name in ("module_degree", "index", "label", "key"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.key == (2, 1, "pi")
