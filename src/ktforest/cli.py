@@ -23,9 +23,8 @@ from .extension import (ExtensionData, PositivePart, TruncationError, check_idea
                         verify_extension, verify_incl_proj, verify_product_defect)
 from .forest import AlgebraElement, enumerate_tree_basis, tree_str
 from .grammar import ParseError, SymbolTable, parse_element, parse_hook_table
-from .kt import (HookMap, SolveError, TreeDifferential, solve_hook, tree_basis_elements,
-                 verify_hook, verify_hook_product_leibniz, verify_retract,
-                 verify_square_zero)
+from .kt import (HookMap, SolveError, solve_hook, tree_basis_elements, verify_hook,
+                 verify_hook_product_leibniz, verify_retract, verify_square_zero)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          build_koszul_complex, quotient_dims)
@@ -465,7 +464,7 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
             t0 = clock()
             if wanted("square_zero"):
                 report.add_verdict(verify_square_zero(
-                    TreeDifferential(res, hook).apply, tree_basis_elements(res, depth),
+                    hook.differential().apply, tree_basis_elements(res, depth),
                     label="tree differential square zero",
                     checked=f"basis trees through negative degree {depth}"))
             if wanted("retract"):

@@ -445,6 +445,15 @@ def collect(ring: RingSpec, acc: dict) -> "AlgebraElement":
     return out
 
 
+def sum_elements(ring: RingSpec, elems: Iterable["AlgebraElement"]) -> "AlgebraElement":
+    """The sum of elements, built in place by `accumulate`."""
+    acc: dict = {}
+    for elem in elems:
+        for mono, c in elem.terms.items():
+            accumulate(acc, mono, c.terms)
+    return collect(ring, acc)
+
+
 class AlgebraElement:
     """O-linear combination of canonical monomials in trees and positives."""
 
@@ -709,7 +718,9 @@ def absorb_O_decorations(ring: RingSpec, node: Node, path: tuple, f: Poly) -> Al
 def apply_derivation(elem: AlgebraElement,
                      on_tree: Callable[[Node], AlgebraElement],
                      on_positive: Optional[Callable[[GeneratorId], AlgebraElement]] = None,
-                     on_coeff: Optional[Callable[[Poly], AlgebraElement]] = None) -> AlgebraElement:
+                     on_coeff: Optional[Callable[[Poly], AlgebraElement]] = None,
+                     on_tree_extra: Optional[Callable[[Node], AlgebraElement]] = None
+                     ) -> AlgebraElement:
     """Extend generator images to the whole algebra by the graded Leibniz rule.
 
     The operator is odd (degree +1): passing a factor of degree d costs
@@ -718,9 +729,16 @@ def apply_derivation(elem: AlgebraElement,
     image m of factor i, preceded by factors of total degree `passed`, moves
     to the front of the monomial with factor i removed: its term is
     (-1)^(passed * (1 + deg m)) * c * (m * rest), summed in place.
+
+    `on_coeff` must be a derivation of the ring O (every caller's is), so
+    it is zero on constants and is never called on one.  `on_tree_extra`,
+    when given, is a second image of each tree factor, inserted in the same
+    place: the result is that of on_tree + on_tree_extra, without forming
+    the sum of the two images.
     """
     acc: dict = {}
     unit = Poly.const(elem.ring, 1).terms
+    constant = (0,) * elem.ring.num_vars
 
     def insert(img, rest, passed, c):
         for m, d in img.terms.items():
@@ -734,7 +752,7 @@ def apply_derivation(elem: AlgebraElement,
     for mono, c in elem.terms.items():
         trees, pos = mono
         ct = None if c.terms == unit else c.terms  # skip multiplying by 1
-        if on_coeff is not None:
+        if on_coeff is not None and not (len(c.terms) == 1 and constant in c.terms):
             dc = on_coeff(c)
             if dc is not None and dc.terms:
                 insert(dc, mono, 0, None)
@@ -746,9 +764,14 @@ def apply_derivation(elem: AlgebraElement,
                     insert(img, (trees, pos[:i] + pos[i + 1:]), passed, ct)
             passed += g.module_degree
         for i, t in enumerate(trees):
+            rest = (trees[:i] + trees[i + 1:], pos)
             img = on_tree(t)
             if img is not None and img.terms:
-                insert(img, (trees[:i] + trees[i + 1:], pos), passed, ct)
+                insert(img, rest, passed, ct)
+            if on_tree_extra is not None:
+                img = on_tree_extra(t)
+                if img is not None and img.terms:
+                    insert(img, rest, passed, ct)
             passed += tree_degree(t)
     return collect(elem.ring, acc)
 
@@ -771,11 +794,8 @@ def enumerate_tree_basis(res: FreeResolution, neg_degree: int) -> Tuple[Node, ..
         return cache[neg_degree]
     out = [leaf(g) for g in res.generators(neg_degree)]
     if neg_degree >= 3:
-        candidates = []
-        for d in range(1, neg_degree - 1):
-            candidates.extend(enumerate_tree_basis(res, d))
-        candidates.sort(key=tree_key)
-        for combo in _multisets_with_degree(candidates, neg_degree - 1, 2):
+        for combo in _multisets_with_degree(_trees_through(res, neg_degree - 2),
+                                            neg_degree - 1, 2):
             out.append(("N", combo))
     # listing order: leaf count, then inner-vertex count, then shape and
     # decorations; the canonical child order inside each tree is tree_key
@@ -784,29 +804,42 @@ def enumerate_tree_basis(res: FreeResolution, neg_degree: int) -> Tuple[Node, ..
     return cache[neg_degree]
 
 
-def _multisets_with_degree(candidates: List[Node], total: int, min_count: int):
-    """Multisets of candidate trees with degree sum -total, in key order."""
-    results: List[tuple] = []
+def _trees_through(res: FreeResolution, neg_degree: int) -> Tuple[Node, ...]:
+    """The basis trees of negative degree 1..neg_degree in tree_key order.
 
-    def recurse(start: int, remaining: int, chosen: list):
+    Built once per degree, from the list one degree lower, and shared by
+    the tree and the monomial basis.
+    """
+    cache = res._sorted_trees_cache
+    if neg_degree not in cache:
+        below = _trees_through(res, neg_degree - 1) if neg_degree > 1 else ()
+        cache[neg_degree] = tuple(sorted(below + enumerate_tree_basis(res, neg_degree),
+                                         key=tree_key))
+    return cache[neg_degree]
+
+
+def _multisets_with_degree(candidates: Sequence[Node], total: int, min_count: int):
+    """Multisets of candidate trees with degree sum -total, in key order."""
+    depths = [-tree_degree(node) for node in candidates]
+    results: List[tuple] = []
+    chosen: List[Node] = []
+
+    def recurse(start: int, remaining: int):
         if remaining == 0:
             if len(chosen) >= min_count:
                 results.append(tuple(chosen))
             return
         for i in range(start, len(candidates)):
-            node = candidates[i]
-            d = -tree_degree(node)
+            d = depths[i]
             if d > remaining:
                 continue
-            limit = 1 if tree_degree(node) % 2 != 0 else remaining // d
-            taken = []
-            for _ in range(limit):
-                taken.append(node)
-                if d * len(taken) > remaining:
-                    break
-                recurse(i + 1, remaining - d * len(taken), chosen + taken)
+            limit = 1 if d % 2 else remaining // d
+            for taken in range(1, limit + 1):
+                chosen.append(candidates[i])
+                recurse(i + 1, remaining - d * taken)
+            del chosen[-limit:]
 
-    recurse(0, total, [])
+    recurse(0, total)
     return results
 
 
@@ -815,11 +848,7 @@ def enumerate_monomial_basis(res: FreeResolution, neg_degree: int) -> Tuple[Mono
     cache = res._monomial_basis_cache
     if neg_degree in cache:
         return cache[neg_degree]
-    candidates = []
-    for d in range(1, neg_degree + 1):
-        candidates.extend(enumerate_tree_basis(res, d))
-    candidates.sort(key=tree_key)
-    combos = _multisets_with_degree(candidates, neg_degree, 1)
-    out = tuple(sorted(((tuple(c), ()) for c in combos), key=_mono_sort_key))
+    combos = _multisets_with_degree(_trees_through(res, neg_degree), neg_degree, 1)
+    out = tuple(sorted(((c, ()) for c in combos), key=_mono_sort_key))
     cache[neg_degree] = out
     return out

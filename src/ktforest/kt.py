@@ -16,6 +16,7 @@ trees too deep for the resolution are forced to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
@@ -57,15 +58,27 @@ class HookMap:
 
     Missing entries are zero; entries on trees whose value module does not
     exist are forced to zero and never stored.
+
+    The map owns the level -1 evaluator of its table (`differential`), so
+    that every reader of the final table (the verifiers and the extension)
+    computes each tree image once; `set_value` discards it.
     """
 
     def __init__(self, res: FreeResolution, table: Optional[dict] = None):
         self.res = res
         self.table: Dict[Node, ModuleElement] = {}
+        self._differential: Optional[TreeDifferential] = None
         for node, val in (table or {}).items():
             self.set_value(node, val)
 
+    def differential(self) -> TreeDifferential:
+        """The tree differential of the current table, created on first use."""
+        if self._differential is None:
+            self._differential = TreeDifferential(self.res, self)
+        return self._differential
+
     def set_value(self, node: Node, value: ModuleElement):
+        self._differential = None
         cnode, sign = canonicalize_node(node)
         if cnode is None:
             if not value.is_zero():
@@ -113,13 +126,14 @@ class TreeDifferential:
 
     def on_tree(self, node: Node) -> AlgebraElement:
         cached = self._memo.get(node)
-        if cached is not None:
-            return cached
-        ring = self.res.ring
+        if cached is None:
+            cached = self._memo[node] = self._image(node)
+        return cached
+
+    def _image(self, node: Node) -> AlgebraElement:
         if is_leaf(node):
-            result = self.leaf_value(node[1])
-            self._memo[node] = result
-            return result
+            return self.leaf_value(node[1])
+        ring = self.res.ring
         acc: dict = {}
         for mono, c in root_split(AlgebraElement.from_tree(ring, node)).terms.items():
             accumulate(acc, mono, c.terms)
@@ -130,9 +144,7 @@ class TreeDifferential:
             if cnode is not None:
                 accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
         add_tree_formula(acc, node, self.leaf_value, self.hook.element, include_root=True)
-        result = collect(ring, acc)
-        self._memo[node] = result
-        return result
+        return collect(ring, acc)
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         return apply_derivation(elem, self.on_tree)
@@ -189,7 +201,7 @@ def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
     they are forced to zero and the recursion is checked to be consistent.
     """
     hook = HookMap(res, {})
-    differential = TreeDifferential(res, hook)
+    differential = hook.differential()
     for degree in range(3, neg_degree_max + 1):
         trees = [t for t in enumerate_tree_basis(res, degree) if not is_leaf(t)]
         if not trees:
@@ -209,12 +221,16 @@ def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
                                  "no preimage under d; resolution not exact "
                                  "or polynomial cap too small")
             hook.set_value(node, lifted)
+    # set_value discarded the map's evaluator, but this one stays valid for
+    # the final table: it holds images of the children of solved trees,
+    # which read hook values of lower degree only, all set before them
+    hook._differential = differential
     return hook
 
 
 def verify_hook(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> CheckResult:
     """Check d(hook(t)) against the recursion for every basis tree."""
-    differential = TreeDifferential(res, hook)
+    differential = hook.differential()
     failures = []
     count = 0
     for degree in range(3, neg_degree_max + 1):
@@ -263,17 +279,21 @@ def retract_apply(hook: HookMap, elem: AlgebraElement, which: str) -> AlgebraEle
 
 
 def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
-                          elem: AlgebraElement) -> AlgebraElement:
+                          elem: AlgebraElement,
+                          joined: Optional[AlgebraElement] = None) -> AlgebraElement:
     """The retract projection: module part, scalar part, and hooked joins.
 
     The products are joined at a new root and sent through the degree +1
     table `hook_value` on trees; positive factors pass it with the sign of
     an odd operator.  The hook (`HookMap.element`) gives the projection of
     the tree differential's retract, the hook plus every correction table
-    that of the extension.
+    that of the extension.  `joined` is homotopy(elem) when the caller
+    already has it.
     """
     out = elem.project_module() + elem.project_scalar()
-    for (trees, pos), c in homotopy(elem).terms.items():
+    if joined is None:
+        joined = homotopy(elem)
+    for (trees, pos), c in joined.terms.items():
         value = hook_value(trees[0])
         if not value.is_zero():
             sign = parity_sign(mono_pos_degree((trees, pos)))
@@ -282,17 +302,30 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
 
 
 def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> CheckResult:
-    """delta h + h delta = Id - (inclusion of the projection), per monomial."""
-    differential = TreeDifferential(res, hook)
+    """delta h + h delta = Id - (inclusion of the projection), per monomial.
+
+    The images of the joined trees h(x) of degree K + 1 are not memoized:
+    this check reads each of them once, and the extension reads some of
+    them (none over a Taylor resolution), which costs less to recompute
+    than to keep.
+    """
+    differential = hook.differential()
     ring = res.ring
+
+    def delta_of_join(node):
+        if tree_degree(node) < -neg_degree_max:
+            return differential._image(node)
+        return differential.on_tree(node)
+
     failures = []
     monos = []
     for degree in range(1, neg_degree_max + 1):
         monos.extend(enumerate_monomial_basis(res, degree))
     for mono in monos:
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
-        lhs = differential.apply(homotopy(x)) + homotopy(differential.apply(x))
-        rhs = x - project_to_resolution(hook.element, x)
+        hx = homotopy(x)
+        lhs = apply_derivation(hx, delta_of_join) + homotopy(differential.apply(x))
+        rhs = x - project_to_resolution(hook.element, x, hx)
         if lhs != rhs:
             failures.append((mono_label(mono), f"lhs - rhs = {lhs - rhs}"))
     return CheckResult("homotopy retract", not failures,
@@ -374,20 +407,27 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
     return out
 
 
+def two_leaf_known(res: FreeResolution, neg_degree_max: int,
+                   g: GeneratorId, h: GeneratorId) -> bool:
+    """Whether a hook solved through the truncation is known on V(g,h).
+
+    It is when the tree is solved (degree at most the truncation) or its
+    value is forced to zero (value module beyond the resolution).
+    """
+    depth = -(g.module_degree + h.module_degree)
+    return depth + 1 <= neg_degree_max or depth > res.length
+
+
 def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap,
                                 neg_degree_max: int) -> CheckResult:
     """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for pairs of generators.
 
-    A pair is checked when the hook is known on every two-leaf tree its
-    three products read: solved (tree degree at most the truncation) or
-    forced to zero (value module beyond the resolution).  From truncation
-    length + 1 on, that is every pair.
+    A pair is checked when the hook is known (`two_leaf_known`) on every
+    two-leaf tree its three products read.  From truncation length + 1 on,
+    that is every pair.
     """
 
-    def known(g: GeneratorId, h: GeneratorId) -> bool:
-        depth = -(g.module_degree + h.module_degree)
-        return depth + 1 <= neg_degree_max or depth > res.length
-
+    known = partial(two_leaf_known, res, neg_degree_max)
     failures = []
     count = 0
     gens = [g for depth in range(1, res.length + 1) for g in res.generators(depth)]

@@ -171,6 +171,7 @@ class FreeResolution:
         self.augment = dict(augment)
         self._tree_basis_cache: dict = {}
         self._monomial_basis_cache: dict = {}
+        self._sorted_trees_cache: dict = {}
         self._weights: Optional[dict] = None
         self._validate()
 

@@ -445,3 +445,14 @@ def test_hook_product_leibniz_below_the_resolution_length(capsys, name, depth, c
     # the degree -3 generator with itself
     assert main(["run", spec_path(name), "--neg-degree-max", str(depth)]) == 0
     assert f"hook product Leibniz: pass ({checked})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_koszul_comparison_below_the_product_window(capsys, depth):
+    # koszul_hook fills trees through K, so at K = 1 and 2 the four pairs of
+    # depth-1 generators (whose two-leaf trees have degree -3) are left out;
+    # the five pairs with a depth-2 generator are forced to zero and checked
+    assert main(["run", spec_path("koszul_compare.kt"), "--neg-degree-max", str(depth)]) == 0
+    out = capsys.readouterr().out
+    assert (f"koszul comparison: pass (hook recursion + product table through degree "
+            f"{depth}, 5 of 9 generator pairs)") in out

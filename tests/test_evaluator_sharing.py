@@ -1,0 +1,224 @@
+"""Each operator evaluated once per run.
+
+The final hook's level -1 evaluator is shared by every reader of the table,
+so a run computes each tree image once; `HookMap.set_value` discards it.
+`ExtensionData.apply` inserts each tree's level -1 image and its summed
+corrections in one Leibniz pass, and must equal the sum of its levels.
+`verify_retract` and `verify_incl_proj` compute h(x) once per monomial;
+their verdicts, failure lists included, are compared with the former
+implementations, kept below as the oracle.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+import ktforest
+from ktforest.cli import check_mode, parse_spec, run
+from ktforest.extension import (solve_general_extension, solve_residues_explicit,
+                                verify_incl_proj)
+from ktforest.forest import (AlgebraElement, apply_derivation, enumerate_monomial_basis,
+                             leaf, mono_label, tree_degree)
+from ktforest.grammar import parse_hook_table
+from ktforest.kt import (CheckResult, HookMap, TreeDifferential, homotopy,
+                         project_to_resolution, solve_hook, verify_retract)
+from ktforest.poly import Poly
+from test_extension import MONOMIAL3_HOOK_LINES
+
+K = 5
+
+
+def example(name):
+    return parse_spec(ktforest.example_path(name))
+
+
+def basis_elements(res, neg_degree_max):
+    """Every basis monomial with coefficient 1 and with coefficient 1 + x_0."""
+    ring = res.ring
+    one = Poly.const(ring, 1)
+    for coeff in (one, one + Poly.variable(ring, 0)):
+        for degree in range(1, neg_degree_max + 1):
+            for mono in enumerate_monomial_basis(res, degree):
+                yield mono, AlgebraElement(ring, {mono: coeff})
+
+
+# ---------------------------------------------------------------------------
+# the shared level -1 evaluator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["quadratic.kt", "monomial_ideal.kt"])
+def test_each_tree_image_is_computed_once_per_run(monkeypatch, name):
+    computed = Counter()
+    image = TreeDifferential._image
+
+    def counting(self, node):
+        computed[node] += 1
+        return image(self, node)
+
+    monkeypatch.setattr(TreeDifferential, "_image", counting)
+    spec = example(name)
+    spec.options["neg_degree_max"] = K
+    check_mode(spec)
+    assert run(spec).all_passed()
+    # the retract check does not keep the joined trees of degree K + 1
+    twice = [node for node, n in computed.items() if n > 1 and tree_degree(node) >= -K]
+    assert computed and not twice
+
+
+def test_set_value_discards_the_shared_evaluator():
+    res = example("quadratic.kt").resolution
+    hook = solve_hook(res, K)
+    node = max(hook.table, key=tree_degree)
+    before = hook.differential().on_tree(node)
+    hook.set_value(node, hook.value(node).scale(2))
+    after = hook.differential().on_tree(node)
+    assert after != before
+    assert after == TreeDifferential(res, hook).on_tree(node)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass total differential
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, mode", [("quadratic.kt", "explicit"),
+                                        ("monomial_ideal.kt", "explicit"),
+                                        ("koszul_function.kt", "general")])
+def test_total_differential_is_the_sum_of_its_levels(name, mode):
+    spec = example(name)
+    res = spec.resolution
+    if name == "monomial_ideal.kt":
+        # the printed hook table, whose extension has a tree correction
+        hook = HookMap(res, parse_hook_table(MONOMIAL3_HOOK_LINES, spec.symbols))
+    else:
+        hook = solve_hook(res, K)
+    solver = solve_general_extension if mode == "general" else solve_residues_explicit
+    ext = solver(res, spec.positive, hook, K)
+    assert ext.level_max >= 1
+    if name == "quadratic.kt":
+        assert any(k == 1 for k, _g in ext.gen_q)  # a nonzero level-1 table
+    if name == "monomial_ideal.kt":
+        assert ext.chi
+    for mono, x in basis_elements(res, K):
+        levels = AlgebraElement.zero(res.ring)
+        for k in range(-1, ext.level_max + 1):
+            levels = levels + ext.apply_level(k, x)
+        assert ext.apply(x) == levels, mono_label(mono)
+
+
+def test_apply_derivation_skips_constant_coefficients():
+    res = example("quadratic.kt").resolution
+    ring = res.ring
+    pi1, pi2 = (leaf(res.gen_by_label(label)) for label in ("pi1", "pi2"))
+    y = Poly.variable(ring, 1)
+    x = AlgebraElement.from_tree(ring, pi1, Poly.const(ring, 3)) \
+        + AlgebraElement.from_tree(ring, pi2, y)
+    seen = []
+
+    def on_coeff(c):
+        seen.append(c)
+        return AlgebraElement.zero(ring)
+
+    apply_derivation(x, on_tree=lambda _t: None, on_coeff=on_coeff)
+    assert seen == [y]
+
+
+# ---------------------------------------------------------------------------
+# h(x) once per monomial: the former verifiers as the oracle
+# ---------------------------------------------------------------------------
+
+def former_verify_retract(res, hook, neg_degree_max):
+    differential = TreeDifferential(res, hook)
+    ring = res.ring
+    failures = []
+    monos = []
+    for degree in range(1, neg_degree_max + 1):
+        monos.extend(enumerate_monomial_basis(res, degree))
+    for mono in monos:
+        x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
+        lhs = differential.apply(homotopy(x)) + homotopy(differential.apply(x))
+        rhs = x - project_to_resolution(hook.element, x)
+        if lhs != rhs:
+            failures.append((mono_label(mono), f"lhs - rhs = {lhs - rhs}"))
+    return CheckResult("homotopy retract", not failures,
+                       f"{len(monos)} algebra monomials through negative degree {neg_degree_max}",
+                       failures)
+
+
+def former_verify_incl_proj(ext, neg_degree_max):
+    ring = ext.res.ring
+
+    def chi_total(node):
+        out = AlgebraElement.zero(ring)
+        for k in range(-1, ext.level_max + 1):
+            out = out + ext.chi_level(k, node)
+        return out
+
+    def proj(elem):
+        return project_to_resolution(chi_total, elem)
+
+    failures = []
+    count = 0
+    monos = []
+    for degree in range(1, neg_degree_max + 1):
+        monos.extend(enumerate_monomial_basis(ext.res, degree))
+    for mono in monos:
+        count += 1
+        x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
+        lhs = proj(x)
+        rhs = x - homotopy(ext.apply(x)) - ext.apply(homotopy(x))
+        if not homotopy(homotopy(x)).is_zero():
+            failures.append((mono_label(mono), "h h != 0"))
+        if lhs != rhs:
+            failures.append((mono_label(mono), f"Incl Proj mismatch: {lhs - rhs}"))
+    for depth in range(1, ext.res.length + 1):
+        for g in ext.res.generators(depth):
+            count += 1
+            x = AlgebraElement.from_tree(ring, leaf(g))
+            if proj(x) != x:
+                failures.append((g.label, "Proj Incl != Id"))
+            if not homotopy(x).is_zero():
+                failures.append((g.label, "h Incl != 0"))
+    for g in ext.pos.gens:
+        count += 1
+        x = AlgebraElement.from_positive(ring, g)
+        if proj(x) != x:
+            failures.append((g.label, "Proj Incl != Id"))
+    for mono in monos:
+        x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
+        h = homotopy(x)
+        if not h.is_zero() and not proj(h).is_zero():
+            failures.append((mono_label(mono), "Proj h != 0"))
+    return CheckResult("inclusion/projection homotopy", not failures,
+                       f"{count} monomials through negative degree {neg_degree_max}",
+                       failures)
+
+
+def verdict(check):
+    return check.passed, check.checked, check.failures
+
+
+def test_retract_matches_the_former_verifier():
+    res = example("quadratic.kt").resolution
+    hook = solve_hook(res, K)
+    retract = verify_retract(res, hook, K)
+    assert retract.passed
+    assert verdict(retract) == verdict(former_verify_retract(res, hook, K))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_incl_proj_matches_the_former_verifier(corrupt):
+    spec = example("quadratic.kt")
+    res = spec.resolution
+    ext = solve_residues_explicit(res, spec.positive, solve_hook(res, K), K)
+    if corrupt:
+        # the identity holds for any tables that the differential and the
+        # projection read alike, so the projection alone gets a doubled hook
+        chi_level = ext.chi_level
+        ext.chi_level = lambda k, node: chi_level(k, node).scale(2 if k == -1 else 1)
+    incl_proj = verify_incl_proj(ext, K - 1)
+    assert verdict(incl_proj) == verdict(former_verify_incl_proj(ext, K - 1))
+    assert incl_proj.passed == (not corrupt)
+    if corrupt:
+        assert len(incl_proj.failures) > 1

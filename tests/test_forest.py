@@ -6,9 +6,12 @@ import random
 
 import pytest
 
-from ktforest.forest import (AlgebraElement, TreeShape, absorb_O_decorations,
+import ktforest
+from ktforest.cli import parse_spec
+from ktforest.forest import (AlgebraElement, TreeShape, _mono_sort_key, absorb_O_decorations,
                              canonicalize, canonicalize_node, contract_vertex,
-                             enumerate_tree_basis, inner_vertex_count, inner_vertex_paths,
+                             enumerate_monomial_basis, enumerate_tree_basis,
+                             inner_vertex_count, inner_vertex_paths,
                              koszul_sign, leaf, leaf_count, leaf_paths, make_monomial,
                              mono_degree, root_join, root_split, subtree_at, tree_degree,
                              tree_key, tree_str, vertex_weight)
@@ -261,3 +264,63 @@ def test_root_join_five_leaf_display(monomial3_resolution):
     assert leaf_count(jtree) == 5
     assert inner_vertex_count(jtree) == 2
     assert set(jtree[1]) == {t2, t3}
+
+
+# -- basis enumeration against the former recursion ------------------------------
+
+def former_multisets_with_degree(candidates, total, min_count):
+    """The recursion before the shared candidate lists: it read each degree
+    through the cache at every step and copied `chosen` on every call."""
+    results = []
+
+    def recurse(start, remaining, chosen):
+        if remaining == 0:
+            if len(chosen) >= min_count:
+                results.append(tuple(chosen))
+            return
+        for i in range(start, len(candidates)):
+            node = candidates[i]
+            d = -tree_degree(node)
+            if d > remaining:
+                continue
+            limit = 1 if tree_degree(node) % 2 != 0 else remaining // d
+            taken = []
+            for _ in range(limit):
+                taken.append(node)
+                if d * len(taken) > remaining:
+                    break
+                recurse(i + 1, remaining - d * len(taken), chosen + taken)
+
+    recurse(0, total, [])
+    return results
+
+
+def former_tree_basis(res, neg_degree):
+    out = [leaf(g) for g in res.generators(neg_degree)]
+    if neg_degree >= 3:
+        candidates = []
+        for d in range(1, neg_degree - 1):
+            candidates.extend(former_tree_basis(res, d))
+        candidates.sort(key=tree_key)
+        for combo in former_multisets_with_degree(candidates, neg_degree - 1, 2):
+            out.append(("N", combo))
+    out.sort(key=lambda t: (leaf_count(t), inner_vertex_count(t)) + tree_key(t)[1:])
+    return tuple(out)
+
+
+def former_monomial_basis(res, neg_degree):
+    candidates = []
+    for d in range(1, neg_degree + 1):
+        candidates.extend(former_tree_basis(res, d))
+    candidates.sort(key=tree_key)
+    combos = former_multisets_with_degree(candidates, neg_degree, 1)
+    return tuple(sorted(((tuple(c), ()) for c in combos), key=_mono_sort_key))
+
+
+@pytest.mark.parametrize("name", ["quadratic.kt", "regular_sequence.kt", "monomial_ideal.kt",
+                                  "koszul_compare.kt", "koszul_function.kt"])
+def test_basis_enumeration_matches_the_former_recursion(name):
+    res = parse_spec(ktforest.example_path(name)).resolution
+    for degree in range(1, 7):
+        assert enumerate_tree_basis(res, degree) == former_tree_basis(res, degree)
+        assert enumerate_monomial_basis(res, degree) == former_monomial_basis(res, degree)

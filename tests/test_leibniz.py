@@ -167,10 +167,14 @@ def test_apply_derivation_matches_oracle_per_level(ext, x, k):
 @SETTINGS
 @given(elements, st.lists(elements, min_size=1, max_size=4))
 def test_apply_derivation_matches_oracle_on_any_images(x, table):
-    """Images of mixed degree: the sign follows each image term's degree."""
+    """Images of mixed degree: the sign follows each image term's degree.
+
+    The coefficient image is a derivation of O (d/dx times a drawn element),
+    as `apply_derivation` requires.
+    """
     images = dict(on_tree=lambda t: table[TREES.index(t) % len(table)],
                   on_positive=lambda g: table[g.index % len(table)],
-                  on_coeff=lambda c: table[-1].scale(c))
+                  on_coeff=lambda c: table[-1].scale(c.partial(0)))
     assert apply_derivation(x, **images) == leibniz_oracle(x, **images)
 
 
