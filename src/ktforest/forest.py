@@ -23,7 +23,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import Poly, RingSpec
+from .poly import Poly, RingSpec, exact
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
 Node = tuple  # ('L', GeneratorId) | ('N', (Node, ...))
@@ -319,7 +319,9 @@ def make_monomial(factors: Iterable[tuple]) -> Tuple[Optional[Monomial], int]:
 
     Factors are ('p', GeneratorId) or ('t', Node); positive generators come
     first in a monomial, each group sorted by its canonical key.  Returns
-    (None, 0) when an odd factor repeats.
+    (None, 0) when an odd factor repeats.  The reference normalizer: the
+    engine builds its monomials canonical by construction (`mono_mul`, the
+    root maps, `substitute_at_path`), and the tests compare those with it.
     """
     items = []
     for kind, obj in factors:
@@ -349,6 +351,13 @@ def _merge(xs: tuple, ys: tuple, order) -> Tuple[Optional[tuple], int]:
     degree sum); equal keys keep xs first.  Returns (merged, parity of the
     sign), or (None, 0) when an odd factor occurs in both.
     """
+    if len(xs) == 1 == len(ys):  # most products: one factor on each side
+        (kx, dx), (ky, dy) = order(xs[0]), order(ys[0])
+        if kx > ky:
+            return ys + xs, dx & dy & 1
+        if kx == ky and dy & 1:
+            return None, 0
+        return xs + ys, 0
     info = [order(x) for x in xs]
     suffix = [0] * (len(xs) + 1)
     for i in range(len(xs) - 1, -1, -1):
@@ -435,14 +444,18 @@ def accumulate(acc: dict, mono: Monomial, coeff: dict, sign: int = 1,
 
 
 def collect(ring: RingSpec, acc: dict) -> "AlgebraElement":
-    """The element of the sums built by `accumulate`, zeros dropped."""
-    out = AlgebraElement.zero(ring)
-    terms = out.terms
+    """The element of the sums built by `accumulate`, zeros dropped.
+
+    Each slot becomes the terms of its Poly as it is; only a slot where a
+    sum cancelled is filtered.
+    """
+    terms = {}
     for mono, slot in acc.items():
-        p = Poly(ring, slot)
-        if p.terms:
-            terms[mono] = p
-    return out
+        if 0 in slot.values():
+            slot = {e: v for e, v in slot.items() if v}
+        if slot:
+            terms[mono] = Poly._of(ring, slot)
+    return AlgebraElement._of(ring, terms)
 
 
 def sum_elements(ring: RingSpec, elems: Iterable["AlgebraElement"]) -> "AlgebraElement":
@@ -455,7 +468,12 @@ def sum_elements(ring: RingSpec, elems: Iterable["AlgebraElement"]) -> "AlgebraE
 
 
 class AlgebraElement:
-    """O-linear combination of canonical monomials in trees and positives."""
+    """O-linear combination of canonical monomials in trees and positives.
+
+    No stored coefficient is the zero Poly, so `is_zero` and `==` read the
+    dict as it is.  The constructor filters zeros; `_of`, for results that
+    hold none by construction, does not.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -465,9 +483,17 @@ class AlgebraElement:
 
     # -- constructors --------------------------------------------------------
 
+    @classmethod
+    def _of(cls, ring: RingSpec, terms: dict) -> "AlgebraElement":
+        """Wrap a dict known to hold no zero Poly, without copying it."""
+        elem = object.__new__(cls)
+        elem.ring = ring
+        elem.terms = terms
+        return elem
+
     @staticmethod
     def zero(ring: RingSpec) -> "AlgebraElement":
-        return AlgebraElement(ring, {})
+        return AlgebraElement._of(ring, {})
 
     @staticmethod
     def scalar(p: Poly) -> "AlgebraElement":
@@ -509,20 +535,23 @@ class AlgebraElement:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return AlgebraElement(self.ring, out)
+        return AlgebraElement._of(self.ring, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.ring, {m: -c for m, c in self.terms.items()})
+        return AlgebraElement._of(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def scale(self, value) -> "AlgebraElement":
+        # the coefficients form a domain: a nonzero multiple has no zero term
         if isinstance(value, Poly):
             if value.is_zero():
                 return AlgebraElement.zero(self.ring)
-            return AlgebraElement(self.ring, {m: value * c for m, c in self.terms.items()})
-        return AlgebraElement(self.ring, {m: c.scale(value) for m, c in self.terms.items()})
+            return AlgebraElement._of(self.ring, {m: value * c for m, c in self.terms.items()})
+        if exact(value) == 0:
+            return AlgebraElement.zero(self.ring)
+        return AlgebraElement._of(self.ring, {m: c.scale(value) for m, c in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         acc: dict = {}
@@ -545,18 +574,18 @@ class AlgebraElement:
 
     def project_products(self) -> "AlgebraElement":
         """Monomials with at least two tree factors."""
-        return AlgebraElement(self.ring, {
+        return AlgebraElement._of(self.ring, {
             m: c for m, c in self.terms.items() if len(m[0]) >= 2})
 
     def project_module(self) -> "AlgebraElement":
         """Monomials whose single tree factor is trivial (the module part)."""
-        return AlgebraElement(self.ring, {
+        return AlgebraElement._of(self.ring, {
             m: c for m, c in self.terms.items()
             if len(m[0]) == 1 and is_leaf(m[0][0])})
 
     def project_scalar(self) -> "AlgebraElement":
         """Monomials with no tree factor (the purely positive part)."""
-        return AlgebraElement(self.ring, {m: c for m, c in self.terms.items() if not m[0]})
+        return AlgebraElement._of(self.ring, {m: c for m, c in self.terms.items() if not m[0]})
 
     def module_part(self) -> ModuleElement:
         """Extract the module part; positive factors must be absent."""
@@ -613,7 +642,9 @@ def root_join(elem: AlgebraElement) -> AlgebraElement:
     """Join each product of at least two trees into one tree at a new root.
 
     A map of degree -1; positive factors pass with the Koszul sign of an odd
-    operator.  Monomials with fewer than two tree factors are rejected.
+    operator.  Monomials with fewer than two tree factors are rejected.  The
+    joined tree follows the canonical positives, so ((node,), pos) is
+    canonical as it stands.
     """
     acc: dict = {}
     for (trees, pos), c in elem.terms.items():
@@ -623,23 +654,22 @@ def root_join(elem: AlgebraElement) -> AlgebraElement:
         if node is None:
             continue
         sign *= parity_sign(mono_pos_degree((trees, pos)))
-        mono, s2 = make_monomial([("p", g) for g in pos] + [("t", node)])
-        if mono is not None:
-            accumulate(acc, mono, c.terms, sign * s2)
+        accumulate(acc, ((node,), pos), c.terms, sign)
     return collect(elem.ring, acc)
 
 
 def root_split(elem: AlgebraElement) -> AlgebraElement:
-    """Inverse of root_join: cut each non-trivial tree at its root."""
+    """Inverse of root_join: cut each non-trivial tree at its root.
+
+    The children of a canonical tree are in tree_key order and never repeat
+    an odd factor, so (children, pos) is a canonical monomial as it stands.
+    """
     acc: dict = {}
     for (trees, pos), c in elem.terms.items():
         if len(trees) != 1 or is_leaf(trees[0]):
             raise TreeError("root_split expects single non-trivial tree factors")
-        sign = parity_sign(mono_pos_degree((trees, pos)))
-        mono, s2 = make_monomial(
-            [("p", g) for g in pos] + [("t", child) for child in trees[0][1]])
-        if mono is not None:
-            accumulate(acc, mono, c.terms, sign * s2)
+        accumulate(acc, (trees[0][1], pos), c.terms,
+                   parity_sign(mono_pos_degree((trees, pos))))
     return collect(elem.ring, acc)
 
 
@@ -668,11 +698,12 @@ def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement
     decorations strictly to the left, or, when `pull_weight` is given (the
     vertex weight, inside the differential's substitution terms), with the
     parity of weight times factor degree accumulated from the odd join maps
-    along the path.  The terms are summed into `acc` by `accumulate`.
+    along the path.  The terms are summed into `acc` by `accumulate`; each
+    one's monomial is the value term's canonical positives with the new
+    tree, if any, after them.
     """
     left = left_leaf_degree(node, path) if pull_weight is None else pull_weight
     for (trees, pos), c in value.terms.items():
-        factors = [("p", g) for g in pos]
         term_sign = sign * parity_sign(sum(g.module_degree for g in pos) * left)
         if trees:
             if len(trees) != 1 or not is_leaf(trees[0]):
@@ -682,17 +713,12 @@ def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement
             raw = delete_at_path(node, path)
             if raw is None:
                 continue
-        else:
-            raw = None  # a scalar in place of the whole tree
-        if raw is not None:
-            cnode, s = canonicalize_node(raw)
-            if cnode is None:
-                continue
-            factors.append(("t", cnode))
-            term_sign *= s
-        mono, s = make_monomial(factors)
-        if mono is not None:
-            accumulate(acc, mono, c.terms, term_sign * s)
+        else:  # a scalar in place of the whole tree
+            accumulate(acc, ((), pos), c.terms, term_sign)
+            continue
+        cnode, s = canonicalize_node(raw)
+        if cnode is not None:
+            accumulate(acc, ((cnode,), pos), c.terms, term_sign * s)
 
 
 def absorb_O_decorations(ring: RingSpec, node: Node, path: tuple, f: Poly) -> AlgebraElement:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
                      collect, enumerate_monomial_basis, enumerate_tree_basis, inner_vertex_paths,
-                     is_leaf, leaf, leaf_paths, make_monomial, mono_label, parity_sign, root_join,
+                     is_leaf, leaf, leaf_paths, mono_label, mono_mul, parity_sign, root_join,
                      root_split, contract_vertex, subtree_at, substitute_at_path,
                      tree_degree, tree_str, vertex_weight, mono_pos_degree)
 from .poly import Poly
@@ -384,7 +384,7 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
     The hook gives the product of the resolution (`hook_product`), a level
     k - 1 correction table the level-k product of the extension.
     """
-    out = AlgebraElement.zero(x.ring)
+    acc: dict = {}
     for (tx, px), cx in x.terms.items():
         for (ty, py), cy in y.terms.items():
             if len(tx) != 1 or not is_leaf(tx[0]) or len(ty) != 1 or not is_leaf(ty[0]):
@@ -399,12 +399,15 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
             value = chi(cnode)
             if value.is_zero():
                 continue
-            dressed, s2 = make_monomial([("p", g) for g in px] + [("p", g) for g in py])
+            dressed, s2 = mono_mul(((), px), ((), py))
             if dressed is None:
                 continue
-            coeff = (cx * cy).scale(sign * s2)
-            out = out + AlgebraElement(x.ring, {dressed: coeff}) * value
-    return out
+            coeff = (cx * cy).terms
+            for m, c in value.terms.items():
+                mono, s3 = mono_mul(dressed, m)
+                if mono is not None:
+                    accumulate(acc, mono, c.terms, sign * s2 * s3, coeff)
+    return collect(x.ring, acc)
 
 
 def two_leaf_known(res: FreeResolution, neg_degree_max: int,

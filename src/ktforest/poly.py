@@ -105,16 +105,24 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _of(cls, ring: RingSpec, terms: dict) -> "Poly":
+        """Wrap a dict known to hold no zero coefficient, without copying it."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
     @staticmethod
     def zero(ring: RingSpec) -> "Poly":
-        return Poly(ring, {})
+        return Poly._of(ring, {})
 
     @staticmethod
     def const(ring: RingSpec, value) -> "Poly":
         c = exact(value)
         if c == 0:
             return Poly.zero(ring)
-        return Poly(ring, {(0,) * ring.num_vars: c})
+        return Poly._of(ring, {(0,) * ring.num_vars: c})
 
     @staticmethod
     def variable(ring: RingSpec, index: int) -> "Poly":
@@ -162,10 +170,10 @@ class Poly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Poly(self.ring, out)
+        return Poly._of(self.ring, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -181,13 +189,13 @@ class Poly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Poly(self.ring, out)
+        return Poly._of(self.ring, out)
 
     def scale(self, value) -> "Poly":
         c = exact(value)
         if c == 0:
             return Poly.zero(self.ring)
-        return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
+        return Poly._of(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def partial(self, index: int) -> "Poly":
         """Exact partial derivative with respect to variable `index`."""
@@ -198,7 +206,7 @@ class Poly:
             d = list(e)
             d[index] -= 1
             out[tuple(d)] = c * e[index]
-        return Poly(self.ring, out)
+        return Poly._of(self.ring, out)
 
     # -- comparison / hashing ---------------------------------------------
 

@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from ktforest.forest import (AlgebraElement, canonicalize_node, enumerate_tree_basis,
-                             leaf, make_monomial, parity_sign, root_split, tree_degree,
-                             tree_str, vertex_weight)
-from ktforest.kt import (HookMap, TreeDifferential, hook_product, solve_hook,
-                         tree_basis_elements, verify_hook, verify_hook_product_leibniz,
-                         verify_retract, verify_square_zero)
+import ktforest
+from ktforest.cli import parse_spec
+from ktforest.forest import (AlgebraElement, canonicalize_node, enumerate_monomial_basis,
+                             enumerate_tree_basis, is_leaf, leaf, make_monomial, parity_sign,
+                             tree_str)
+from ktforest.kt import (HookMap, TreeDifferential, homotopy, hook_product,
+                         project_to_resolution, solve_hook, tree_basis_elements, verify_hook,
+                         verify_hook_product_leibniz, verify_retract, verify_square_zero)
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement
 
@@ -308,3 +310,27 @@ def test_differential_raises_degree_by_one(quadratic_resolution, quadratic_hook)
         image = differential.apply(x)
         degrees = {mono_degree(m) for m in image.terms}
         assert degrees <= {mono_degree(mono) + 1}
+
+
+@pytest.mark.parametrize("name", ["koszul_compare.kt", "koszul_function.kt",
+                                  "monomial_ideal.kt", "quadratic.kt", "regular_sequence.kt"])
+def test_homotopy_joins_to_single_trees(name):
+    """h h = 0 and Proj h = 0 on every basis monomial through K = 6.
+
+    h of a basis monomial is a sum of single joined trees, so h kills it
+    again, and Proj sees no module, scalar or product part in it whatever
+    the table: `verify_incl_proj` relies on this instead of checking it.
+    """
+    res = parse_spec(ktforest.example_path(name)).resolution
+    ring = res.ring
+
+    def no_table(node):
+        pytest.fail(f"Proj h read the table on {tree_str(node)}")
+
+    for degree in range(1, 7):
+        for mono in enumerate_monomial_basis(res, degree):
+            hx = homotopy(AlgebraElement(ring, {mono: Poly.const(ring, 1)}))
+            assert (len(mono[0]) >= 2) == (not hx.is_zero())
+            assert all(len(trees) == 1 and not is_leaf(trees[0]) for trees, _ in hx.terms)
+            assert homotopy(hx).is_zero()
+            assert project_to_resolution(no_table, hx).is_zero()
