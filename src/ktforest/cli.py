@@ -60,9 +60,14 @@ class ProblemSpec:
         return int(self.options.get("poly_cap", 6))
 
 
+# rows that add to the rows before them; any other key is given once
+APPENDING_ROWS = {("ideal", "gens"), ("positive", "generators")}
+
+
 def _read_sections(text: str):
     """Split into sections of (line_number, key, value) rows."""
     sections: Dict[str, list] = {}
+    first_line: Dict[tuple, int] = {}
     current = None
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -75,11 +80,25 @@ def _read_sections(text: str):
             continue
         if current is None:
             raise SpecError("content before the first section header", number)
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        key = " ".join(key.split())
+        if not equals or not key:
             raise SpecError(f"expected 'key = value', got {stripped!r}", number)
-        key, value = line.split("=", 1)
-        sections[current].append((number, key.strip(), value.strip()))
+        if (current, key.split(" ")[0]) not in APPENDING_ROWS:
+            if (current, key) in first_line:
+                what = "option" if current == "options" else f"[{current}] row"
+                raise SpecError(f"{what} {key!r} already given on line "
+                                f"{first_line[current, key]}", number)
+            first_line[current, key] = number
+        sections[current].append((number, key, value.strip()))
     return sections
+
+
+def _degree(word: str, number: int) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise SpecError(f"generator degree must be an integer, got {word!r}", number) from None
 
 
 def _split_names(value: str) -> List[str]:
@@ -118,15 +137,10 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
     if not ideal:
         ideal = resolution.ideal_generators()
 
-    positive, symbols = _parse_positive(sections, ring, resolution, res_symbols, ideal)
+    positive, symbols = _parse_positive(sections, ring, res_symbols)
     koszul_tables = _parse_koszul_tables(sections, resolution, symbols)
 
-    options: dict = {}
-    option_line: dict = {}
-    for number, key, value in sections.get("options", []):
-        if key in options:
-            raise SpecError(f"option {key!r} already given on line {option_line[key]}", number)
-        options[key], option_line[key] = value, number
+    options = {key: value for _n, key, value in sections.get("options", [])}
 
     name = path.rsplit("/", 1)[-1]
     spec = ProblemSpec(name, ring, ideal, resolution, positive, symbols,
@@ -183,7 +197,7 @@ def _parse_resolution(sections, ring, ideal):
     for number, key, value in rows:
         parts = key.split()
         if parts[0] == "generators" and len(parts) == 2:
-            degree = int(parts[1])
+            degree = _degree(parts[1], number)
             if degree >= 0:
                 raise SpecError("resolution degrees are negative", number)
             labels = _split_names(value)
@@ -228,7 +242,7 @@ def _parse_resolution(sections, ring, ideal):
     return res, dict(by_label)
 
 
-def _parse_positive(sections, ring, resolution, res_symbols, ideal):
+def _parse_positive(sections, ring, res_symbols):
     rows = sections.get("positive")
     all_symbols = dict(res_symbols)
     if rows is None:
@@ -238,7 +252,7 @@ def _parse_positive(sections, ring, resolution, res_symbols, ideal):
     for number, key, value in rows:
         parts = key.split()
         if parts[0] == "generators" and len(parts) == 2:
-            degree = int(parts[1])
+            degree = _degree(parts[1], number)
             if degree < 1:
                 raise SpecError("positive degrees start at 1", number)
             index0 = sum(1 for g in gens if g.module_degree == degree)
@@ -270,7 +284,7 @@ def _parse_positive(sections, ring, resolution, res_symbols, ideal):
     for g in gens:
         q_on_gens.setdefault(g, AlgebraElement.zero(ring))
     try:
-        positive = PositivePart(ring, gens, q_on_vars, q_on_gens, ideal)
+        positive = PositivePart(ring, gens, q_on_vars, q_on_gens)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     return positive, symbols

@@ -20,8 +20,8 @@ correction tables on the ring variables and the positive generators.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial, reduce
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, collect,
                      enumerate_tree_basis, is_leaf, leaf, mono_label, parity_sign,
@@ -51,14 +51,11 @@ class PositivePart:
 
     def __init__(self, ring: RingSpec, gens: Sequence[GeneratorId],
                  q_on_vars: Dict[int, AlgebraElement],
-                 q_on_gens: Dict[GeneratorId, AlgebraElement],
-                 ideal: Optional[Sequence[Poly]] = None):
+                 q_on_gens: Dict[GeneratorId, AlgebraElement]):
         self.ring = ring
         self.gens = tuple(gens)
         self.q_on_vars = dict(q_on_vars)
         self.q_on_gens = dict(q_on_gens)
-        self.ideal = list(ideal) if ideal is not None else None
-        self._achievable: Optional[set] = None
         self._validate()
 
     def _validate(self):
@@ -126,34 +123,15 @@ class PositivePart:
                         f"{c} outside the ideal")
         return issues
 
-    def slice_nonempty(self, degree: int, bound: int = 64) -> bool:
+    def slice_nonempty(self, degree: int) -> bool:
         """Whether the positive algebra has monomials of the given degree."""
-        if degree == 0:
-            return True
-        if degree < 0:
-            return False
-        if self._achievable is None or degree > bound:
-            achievable = {0}
-            for g in self.gens:
-                d = g.module_degree
-                if d % 2 != 0:
-                    achievable |= {a + d for a in achievable if a + d <= bound}
-                else:
-                    new = set(achievable)
-                    for a in achievable:
-                        k = a + d
-                        while k <= bound:
-                            new.add(k)
-                            k += d
-                    achievable = new
-            self._achievable = achievable
-        return degree in self._achievable
-
-    def gen_by_label(self, label: str) -> GeneratorId:
+        reachable = {0}  # degrees of monomials through `degree`
         for g in self.gens:
-            if g.label == label:
-                return g
-        raise ValueError(f"unknown positive generator {label!r}")
+            d = g.module_degree
+            # an odd generator squares to zero
+            powers = range(d, d + 1) if d % 2 else range(d, degree + 1, d)
+            reachable |= {a + p for a in reachable for p in powers if a + p <= degree}
+        return degree in reachable
 
 
 def check_ideal_preserved(pos: PositivePart, ideal: Sequence[Poly],
@@ -194,7 +172,14 @@ def choose_nabla0(res: FreeResolution, pos: PositivePart,
 # ---------------------------------------------------------------------------
 
 class ExtensionData:
-    """Solved correction tables plus the evaluator for the total differential."""
+    """Solved correction tables plus the evaluator for the total differential.
+
+    Q is the sum of its levels: level -1 is the hook's tree differential,
+    and level k >= 0 reads the level-k tables.  One evaluator,
+    `q_level_on_tree`, gives Q summed over a range of levels >= 0;
+    `apply_level(k)` runs it on levels k..k, and `apply` on levels
+    0..level_max beside level -1.
+    """
 
     def __init__(self, res: FreeResolution, pos: PositivePart, hook: HookMap,
                  mode: str = "explicit", nabla0: Optional[dict] = None,
@@ -211,106 +196,92 @@ class ExtensionData:
         self.var_q: Dict[Tuple[int, int], AlgebraElement] = {}
         self.vgen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
         self.level_max = -1
-        self._tree_memo: Dict[Tuple[int, Node], AlgebraElement] = {}
-        # corrections summed over levels 0..level_max, built for
-        # `_total_level`; keyed by tree, or by ("positive", generator).  The
-        # level -1 images stay in the hook's evaluator.
-        self._total_memo: Dict[object, AlgebraElement] = {}
-        self._total_level = None
+        # images of Q summed over a range of levels >= 0, by source (a tree,
+        # a leaf or a positive generator) and then by range
+        self._tree_memo: Dict[object, Dict[range, AlgebraElement]] = {}
 
-    # -- per-level generator images ------------------------------------------
+    # -- the tables of one level >= 0 ----------------------------------------
 
     def q_level_on_gen(self, k: int, g: GeneratorId) -> AlgebraElement:
-        if k == -1:
-            return self.hook.differential().leaf_value(g)
         return self.gen_q.get((k, g), AlgebraElement.zero(self.res.ring))
 
     def chi_level(self, k: int, node: Node) -> AlgebraElement:
+        """The hook correction of a tree at level k; level -1 is the hook."""
         if k == -1:
             return self.hook.element(node)
         return self.chi.get((k, node), AlgebraElement.zero(self.res.ring))
 
+    def chi_levels(self, levels: range, node: Node) -> AlgebraElement:
+        """The hook corrections of a tree summed over `levels`."""
+        return sum_elements(self.res.ring, (self.chi_level(k, node) for k in levels))
+
     def q_level_on_positive(self, k: int, g: GeneratorId) -> AlgebraElement:
-        if k == -1:
-            return AlgebraElement.zero(self.res.ring)
         if k == 0:
             return self.pos.q_on_gens[g]
         return self.vgen_q.get((k, g), AlgebraElement.zero(self.res.ring))
 
-    def q_level_on_coeff(self, k: int, c: Poly) -> Optional[AlgebraElement]:
-        if k == -1:
-            return None
+    def q_level_on_coeff(self, k: int, c: Poly) -> AlgebraElement:
         if k == 0:
             return self.pos.qplus_poly(c)
-        out = AlgebraElement.zero(self.res.ring)
-        for (kk, j), val in self.var_q.items():
-            if kk != k:
-                continue
-            dc = c.partial(j)
-            if not dc.is_zero():
-                out = out + val.scale(dc)
-        return out
+        return sum_elements(self.res.ring, (val.scale(c.partial(j))
+                                            for (kk, j), val in self.var_q.items() if kk == k))
 
-    def q_level_on_tree(self, k: int, node: Node) -> AlgebraElement:
-        if is_leaf(node) or k == -1:
-            return self._level_image(k, node)
-        key = (k, node)
-        cached = self._tree_memo.get(key)
-        if cached is None:
-            cached = self._tree_memo[key] = self._level_image(k, node)
-        return cached
+    # -- Q summed over a range of levels >= 0 ------------------------------------
 
-    def _level_image(self, k: int, node: Node) -> AlgebraElement:
-        """The level-k image of a tree; not memoized here for k >= 0."""
-        if is_leaf(node):
-            return self.q_level_on_gen(k, node[1])
-        if k == -1:
-            return self.hook.differential().on_tree(node)
+    def q_level_on_tree(self, levels: range, source) -> AlgebraElement:
+        """Q summed over `levels` on a tree, a leaf or a positive generator.
+
+        Memoized by source and then by range; `forget` drops a source.
+        """
+        images = self._tree_memo.setdefault(source, {})
+        image = images.get(levels)
+        if image is None:
+            image = images[levels] = self._image(levels, source)
+        return image
+
+    def _image(self, levels: range, source) -> AlgebraElement:
+        ring = self.res.ring
+        if isinstance(source, GeneratorId):
+            return sum_elements(ring, (self.q_level_on_positive(k, source) for k in levels))
+        if is_leaf(source):
+            return sum_elements(ring, (self.q_level_on_gen(k, source[1]) for k in levels))
         if self.mode != "general":
-            return self._tree_formula(k, node, include_root_hook=True)
-        if (k, node) in self.tree_q:
-            return self.tree_q[(k, node)]
-        if k - tree_degree(node) > self.neg_degree_max:
-            raise TruncationError(f"level {k} table not solved for {tree_str(node)}")
-        return AlgebraElement.zero(self.res.ring)
+            return self._tree_formula(levels, source, include_root=True)
+        for k in levels:
+            if (k, source) not in self.tree_q and k - tree_degree(source) > self.neg_degree_max:
+                raise TruncationError(f"level {k} table not solved for {tree_str(source)}")
+        return sum_elements(ring, (self.tree_q[k, source] for k in levels
+                                   if (k, source) in self.tree_q))
 
-    def _tree_formula(self, k: int, node: Node, include_root_hook: bool) -> AlgebraElement:
-        """Level-k action on a tree: corrected leaves plus hook substitutions."""
+    def _tree_formula(self, levels: range, node: Node, include_root: bool) -> AlgebraElement:
+        """Corrected leaves plus hook substitutions, one walk for all `levels`."""
         acc: dict = {}
-        add_tree_formula(acc, node, lambda g: self.q_level_on_gen(k, g),
-                         lambda t: self.chi_level(k, t), include_root_hook)
+        add_tree_formula(acc, node, lambda g: self.q_level_on_tree(levels, leaf(g)),
+                         lambda t: self.chi_levels(levels, t), include_root)
         return collect(self.res.ring, acc)
 
-    def forget(self, k: int, node: Node):
-        """Drop the memoized images of a tree whose level-k table changed."""
-        self._tree_memo.pop((k, node), None)
-        self._total_memo.pop(node, None)
+    def forget(self, node: Node):
+        """Drop the memoized images of a source whose table changed."""
+        self._tree_memo.pop(node, None)
 
     # -- assembled operators ------------------------------------------------------
 
     def apply_level(self, k: int, elem: AlgebraElement) -> AlgebraElement:
-        return apply_derivation(
-            elem,
-            on_tree=lambda node: self.q_level_on_tree(k, node),
-            on_positive=lambda g: self.q_level_on_positive(k, g),
-            on_coeff=lambda c: self.q_level_on_coeff(k, c),
-        )
+        """The level-k piece of Q; level -1 is the hook's tree differential."""
+        if k == -1:
+            return self.hook.differential().apply(elem)
+        return self._apply_levels(range(k, k + 1), elem)
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         """The total differential in one Leibniz pass.
 
         Each tree factor gets its level -1 image, from the hook's evaluator,
-        and its corrections summed over levels 0..level_max; positive
-        factors and coefficients get their images summed over the levels.
+        and its image summed over levels 0..level_max; positive factors and
+        coefficients get their images summed over those levels.
         """
-        if self._total_level != self.level_max:
-            self._total_memo.clear()
-            self._total_level = self.level_max
         try:
-            return apply_derivation(elem, on_tree=self.hook.differential().on_tree,
-                                    on_positive=self._positive_total,
-                                    on_coeff=self._total_on_coeff,
-                                    on_tree_extra=self._corrections)
+            return self._apply_levels(range(0, self.level_max + 1), elem,
+                                      self.hook.differential().on_tree)
         except TruncationError:
             # report the first missing table in level order, as the sum of
             # apply_level over the levels meets it
@@ -318,46 +289,17 @@ class ExtensionData:
                 self.apply_level(k, elem)
             raise
 
-    def _levels(self):
-        return range(0, self.level_max + 1)
+    def _apply_levels(self, levels: range, elem: AlgebraElement,
+                      delta: Optional[Callable[[Node], AlgebraElement]] = None
+                      ) -> AlgebraElement:
+        """Q summed over `levels` by the Leibniz rule, plus the tree images `delta`."""
+        image = partial(self.q_level_on_tree, levels)
 
-    def _corrections(self, node: Node) -> AlgebraElement:
-        """The images of a tree at levels 0..level_max, summed and memoized.
+        def on_coeff(c):
+            return sum_elements(self.res.ring, (self.q_level_on_coeff(k, c) for k in levels))
 
-        Outside general mode the levels share one tree-formula walk, with
-        level-summed leaf and hook values; general mode sums its solved
-        tables.
-        """
-        cached = self._total_memo.get(node)
-        if cached is None:
-            ring = self.res.ring
-            if self.mode == "general" or is_leaf(node):
-                cached = sum_elements(ring, (self._level_image(k, node) for k in self._levels()))
-            else:
-                acc: dict = {}
-                add_tree_formula(acc, node, lambda g: self._corrections(leaf(g)),
-                                 self._chi_corrections, include_root=True)
-                cached = collect(ring, acc)
-            self._total_memo[node] = cached
-        return cached
-
-    def _chi_corrections(self, node: Node) -> AlgebraElement:
-        return sum_elements(self.res.ring, (self.chi[k, node] for k in self._levels()
-                                            if (k, node) in self.chi))
-
-    def _positive_total(self, g: GeneratorId) -> AlgebraElement:
-        key = ("positive", g)
-        cached = self._total_memo.get(key)
-        if cached is None:
-            cached = self._total_memo[key] = sum_elements(
-                self.res.ring, (self.q_level_on_positive(k, g) for k in self._levels()))
-        return cached
-
-    def _total_on_coeff(self, c: Poly) -> AlgebraElement:
-        return sum_elements(self.res.ring, (self.q_level_on_coeff(k, c) for k in self._levels()))
-
-    def q_on_gen_total(self, g: GeneratorId) -> AlgebraElement:
-        return self.apply(AlgebraElement.from_tree(self.res.ring, leaf(g)))
+        return apply_derivation(elem, delta or image, image, on_coeff,
+                                on_tree_extra=image if delta else None)
 
     # -- reporting -------------------------------------------------------------------
 
@@ -506,15 +448,15 @@ def _solve_level_on_generators(ext: ExtensionData, k: int):
 def _solve_level_on_trees(ext: ExtensionData, k: int):
     res, ring = ext.res, ext.res.ring
     top = min(res.length - k, ext.neg_degree_max)
+    if not ext.pos.slice_nonempty(k + 1):
+        return
     for degree in range(3, top + 1):
         for node in enumerate_tree_basis(res, degree):
             if is_leaf(node):
                 continue
-            if not ext.pos.slice_nonempty(k + 1):
-                continue
             x = AlgebraElement.from_tree(ring, node)
-            partial = ext._tree_formula(k, node, include_root_hook=False)
-            forced = ext.apply_level(-1, partial) \
+            without_root = ext._tree_formula(range(k, k + 1), node, include_root=False)
+            forced = ext.apply_level(-1, without_root) \
                 + ext.apply_level(k, ext.apply_level(-1, x)) \
                 + _sum_lower_level_squares(ext, k, x)
             if not forced.has_only_module_and_scalar():
@@ -526,7 +468,7 @@ def _solve_level_on_trees(ext: ExtensionData, k: int):
                                  "no preimage under the resolution differential")
             if not lifted.is_zero():
                 ext.chi[(k, node)] = lifted
-                ext.forget(k, node)
+                ext.forget(node)
 
 
 def _assert_square_on_generators(ext: ExtensionData, k: int):
@@ -623,7 +565,7 @@ def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMa
                     value = preimage_or_raise(f"residue level {k}", tree_str(node), closed)
                     if not value.is_zero():
                         ext.tree_q[(k, node)] = value
-                        ext.forget(k, node)
+                        ext.forget(node)
             ext.level_max = max(ext.level_max, k)
     return ext
 
@@ -664,7 +606,7 @@ def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
             failures.append((label, f"square residue {residue}"))
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):
-            img = ext.q_on_gen_total(g)
+            img = ext.apply(AlgebraElement.from_tree(ring, leaf(g)))
             if not img.has_only_module_and_scalar():
                 failures.append((g.label, "image leaves module x positives"))
     checked = (f"{count} sources, trees through negative degree {tree_window}")
@@ -695,21 +637,17 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     relation h Incl = 0 on the monomial basis.  The side relations h h = 0
     and Proj h = 0 hold by construction, since h of a basis monomial is a
     sum of single joined trees; a test checks that on every bundled spec.
+    The identities hold for any leaf, hook and correction tables that Q and
+    the projection read alike, so they check the evaluator against the
+    projection, not the solved values (`verify_extension` checks those).
     """
     from .forest import enumerate_monomial_basis
 
     ring = ext.res.ring
-    chi_memo: Dict[Node, AlgebraElement] = {}
-
-    def chi_total(node):  # the hook plus every correction table
-        value = chi_memo.get(node)
-        if value is None:
-            value = chi_memo[node] = sum_elements(
-                ring, (ext.chi_level(k, node) for k in range(-1, ext.level_max + 1)))
-        return value
+    levels = range(-1, ext.level_max + 1)  # the hook plus every correction table
 
     def proj(elem, joined=None):
-        return project_to_resolution(chi_total, elem, joined)
+        return project_to_resolution(partial(ext.chi_levels, levels), elem, joined)
 
     failures = []
     count = 0
@@ -754,14 +692,9 @@ def higher_product(ext: ExtensionData, a: ModuleElement, b: ModuleElement,
     Level 0 is the product of the plain hook; level k >= 1 reads the level
     (k-1) correction table on two-leaf trees.
     """
-    return _star_extended(ext, AlgebraElement.from_module_element(a),
-                          AlgebraElement.from_module_element(b), k)
-
-
-def _star_extended(ext: ExtensionData, x: AlgebraElement, y: AlgebraElement,
-                   k: int) -> AlgebraElement:
-    """The level-k product on (module x positives)-valued arguments."""
-    return two_leaf_product(x, y, lambda t: ext.chi_level(k - 1, t))
+    return two_leaf_product(AlgebraElement.from_module_element(a),
+                            AlgebraElement.from_module_element(b),
+                            partial(ext.chi_level, k - 1))
 
 
 def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
@@ -792,10 +725,11 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
             rhs = AlgebraElement.zero(ring)
             for m in range(0, k):
                 n = k - 1 - m
+                chi = partial(ext.chi_level, n - 1)
                 rhs = rhs - ext.apply_level(m, higher_product(ext, ea, eb, n))
-                rhs = rhs + _star_extended(ext, ext.q_level_on_gen(m, a), eb_alg, n)
-                rhs = rhs + _star_extended(
-                    ext, ea_alg, ext.q_level_on_gen(m, b), n).scale(parity_sign(i))
+                rhs = rhs + two_leaf_product(ext.q_level_on_gen(m, a), eb_alg, chi)
+                rhs = rhs + two_leaf_product(
+                    ea_alg, ext.q_level_on_gen(m, b), chi).scale(parity_sign(i))
             if lhs != rhs:
                 failures.append((f"{a.label} *_{k} {b.label}",
                                  f"defect mismatch: {lhs - rhs}"))

@@ -304,7 +304,10 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
 def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> CheckResult:
     """delta h + h delta = Id - (inclusion of the projection), per monomial.
 
-    The images of the joined trees h(x) of degree K + 1 are not memoized:
+    The identity holds for any hook table, since the differential and the
+    projection read the same one: it checks the tree formula against the
+    projection, not the solved values (`verify_hook` checks those).  The
+    images of the joined trees h(x) of degree K + 1 are not memoized:
     this check reads each of them once, and the extension reads some of
     them (none over a Taylor resolution), which costs less to recompute
     than to keep.

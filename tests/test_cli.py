@@ -456,3 +456,71 @@ def test_koszul_comparison_below_the_product_window(capsys, depth):
     out = capsys.readouterr().out
     assert (f"koszul comparison: pass (hook recursion + product table through degree "
             f"{depth}, 5 of 9 generator pairs)") in out
+
+
+def _edited_spec(tmp_path, name, line, replacement):
+    """A bundled spec with one of its lines replaced; also returns the line
+    number of the replacement's last line."""
+    lines = open(spec_path(name), encoding="utf-8").read().splitlines()
+    at = lines.index(line)
+    new = replacement.splitlines()
+    lines[at:at + 1] = new
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), at + len(new)
+
+
+REPEATED_ROWS = [
+    ("quadratic.kt", "vars = x, y", "vars = x, y\nvars = x, y, z"),
+    ("quadratic.kt", "Q x = x*xi1 + y*xi2", "Q x = x*xi1 + y*xi2\nQ x = x*xi1"),
+    ("quadratic.kt", "Q xi1 = -y*eta1 + xi2*xi3", "Q xi1 = -y*eta1 + xi2*xi3\nQ  xi1 = 0"),
+    ("quadratic.kt", "d pi = x*pi2 - y*pi1", "d pi = x*pi2 - y*pi1\nd pi = x*pi2"),
+    ("quadratic.kt", "augment pi1 = x^2", "augment pi1 = x^2\naugment pi1 = x^3"),
+    ("quadratic.kt", "generators -2 = pi, pib", "generators -2 = pi\ngenerators -2 = pib"),
+    ("koszul_compare.kt", "Q0 e1 = -2*x*e1*xi11 - 2*x*e2*xi12",
+     "Q0 e1 = -2*x*e1*xi11 - 2*x*e2*xi12\nQ0 e1 = 0"),
+]
+
+
+@pytest.mark.parametrize("name, line, replacement", REPEATED_ROWS,
+                         ids=["vars", "Q-variable", "Q-generator", "d", "augment",
+                              "resolution-generators", "koszul-Q0"])
+def test_repeated_row_is_an_input_error(tmp_path, name, line, replacement):
+    path, second = _edited_spec(tmp_path, name, line, replacement)
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value).startswith(f"line {second}: ")
+    assert f"already given on line {second - 1}" in str(err.value)
+    code, out, err_text = run_cli("run", path)
+    assert code == 2 and out == "" and "input error" in err_text
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("gens = x^2, x*y, y^2", "gens = x^2, x*y\ngens = y^2"),
+    ("generators 1 = xi1, xi2, xi3, xi4", "generators 1 = xi1, xi2\ngenerators 1 = xi3, xi4"),
+], ids=["ideal-gens", "positive-generators"])
+def test_appending_rows_stay_accepted(tmp_path, line, replacement):
+    bundled = parse_spec(spec_path("quadratic.kt"))
+    spec = parse_spec(_edited_spec(tmp_path, "quadratic.kt", line, replacement)[0])
+    assert spec.ideal == bundled.ideal
+    assert spec.positive.gens == bundled.positive.gens
+
+
+def test_row_without_a_key_is_an_input_error(tmp_path):
+    path, number = _edited_spec(tmp_path, "quadratic.kt", "d pi = x*pi2 - y*pi1", " = x*pi2")
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == f"line {number}: expected 'key = value', got '= x*pi2'"
+    code, out, err_text = run_cli("run", path)
+    assert code == 2 and out == "" and "Traceback" not in err_text
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("generators -2 = pi, pib", "generators -x = pi, pib"),
+    ("generators 2 = eta1, eta2", "generators two = eta1, eta2"),
+], ids=["resolution", "positive"])
+def test_non_integer_generator_degree_names_its_line(tmp_path, line, replacement):
+    path, number = _edited_spec(tmp_path, "quadratic.kt", line, replacement)
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value).startswith(f"line {number}: generator degree must be an integer")

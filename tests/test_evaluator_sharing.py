@@ -2,8 +2,9 @@
 
 The final hook's level -1 evaluator is shared by every reader of the table,
 so a run computes each tree image once; `HookMap.set_value` discards it.
-`ExtensionData.apply` inserts each tree's level -1 image and its summed
-corrections in one Leibniz pass, and must equal the sum of its levels.
+`ExtensionData` has one evaluator for Q summed over a range of levels:
+`apply_level(k)` must equal the former per-level evaluator, kept below as
+the oracle, at every level, and `apply` the sum of its levels.
 `verify_retract` and `verify_incl_proj` compute h(x) once per monomial;
 their verdicts, failure lists included, are compared with the former
 implementations, kept below as the oracle.
@@ -17,15 +18,16 @@ import pytest
 
 import ktforest
 from ktforest.cli import check_mode, parse_spec, run
-from ktforest.extension import (solve_general_extension, solve_residues_explicit,
-                                verify_incl_proj)
-from ktforest.forest import (AlgebraElement, apply_derivation, enumerate_monomial_basis,
-                             leaf, mono_label, tree_degree)
+from ktforest.extension import (TruncationError, koszul_mode, solve_general_extension,
+                                solve_residues_explicit, verify_incl_proj)
+from ktforest.forest import (AlgebraElement, apply_derivation, collect,
+                             enumerate_monomial_basis, is_leaf, leaf, mono_label,
+                             sum_elements, tree_degree, tree_str)
 from ktforest.grammar import parse_hook_table
-from ktforest.kt import (CheckResult, HookMap, TreeDifferential, homotopy,
+from ktforest.kt import (CheckResult, HookMap, TreeDifferential, add_tree_formula, homotopy,
                          project_to_resolution, solve_hook, verify_retract)
 from ktforest.poly import Poly
-from test_extension import MONOMIAL3_HOOK_LINES
+from test_extension import MONOMIAL3_HOOK_LINES, make_positive
 
 K = 5
 
@@ -79,32 +81,103 @@ def test_set_value_discards_the_shared_evaluator():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass total differential
+# the one evaluator against the former per-level evaluator
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name, mode", [("quadratic.kt", "explicit"),
-                                        ("monomial_ideal.kt", "explicit"),
-                                        ("koszul_function.kt", "general")])
-def test_total_differential_is_the_sum_of_its_levels(name, mode):
+def former_apply_level(ext):
+    """The per-level evaluator before the levels shared one: level -1 is a
+    fresh tree differential, and each level k >= 0 reads its own tables with
+    one tree-formula walk per tree, unmemoized.  Kept as the oracle."""
+    ring = ext.res.ring
+    zero = AlgebraElement.zero(ring)
+    delta = TreeDifferential(ext.res, ext.hook)
+
+    def level_image(k, node):
+        if is_leaf(node):
+            return ext.gen_q.get((k, node[1]), zero)
+        if ext.mode != "general":
+            acc = {}
+            add_tree_formula(acc, node, lambda g: ext.gen_q.get((k, g), zero),
+                             lambda t: ext.chi.get((k, t), zero), include_root=True)
+            return collect(ring, acc)
+        if (k, node) in ext.tree_q:
+            return ext.tree_q[(k, node)]
+        if k - tree_degree(node) > ext.neg_degree_max:
+            raise TruncationError(f"level {k} table not solved for {tree_str(node)}")
+        return zero
+
+    def on_coeff(k, c):
+        if k == 0:
+            return ext.pos.qplus_poly(c)
+        out = zero
+        for (kk, j), val in ext.var_q.items():
+            if kk == k and not c.partial(j).is_zero():
+                out = out + val.scale(c.partial(j))
+        return out
+
+    def apply_level(k, elem):
+        if k == -1:
+            return delta.apply(elem)
+        return apply_derivation(
+            elem, on_tree=lambda node: level_image(k, node),
+            on_positive=lambda g: ext.pos.q_on_gens[g] if k == 0
+            else ext.vgen_q.get((k, g), zero),
+            on_coeff=lambda c: on_coeff(k, c))
+
+    return apply_level
+
+
+def outcome(evaluate, *args):
+    """The value, or the message of the TruncationError raised instead."""
+    try:
+        return evaluate(*args)
+    except TruncationError as missing:
+        return str(missing)
+
+
+def solved_extension(name, mode):
     spec = example(name)
-    res = spec.resolution
+    res, positive = spec.resolution, spec.positive
+    if mode == "koszul-compare":
+        return koszul_mode(res, positive, spec.koszul_tables, K)[0]
+    if name == "quadratic.kt" and mode == "general":
+        # squares to zero only modulo the ideal: corrections on the variables
+        positive, _ = make_positive(res.ring, {1: ["z1", "z2"]},
+                                    q_vars={"x": "y^2*z1", "y": "x^2*z2"},
+                                    q_gens={"z1": "0*z1", "z2": "0*z2"})
     if name == "monomial_ideal.kt":
         # the printed hook table, whose extension has a tree correction
         hook = HookMap(res, parse_hook_table(MONOMIAL3_HOOK_LINES, spec.symbols))
     else:
         hook = solve_hook(res, K)
     solver = solve_general_extension if mode == "general" else solve_residues_explicit
-    ext = solver(res, spec.positive, hook, K)
+    return solver(res, positive, hook, K)
+
+
+@pytest.mark.parametrize("name, mode", [("quadratic.kt", "explicit"),
+                                        ("monomial_ideal.kt", "explicit"),
+                                        ("koszul_function.kt", "general"),
+                                        ("quadratic.kt", "general"),
+                                        ("koszul_compare.kt", "koszul-compare")])
+def test_total_differential_is_the_sum_of_its_levels(name, mode):
+    ext = solved_extension(name, mode)
+    res = ext.res
     assert ext.level_max >= 1
-    if name == "quadratic.kt":
+    if name in ("quadratic.kt", "koszul_compare.kt"):
         assert any(k == 1 for k, _g in ext.gen_q)  # a nonzero level-1 table
     if name == "monomial_ideal.kt":
         assert ext.chi
+    if mode == "general" and name == "quadratic.kt":
+        assert ext.var_q
+    former = former_apply_level(ext)
     for mono, x in basis_elements(res, K):
-        levels = AlgebraElement.zero(res.ring)
-        for k in range(-1, ext.level_max + 1):
-            levels = levels + ext.apply_level(k, x)
-        assert ext.apply(x) == levels, mono_label(mono)
+        levels = [outcome(former, k, x) for k in range(-1, ext.level_max + 1)]
+        for k, level in enumerate(levels, start=-1):
+            assert outcome(ext.apply_level, k, x) == level, (k, mono_label(mono))
+        # the first table missing in level order, or the sum of the levels
+        missing = [level for level in levels if isinstance(level, str)]
+        total = missing[0] if missing else sum_elements(res.ring, levels)
+        assert outcome(ext.apply, x) == total, mono_label(mono)
 
 
 def test_apply_derivation_skips_constant_coefficients():
@@ -149,14 +222,14 @@ def former_verify_retract(res, hook, neg_degree_max):
 def former_verify_incl_proj(ext, neg_degree_max):
     ring = ext.res.ring
 
-    def chi_total(node):
+    def hook_total(node):
         out = AlgebraElement.zero(ring)
         for k in range(-1, ext.level_max + 1):
             out = out + ext.chi_level(k, node)
         return out
 
     def proj(elem):
-        return project_to_resolution(chi_total, elem)
+        return project_to_resolution(hook_total, elem)
 
     failures = []
     count = 0

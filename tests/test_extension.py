@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -154,6 +155,19 @@ def test_non_preserving_derivation_fails(ring_xy, quadratic_resolution):
                            q_vars={"y": "xi"}, q_gens={"xi": "0*xi"})
     report = check_ideal_preserved(pos, quadratic_resolution.ideal_generators())
     assert not report.passed  # derivative of y^2 is 2*y*xi, and y is not in the ideal
+
+
+@pytest.mark.parametrize("degrees", [(), (1,), (2,), (1, 1, 2), (3, 5), (2, 3), (4, 6, 7)])
+def test_slice_nonempty_matches_brute_force(ring_xy, degrees):
+    """Degrees of positive monomials, enumerated exponent by exponent; odd
+    generators square to zero.  Degrees reach past 64."""
+    gens = [GeneratorId(d, i, f"p{i}") for i, d in enumerate(degrees)]
+    pos = PositivePart(ring_xy, gens, {}, {g: AlgebraElement.zero(ring_xy) for g in gens})
+    top = 70
+    exponents = [range(2) if d % 2 else range(top // d + 1) for d in degrees]
+    reached = {sum(e * d for e, d in zip(exps, degrees)) for exps in product(*exponents)}
+    for degree in range(-2, top + 1):
+        assert pos.slice_nonempty(degree) == (degree in reached), degree
 
 
 # -- the worked quadratic example ---------------------------------------------------

@@ -157,10 +157,14 @@ def test_algebra_product_matches_sorting(x, y):
 @given(elements, st.integers(-1, 1))
 def test_apply_derivation_matches_oracle_per_level(ext, x, k):
     k = min(k, ext.level_max)
-    images = dict(on_tree=lambda t: ext.q_level_on_tree(k, t),
-                  on_positive=lambda g: ext.q_level_on_positive(k, g)
-                  if g in SPEC.positive.gens else None,
-                  on_coeff=lambda c: ext.q_level_on_coeff(k, c))
+    if k == -1:
+        images = dict(on_tree=ext.hook.differential().on_tree)
+    else:
+        level = range(k, k + 1)
+        images = dict(on_tree=lambda t: ext.q_level_on_tree(level, t),
+                      on_positive=lambda g: ext.q_level_on_tree(level, g)
+                      if g in SPEC.positive.gens else None,
+                      on_coeff=lambda c: ext.q_level_on_coeff(k, c))
     assert apply_derivation(x, **images) == leibniz_oracle(x, **images)
 
 

@@ -53,8 +53,8 @@ def test_memoized_images_store_no_zero(monkeypatch, name, mode):
     check_mode(spec)
     assert run(spec).all_passed()
     (ext,) = solved
-    memos = [ext.hook.differential()._memo, ext._tree_memo, ext._total_memo]
-    images = [value for memo in memos for value in memo.values()]
+    images = list(ext.hook.differential()._memo.values())
+    images += [value for by_range in ext._tree_memo.values() for value in by_range.values()]
     assert images and any(not value.is_zero() for value in images)
     for value in images:
         assert_no_stored_zero(value)
