@@ -196,6 +196,7 @@ class ExtensionData:
         self.var_q: Dict[Tuple[int, int], AlgebraElement] = {}
         self.vgen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
         self.level_max = -1
+        self._zero = AlgebraElement.zero(res.ring)  # every absent table entry
         # images of Q summed over a range of levels >= 0, by source (a tree,
         # a leaf or a positive generator) and then by range
         self._tree_memo: Dict[object, Dict[range, AlgebraElement]] = {}
@@ -203,13 +204,13 @@ class ExtensionData:
     # -- the tables of one level >= 0 ----------------------------------------
 
     def q_level_on_gen(self, k: int, g: GeneratorId) -> AlgebraElement:
-        return self.gen_q.get((k, g), AlgebraElement.zero(self.res.ring))
+        return self.gen_q.get((k, g), self._zero)
 
     def chi_level(self, k: int, node: Node) -> AlgebraElement:
         """The hook correction of a tree at level k; level -1 is the hook."""
         if k == -1:
             return self.hook.element(node)
-        return self.chi.get((k, node), AlgebraElement.zero(self.res.ring))
+        return self.chi.get((k, node), self._zero)
 
     def chi_levels(self, levels: range, node: Node) -> AlgebraElement:
         """The hook corrections of a tree summed over `levels`."""
@@ -218,7 +219,7 @@ class ExtensionData:
     def q_level_on_positive(self, k: int, g: GeneratorId) -> AlgebraElement:
         if k == 0:
             return self.pos.q_on_gens[g]
-        return self.vgen_q.get((k, g), AlgebraElement.zero(self.res.ring))
+        return self.vgen_q.get((k, g), self._zero)
 
     def q_level_on_coeff(self, k: int, c: Poly) -> AlgebraElement:
         if k == 0:
@@ -659,9 +660,10 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
         hx = homotopy(x)
         lhs = proj(x, hx)
-        rhs = x - homotopy(ext.apply(x)) - ext.apply(hx)
-        if lhs != rhs:
-            failures.append((mono_label(mono), f"Incl Proj mismatch: {lhs - rhs}"))
+        h_q = homotopy(ext.apply(x))
+        q_h = ext.apply(hx)
+        if not sum_elements(ring, (lhs, -x, h_q, q_h)).is_zero():
+            failures.append((mono_label(mono), f"Incl Proj mismatch: {lhs - (x - h_q - q_h)}"))
     # Proj Incl = Id on core monomials: trivial tree and pure positive samples
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
                      collect, enumerate_monomial_basis, enumerate_tree_basis, inner_vertex_paths,
                      is_leaf, leaf, leaf_paths, mono_label, mono_mul, parity_sign, root_join,
-                     root_split, contract_vertex, subtree_at, substitute_at_path,
+                     root_split, contract_vertex, subtree_at, substitute_at_path, sum_elements,
                      tree_degree, tree_str, vertex_weight, mono_pos_degree)
 from .poly import Poly
 from .resolution import FreeResolution, GeneratorId, ModuleElement
@@ -57,7 +57,9 @@ class HookMap:
     """O-linear table assigning a module element to each basis tree.
 
     Missing entries are zero; entries on trees whose value module does not
-    exist are forced to zero and never stored.
+    exist are forced to zero and never stored.  Each entry is also kept as
+    an algebra element, and every tree without an entry reads one shared
+    zero of each kind.
 
     The map owns the level -1 evaluator of its table (`differential`), so
     that every reader of the final table (the verifiers and the extension)
@@ -67,6 +69,9 @@ class HookMap:
     def __init__(self, res: FreeResolution, table: Optional[dict] = None):
         self.res = res
         self.table: Dict[Node, ModuleElement] = {}
+        self._elements: Dict[Node, AlgebraElement] = {}
+        self._zero = ModuleElement.zero(res.ring)
+        self._zero_element = AlgebraElement.zero(res.ring)
         self._differential: Optional[TreeDifferential] = None
         for node, val in (table or {}).items():
             self.set_value(node, val)
@@ -88,19 +93,21 @@ class HookMap:
             value = value.scale(sign)
         if value.is_zero():
             self.table.pop(cnode, None)
+            self._elements.pop(cnode, None)
         else:
             expected = tree_degree(cnode) + 1
             if value.degrees() - {expected}:
                 raise ValueError(
                     f"hook value for {tree_str(cnode)} must be homogeneous of degree {expected}")
             self.table[cnode] = value
+            self._elements[cnode] = AlgebraElement.from_module_element(value)
 
     def value(self, node: Node) -> ModuleElement:
-        return self.table.get(node, ModuleElement.zero(self.res.ring))
+        return self.table.get(node, self._zero)
 
     def element(self, node: Node) -> AlgebraElement:
         """The value on a tree as an algebra element."""
-        return AlgebraElement.from_module_element(self.value(node))
+        return self._elements.get(node, self._zero_element)
 
     def entries(self) -> List[Tuple[Node, ModuleElement]]:
         from .forest import tree_key
@@ -327,10 +334,11 @@ def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> C
     for mono in monos:
         x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
         hx = homotopy(x)
-        lhs = apply_derivation(hx, delta_of_join) + homotopy(differential.apply(x))
-        rhs = x - project_to_resolution(hook.element, x, hx)
-        if lhs != rhs:
-            failures.append((mono_label(mono), f"lhs - rhs = {lhs - rhs}"))
+        d_h = apply_derivation(hx, delta_of_join)
+        h_d = homotopy(differential.apply(x))
+        p = project_to_resolution(hook.element, x, hx)
+        if not sum_elements(ring, (d_h, h_d, -x, p)).is_zero():
+            failures.append((mono_label(mono), f"lhs - rhs = {(d_h + h_d) - (x - p)}"))
     return CheckResult("homotopy retract", not failures,
                        f"{len(monos)} algebra monomials through negative degree {neg_degree_max}",
                        failures)

@@ -5,9 +5,12 @@ to nonzero coefficients: int, or Fraction once a division happens.  The
 zero polynomial has an empty dict.  Monomials are ordered
 graded-lexicographically: lower total degree first, and within a degree
 x^2 before x*y before y^2.  All arithmetic is exact; there are no
-floating-point coefficients anywhere in this package.  The only division
-is the pivot step of the elimination kernel `_reduce`; an int and an equal
-Fraction compare and hash the same, so dicts may mix them.
+floating-point coefficients anywhere in this package.  Besides rational
+constants in the input, Fractions arise only at the end of the elimination
+kernel `_reduce`, which is fraction-free: it scales each row to integers,
+eliminates by integer cross-multiplication with exact gcd divisions, and
+divides each pivot row by its pivot last.  An int and an equal Fraction
+compare and hash the same, so dicts may mix them.
 
 The module also provides the exact linear algebra of the higher layers.
 `linear_system` is the one place where a map of free modules, given by
@@ -20,12 +23,16 @@ oracle and the quotient dimensions.  Both split their system into the
 connected components of its unknowns and equations, which for graded input
 include the split by internal degree, and run one Gauss-Jordan kernel on
 each component; `solve_lift` skips every component whose right-hand side
-is zero, since its answer is zero.
+is zero, since its answer is zero, and `matrix_rank` every component with
+one equation or one unknown, since its rank is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
+from operator import add
 from typing import Optional, Sequence
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
@@ -183,7 +190,7 @@ class Poly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -404,19 +411,20 @@ def slice_basis(ring: RingSpec, poly_degree: int) -> list:
     """All exponent tuples of the given total degree, in graded-lex order."""
     if poly_degree < 0:
         raise ValueError("poly_degree must be nonnegative")
-    d = ring.num_vars
-    out = []
+    return list(_slice(ring.num_vars, poly_degree))
 
-    def fill(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            fill(prefix + [e], remaining - e, slots - 1)
 
-    fill([], poly_degree, d)
-    out.sort(key=monomial_key)
-    return out
+@lru_cache(maxsize=None)
+def _slice(num_vars: int, poly_degree: int) -> tuple:
+    """The exponents of `slice_basis`, built once per (variables, degree).
+
+    The first exponent falls from `poly_degree` to 0 and each is followed
+    by the slice of the remaining variables, which is graded-lex order.
+    """
+    if num_vars == 1:
+        return ((poly_degree,),)
+    return tuple((e,) + rest for e in range(poly_degree, -1, -1)
+                 for rest in _slice(num_vars - 1, poly_degree - e))
 
 
 def slice_dim(num_vars: int, poly_degree: int) -> int:
@@ -431,36 +439,51 @@ def slice_dim(num_vars: int, poly_degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _reduce(m: list, num_cols: int) -> dict:
-    """Gauss-Jordan on dense exact rows, in place, over the first columns.
+    """Fraction-free Gauss-Jordan on dense exact rows, in place.
 
     Brings `m` to reduced row echelon form in its first `num_cols` columns
     (later columns, such as a right-hand side, are carried along) and
     returns {pivot column: its row}; the pivot rows come first.  Entries
-    may be int or Fraction; the pivot is made a Fraction before it divides,
-    so the division is exact.
+    may be int or Fraction.  Each row is scaled to integers by the lcm of
+    its denominators; a pivot clears its column from every other row by
+    integer cross-multiplication, and the updated row is divided by the gcd
+    of its entries.  Every row stays a nonzero multiple of the row rational
+    elimination would hold, so the pivots (the first nonzero entry at or
+    below the current row) are the same.  Each pivot row is divided by its
+    pivot last, into exact values.  Rows past the pivots keep integer
+    multiples in the later columns, of which only the zeros carry meaning.
     """
+    for r, row in enumerate(m):
+        den = lcm(*[v.denominator for v in row])
+        m[r] = [v.numerator * (den // v.denominator) for v in row]
     n_rows = len(m)
     pivot_of_col: dict = {}
     pr = 0
     for pc in range(num_cols):
         if pr == n_rows:
             break
-        pivot_row = None
         for r in range(pr, n_rows):
-            if m[r][pc] != 0:
-                pivot_row = r
+            if m[r][pc]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = Fraction(m[pr][pc])
-        m[pr] = [v / inv for v in m[pr]]
+        m[pr], m[r] = m[r], m[pr]
+        prow = m[pr]
+        p = prow[pc]
         for r in range(n_rows):
-            if r != pr and m[r][pc] != 0:
-                f = m[r][pc]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+            a = m[r][pc]
+            if a and r != pr:
+                g = gcd(p, a)
+                fp, fa = p // g, a // g
+                row = [fp * x - fa * y for x, y in zip(m[r], prow)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
         pivot_of_col[pc] = pr
         pr += 1
+    for pc, r in pivot_of_col.items():
+        p = m[r][pc]
+        if p != 1:
+            m[r] = [x // p if not x % p else Fraction(x, p) for x in m[r]]
     return pivot_of_col
 
 
@@ -540,7 +563,7 @@ def linear_system(columns: Sequence[Sequence[Poly]], unknowns: Sequence[tuple]) 
     for i, (j, m) in enumerate(unknowns):
         for r, p in enumerate(columns[j]):
             for e, c in p.terms.items():  # distinct terms give distinct e + m
-                equations.setdefault((r, tuple(a + b for a, b in zip(e, m))), {})[i] = c
+                equations.setdefault((r, tuple(map(add, e, m))), {})[i] = c
     return equations
 
 
@@ -624,7 +647,17 @@ def matrix_rank(rows: Sequence[dict]) -> int:
     """Rank of a matrix given by sparse rows {column: int or Fraction}.
 
     The sum of the ranks of the connected components of its rows and
-    columns (joined by nonzero entries), each found by its own elimination.
+    columns (joined by entries).  Entries are nonzero, as `linear_system`
+    makes them, so a component with one row or one column has rank 1 and
+    needs no elimination; an explicit zero entry is read as absent there.
+    Every other component is found by its own elimination.
     """
-    return sum(len(_reduce(_dense(rows, eqs, unks), len(unks)))
-               for eqs, unks in _blocks(rows))
+    rank = 0
+    for eqs, unks in _blocks(rows):
+        if len(eqs) == 1:
+            rank += any(rows[eqs[0]].values())
+        elif len(unks) == 1:
+            rank += any(rows[e][unks[0]] for e in eqs)
+        else:
+            rank += len(_reduce(_dense(rows, eqs, unks), len(unks)))
+    return rank

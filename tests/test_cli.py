@@ -209,6 +209,13 @@ def test_cli_basis():
     assert out.splitlines() == ["V(pi1,pi2)", "V(pi1,pi3)", "V(pi2,pi3)"]
 
 
+def test_package_runs_as_module():
+    proc = subprocess.run([sys.executable, "-m", "ktforest", "basis", spec_path("quadratic.kt"),
+                           "--degree", "3"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["V(pi1,pi2)", "V(pi1,pi3)", "V(pi2,pi3)"]
+
+
 def test_json_round_trip(tmp_path):
     spec = parse_spec(spec_path("koszul_function.kt"))
     path = tmp_path / "report.json"

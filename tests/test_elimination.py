@@ -1,22 +1,26 @@
-"""The component-wise elimination in `poly` against dense references.
+"""The elimination in `poly` against dense references.
 
-`solve_lift` is compared with the single dense Gauss-Jordan over all
-unknowns that it replaced, kept below as the oracle; `matrix_rank`, on the
-sparse rows of drawn dense matrices, with sympy's rank; `quotient_dims` of
-drawn homogeneous ideals with the standard monomials of a sympy Groebner
-basis.  The drawn systems are sparse and fall apart into blocks:
-by polynomial degree, and by rows of the target that no column shares.
+The fraction-free kernel `_reduce` and `rref_solve` are compared with
+sympy's reduced row echelon form on small dense systems.  `solve_lift` is
+compared with the single dense Gauss-Jordan over all unknowns that it
+replaced, kept below as the oracle; `matrix_rank`, on the sparse rows of
+drawn dense matrices, with sympy's rank; `quotient_dims` of drawn
+homogeneous ideals with the standard monomials of a sympy Groebner basis.
+The drawn lifting systems are sparse and fall apart into blocks: by
+polynomial degree, and by rows of the target that no column shares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktforest.poly import Poly, RingSpec, matrix_rank, monomial_key, slice_basis, solve_lift
+from ktforest.poly import (Poly, RingSpec, _reduce, matrix_rank, monomial_key, rref_solve,
+                           slice_basis, solve_lift)
 from ktforest.resolution import quotient_dims
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -116,6 +120,42 @@ def dense_solve_lift(columns, target, poly_degree_cap=None):
 
 small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 nonzero_fractions = small_fractions.filter(bool)
+
+
+@st.composite
+def dense_systems(draw):
+    """Rows [A | b] of a small system, entries int or Fraction, often zero.
+
+    Some rows are zero, repeat a row, or combine two rows, so many systems
+    are rank deficient; such a row may get its right-hand side moved, which
+    makes the system inconsistent.
+    """
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0), st.integers(-4, 4), small_fractions)
+    rows = [[draw(entries) for _ in range(n_cols + 1)] for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero":
+            row = [0] * (n_cols + 1)
+        elif kind == "duplicate":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(small_fractions), draw(small_fractions)
+            row = [a * u + b * v for u, v in zip(draw(st.sampled_from(rows)),
+                                                  draw(st.sampled_from(rows)))]
+        if draw(st.booleans()):
+            row[-1] += draw(nonzero_fractions)
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, n_cols
+
+
+def sympy_rref(rows):
+    """sympy's reduced row echelon form, as Fraction rows, and its pivot columns."""
+    matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                           for row in rows])
+    reduced, pivots = matrix.rref()
+    return ([[Fraction(int(v.p), int(v.q)) for v in reduced.row(i)] for i in range(len(rows))],
+            list(pivots))
 
 
 @st.composite
@@ -219,6 +259,45 @@ def standard_monomial_counts(ring, gens, cap):
 # properties
 # ---------------------------------------------------------------------------
 
+def is_exact(value):
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+@SETTINGS
+@given(dense_systems())
+def test_reduce_matches_sympy_rref(system):
+    rows, n_cols = system
+    expected, pivots = sympy_rref(rows)
+    m = [list(row) for row in rows]
+    assert _reduce(m, n_cols + 1) == {pc: r for r, pc in enumerate(pivots)}
+    assert m == expected
+    assert all(is_exact(v) for row in m for v in row)
+    # over the first columns only, the right-hand side carried along
+    expected, pivots = sympy_rref([row[:-1] for row in rows])
+    m = [list(row) for row in rows]
+    assert _reduce(m, n_cols) == {pc: r for r, pc in enumerate(pivots)}
+    assert [row[:-1] for row in m] == expected
+    for r in range(len(pivots)):
+        assert all(is_exact(v) for v in m[r])
+
+
+@SETTINGS
+@given(dense_systems())
+def test_rref_solve_matches_sympy(system):
+    rows, n_cols = system
+    reduced, pivots = sympy_rref(rows)
+    if n_cols in pivots:
+        expected = None  # a pivot in the right-hand side: inconsistent
+    else:
+        expected = [0] * n_cols
+        for r, pc in enumerate(pivots):
+            expected[pc] = reduced[r][n_cols]
+    got = rref_solve([row[:-1] for row in rows], [row[-1] for row in rows], n_cols)
+    assert got == expected
+    if got is not None:
+        assert all(is_exact(v) for v in got)
+
+
 @SETTINGS
 @given(lifting_problems())
 def test_solve_lift_matches_dense_elimination(problem):
@@ -253,6 +332,26 @@ def test_unreachable_target_term_has_no_lift():
     x, one = Poly.variable(ring, 0), Poly.const(ring, 1)
     assert solve_lift([[x]], [x * x + one]) is None
     assert dense_solve_lift([[x]], [x * x + one]) is None
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([{0: 3, 1: Fraction(-1, 2), 2: 5}], 1),  # one row
+    ([{4: 2}, {4: Fraction(1, 3)}, {4: -7}], 1),  # one column
+    ([{0: 1}, {1: 2}, {2: 3, 3: 4}, {5: 1}, {5: 2}, {}], 4),  # trivial blocks only
+    ([{0: 1, 1: 1}, {1: 2}, {2: Fraction(1, 2)}, {2: 3}], 3),  # beside a 2 x 2 block
+])
+def test_matrix_rank_of_one_row_and_one_column_blocks(rows, rank):
+    assert matrix_rank(rows) == rank
+
+
+def test_matrix_rank_never_counts_an_explicit_zero():
+    # entries should be nonzero; one given as zero is read as absent
+    assert matrix_rank([{0: 0}]) == 0
+    assert matrix_rank([{0: 0, 1: Fraction(0)}]) == 0
+    assert matrix_rank([{0: 0}, {0: 0}, {0: Fraction(0)}]) == 0
+    assert matrix_rank([{0: 0}, {0: 5}]) == 1
+    assert matrix_rank([{0: 0, 1: 0}, {1: 0}]) == 0
+    assert matrix_rank([{0: 0, 1: 2}, {1: 0, 0: 0}]) == 1
 
 
 def test_matrix_rank_of_zero_and_empty_columns():

@@ -72,6 +72,24 @@ def test_quadratic_worked_hook_table_verifies(quadratic_resolution):
     assert report.passed, report.summary()
 
 
+def test_hook_element_follows_every_set_value(quadratic_resolution):
+    res = quadratic_resolution
+    t, other = corolla(res, "pi1", "pi2"), corolla(res, "pi2", "pi3")
+    hook = HookMap(res, {t: module(res, {"pi": "x"})})
+    for value in (module(res, {"pi": "y"}), module(res, {"pi": "-2*x"})):
+        hook.set_value(t, value)
+        assert hook.element(t) == AlgebraElement.from_module_element(value)
+    # the tree written with its two odd leaves swapped stores the negated value
+    swapped = ("N", (leaf(res.gen_by_label("pi2")), leaf(res.gen_by_label("pi1"))))
+    hook.set_value(swapped, module(res, {"pi": "x"}))
+    assert hook.value(t) == module(res, {"pi": "-x"})
+    assert hook.element(t) == AlgebraElement.from_module_element(hook.value(t))
+    hook.set_value(t, ModuleElement.zero(res.ring))
+    assert hook.element(t).is_zero() and hook.value(t).is_zero()
+    assert hook.element(other).is_zero() and hook.value(other).is_zero()
+    assert not hook.table
+
+
 def test_quadratic_corrupted_hook_fails(quadratic_resolution):
     res = quadratic_resolution
     table = {

@@ -78,6 +78,12 @@ def test_slice_basis_degree2(ring):
     assert len(basis) == slice_dim(2, 2) == 3
 
 
+def test_slice_basis_returns_a_fresh_list(ring):
+    first = slice_basis(ring, 2)
+    first.append((9, 9))
+    assert slice_basis(ring, 2) == [(2, 0), (1, 1), (0, 2)]
+
+
 def test_slice_basis_three_vars():
     ring3 = RingSpec(["x", "y", "z"])
     assert slice_basis(ring3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
