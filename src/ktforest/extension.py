@@ -14,8 +14,10 @@ derivation on the positive part, and solved correction tables
 Each table entry is a preimage under the resolution differential of an
 expression in lower tables, found by exact lifting; square-zero of the
 total differential is then verified degree by degree.  A second, general
-mode drops the ideal-preservation hypothesis and additionally solves
-correction tables on the ring variables and the positive generators.
+mode drops the ideal-preservation hypothesis.  It solves only finite
+tables, on the ring variables, the positive generators and the module
+generators, and evaluates Q on a tree on demand by the homotopy of the
+retract, with no lifting on trees.
 """
 
 from __future__ import annotations
@@ -25,16 +27,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, collect,
                      enumerate_tree_basis, is_leaf, leaf, mono_label, parity_sign,
-                     sum_elements, tree_degree, tree_str)
+                     sum_elements, tree_str)
 from .kt import (CheckResult, HookMap, SolveError, add_tree_formula, homotopy, hook_product,
-                 project_to_resolution, two_leaf_known, two_leaf_product)
+                 hook_window, project_to_resolution, two_leaf_product)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
-
-
-class TruncationError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,8 @@ class ExtensionData:
     """Solved correction tables plus the evaluator for the total differential.
 
     Q is the sum of its levels: level -1 is the hook's tree differential,
-    and level k >= 0 reads the level-k tables.  One evaluator,
+    and level k >= 0 reads the level-k tables, or on a tree in general mode
+    the homotopy formula (`_homotopy_correction`).  One evaluator,
     `q_level_on_tree`, gives Q summed over a range of levels >= 0;
     `apply_level(k)` runs it on levels k..k, and `apply` on levels
     0..level_max beside level -1.
@@ -192,7 +191,6 @@ class ExtensionData:
         self.neg_degree_max = neg_degree_max
         self.gen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
         self.chi: Dict[Tuple[int, Node], AlgebraElement] = {}
-        self.tree_q: Dict[Tuple[int, Node], AlgebraElement] = {}
         self.var_q: Dict[Tuple[int, int], AlgebraElement] = {}
         self.vgen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
         self.level_max = -1
@@ -248,11 +246,27 @@ class ExtensionData:
             return sum_elements(ring, (self.q_level_on_gen(k, source[1]) for k in levels))
         if self.mode != "general":
             return self._tree_formula(levels, source, include_root=True)
-        for k in levels:
-            if (k, source) not in self.tree_q and k - tree_degree(source) > self.neg_degree_max:
-                raise TruncationError(f"level {k} table not solved for {tree_str(source)}")
-        return sum_elements(ring, (self.tree_q[k, source] for k in levels
-                                   if (k, source) in self.tree_q))
+        if len(levels) != 1:
+            return sum_elements(ring, (self.q_level_on_tree(range(k, k + 1), source)
+                                       for k in levels))
+        return self._homotopy_correction(levels[0], source)
+
+    def _homotopy_correction(self, k: int, node: Node) -> AlgebraElement:
+        """Q_k on a tree in general mode: h of the element that Q^2 = 0 forces.
+
+        delta Q_k(t) = closed with closed = -Q_k(delta t) - sum_{m<k} Q_m
+        Q_{k-1-m}(t), which reads level k on smaller trees and lower levels
+        on any tree, so the recursion is well founded.  A closed element with
+        zero projection is delta h(closed); any other has no tree preimage.
+        """
+        x = AlgebraElement.from_tree(self.res.ring, node)
+        closed = -(self.apply_level(k, self.apply_level(-1, x))
+                   + _sum_lower_level_squares(self, k, x))
+        projected = project_to_resolution(self.hook.element, closed)
+        if not projected.is_zero():
+            raise SolveError(f"residue level {k}", tree_str(node),
+                             f"the closed element projects to {projected}, not to zero")
+        return homotopy(closed)
 
     def _tree_formula(self, levels: range, node: Node, include_root: bool) -> AlgebraElement:
         """Corrected leaves plus hook substitutions, one walk for all `levels`."""
@@ -280,15 +294,8 @@ class ExtensionData:
         and its image summed over levels 0..level_max; positive factors and
         coefficients get their images summed over those levels.
         """
-        try:
-            return self._apply_levels(range(0, self.level_max + 1), elem,
-                                      self.hook.differential().on_tree)
-        except TruncationError:
-            # report the first missing table in level order, as the sum of
-            # apply_level over the levels meets it
-            for k in range(-1, self.level_max + 1):
-                self.apply_level(k, elem)
-            raise
+        return self._apply_levels(range(0, self.level_max + 1), elem,
+                                  self.hook.differential().on_tree)
 
     def _apply_levels(self, levels: range, elem: AlgebraElement,
                       delta: Optional[Callable[[Node], AlgebraElement]] = None
@@ -509,10 +516,14 @@ def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMa
                             neg_degree_max: int) -> ExtensionData:
     """Solve the extension without assuming the ideal-preserving form.
 
-    Correction tables additionally cover the ring variables and the
-    positive generators; images on trees are stored per level through the
-    truncation.  The positive derivation only needs to square to zero
-    modulo the ideal.
+    Only the finite tables are solved: on the ring variables, the positive
+    generators and the module generators, level by level through
+    min(length, K).  Within a level, variables and positives come first,
+    then module generators by increasing depth; delta of a leaf has no tree
+    factor, so none of these reads a tree at its own level.  Q on trees is
+    the homotopy formula (`ExtensionData._homotopy_correction`), evaluated
+    on demand.  The positive derivation only needs to square to zero modulo
+    the ideal.
     """
     issues = pos.square_in_ideal(res.ideal_generators())
     if issues:
@@ -520,54 +531,27 @@ def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMa
                          "squared derivation leaves the ideal")
     ext = ExtensionData(res, pos, hook, mode="general", neg_degree_max=neg_degree_max)
     ring = res.ring
-    level_cap = min(res.length, neg_degree_max)
-
-    def preimage_or_raise(stage, label, closed):
-        value = _closed_preimage(ext, closed)
-        if value is None:
-            raise SolveError(stage, label, "no preimage under the resolution differential")
-        return value
-
-    # Dependencies at level k and source degree i reach tables at degree +
-    # level strictly below i + k, so solving in increasing reach keeps every
-    # lookup inside the already-solved range.
-    for reach in range(0, neg_degree_max + 1):
-        for k in range(0, min(reach, level_cap) + 1):
-            i = reach - k
-            if i == 0 and k >= 1:
-                for j in range(ring.num_vars):
-                    x = AlgebraElement.scalar(Poly.variable(ring, j))
-                    closed = -_sum_lower_level_squares(ext, k, x)
-                    value = preimage_or_raise(f"variable level {k}", ring.names[j], closed)
-                    if not value.is_zero():
-                        ext.var_q[(k, j)] = value
-                for g in pos.gens:
-                    x = AlgebraElement.from_positive(ring, g)
-                    closed = -_sum_lower_level_squares(ext, k, x)
-                    value = preimage_or_raise(f"positive-generator level {k}",
-                                              g.label, closed)
-                    if not value.is_zero():
-                        ext.vgen_q[(k, g)] = value
-            elif 1 <= i <= res.length:
-                for g in res.generators(i):
-                    x = AlgebraElement.from_tree(ring, leaf(g))
-                    closed = -ext.apply_level(k, ext.apply_level(-1, x)) \
-                        - _sum_lower_level_squares(ext, k, x)
-                    value = preimage_or_raise(f"residue level {k}", g.label, closed)
-                    if not value.is_zero():
-                        ext.gen_q[(k, g)] = value
-            if i >= 3:
-                for node in enumerate_tree_basis(res, i):
-                    if is_leaf(node):
-                        continue
-                    x = AlgebraElement.from_tree(ring, node)
-                    closed = -ext.apply_level(k, ext.apply_level(-1, x)) \
-                        - _sum_lower_level_squares(ext, k, x)
-                    value = preimage_or_raise(f"residue level {k}", tree_str(node), closed)
-                    if not value.is_zero():
-                        ext.tree_q[(k, node)] = value
-                        ext.forget(node)
-            ext.level_max = max(ext.level_max, k)
+    for k in range(0, min(res.length, neg_degree_max) + 1):
+        sources = []
+        if k >= 1:  # level 0 on variables and positives is the input
+            sources += [(f"variable level {k}", ring.names[j],
+                         AlgebraElement.scalar(Poly.variable(ring, j)), ext.var_q, j)
+                        for j in range(ring.num_vars)]
+            sources += [(f"positive-generator level {k}", g.label,
+                         AlgebraElement.from_positive(ring, g), ext.vgen_q, g) for g in pos.gens]
+        sources += [(f"residue level {k}", g.label, AlgebraElement.from_tree(ring, leaf(g)),
+                     ext.gen_q, g)
+                    for depth in range(1, res.length + 1) for g in res.generators(depth)]
+        for stage, label, x, table, key in sources:
+            # delta x is zero on variables and positives
+            closed = -ext.apply_level(k, ext.apply_level(-1, x)) \
+                - _sum_lower_level_squares(ext, k, x)
+            value = _closed_preimage(ext, closed)
+            if value is None:
+                raise SolveError(stage, label, "no preimage under the resolution differential")
+            if not value.is_zero():
+                table[(k, key)] = value
+        ext.level_max = k
     return ext
 
 
@@ -592,11 +576,7 @@ def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):
             items.append((g.label, AlgebraElement.from_tree(ring, leaf(g))))
-    tree_window = neg_degree_max
-    if ext.mode == "general":
-        # evaluating the square on a tree reaches tables two levels out
-        tree_window = max(0, neg_degree_max - 2 * max(ext.level_max, 0))
-    for degree in range(3, tree_window + 1):
+    for degree in range(3, neg_degree_max + 1):
         for node in enumerate_tree_basis(ext.res, degree):
             if not is_leaf(node):
                 items.append((tree_str(node), AlgebraElement.from_tree(ring, node)))
@@ -610,7 +590,7 @@ def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
             img = ext.apply(AlgebraElement.from_tree(ring, leaf(g)))
             if not img.has_only_module_and_scalar():
                 failures.append((g.label, "image leaves module x positives"))
-    checked = (f"{count} sources, trees through negative degree {tree_window}")
+    checked = f"{count} sources, trees through negative degree {neg_degree_max}"
     return CheckResult("total differential square zero", not failures, checked, failures)
 
 
@@ -744,9 +724,12 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def koszul_hook(kres: KoszulComplex, neg_degree_max: int) -> HookMap:
-    """The hook determined by the exterior product: nonzero only on corollas."""
+    """The hook determined by the exterior product: nonzero only on corollas.
+
+    Filled through `hook_window`, like a solved hook.
+    """
     table = {}
-    for degree in range(3, neg_degree_max + 1):
+    for degree in range(3, hook_window(kres, neg_degree_max) + 1):
         for node in enumerate_tree_basis(kres, degree):
             if is_leaf(node) or any(not is_leaf(c) for c in node[1]):
                 continue
@@ -784,22 +767,16 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart,
     hook_report = verify_hook(kres, hook, neg_degree_max)
     if not hook_report.passed:
         failures.extend(hook_report.failures)
-    # the hook product must be the exterior product itself, on the pairs
-    # whose two-leaf tree the hook is known on at the truncation
+    # the hook product must be the exterior product itself
     gens = [g for depth in range(1, kres.length + 1) for g in kres.generators(depth)]
-    count = 0
     for a in gens:
         for b in gens:
-            if not two_leaf_known(kres, neg_degree_max, a, b):
-                continue
-            count += 1
             ea, eb = ModuleElement.of_gen(ring, a), ModuleElement.of_gen(ring, b)
             if hook_product(hook, ea, eb) != kres.wedge(ea, eb):
                 failures.append((f"{a.label} * {b.label}",
                                  "hook product differs from the exterior product"))
-    checked = f"hook recursion + product table through degree {neg_degree_max}"
-    if count < len(gens) ** 2:
-        checked += f", {count} of {len(gens) ** 2} generator pairs"
+    checked = ("hook recursion + product table through degree "
+               f"{hook_window(kres, neg_degree_max)}")
     report = CheckResult("koszul comparison", not failures, checked, failures)
     return ext, report
 

@@ -338,22 +338,31 @@ def test_cli_mode_override_is_checked():
     assert "input error" in err and "koszul = true" in err
 
 
-@pytest.mark.parametrize("name", ["koszul_compare.kt", "koszul_function.kt",
-                                  "monomial_ideal.kt", "quadratic.kt",
-                                  "regular_sequence.kt"])
+BUNDLED_SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt",
+                 "quadratic.kt", "regular_sequence.kt"]
+
+
+@pytest.mark.parametrize("name", BUNDLED_SPECS)
 def test_cli_every_spec_and_mode_ends_in_a_report_or_input_error(name):
     koszul_ready = name == "koszul_compare.kt"
     for mode in ("explicit", "general", "koszul-compare"):
         code, out, err = run_cli("run", spec_path(name), "--mode", mode,
                                  "--neg-degree-max", "4")
-        assert code in (0, 1, 2, 3), (mode, err)
         assert "Traceback" not in err, (mode, err)
         if mode == "koszul-compare" and not koszul_ready:
             assert code == 2 and "input error" in err
-        elif mode == "explicit" or code == 0:
-            assert code == 0 and "result: PASS" in out, (mode, out)
         else:
-            assert "result: FAIL" in out, (mode, out)
+            assert code == 0 and "result: PASS" in out, (mode, out)
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6])
+@pytest.mark.parametrize("name", BUNDLED_SPECS)
+def test_general_mode_passes_with_trees_checked_through_the_truncation(capsys, name, depth):
+    assert main(["run", spec_path(name), "--mode", "general",
+                 "--neg-degree-max", str(depth)]) == 0
+    out = capsys.readouterr().out
+    assert "result: PASS" in out
+    assert f"sources, trees through negative degree {depth})" in out
 
 
 def test_unselected_verifiers_do_not_run(monkeypatch):
@@ -440,29 +449,50 @@ def test_cli_basis_degree_below_one_is_an_input_error(degree):
 
 
 @pytest.mark.parametrize("name, depth, checked", [
-    ("monomial_ideal.kt", 3, "25 of 81 generator pairs, hook solved through negative degree 3"),
-    ("quadratic.kt", 1, "4 of 25 generator pairs, hook solved through negative degree 1"),
-    ("quadratic.kt", 2, "4 of 25 generator pairs, hook solved through negative degree 2"),
+    ("monomial_ideal.kt", 3, "81 generator pairs"),
+    ("quadratic.kt", 1, "25 generator pairs"),
+    ("quadratic.kt", 2, "25 generator pairs"),
 ])
 def test_hook_product_leibniz_below_the_resolution_length(capsys, name, depth, checked):
-    # a pair is checked when every two-leaf tree it reads is solved (degree
-    # at most K) or lies beyond the resolution length; on monomial_ideal.kt
-    # (ranks 4, 4, 1) at K = 3 those are the 16 pairs of degree -1
-    # generators, the 8 pairs of a degree -2 and a degree -3 generator, and
-    # the degree -3 generator with itself
+    # the hook is solved through length + 1 whatever K is, so every pair is
+    # checked: 9 x 9 generators on monomial_ideal.kt (ranks 4, 4, 1), 5 x 5
+    # on quadratic.kt (ranks 3, 2)
     assert main(["run", spec_path(name), "--neg-degree-max", str(depth)]) == 0
-    assert f"hook product Leibniz: pass ({checked})" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"hook product Leibniz: pass ({checked})" in out
+    assert "solve_hook: pass (0 nonzero values)" not in out
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_koszul_comparison_below_the_product_window(capsys, depth):
-    # koszul_hook fills trees through K, so at K = 1 and 2 the four pairs of
-    # depth-1 generators (whose two-leaf trees have degree -3) are left out;
-    # the five pairs with a depth-2 generator are forced to zero and checked
+    # koszul_hook fills trees through length + 1 = 3 whatever K is, so all
+    # 9 pairs of the 3 generators are checked, the 4 pairs of depth-1
+    # generators (two-leaf trees of degree -3) among them
     assert main(["run", spec_path("koszul_compare.kt"), "--neg-degree-max", str(depth)]) == 0
     out = capsys.readouterr().out
-    assert (f"koszul comparison: pass (hook recursion + product table through degree "
-            f"{depth}, 5 of 9 generator pairs)") in out
+    assert ("koszul comparison: pass (hook recursion + product table through degree 3)"
+            in out)
+    assert "V(e1,e2) -> e12" in out
+
+
+def test_verify_checks_the_hook_through_length_plus_one_at_low_truncation(tmp_path):
+    # monomial_ideal.kt has length 3: at K = 2 the 26 basis trees of degrees
+    # -3 and -4 are checked, which a window of K would leave out
+    hook = spec_path("monomial_ideal_hook.txt")
+    code, out, _ = run_cli("verify", spec_path("monomial_ideal.kt"), "--hook", hook,
+                           "--neg-degree-max", "2")
+    assert code == 0
+    assert out == "hook recursion: pass (26 basis trees through negative degree 4)\n"
+
+    text = open(hook, encoding="utf-8").read()
+    assert "V(e1,e3) -> x*e13\n" in text
+    wrong = tmp_path / "hook.txt"
+    wrong.write_text(text.replace("V(e1,e3) -> x*e13\n", "V(e1,e3) -> y*e13\n"))
+    code, out, _ = run_cli("verify", spec_path("monomial_ideal.kt"), "--hook", str(wrong),
+                           "--neg-degree-max", "2")
+    assert code == 1
+    assert out.startswith("hook recursion: FAIL (26 basis trees through negative degree 4)\n")
+    assert "V(e1,e3): d(hook) = " in out
 
 
 def _edited_spec(tmp_path, name, line, replacement):

@@ -293,13 +293,13 @@ def test_hook_product_values(quadratic_resolution, quadratic_hook):
 
 
 def test_hook_product_leibniz(quadratic_resolution, quadratic_hook):
-    report = verify_hook_product_leibniz(quadratic_resolution, quadratic_hook, 6)
+    report = verify_hook_product_leibniz(quadratic_resolution, quadratic_hook)
     assert report.passed, report.summary()
 
 
 def test_hook_product_leibniz_monomial3(monomial3_resolution):
     hook = solve_hook(monomial3_resolution, 5)
-    report = verify_hook_product_leibniz(monomial3_resolution, hook, 5)
+    report = verify_hook_product_leibniz(monomial3_resolution, hook)
     assert report.passed, report.summary()
     assert report.checked == "81 generator pairs"
 

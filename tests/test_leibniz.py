@@ -15,13 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ktforest
-from ktforest.cli import parse_spec
-from ktforest.extension import (TruncationError, solve_general_extension,
-                                solve_residues_explicit)
+from ktforest.cli import main, parse_spec
+from ktforest.extension import solve_general_extension, solve_residues_explicit
 from ktforest.forest import (AlgebraElement, apply_derivation, enumerate_tree_basis,
                              make_monomial, mono_mul, parity_sign, tree_degree)
 from ktforest.grammar import parse_tree
-from ktforest.kt import TreeDifferential, solve_hook
+from ktforest.kt import SolveError, TreeDifferential, solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
 
@@ -201,23 +200,32 @@ def test_extension_apply_is_the_sum_of_its_levels(ext, x):
     assert ext.apply(x) == total
 
 
-def test_missing_table_is_reported_in_level_order():
-    """A product of two trees whose level tables run out at different levels
-    names the lower level, as the sum of apply_level meets it first."""
+def test_a_tree_whose_closed_element_projects_off_zero_is_a_solve_error(monkeypatch, capsys):
+    """General mode's tree correction is h(closed) only when the projection
+    of closed is zero; otherwise the level and the tree are named, and a
+    run ends in a no-solution stage, exit 3."""
+    import ktforest.extension as extension
+
     spec = parse_spec(ktforest.example_path("quadratic.kt"))
     res = spec.resolution
     general = solve_general_extension(res, spec.positive, solve_hook(res, K), K)
-    symbols = spec.symbols
-    mono, sign = make_monomial([("t", parse_tree("V(pi1,pi)", symbols)),
-                                ("t", parse_tree("V(pi,pi)", symbols))])
-    x = AlgebraElement(res.ring, {mono: Poly.const(res.ring, sign)})
-    with pytest.raises(TruncationError) as per_level:
-        for k in range(-1, general.level_max + 1):
-            general.apply_level(k, x)
-    with pytest.raises(TruncationError) as one_pass:
-        general.apply(x)
-    assert str(one_pass.value) == str(per_level.value) \
-        == "level 1 table not solved for V(pi,pi)"
+    # a projection that keeps every element; generator tables, whose closed
+    # elements hold no product, solve as before
+    monkeypatch.setattr(extension, "project_to_resolution",
+                        lambda _hook_value, elem, joined=None: elem)
+    node = parse_tree("V(pi1,pi2)", spec.symbols)
+    with pytest.raises(SolveError) as err:
+        general.q_level_on_tree(range(0, 1), node)
+    assert (err.value.stage, err.value.item) == ("residue level 0", "V(pi1,pi2)")
+    assert str(err.value).startswith("[residue level 0] no solution for V(pi1,pi2): ")
+
+    capsys.readouterr()
+    code = main(["run", ktforest.example_path("quadratic.kt"), "--mode", "general",
+                 "--neg-degree-max", "4"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "residue level 0: no-solution (V(pi1,pi2): " in out
+    assert "result: FAIL" in out
 
 
 # ---------------------------------------------------------------------------

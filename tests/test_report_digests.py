@@ -4,9 +4,9 @@ and the Lie-Rinehart example `quadratic.kt` at K = 7, the benchmark's shape.
 The digests were recorded with the single dense elimination over all
 unknowns that `poly` used before it split systems into components, so a
 change of the linear algebra that moves any byte of a report fails here.
-The general-mode reports of specs whose level tables run out before the
-verifiers do end in a failed `verify_incl_proj` stage; those were recorded
-with the same dense elimination and the failed-stage report of `cli.run`.
+The general-mode reports were recorded later, once general mode solved only
+the finite tables and evaluated Q on trees by the homotopy formula: every
+one passes, with trees checked through K.
 The K = 7 pin was recorded with the Leibniz evaluator that formed every
 term as left * image * right and summed the levels one by one.
 """
@@ -28,8 +28,8 @@ DIGESTS = {
         "af5fd3d23190337ce4479c066ca6dfb0ae8ba0a3e3d3f9795133f74daa91a8d0",
         "9502d0f39c120583b6983e7fb336154191cc6ad64cb4f2977d1116bd23d1a6db"),
     ("koszul_compare.kt", "general"): (
-        "1e15fd88623e92d06ea958ee5d1f55e4838758a681191d4c4324ca1583aacc2d",
-        "28d6535ec43526e00a7187b547d6859490b8709007439da4cb752d75bc888f5d"),
+        "497c231b97aa22cbeb9a39e4a7b5fb45ff1dbf29c1513e818de753c2ad6f6d01",
+        "b51b6c225e90159a132998f47b6f53e3862220b8275c6b3790152de8f1742bba"),
     ("koszul_compare.kt", "koszul-compare"): (
         "52adb246c453641347c1b7dc885149e183d134576ef415274d067e4c0a5bd018",
         "97689de05ab3e144b1f062ddfaad88033a68d4e4ddf865a98dc02ae49b068a66"),
@@ -37,26 +37,26 @@ DIGESTS = {
         "e4a9afcf769a7781d656c8c1f55ab7e334a83cb32fb49c731bffc7dd7293aed1",
         "0aee26c9f10a356e08b41881b6004bfc5e5face3f3cd8b0b0f2cfb7067cc9ff5"),
     ("koszul_function.kt", "general"): (
-        "2758fefa018408d851d80e171a3b61029a1536b6bbc5102aa45d6391321f7a39",
-        "29395ec7157343bdd993f193284ecd9aa8a924d8963d32bce99282b68bde4a55"),
+        "0af5763a87f074d8fa2fc6b08d93e818edb7515e9a28a5cb191b138f7c9d8477",
+        "bba04e3c98fefb07d2dd2184c23837042a947c90df0ed3a3592a7c1bf1590e36"),
     ("monomial_ideal.kt", "explicit"): (
         "d10c7a870e20154db6e7453cb3690642f61079958388938264355913d82f00c9",
         "e25db11f79e19c25c71cf25c761464c685647b4ca6620d26029341c9f0c86650"),
     ("monomial_ideal.kt", "general"): (
-        "58d822b89e31716b5a2930a3726d9495e912a0880b1b5bceede414c03c8f828e",
-        "46a5b3222299f03ac2ee81d33caa1f74fcd39f075817160c0b54b65c1f4c7c86"),
+        "57805025b574a65c3a345aea111327ace056ff58eeea046fe86e88bd1b41c598",
+        "6791847fb154e1019858ef3c12c3b360d4d6aa0509542494cf133ddb4bb4fdb8"),
     ("quadratic.kt", "explicit"): (
         "9fd1e35ff58d732946551829c71ec4109fe3267849f231b6d977b617b111053a",
         "3e0c49c6d131afe154352f500cdabf6b9d43c5a3909ba8098fd5c40121fc254b"),
     ("quadratic.kt", "general"): (
-        "6ca4e6e19ba1acc63ca347851a1b07020261299a5e8c064db37c066c3c4d1e21",
-        "ffc7ae38c137e3bf8ae51952c94be052920ad894fb14a31db6ef0569bb1e9197"),
+        "27c166809cb84dd603f60af3447afaae2d46c3d4aabb1ea95fba84927962d0f9",
+        "147158f2a983bc35024cdea335240b32654c2487e49534c9695e248b7548f04b"),
     ("regular_sequence.kt", "explicit"): (
         "d74752f681f5fb1c08c4fc6e80f58eeeb51a33b9a90c6cb7cd8a064d2e903769",
         "d39dfefedfccbfe44752ae1c26548b0265ddda0ada754ed911f6afda5e1001d9"),
     ("regular_sequence.kt", "general"): (
-        "4e3d1467c4ba5803d05c848292d16ded11ea8f839e9735b53e2cf4579a75f589",
-        "71f0f85756168e8129ff6d0cbe3d92a3caa1049394f88a8c132a7163866fd072"),
+        "2d0df46f6b6b435bb68e860397674edcae9b813fccecbb807539ea1bd6b77125",
+        "c2e79631da13e402a2064124e31a227d5897a78f3ec34eb0daec7475c2567a7d"),
 }
 
 

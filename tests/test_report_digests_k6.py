@@ -1,9 +1,12 @@
 """Report bytes pinned at K = 6: `monomial_ideal.kt` in explicit mode and
-`koszul_function.kt` in general mode, the deepest bundled runs that pass.
+`koszul_function.kt` in general mode.
 
-The digests were recorded with the evaluators that built one tree
+The explicit digest was recorded with the evaluators that built one tree
 differential per verifier and summed the level -1 images into the
 extension's level sums, before the shared evaluator and the split images.
+The general digest was recorded once general mode evaluated Q on trees by
+the homotopy formula, which checks trees through K = 6 rather than through
+K - 2 level_max = 4.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from ktforest.cli import check_mode, emit, parse_spec, run
 # (spec, mode, K) -> sha256 of the text report, of the JSON report
 DIGESTS = {
     ("koszul_function.kt", "general", 6): (
-        "1e177af83d0765aed06d21e35e7ac40281a62fb374877944596cda93f2381127",
-        "ec0095ba8926474136df197942ebc72e7a38c02f2d8412549df7ed071b198be2"),
+        "d7ea1f5bc05a19e192e04c30d561a2750cc603c743c1a277f3aba1655240ebfd",
+        "204d63b3752ce92208e26465811b6670df28bf84da0414be601faf53de09bbff"),
     ("monomial_ideal.kt", "explicit", 6): (
         "9271a48855cb03d9f5eb344132aaad798c5e8a377eac061bf9115e7ea54295bf",
         "3e4c64f8e7adfb768fc16106ea5bd8a99f1e81a29bae996de882bbaafdb9c843"),
