@@ -12,7 +12,7 @@ from .extension import (ExtensionData, PositivePart, boundary_equivalent,
                         check_ideal_preserved, higher_product, koszul_hook,
                         koszul_mode, solve_general_extension, solve_residues_explicit,
                         verify_extension, verify_incl_proj, verify_product_defect)
-from .forest import AlgebraElement, TreeShape, koszul_sign
+from .forest import AlgebraElement, koszul_sign
 from .kt import (HookMap, TreeDifferential, hook_product, solve_hook, verify_hook,
                  verify_retract, verify_square_zero)
 from .poly import Poly, RingSpec, slice_basis, solve_lift

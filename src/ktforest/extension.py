@@ -26,10 +26,10 @@ from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, collect,
-                     enumerate_tree_basis, is_leaf, leaf, mono_label, parity_sign,
-                     sum_elements, tree_str)
+                     enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf, mono_label,
+                     parity_sign, sum_elements, tree_str)
 from .kt import (CheckResult, HookMap, SolveError, add_tree_formula, homotopy, hook_product,
-                 hook_window, project_to_resolution, two_leaf_product)
+                 hook_window, project_to_resolution, two_leaf_product, verify_hook)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -146,25 +146,6 @@ def check_ideal_preserved(pos: PositivePart, ideal: Sequence[Poly],
                        f"{len(ideal)} ideal generators", failures)
 
 
-def choose_nabla0(res: FreeResolution, pos: PositivePart,
-                  table: Optional[Dict[GeneratorId, AlgebraElement]] = None) -> dict:
-    """The level-0 derivation choice on module generators.
-
-    Default: zero on every basis generator (always valid for free modules).
-    A user table must be valued in module x strictly-positive monomials.
-    """
-    if table is None:
-        return {}
-    for g, val in table.items():
-        for (trees, ptuple), _c in val.terms.items():
-            ok = len(trees) == 1 and is_leaf(trees[0]) and ptuple
-            if not ok:
-                raise ValueError(
-                    f"level-0 derivation value for {g.label} must lie in "
-                    "module x positive generators")
-    return dict(table)
-
-
 # ---------------------------------------------------------------------------
 # the extension data and its evaluator
 # ---------------------------------------------------------------------------
@@ -181,13 +162,11 @@ class ExtensionData:
     """
 
     def __init__(self, res: FreeResolution, pos: PositivePart, hook: HookMap,
-                 mode: str = "explicit", nabla0: Optional[dict] = None,
-                 neg_degree_max: int = 6):
+                 mode: str = "explicit", neg_degree_max: int = 6):
         self.res = res
         self.pos = pos
         self.hook = hook
         self.mode = mode
-        self.nabla0 = dict(nabla0 or {})
         self.neg_degree_max = neg_degree_max
         self.gen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
         self.chi: Dict[Tuple[int, Node], AlgebraElement] = {}
@@ -259,14 +238,13 @@ class ExtensionData:
         on any tree, so the recursion is well founded.  A closed element with
         zero projection is delta h(closed); any other has no tree preimage.
         """
-        x = AlgebraElement.from_tree(self.res.ring, node)
-        closed = -(self.apply_level(k, self.apply_level(-1, x))
-                   + _sum_lower_level_squares(self, k, x))
-        projected = project_to_resolution(self.hook.element, closed)
+        closed = _closed_element(self, k, AlgebraElement.from_tree(self.res.ring, node))
+        joined = homotopy(closed)
+        projected = project_to_resolution(self.hook.element, closed, joined)
         if not projected.is_zero():
             raise SolveError(f"residue level {k}", tree_str(node),
                              f"the closed element projects to {projected}, not to zero")
-        return homotopy(closed)
+        return joined
 
     def _tree_formula(self, levels: range, node: Node, include_root: bool) -> AlgebraElement:
         """Corrected leaves plus hook substitutions, one walk for all `levels`."""
@@ -384,25 +362,72 @@ def lift_delta_preimage(res: FreeResolution, target: AlgebraElement) -> Optional
 
 
 # ---------------------------------------------------------------------------
+# the finite tables of one level
+# ---------------------------------------------------------------------------
+
+def _closed_element(ext: ExtensionData, k: int, x: AlgebraElement) -> AlgebraElement:
+    """-Q_k(delta x) - sum_{m<k} Q_m Q_{k-1-m}(x), the value Q^2 = 0 forces
+    on delta Q_k(x); it reads level k only on delta x."""
+    return -sum_elements(ext.res.ring, (ext.apply_level(m, ext.apply_level(k - 1 - m, x))
+                                        for m in range(k + 1)))
+
+
+def _closed_preimage(ext: ExtensionData, closed: AlgebraElement) -> Optional[AlgebraElement]:
+    """A preimage of a closed element under the level -1 differential.
+
+    Splits as homotopy part plus a lifted projection part; returns None when
+    the projected part cannot be lifted.
+    """
+    h_part = homotopy(closed)
+    projected = project_to_resolution(ext.hook.element, closed, h_part)
+    lifted = lift_delta_preimage(ext.res, projected)
+    if lifted is None:
+        return None
+    return h_part + lifted
+
+
+def _solve_finite_tables(ext: ExtensionData, k: int, positive_tables: bool):
+    """Solve level k on the ring variables and positive generators, then on
+    the module generators by increasing depth.
+
+    Each value is `_closed_preimage` of the source's closed element; delta
+    of a leaf has no tree factor, so none of these reads a tree at level k.
+    Level 0 on variables and positives is the input.  Above it their tables
+    vanish unless the positive derivation fails to square to zero on the
+    nose, so they are solved only when `positive_tables` says it does.
+    """
+    res, ring = ext.res, ext.res.ring
+    sources = []
+    if k >= 1 and positive_tables:
+        sources += [(f"variable level {k}", ring.names[j],
+                     AlgebraElement.scalar(Poly.variable(ring, j)), ext.var_q, j)
+                    for j in range(ring.num_vars)]
+        sources += [(f"positive-generator level {k}", g.label,
+                     AlgebraElement.from_positive(ring, g), ext.vgen_q, g)
+                    for g in ext.pos.gens]
+    sources += [(f"residue level {k}", g.label, AlgebraElement.from_tree(ring, leaf(g)),
+                 ext.gen_q, g)
+                for depth in range(1, res.length + 1) for g in res.generators(depth)]
+    for stage, label, x, table, key in sources:
+        value = _closed_preimage(ext, _closed_element(ext, k, x))
+        if value is None:
+            raise SolveError(stage, label, "no preimage under the resolution differential")
+        if not value.is_zero():
+            table[(k, key)] = value
+
+
+# ---------------------------------------------------------------------------
 # the explicit solver
 # ---------------------------------------------------------------------------
 
-def _sum_lower_level_squares(ext: ExtensionData, k: int, x: AlgebraElement) -> AlgebraElement:
-    out = AlgebraElement.zero(ext.res.ring)
-    for m in range(0, k):
-        out = out + ext.apply_level(m, ext.apply_level(k - 1 - m, x))
-    return out
-
-
 def solve_residues_explicit(res: FreeResolution, pos: PositivePart, hook: HookMap,
-                            neg_degree_max: int,
-                            nabla0: Optional[dict] = None) -> ExtensionData:
+                            neg_degree_max: int) -> ExtensionData:
     """Solve the correction tables of the ideal-preserving extension.
 
-    Levels run from 0 while the forced bidegrees stay nonzero; within a
-    level, module generators are solved by increasing depth, then basis
-    trees by increasing negative degree.  Square-zero is asserted on every
-    solved source after each level.
+    Levels run from 0 through min(length - 1, K); within a level, the finite
+    tables come first (`_solve_finite_tables`), then basis trees by
+    increasing negative degree.  Square-zero is asserted on every module
+    generator after each level.
     """
     issues = pos.square_issues()
     if issues:
@@ -413,44 +438,13 @@ def solve_residues_explicit(res: FreeResolution, pos: PositivePart, hook: HookMa
     if not gate.passed:
         raise SolveError("check_ideal_preserved", gate.failures[0][0],
                          gate.failures[0][1])
-    ext = ExtensionData(res, pos, hook, mode="explicit",
-                        nabla0=choose_nabla0(res, pos, nabla0),
-                        neg_degree_max=neg_degree_max)
-    level_cap = min(res.length - 1, neg_degree_max)
-    for k in range(0, level_cap + 1):
-        _solve_level_on_generators(ext, k)
+    ext = ExtensionData(res, pos, hook, mode="explicit", neg_degree_max=neg_degree_max)
+    for k in range(0, min(res.length - 1, neg_degree_max) + 1):
+        _solve_finite_tables(ext, k, positive_tables=False)  # the gate left no issue
         _solve_level_on_trees(ext, k)
         ext.level_max = k
         _assert_square_on_generators(ext, k)
-    ext.level_max = max(ext.level_max, 0)
     return ext
-
-
-def _solve_level_on_generators(ext: ExtensionData, k: int):
-    res, ring = ext.res, ext.res.ring
-    for depth in range(1, res.length + 1):
-        for g in res.generators(depth):
-            x = AlgebraElement.from_tree(ring, leaf(g))
-            forced = ext.apply_level(k, ext.apply_level(-1, x)) \
-                + _sum_lower_level_squares(ext, k, x)
-            if k == 0 and g in ext.nabla0:
-                forced = forced + ext.apply_level(-1, ext.nabla0[g])
-            target_vanishes = depth + k > res.length or not ext.pos.slice_nonempty(k + 1)
-            if target_vanishes:
-                if not forced.is_zero():
-                    raise SolveError(f"residue level {k}", g.label,
-                                     "forced-zero correction but the obstruction "
-                                     f"is {forced}")
-                continue
-            lifted = lift_delta_preimage(res, forced)
-            if lifted is None:
-                raise SolveError(f"residue level {k}", g.label,
-                                 "no preimage under the resolution differential")
-            value = -lifted
-            if k == 0 and g in ext.nabla0:
-                value = ext.nabla0[g] + value
-            if not value.is_zero():
-                ext.gen_q[(k, g)] = value
 
 
 def _solve_level_on_trees(ext: ExtensionData, k: int):
@@ -464,9 +458,7 @@ def _solve_level_on_trees(ext: ExtensionData, k: int):
                 continue
             x = AlgebraElement.from_tree(ring, node)
             without_root = ext._tree_formula(range(k, k + 1), node, include_root=False)
-            forced = ext.apply_level(-1, without_root) \
-                + ext.apply_level(k, ext.apply_level(-1, x)) \
-                + _sum_lower_level_squares(ext, k, x)
+            forced = ext.apply_level(-1, without_root) - _closed_element(ext, k, x)
             if not forced.has_only_module_and_scalar():
                 raise SolveError(f"residue level {k}", tree_str(node),
                                  f"tree components survive in the obstruction: {forced}")
@@ -484,11 +476,7 @@ def _assert_square_on_generators(ext: ExtensionData, k: int):
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):
             x = AlgebraElement.from_tree(ring, leaf(g))
-            total = AlgebraElement.zero(ring)
-            for a in range(-1, k + 1):
-                b = k - 1 - a
-                if -1 <= b <= k:
-                    total = total + ext.apply_level(a, ext.apply_level(b, x))
+            total = ext.apply_level(-1, ext.apply_level(k, x)) - _closed_element(ext, k, x)
             if not total.is_zero():
                 raise SolveError(f"level {k} consistency", g.label,
                                  f"square residue {total}")
@@ -498,59 +486,23 @@ def _assert_square_on_generators(ext: ExtensionData, k: int):
 # the general solver
 # ---------------------------------------------------------------------------
 
-def _closed_preimage(ext: ExtensionData, closed: AlgebraElement) -> Optional[AlgebraElement]:
-    """A preimage of a closed element under the level -1 differential.
-
-    Splits as homotopy part plus a lifted projection part; returns None when
-    the projected part cannot be lifted.
-    """
-    h_part = homotopy(closed)
-    projected = project_to_resolution(ext.hook.element, closed)
-    lifted = lift_delta_preimage(ext.res, projected)
-    if lifted is None:
-        return None
-    return h_part + lifted
-
-
 def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMap,
                             neg_degree_max: int) -> ExtensionData:
     """Solve the extension without assuming the ideal-preserving form.
 
-    Only the finite tables are solved: on the ring variables, the positive
-    generators and the module generators, level by level through
-    min(length, K).  Within a level, variables and positives come first,
-    then module generators by increasing depth; delta of a leaf has no tree
-    factor, so none of these reads a tree at its own level.  Q on trees is
-    the homotopy formula (`ExtensionData._homotopy_correction`), evaluated
-    on demand.  The positive derivation only needs to square to zero modulo
-    the ideal.
+    Only the finite tables are solved (`_solve_finite_tables`), level by
+    level through min(length, K).  Q on trees is the homotopy formula
+    (`ExtensionData._homotopy_correction`), evaluated on demand.  The
+    positive derivation only needs to square to zero modulo the ideal.
     """
     issues = pos.square_in_ideal(res.ideal_generators())
     if issues:
         raise SolveError("positive input", issues[0],
                          "squared derivation leaves the ideal")
     ext = ExtensionData(res, pos, hook, mode="general", neg_degree_max=neg_degree_max)
-    ring = res.ring
+    positive_tables = bool(pos.square_issues())
     for k in range(0, min(res.length, neg_degree_max) + 1):
-        sources = []
-        if k >= 1:  # level 0 on variables and positives is the input
-            sources += [(f"variable level {k}", ring.names[j],
-                         AlgebraElement.scalar(Poly.variable(ring, j)), ext.var_q, j)
-                        for j in range(ring.num_vars)]
-            sources += [(f"positive-generator level {k}", g.label,
-                         AlgebraElement.from_positive(ring, g), ext.vgen_q, g) for g in pos.gens]
-        sources += [(f"residue level {k}", g.label, AlgebraElement.from_tree(ring, leaf(g)),
-                     ext.gen_q, g)
-                    for depth in range(1, res.length + 1) for g in res.generators(depth)]
-        for stage, label, x, table, key in sources:
-            # delta x is zero on variables and positives
-            closed = -ext.apply_level(k, ext.apply_level(-1, x)) \
-                - _sum_lower_level_squares(ext, k, x)
-            value = _closed_preimage(ext, closed)
-            if value is None:
-                raise SolveError(stage, label, "no preimage under the resolution differential")
-            if not value.is_zero():
-                table[(k, key)] = value
+        _solve_finite_tables(ext, k, positive_tables)
         ext.level_max = k
     return ext
 
@@ -622,8 +574,6 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     the projection read alike, so they check the evaluator against the
     projection, not the solved values (`verify_extension` checks those).
     """
-    from .forest import enumerate_monomial_basis
-
     ring = ext.res.ring
     levels = range(-1, ext.level_max + 1)  # the hook plus every correction table
 
@@ -751,8 +701,6 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart,
     nonnegative level all vanish; validity is certified by the hook
     recursion and the square-zero check of the assembled differential.
     """
-    from .kt import verify_hook
-
     ring = kres.ring
     hook = koszul_hook(kres, neg_degree_max)
     ext = ExtensionData(kres, pos, hook, mode="koszul", neg_degree_max=neg_degree_max)

@@ -146,50 +146,6 @@ def canonicalize_node(node: Node) -> Tuple[Optional[Node], int]:
     return ("N", tuple(k[2] for k in kids)), sign * s
 
 
-class TreeShape:
-    """A planar shape: nested sequences with None for leaves."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self._check(spec, root=True)
-
-    def _check(self, spec, root: bool):
-        if spec is None:
-            return
-        if not isinstance(spec, (list, tuple)) or len(spec) < 2:
-            raise TreeError("inner vertices need at least two children")
-        for child in spec:
-            self._check(child, root=False)
-
-    @property
-    def num_leaves(self) -> int:
-        def count(s):
-            return 1 if s is None else sum(count(c) for c in s)
-
-        return count(self.spec)
-
-    def build(self, gens: Sequence[GeneratorId]) -> Node:
-        gens = list(gens)
-        if len(gens) != self.num_leaves:
-            raise TreeError("decoration count must match leaf count")
-        it = iter(gens)
-
-        def make(s):
-            if s is None:
-                return leaf(next(it))
-            return ("N", tuple(make(c) for c in s))
-
-        return make(self.spec)
-
-
-def canonicalize(shape: TreeShape, gens: Sequence[GeneratorId], incoming_sign: int = 1):
-    """Spec-level entry point: canonical decorated tree or None for zero."""
-    node, sign = canonicalize_node(shape.build(gens))
-    if node is None:
-        return None, 0
-    return node, sign * incoming_sign
-
-
 # ---------------------------------------------------------------------------
 # vertex addressing
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonic
                      collect, enumerate_monomial_basis, enumerate_tree_basis, inner_vertex_paths,
                      is_leaf, leaf, leaf_paths, mono_label, mono_mul, parity_sign, root_join,
                      root_split, contract_vertex, subtree_at, substitute_at_path, sum_elements,
-                     tree_degree, tree_str, vertex_weight, mono_pos_degree)
+                     tree_degree, tree_key, tree_str, vertex_weight, mono_pos_degree)
 from .poly import Poly
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
@@ -109,8 +109,6 @@ class HookMap:
         return self._elements.get(node, self._zero_element)
 
     def entries(self) -> List[Tuple[Node, ModuleElement]]:
-        from .forest import tree_key
-
         return sorted(self.table.items(), key=lambda kv: (-tree_degree(kv[0]), tree_key(kv[0])))
 
     def lines(self) -> List[str]:
@@ -276,23 +274,6 @@ def verify_hook(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> Chec
 def homotopy(elem: AlgebraElement) -> AlgebraElement:
     """Join every monomial with at least two tree factors at a new root."""
     return root_join(elem.project_products())
-
-
-def retract_apply(hook: HookMap, elem: AlgebraElement, which: str) -> AlgebraElement:
-    """Apply one leg of the homotopy retract: 'p', 'h', or 'iota'.
-
-    'iota' is the identity embedding of the module part, so it only accepts
-    elements already inside (module + scalar) x positives.
-    """
-    if which == "p":
-        return project_to_resolution(hook.element, elem)
-    if which == "h":
-        return homotopy(elem)
-    if which == "iota":
-        if not elem.has_only_module_and_scalar():
-            raise ValueError("iota expects a (module + scalar)-valued element")
-        return elem
-    raise ValueError(f"unknown retract leg {which!r}")
 
 
 def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],

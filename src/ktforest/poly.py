@@ -498,7 +498,6 @@ def _blocks(equations: Sequence[dict]) -> list:
     parent: dict = {}
 
     def find(i):
-        parent.setdefault(i, i)
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
@@ -509,8 +508,11 @@ def _blocks(equations: Sequence[dict]) -> list:
         first = next(it, None)
         if first is None:
             continue
-        root = find(first)
+        root = find(first) if first in parent else parent.setdefault(first, first)
         for i in it:
+            if i not in parent:  # a new unknown joins the root directly
+                parent[i] = root
+                continue
             other = find(i)
             if other != root:
                 parent[other] = root

@@ -367,33 +367,6 @@ def test_rank_one_koszul_function(ring_xy):
     assert verify_extension(ext, 6).passed
 
 
-def test_user_nabla0_choice_accepted(quadratic_resolution, quadratic_positive,
-                                     quadratic_ext):
-    """A valid nonzero level-0 derivation choice flows through the solver."""
-    res = quadratic_resolution
-    symbols = res_symbols(res, quadratic_positive)
-    pi1 = res.gen_by_label("pi1")
-    table = {pi1: expect(None, symbols, "3*xi1*pi1")}
-    ext = solve_residues_explicit(res, quadratic_positive, quadratic_ext.hook, 5,
-                                  nabla0=table)
-    report = verify_extension(ext, 5)
-    assert report.passed, report.summary()
-    # the resulting image differs from the default only by an exact term
-    assert boundary_equivalent(res, ext.q_level_on_gen(0, pi1),
-                               quadratic_ext.q_level_on_gen(0, pi1))
-
-
-def test_invalid_nabla0_rejected(quadratic_resolution, quadratic_positive, quadratic_ext):
-    from ktforest.extension import choose_nabla0
-
-    res = quadratic_resolution
-    symbols = res_symbols(res, quadratic_positive)
-    pi1 = res.gen_by_label("pi1")
-    with pytest.raises(ValueError):
-        choose_nabla0(res, quadratic_positive,
-                      {pi1: expect(None, symbols, "pi1")})  # no positive factor
-
-
 def test_general_mode_nonzero_variable_corrections(ring_xy, quadratic_resolution):
     """A lift that squares to zero only modulo the ideal forces corrections
     on the ring variables; the explicit solver must refuse such input."""

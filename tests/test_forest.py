@@ -8,8 +8,8 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.forest import (AlgebraElement, TreeShape, _mono_sort_key, absorb_O_decorations,
-                             canonicalize, canonicalize_node, contract_vertex,
+from ktforest.forest import (AlgebraElement, TreeError, _mono_sort_key, absorb_O_decorations,
+                             canonicalize_node, contract_vertex,
                              enumerate_monomial_basis, enumerate_tree_basis,
                              inner_vertex_count, inner_vertex_paths,
                              koszul_sign, leaf, leaf_count, leaf_paths, make_monomial,
@@ -64,13 +64,13 @@ def test_even_square_survives(quadratic_resolution):
     assert node is not None and sign == 1
 
 
-def test_tree_shape_api(quadratic_resolution):
+def test_one_child_vertex_is_a_tree_error(quadratic_resolution):
     pi1, pi2, pi3 = gens_of(quadratic_resolution, 1)
-    shape = TreeShape(((None, None), None))
-    node, sign = canonicalize(shape, [pi1, pi2, pi3])
+    node, sign = canonicalize_node(("N", (("N", (leaf(pi1), leaf(pi2))), leaf(pi3))))
     assert sign in (1, -1) and leaf_count(node) == 3
-    with pytest.raises(Exception):
-        TreeShape(((None,), None))  # single-child inner vertex
+    # the spec grammar rejects V(pi1) before it reaches a tree
+    with pytest.raises(TreeError):
+        canonicalize_node(("N", (("N", (leaf(pi1),)), leaf(pi2))))
 
 
 def test_degree_bookkeeping(quadratic_resolution):

@@ -18,8 +18,8 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.extension import (ExtensionData, _closed_preimage, _sum_lower_level_squares,
-                                solve_general_extension, solve_residues_explicit)
+from ktforest.extension import (ExtensionData, _closed_preimage, solve_general_extension,
+                                solve_residues_explicit)
 from ktforest.forest import (AlgebraElement, enumerate_monomial_basis, enumerate_tree_basis,
                              is_leaf, leaf, mono_label, sum_elements, tree_degree, tree_str)
 from ktforest.kt import solve_hook
@@ -54,6 +54,13 @@ class ReachLoopData(ExtensionData):
                 raise Unsolved(f"level {k} table not solved for {tree_str(source)}")
         return sum_elements(self.res.ring, (self.tree_q[k, source] for k in levels
                                             if (k, source) in self.tree_q))
+
+
+def _sum_lower_level_squares(ext: ExtensionData, k: int, x: AlgebraElement) -> AlgebraElement:
+    out = AlgebraElement.zero(ext.res.ring)
+    for m in range(0, k):
+        out = out + ext.apply_level(m, ext.apply_level(k - 1 - m, x))
+    return out
 
 
 def reach_loop_extension(res, pos, hook, neg_degree_max) -> ReachLoopData:

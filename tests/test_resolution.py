@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from ktforest.forest import koszul_sign
 from ktforest.poly import Poly, RingSpec, linear_system, matrix_rank, slice_basis
 from ktforest.resolution import (FreeResolution, GeneratorId, ModuleElement,
                                  build_koszul_complex, ideal_member, quotient_dims)
@@ -97,6 +98,27 @@ def test_koszul_wedge_table(ring_xyz):
     sign, gen = res.wedge_gens(e2, e1)
     assert sign == -1 and gen.label == "e12"
     assert res.wedge_gens(e1, e1) is None
+
+
+def test_wedge_gens_sign_is_the_koszul_sign_of_the_sorting_permutation(ring_xyz):
+    phis = [Poly.parse(v, ring_xyz) for v in ("x", "y", "z", "x*y")]
+    res = build_koszul_complex(phis)
+    gens = [g for depth in range(1, 5) for g in res.generators(depth)]
+    disjoint = 0
+    for a in gens:
+        for b in gens:
+            sa, sb = res.subset_of_gen[a], res.subset_of_gen[b]
+            if set(sa) & set(sb):
+                assert res.wedge_gens(a, b) is None
+                continue
+            joined = sa + sb
+            ordered = sorted(joined)
+            # e_joined = sign * e_ordered, every index an odd factor
+            perm = [ordered.index(i) for i in joined]
+            sign = koszul_sign([-1] * len(joined), perm)
+            assert res.wedge_gens(a, b) == (sign, res.gen_of_subset[tuple(ordered)])
+            disjoint += 1
+    assert disjoint == 50  # 3^4 - 2 * 2^4 + 1 ordered pairs of disjoint nonempty subsets
 
 
 def test_quotient_dims_quadratic(ring_xy):

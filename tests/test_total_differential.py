@@ -14,7 +14,7 @@ from ktforest.cli import parse_spec
 from ktforest.extension import solve_residues_explicit
 from ktforest.forest import AlgebraElement, canonicalize_node, leaf, make_monomial
 from ktforest.grammar import parse_element, parse_tree
-from ktforest.kt import retract_apply, solve_hook
+from ktforest.kt import homotopy, project_to_resolution, solve_hook
 from ktforest.poly import Poly
 
 import ktforest
@@ -91,24 +91,21 @@ def test_restriction_to_positive_part(quadratic_setup):
         assert ext.apply(x) == spec.positive.q_on_vars[j]
 
 
-def test_retract_apply_dispatcher(quadratic_setup):
+def test_retract_projection_and_homotopy(quadratic_setup):
     spec, hook, _ext = quadratic_setup
     res = spec.resolution
     ring = res.ring
     a = AlgebraElement.from_tree(ring, leaf(res.gen_by_label("pi1")))
     b = AlgebraElement.from_tree(ring, leaf(res.gen_by_label("pi2")))
     # p restricted to the module is the identity
-    assert retract_apply(hook, a, "p") == a
+    assert project_to_resolution(hook.element, a) == a
     # h joins a two-factor product into the two-leaf tree
     prod = a * b
-    joined = retract_apply(hook, prod, "h")
+    joined = homotopy(prod)
     node = parse_tree("V(pi1,pi2)", spec.symbols)
     assert joined == AlgebraElement.from_tree(ring, node)
     # h kills single trees
-    assert retract_apply(hook, a, "h").is_zero()
-    assert retract_apply(hook, a, "iota") == a
-    with pytest.raises(ValueError):
-        retract_apply(hook, joined, "iota")
+    assert homotopy(a).is_zero()
 
 
 def test_regular_sequence_residues_pinned():
