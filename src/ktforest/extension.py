@@ -427,17 +427,14 @@ def solve_residues_explicit(res: FreeResolution, pos: PositivePart, hook: HookMa
     Levels run from 0 through min(length - 1, K); within a level, the finite
     tables come first (`_solve_finite_tables`), then basis trees by
     increasing negative degree.  Square-zero is asserted on every module
-    generator after each level.
+    generator after each level.  The caller gates the input with
+    `check_ideal_preserved` (as `cli.run` does); the solver does not.
     """
     issues = pos.square_issues()
     if issues:
         raise SolveError("positive input", issues[0],
                          "positive differential must square to zero; "
                          "use the general mode for quotient lifts")
-    gate = check_ideal_preserved(pos, res.ideal_generators())
-    if not gate.passed:
-        raise SolveError("check_ideal_preserved", gate.failures[0][0],
-                         gate.failures[0][1])
     ext = ExtensionData(res, pos, hook, mode="explicit", neg_degree_max=neg_degree_max)
     for k in range(0, min(res.length - 1, neg_degree_max) + 1):
         _solve_finite_tables(ext, k, positive_tables=False)  # the gate left no issue

@@ -156,63 +156,25 @@ def subtree_at(node: Node, path: tuple) -> Node:
     return node
 
 
-def inner_vertex_paths(node: Node) -> List[tuple]:
-    """Paths of non-root, non-leaf vertices, in planar DFS order."""
-    out: List[tuple] = []
+def vertices(node: Node) -> List[Tuple[tuple, Node, int]]:
+    """Every vertex as (path, subtree, weight), in planar DFS preorder.
 
-    def walk(n, path):
-        if n[0] == "L":
-            return
-        if path:
-            out.append(path)
-        for i, c in enumerate(n[1]):
-            walk(c, path + (i,))
-
-    walk(node, ())
-    return out
-
-
-def leaf_paths(node: Node) -> List[Tuple[tuple, GeneratorId]]:
-    out: List[Tuple[tuple, GeneratorId]] = []
-
-    def walk(n, path):
-        if n[0] == "L":
-            out.append((path, n[1]))
-            return
-        for i, c in enumerate(n[1]):
-            walk(c, path + (i,))
-
-    walk(node, ())
-    return out
-
-
-def vertex_weight(node: Node, path: tuple) -> int:
-    """Path length down from the root, corrected by left-subtree degrees.
-
-    Zero for the root and for the leaf of a trivial tree.  For any other
-    vertex: minus the path length, plus the degrees of all subtrees hanging
-    to the left of the path at each ancestor.
+    The weight gives the sign of a substitution at the vertex: zero at the
+    root; at a child, its parent's weight minus one plus the degrees of the
+    subtrees to its left.
     """
-    if not path:
-        return 0
-    total = -len(path)
-    current = node
-    for step in path:
-        for child in current[1][:step]:
-            total += tree_degree(child)
-        current = current[1][step]
-    return total
+    out: List[Tuple[tuple, Node, int]] = []
 
+    def walk(n, path, weight):
+        out.append((path, n, weight))
+        if n[0] == "N":
+            weight -= 1
+            for i, c in enumerate(n[1]):
+                walk(c, path + (i,), weight)
+                weight += tree_degree(c)
 
-def left_leaf_degree(node: Node, path: tuple) -> int:
-    """Sum of degrees of leaf decorations strictly left of the given subtree."""
-    total = 0
-    current = node
-    for step in path:
-        for child in current[1][:step]:
-            total += sum(g.module_degree for g in decorations(child))
-        current = current[1][step]
-    return total
+    walk(node, (), 0)
+    return out
 
 
 def replace_at_path(node: Node, path: tuple, replacement: Node) -> Node:
@@ -521,11 +483,6 @@ class AlgebraElement:
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.terms == other.terms
 
-    # -- grading ----------------------------------------------------------------
-
-    def is_homogeneous(self) -> bool:
-        return len({mono_degree(m) for m in self.terms}) <= 1
-
     # -- projections --------------------------------------------------------------
 
     def project_products(self) -> "AlgebraElement":
@@ -644,23 +601,19 @@ def contract_vertex(node: Node, path: tuple) -> Tuple[Optional[Node], int]:
 
 
 def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement,
-                       sign: int = 1, pull_weight: Optional[int] = None):
+                       sign: int, weight: int):
     """Add sign times `node` with the subtree at `path` replaced by a value.
 
     The value must live in (module + scalar) tensor positives.  Module terms
     decorate a fresh leaf; scalar terms delete the leaf slot, killing the
     term when the shape degenerates.  Positive factors exit the tree with
-    the sign of the decoration-slot identification: past the leaf
-    decorations strictly to the left, or, when `pull_weight` is given (the
-    vertex weight, inside the differential's substitution terms), with the
-    parity of weight times factor degree accumulated from the odd join maps
-    along the path.  The terms are summed into `acc` by `accumulate`; each
-    one's monomial is the value term's canonical positives with the new
-    tree, if any, after them.
+    the parity of the vertex weight (`vertices`) times their degree,
+    accumulated from the odd join maps along the path.  The terms are summed
+    into `acc` by `accumulate`; each one's monomial is the value term's
+    canonical positives with the new tree, if any, after them.
     """
-    left = left_leaf_degree(node, path) if pull_weight is None else pull_weight
     for (trees, pos), c in value.terms.items():
-        term_sign = sign * parity_sign(sum(g.module_degree for g in pos) * left)
+        term_sign = sign * parity_sign(sum(g.module_degree for g in pos) * weight)
         if trees:
             if len(trees) != 1 or not is_leaf(trees[0]):
                 raise TreeError("substitution value must be module + scalar valued")
@@ -675,22 +628,6 @@ def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement
         cnode, s = canonicalize_node(raw)
         if cnode is not None:
             accumulate(acc, ((cnode,), pos), c.terms, term_sign * s)
-
-
-def absorb_O_decorations(ring: RingSpec, node: Node, path: tuple, f: Poly) -> AlgebraElement:
-    """Split a leaf decorated by (generator + scalar) into its two terms.
-
-    Returns tree[..., a, ...] + f * (tree with the leaf removed), the removal
-    projected to zero when the shape becomes inadmissible; on a trivial tree
-    the scalar term is the scalar itself.
-    """
-    target = subtree_at(node, path)
-    if not is_leaf(target):
-        raise TreeError("absorb_O_decorations expects a leaf position")
-    acc: dict = {}
-    substitute_at_path(acc, node, path,
-                       AlgebraElement.from_tree(ring, target) + AlgebraElement.scalar(f))
-    return collect(ring, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
-                     collect, enumerate_monomial_basis, enumerate_tree_basis, inner_vertex_paths,
-                     is_leaf, leaf, leaf_paths, mono_label, mono_mul, parity_sign, root_join,
-                     root_split, contract_vertex, subtree_at, substitute_at_path, sum_elements,
-                     tree_degree, tree_key, tree_str, vertex_weight, mono_pos_degree)
+                     collect, enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
+                     mono_label, mono_mul, parity_sign, root_join, root_split, contract_vertex,
+                     substitute_at_path, sum_elements, tree_degree, tree_key, tree_str, vertices,
+                     mono_pos_degree)
 from .poly import Poly
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
@@ -142,11 +142,11 @@ class TreeDifferential:
         for mono, c in root_split(AlgebraElement.from_tree(ring, node)).terms.items():
             accumulate(acc, mono, c.terms)
         one = Poly.const(ring, 1).terms
-        for path in inner_vertex_paths(node):
-            w = vertex_weight(node, path)
-            cnode, sign = contract_vertex(node, path)
-            if cnode is not None:
-                accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
+        for path, sub, w in vertices(node)[1:]:
+            if not is_leaf(sub):
+                cnode, sign = contract_vertex(node, path)
+                if cnode is not None:
+                    accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
         add_tree_formula(acc, node, self.leaf_value, self.hook.element, include_root=True)
         return collect(ring, acc)
 
@@ -166,18 +166,17 @@ def add_tree_formula(acc: dict, node: Node,
     the root split and the vertex contractions) and every correction level
     (`ExtensionData`) share this formula.
     """
-    for path, gen in leaf_paths(node):
-        value = leaf_value(gen)
-        if value.is_zero():
-            continue
-        w = vertex_weight(node, path)
-        substitute_at_path(acc, node, path, value, parity_sign(w), w)
-    for path in inner_vertex_paths(node) + ([()] if include_root else []):
-        value = hook_value(subtree_at(node, path))
-        if value.is_zero():
-            continue
-        w = vertex_weight(node, path)
-        substitute_at_path(acc, node, path, value, -parity_sign(w), w)
+    walk = vertices(node)
+    for path, sub, w in walk:
+        if is_leaf(sub):
+            value = leaf_value(sub[1])
+            if not value.is_zero():
+                substitute_at_path(acc, node, path, value, parity_sign(w), w)
+    hooked = [v for v in walk[1:] if not is_leaf(v[1])] + (walk[:1] if include_root else [])
+    for path, sub, w in hooked:
+        value = hook_value(sub)
+        if not value.is_zero():
+            substitute_at_path(acc, node, path, value, -parity_sign(w), w)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +184,11 @@ def add_tree_formula(acc: dict, node: Node,
 # ---------------------------------------------------------------------------
 
 def hook_equation_rhs(differential: TreeDifferential, node: Node) -> ModuleElement:
-    """The forced value of d(hook(tree)) in terms of lower hook values."""
-    ring = differential.res.ring
-    split = root_split(AlgebraElement.from_tree(ring, node))
-    image = differential.apply(split)
-    rhs = image.project_module().module_part()
-    joined = root_join(image.project_products())
-    for (trees, pos), c in joined.terms.items():
-        if pos:
-            raise ValueError("unexpected positive factors in hook solving")
-        rhs = rhs + differential.hook.value(trees[0]).scale(c)
-    return rhs
+    """The forced value of d(hook(tree)): the retract projection of the
+    differential of the root split, which reads lower hook values only."""
+    split = root_split(AlgebraElement.from_tree(differential.res.ring, node))
+    return project_to_resolution(differential.hook.element,
+                                 differential.apply(split)).module_part()
 
 
 def hook_window(res: FreeResolution, neg_degree_max: int) -> int:

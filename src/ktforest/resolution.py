@@ -342,7 +342,7 @@ class FreeResolution:
 
     # -- lifting through the differential ----------------------------------------
 
-    def lift(self, target, source_depth: int, poly_degree_cap: Optional[int] = None):
+    def lift(self, target, source_depth: int):
         """Solve d(x) = target for x in the module of degree -source_depth.
 
         `target` is a ModuleElement (for source_depth >= 2) or a Poly (for
@@ -357,7 +357,7 @@ class FreeResolution:
         else:
             zero = Poly.zero(self.ring)
             tvec = [target.terms.get(h, zero) for h in self.generators(source_depth - 1)]
-        sol = solve_lift(self._columns(source_depth), tvec, poly_degree_cap)
+        sol = solve_lift(self._columns(source_depth), tvec)
         if sol is None:
             return None
         return ModuleElement(self.ring, dict(zip(gens, sol)))

@@ -24,7 +24,7 @@ from ktforest.cli import parse_spec
 from ktforest.extension import _group_by_positives, _koszul_leibniz_extend, lift_delta_preimage
 from ktforest.forest import (AlgebraElement, _gen_order, _merge, _tree_order,
                              canonicalize_node, collect, delete_at_path, enumerate_tree_basis,
-                             inner_vertex_paths, is_leaf, leaf, leaf_paths, left_leaf_degree,
+                             is_leaf, leaf, vertices,
                              make_monomial, mono_pos_degree, parity_sign,
                              replace_at_path, root_join, root_split, substitute_at_path)
 from ktforest.kt import SolveError, solve_hook, two_leaf_product
@@ -113,13 +113,11 @@ def former_root_split(elem):
     return summed(elem.ring, terms())
 
 
-def former_substitute(ring, node, path, value, sign, pull_weight):
-    left = left_leaf_degree(node, path) if pull_weight is None else pull_weight
-
+def former_substitute(ring, node, path, value, sign, weight):
     def terms():
         for (trees, pos), c in value.terms.items():
             factors = [("p", g) for g in pos]
-            term_sign = sign * parity_sign(sum(g.module_degree for g in pos) * left)
+            term_sign = sign * parity_sign(sum(g.module_degree for g in pos) * weight)
             if trees:
                 raw = replace_at_path(node, path, trees[0])
             elif path:
@@ -257,15 +255,13 @@ def test_root_split_matches_former(name, draw):
 def test_substitute_at_path_matches_former(name, draw):
     d = data(name)
     node = draw.draw(st.sampled_from([t for _, t in d.trees]))
-    path = draw.draw(st.sampled_from(
-        [p for p, _ in leaf_paths(node)] + inner_vertex_paths(node) + [()]))
+    path = draw.draw(st.sampled_from([p for p, _, _ in vertices(node)]))
     value = draw.draw(elements(d, d.leaves, 0, 1))  # (module + scalar) x positives
     sign = draw.draw(st.sampled_from((1, -1)))
-    pull_weight = draw.draw(st.one_of(st.none(), st.integers(-3, 3)))
+    weight = draw.draw(st.integers(-3, 3))
     acc: dict = {}
-    substitute_at_path(acc, node, path, value, sign, pull_weight)
-    assert collect(d.ring, acc) == former_substitute(d.ring, node, path, value, sign,
-                                                     pull_weight)
+    substitute_at_path(acc, node, path, value, sign, weight)
+    assert collect(d.ring, acc) == former_substitute(d.ring, node, path, value, sign, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 import ktforest
 from ktforest.cli import ProblemSpec, SpecError, emit, main, parse_spec, run
+from ktforest.extension import solve_residues_explicit
+from ktforest.kt import SolveError, solve_hook
 
 
 def spec_path(name):
@@ -122,8 +124,7 @@ def test_text_report_groups_residues_by_level():
     assert levels == sorted(levels)
 
 
-def test_non_preserving_derivation_fails_early():
-    text = """
+NON_PRESERVING = """
 [ring]
 vars = x, y
 [resolution]
@@ -138,10 +139,25 @@ augment pi3 = y^2
 generators 1 = xi
 Q y = xi
 """
-    spec = parse_spec("inline.kt", text=text)
+
+
+def test_non_preserving_derivation_fails_early():
+    spec = parse_spec("inline.kt", text=NON_PRESERVING)
     report = run(spec)
     assert report.failed_stage == "check_ideal_preserved"
     assert not report.all_passed()
+
+
+def test_explicit_solver_refuses_a_non_preserving_derivation():
+    # the solver leaves the ideal gate to its caller, and still finds no
+    # level 0 correction for this input
+    spec = parse_spec("inline.kt", text=NON_PRESERVING)
+    hook = solve_hook(spec.resolution, spec.neg_degree_max)
+    with pytest.raises(SolveError) as info:
+        solve_residues_explicit(spec.resolution, spec.positive, hook, spec.neg_degree_max)
+    err = info.value
+    assert (err.stage, err.item, err.detail) == \
+        ("residue level 0", "pi2", "no preimage under the resolution differential")
 
 
 def test_broken_complex_fails_with_stage():

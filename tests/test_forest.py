@@ -8,13 +8,12 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.forest import (AlgebraElement, TreeError, _mono_sort_key, absorb_O_decorations,
+from ktforest.forest import (AlgebraElement, TreeError, _mono_sort_key,
                              canonicalize_node, contract_vertex,
                              enumerate_monomial_basis, enumerate_tree_basis,
-                             inner_vertex_count, inner_vertex_paths,
-                             koszul_sign, leaf, leaf_count, leaf_paths, make_monomial,
-                             mono_degree, root_join, root_split, subtree_at, tree_degree,
-                             tree_key, tree_str, vertex_weight)
+                             inner_vertex_count, is_leaf, koszul_sign, leaf, leaf_count,
+                             make_monomial, mono_degree, root_join, root_split, subtree_at,
+                             tree_degree, tree_key, tree_str, vertices)
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
 
@@ -123,7 +122,7 @@ def test_contract_decreases_inner_count(quadratic_resolution):
     pi1, pi2, pi3 = gens_of(quadratic_resolution, 1)
     nested = ("N", (("N", (leaf(pi1), leaf(pi2))), leaf(pi3)))
     node, _sign = canonicalize_node(nested)
-    paths = inner_vertex_paths(node)
+    paths = [p for p, sub, _ in vertices(node)[1:] if not is_leaf(sub)]
     assert len(paths) == 1
     contracted, sign = contract_vertex(node, paths[0])
     assert inner_vertex_count(contracted) == 0
@@ -137,11 +136,12 @@ def test_weights_on_displayed_tree(monomial3_resolution):
     e13 = gens_of(monomial3_resolution, 2)[0]
     inner = ("N", (leaf(e3), leaf(e4), leaf(e13)))
     tree = ("N", (leaf(e1), leaf(e2), inner))
-    assert vertex_weight(tree, ()) == 0
-    assert vertex_weight(tree, (0,)) == -1  # first leaf
-    assert vertex_weight(tree, (2,)) == -1 + (-1) + (-1)  # the inner vertex
+    weight = {path: w for path, _, w in vertices(tree)}
+    assert weight[()] == 0
+    assert weight[(0,)] == -1  # first leaf
+    assert weight[(2,)] == -1 + (-1) + (-1)  # the inner vertex
     # a leaf inside the inner vertex, with one left sibling there
-    assert vertex_weight(tree, (2, 1)) == -2 + (-1) + (-1) + (-1)
+    assert weight[(2, 1)] == -2 + (-1) + (-1) + (-1)
 
 
 def test_enumerate_basis_low_degrees(quadratic_resolution):
@@ -192,44 +192,6 @@ def test_join_degree_identity(quadratic_resolution):
             continue
         [(jmono, _)] = list(joined.terms.items())
         assert mono_degree(jmono) == sum(tree_degree(t) for t in picks) - 1
-
-
-def test_absorb_scalar_decoration_two_leaves(quadratic_resolution):
-    # on a 2-leaf tree the scalar branch deletes into an inadmissible shape
-    ring = quadratic_resolution.ring
-    pi1, pi2, _ = gens_of(quadratic_resolution, 1)
-    node, _ = canonicalize_node(("N", (leaf(pi1), leaf(pi2))))
-    f = Poly.parse("x", ring)
-    out = absorb_O_decorations(ring, node, (0,), f)
-    assert out == AlgebraElement.from_tree(ring, node)
-
-
-def test_absorb_zero_scalar_is_identity(quadratic_resolution):
-    ring = quadratic_resolution.ring
-    pi1, pi2, pi3 = gens_of(quadratic_resolution, 1)
-    node, _ = canonicalize_node(("N", (leaf(pi1), leaf(pi2), leaf(pi3))))
-    out = absorb_O_decorations(ring, node, (1,), Poly.zero(ring))
-    assert out == AlgebraElement.from_tree(ring, node)
-
-
-def test_absorb_on_trivial_tree_gives_scalar(quadratic_resolution):
-    ring = quadratic_resolution.ring
-    pi1 = gens_of(quadratic_resolution, 1)[0]
-    f = Poly.parse("x*y", ring)
-    out = absorb_O_decorations(ring, leaf(pi1), (), f)
-    assert out == AlgebraElement.from_tree(ring, leaf(pi1)) + AlgebraElement.scalar(f)
-
-
-def test_absorb_three_leaves_keeps_admissible_deletion(quadratic_resolution):
-    ring = quadratic_resolution.ring
-    pi1, pi2, pi3 = gens_of(quadratic_resolution, 1)
-    node, _ = canonicalize_node(("N", (leaf(pi1), leaf(pi2), leaf(pi3))))
-    f = Poly.parse("y", ring)
-    out = absorb_O_decorations(ring, node, (0,), f)
-    reduced, _ = canonicalize_node(("N", (leaf(pi2), leaf(pi3))))
-    expected = AlgebraElement.from_tree(ring, node) \
-        + AlgebraElement.from_tree(ring, reduced, f)
-    assert out == expected
 
 
 def test_sign_coherence_under_child_permutations(quadratic_resolution):
