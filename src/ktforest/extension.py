@@ -11,13 +11,14 @@ derivation on the positive part, and solved correction tables
   * on basis trees, hook corrections entering the same tree formula that
     the level -1 differential uses.
 
-Each table entry is a preimage under the resolution differential of an
-expression in lower tables, found by exact lifting; square-zero of the
+Every source, a variable, a positive or module generator or a basis tree,
+gets one step: its level-k value is a preimage under the level -1
+differential of the element that Q^2 = 0 forces, the homotopy part plus an
+exact lift of the projection (`_closed_preimage`).  Square-zero of the
 total differential is then verified degree by degree.  A second, general
-mode drops the ideal-preservation hypothesis.  It solves only finite
-tables, on the ring variables, the positive generators and the module
-generators, and evaluates Q on a tree on demand by the homotopy of the
-retract, with no lifting on trees.
+mode drops the ideal-preservation hypothesis.  It evaluates Q on a tree by
+the step itself, on demand, where the explicit mode reads the tree formula;
+both modes solve the same tree tables.
 """
 
 from __future__ import annotations
@@ -154,20 +155,20 @@ class ExtensionData:
     """Solved correction tables plus the evaluator for the total differential.
 
     Q is the sum of its levels: level -1 is the hook's tree differential,
-    and level k >= 0 reads the level-k tables, or on a tree in general mode
-    the homotopy formula (`_homotopy_correction`).  One evaluator,
-    `q_level_on_tree`, gives Q summed over a range of levels >= 0;
-    `apply_level(k)` runs it on levels k..k, and `apply` on levels
+    and level k >= 0 reads the level-k tables.  On a tree, level k is the
+    tree formula over the `chi` tables, or in general mode the tree step
+    (`_solve_tree`) itself; both modes fill `chi` by that step.  One
+    evaluator, `q_level_on_tree`, gives Q summed over a range of levels
+    >= 0; `apply_level(k)` runs it on levels k..k, and `apply` on levels
     0..level_max beside level -1.
     """
 
     def __init__(self, res: FreeResolution, pos: PositivePart, hook: HookMap,
-                 mode: str = "explicit", neg_degree_max: int = 6):
+                 mode: str = "explicit"):
         self.res = res
         self.pos = pos
         self.hook = hook
         self.mode = mode
-        self.neg_degree_max = neg_degree_max
         self.gen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
         self.chi: Dict[Tuple[int, Node], AlgebraElement] = {}
         self.var_q: Dict[Tuple[int, int], AlgebraElement] = {}
@@ -207,10 +208,8 @@ class ExtensionData:
     # -- Q summed over a range of levels >= 0 ------------------------------------
 
     def q_level_on_tree(self, levels: range, source) -> AlgebraElement:
-        """Q summed over `levels` on a tree, a leaf or a positive generator.
-
-        Memoized by source and then by range; `forget` drops a source.
-        """
+        """Q summed over `levels` on a tree, a leaf or a positive generator,
+        memoized by source and then by range."""
         images = self._tree_memo.setdefault(source, {})
         image = images.get(levels)
         if image is None:
@@ -224,38 +223,18 @@ class ExtensionData:
         if is_leaf(source):
             return sum_elements(ring, (self.q_level_on_gen(k, source[1]) for k in levels))
         if self.mode != "general":
-            return self._tree_formula(levels, source, include_root=True)
+            return self._tree_formula(levels, source)
         if len(levels) != 1:
             return sum_elements(ring, (self.q_level_on_tree(range(k, k + 1), source)
                                        for k in levels))
-        return self._homotopy_correction(levels[0], source)
+        return _solve_tree(self, levels[0], source)
 
-    def _homotopy_correction(self, k: int, node: Node) -> AlgebraElement:
-        """Q_k on a tree in general mode: h of the element that Q^2 = 0 forces.
-
-        delta Q_k(t) = closed with closed = -Q_k(delta t) - sum_{m<k} Q_m
-        Q_{k-1-m}(t), which reads level k on smaller trees and lower levels
-        on any tree, so the recursion is well founded.  A closed element with
-        zero projection is delta h(closed); any other has no tree preimage.
-        """
-        closed = _closed_element(self, k, AlgebraElement.from_tree(self.res.ring, node))
-        joined = homotopy(closed)
-        projected = project_to_resolution(self.hook.element, closed, joined)
-        if not projected.is_zero():
-            raise SolveError(f"residue level {k}", tree_str(node),
-                             f"the closed element projects to {projected}, not to zero")
-        return joined
-
-    def _tree_formula(self, levels: range, node: Node, include_root: bool) -> AlgebraElement:
+    def _tree_formula(self, levels: range, node: Node) -> AlgebraElement:
         """Corrected leaves plus hook substitutions, one walk for all `levels`."""
         acc: dict = {}
         add_tree_formula(acc, node, lambda g: self.q_level_on_tree(levels, leaf(g)),
-                         lambda t: self.chi_levels(levels, t), include_root)
+                         lambda t: self.chi_levels(levels, t))
         return collect(self.res.ring, acc)
-
-    def forget(self, node: Node):
-        """Drop the memoized images of a source whose table changed."""
-        self._tree_memo.pop(node, None)
 
     # -- assembled operators ------------------------------------------------------
 
@@ -375,8 +354,9 @@ def _closed_element(ext: ExtensionData, k: int, x: AlgebraElement) -> AlgebraEle
 def _closed_preimage(ext: ExtensionData, closed: AlgebraElement) -> Optional[AlgebraElement]:
     """A preimage of a closed element under the level -1 differential.
 
-    Splits as homotopy part plus a lifted projection part; returns None when
-    the projected part cannot be lifted.
+    Splits as homotopy part, which holds only joined trees, plus a lifted
+    projection part in module x positives; returns None when the projected
+    part cannot be lifted.
     """
     h_part = homotopy(closed)
     projected = project_to_resolution(ext.hook.element, closed, h_part)
@@ -416,6 +396,47 @@ def _solve_finite_tables(ext: ExtensionData, k: int, positive_tables: bool):
             table[(k, key)] = value
 
 
+def _solve_tree(ext: ExtensionData, k: int, node: Node) -> AlgebraElement:
+    """Q_k on a tree by `_closed_preimage`, the step every source gets.
+
+    The module part of the value, negated, is the table entry chi[(k, t)],
+    which the tree formula subtracts at the root; past degree length - k
+    there is no module to land in.
+    """
+    x = AlgebraElement.from_tree(ext.res.ring, node)
+    value = _closed_preimage(ext, _closed_element(ext, k, x))
+    if value is None:
+        raise SolveError(f"residue level {k}", tree_str(node),
+                         "no preimage under the resolution differential")
+    entry = -value.project_module()
+    if not entry.is_zero():
+        ext.chi[(k, node)] = entry
+    return value
+
+
+def _solve_level_on_trees(ext: ExtensionData, k: int):
+    """Run the tree step on the basis trees of degree 3..length - k, at any K.
+
+    General mode runs it through its memo.  Explicit mode evaluates trees by
+    the tree formula, which must reproduce the step's value exactly.
+    """
+    if not ext.pos.slice_nonempty(k + 1):
+        return
+    level = range(k, k + 1)
+    for degree in range(3, ext.res.length - k + 1):
+        for node in enumerate_tree_basis(ext.res, degree):
+            if is_leaf(node):
+                continue
+            if ext.mode == "general":
+                ext.q_level_on_tree(level, node)
+                continue
+            value = _solve_tree(ext, k, node)
+            formula = ext.q_level_on_tree(level, node)
+            if formula != value:
+                raise SolveError(f"residue level {k}", tree_str(node),
+                                 f"the tree formula gives {formula}, the step {value}")
+
+
 # ---------------------------------------------------------------------------
 # the explicit solver
 # ---------------------------------------------------------------------------
@@ -425,47 +446,23 @@ def solve_residues_explicit(res: FreeResolution, pos: PositivePart, hook: HookMa
     """Solve the correction tables of the ideal-preserving extension.
 
     Levels run from 0 through min(length - 1, K); within a level, the finite
-    tables come first (`_solve_finite_tables`), then basis trees by
-    increasing negative degree.  Square-zero is asserted on every module
-    generator after each level.  The caller gates the input with
-    `check_ideal_preserved` (as `cli.run` does); the solver does not.
+    tables come first (`_solve_finite_tables`), then the basis trees of
+    degree 3..length - k (`_solve_level_on_trees`).  Square-zero is asserted
+    on every module generator after each level.  The caller gates the input
+    with `check_ideal_preserved` (as `cli.run` does); the solver does not.
     """
     issues = pos.square_issues()
     if issues:
         raise SolveError("positive input", issues[0],
                          "positive differential must square to zero; "
                          "use the general mode for quotient lifts")
-    ext = ExtensionData(res, pos, hook, mode="explicit", neg_degree_max=neg_degree_max)
+    ext = ExtensionData(res, pos, hook, mode="explicit")
     for k in range(0, min(res.length - 1, neg_degree_max) + 1):
         _solve_finite_tables(ext, k, positive_tables=False)  # the gate left no issue
         _solve_level_on_trees(ext, k)
         ext.level_max = k
         _assert_square_on_generators(ext, k)
     return ext
-
-
-def _solve_level_on_trees(ext: ExtensionData, k: int):
-    res, ring = ext.res, ext.res.ring
-    top = min(res.length - k, ext.neg_degree_max)
-    if not ext.pos.slice_nonempty(k + 1):
-        return
-    for degree in range(3, top + 1):
-        for node in enumerate_tree_basis(res, degree):
-            if is_leaf(node):
-                continue
-            x = AlgebraElement.from_tree(ring, node)
-            without_root = ext._tree_formula(range(k, k + 1), node, include_root=False)
-            forced = ext.apply_level(-1, without_root) - _closed_element(ext, k, x)
-            if not forced.has_only_module_and_scalar():
-                raise SolveError(f"residue level {k}", tree_str(node),
-                                 f"tree components survive in the obstruction: {forced}")
-            lifted = lift_delta_preimage(res, forced)
-            if lifted is None:
-                raise SolveError(f"residue level {k}", tree_str(node),
-                                 "no preimage under the resolution differential")
-            if not lifted.is_zero():
-                ext.chi[(k, node)] = lifted
-                ext.forget(node)
 
 
 def _assert_square_on_generators(ext: ExtensionData, k: int):
@@ -487,19 +484,21 @@ def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMa
                             neg_degree_max: int) -> ExtensionData:
     """Solve the extension without assuming the ideal-preserving form.
 
-    Only the finite tables are solved (`_solve_finite_tables`), level by
-    level through min(length, K).  Q on trees is the homotopy formula
-    (`ExtensionData._homotopy_correction`), evaluated on demand.  The
+    Level by level through min(length, K), the finite tables are solved
+    (`_solve_finite_tables`), then the tree tables (`_solve_level_on_trees`).
+    Q on a tree is the tree step (`_solve_tree`), memoized, and on demand
+    past the tables' window, where it lifts only a nonzero projection.  The
     positive derivation only needs to square to zero modulo the ideal.
     """
     issues = pos.square_in_ideal(res.ideal_generators())
     if issues:
         raise SolveError("positive input", issues[0],
                          "squared derivation leaves the ideal")
-    ext = ExtensionData(res, pos, hook, mode="general", neg_degree_max=neg_degree_max)
+    ext = ExtensionData(res, pos, hook, mode="general")
     positive_tables = bool(pos.square_issues())
     for k in range(0, min(res.length, neg_degree_max) + 1):
         _solve_finite_tables(ext, k, positive_tables)
+        _solve_level_on_trees(ext, k)
         ext.level_max = k
     return ext
 
@@ -567,9 +566,11 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     relation h Incl = 0 on the monomial basis.  The side relations h h = 0
     and Proj h = 0 hold by construction, since h of a basis monomial is a
     sum of single joined trees; a test checks that on every bundled spec.
-    The identities hold for any leaf, hook and correction tables that Q and
-    the projection read alike, so they check the evaluator against the
-    projection, not the solved values (`verify_extension` checks those).
+    The projection reads the hook and every tree table.  Explicit Q reads
+    the same tables through the tree formula; general Q on a tree is the
+    tree step, whose module part is the negated table entry.  So the
+    identities check the evaluator against the projection, not the solved
+    values (`verify_extension` checks those).
     """
     ring = ext.res.ring
     levels = range(-1, ext.level_max + 1)  # the hook plus every correction table
@@ -700,7 +701,7 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart,
     """
     ring = kres.ring
     hook = koszul_hook(kres, neg_degree_max)
-    ext = ExtensionData(kres, pos, hook, mode="koszul", neg_degree_max=neg_degree_max)
+    ext = ExtensionData(kres, pos, hook, mode="koszul")
     failures = []
     for k, table in sorted(qk_tables.items()):
         for depth in range(1, kres.length + 1):

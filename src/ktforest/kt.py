@@ -147,7 +147,7 @@ class TreeDifferential:
                 cnode, sign = contract_vertex(node, path)
                 if cnode is not None:
                     accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
-        add_tree_formula(acc, node, self.leaf_value, self.hook.element, include_root=True)
+        add_tree_formula(acc, node, self.leaf_value, self.hook.element)
         return collect(ring, acc)
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
@@ -156,27 +156,23 @@ class TreeDifferential:
 
 def add_tree_formula(acc: dict, node: Node,
                      leaf_value: Callable[[GeneratorId], AlgebraElement],
-                     hook_value: Callable[[Node], AlgebraElement], include_root: bool):
+                     hook_value: Callable[[Node], AlgebraElement]):
     """Add the substitution terms of the tree formula to an accumulator.
 
     Each leaf decoration g is replaced by leaf_value(g), and the subtree t
-    at each inner vertex, and at the root when `include_root`, by
-    -hook_value(t); each term carries the sign of its vertex weight.  Zero
-    values are skipped.  Level -1 (`TreeDifferential.on_tree`, which adds
-    the root split and the vertex contractions) and every correction level
-    (`ExtensionData`) share this formula.
+    at each inner vertex and at the root by -hook_value(t); each term
+    carries the sign of its vertex weight.  Zero values are skipped.  Level
+    -1 (`TreeDifferential.on_tree`, which adds the root split and the
+    vertex contractions) and every correction level (`ExtensionData`) share
+    this formula.
     """
-    walk = vertices(node)
-    for path, sub, w in walk:
+    for path, sub, w in vertices(node):
         if is_leaf(sub):
-            value = leaf_value(sub[1])
-            if not value.is_zero():
-                substitute_at_path(acc, node, path, value, parity_sign(w), w)
-    hooked = [v for v in walk[1:] if not is_leaf(v[1])] + (walk[:1] if include_root else [])
-    for path, sub, w in hooked:
-        value = hook_value(sub)
+            value, sign = leaf_value(sub[1]), parity_sign(w)
+        else:
+            value, sign = hook_value(sub), -parity_sign(w)
         if not value.is_zero():
-            substitute_at_path(acc, node, path, value, -parity_sign(w), w)
+            substitute_at_path(acc, node, path, value, sign, w)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -355,7 +356,12 @@ def test_cli_mode_override_is_checked():
 
 
 BUNDLED_SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt",
-                 "quadratic.kt", "regular_sequence.kt"]
+                 "quadratic.kt", "regular_sequence.kt", "taylor_shear.kt"]
+
+
+def test_bundled_specs_are_every_example_spec():
+    examples = Path(spec_path("quadratic.kt")).parent
+    assert sorted(BUNDLED_SPECS) == sorted(p.name for p in examples.glob("*.kt"))
 
 
 @pytest.mark.parametrize("name", BUNDLED_SPECS)
@@ -379,6 +385,31 @@ def test_general_mode_passes_with_trees_checked_through_the_truncation(capsys, n
     out = capsys.readouterr().out
     assert "result: PASS" in out
     assert f"sources, trees through negative degree {depth})" in out
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("mode", ["explicit", "general"])
+def test_low_truncation_product_defect_reads_solved_tree_tables(capsys, mode, depth):
+    """Tree tables are solved through length - k at every K, so the level-1
+    product defect reads a solved V(e1,e2) even at K = 1 and 2."""
+    assert main(["run", spec_path("taylor_shear.kt"), "--mode", mode,
+                 "--neg-degree-max", str(depth)]) == 0
+    out = capsys.readouterr().out
+    assert "level-1 product defect: pass (49 generator pairs)" in out
+    residues = out.split("[residues]\n")[1].split("\n\n")[0].splitlines()
+    assert "level 0: V(e1,e2) = xi*e123" in residues
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_explicit_and_general_reports_differ_only_in_the_mode(capsys, depth):
+    reports = []
+    for mode in ("explicit", "general"):
+        assert main(["run", spec_path("taylor_shear.kt"), "--mode", mode,
+                     "--neg-degree-max", str(depth)]) == 0
+        reports.append(capsys.readouterr().out.splitlines())
+    differing = [(a, b) for a, b in zip(*reports) if a != b]
+    assert len(reports[0]) == len(reports[1])
+    assert [a.split(":")[0] for a, _ in differing] == ["mode", "solve_extension"]
 
 
 def test_unselected_verifiers_do_not_run(monkeypatch):

@@ -103,7 +103,7 @@ def former_apply_level(ext):
         if ext.mode != "general":
             acc = {}
             add_tree_formula(acc, node, lambda g: ext.gen_q.get((k, g), zero),
-                             lambda t: ext.chi.get((k, t), zero), include_root=True)
+                             lambda t: ext.chi.get((k, t), zero))
             return collect(ring, acc)
         if (k, node) in ext.tree_q:
             return ext.tree_q[(k, node)]

@@ -22,7 +22,7 @@ from ktforest.forest import AlgebraElement, leaf
 from ktforest.kt import SolveError, solve_hook
 
 SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt", "quadratic.kt",
-         "regular_sequence.kt"]
+         "regular_sequence.kt", "taylor_shear.kt"]
 
 
 def former_level_on_generators(ext: ExtensionData, k: int):
@@ -52,7 +52,7 @@ def former_level_on_generators(ext: ExtensionData, k: int):
 
 def former_explicit_extension(res, pos, hook, neg_degree_max) -> ExtensionData:
     """`solve_residues_explicit` with the former step, without its gates."""
-    ext = ExtensionData(res, pos, hook, mode="explicit", neg_degree_max=neg_degree_max)
+    ext = ExtensionData(res, pos, hook, mode="explicit")
     for k in range(0, min(res.length - 1, neg_degree_max) + 1):
         former_level_on_generators(ext, k)
         _solve_level_on_trees(ext, k)

@@ -19,7 +19,6 @@ from ktforest.cli import main, parse_spec
 from ktforest.extension import solve_general_extension, solve_residues_explicit
 from ktforest.forest import (AlgebraElement, apply_derivation, enumerate_tree_basis,
                              make_monomial, mono_mul, parity_sign, tree_degree)
-from ktforest.grammar import parse_tree
 from ktforest.kt import SolveError, TreeDifferential, solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
@@ -200,32 +199,62 @@ def test_extension_apply_is_the_sum_of_its_levels(ext, x):
     assert ext.apply(x) == total
 
 
-def test_a_tree_whose_closed_element_projects_off_zero_is_a_solve_error(monkeypatch, capsys):
-    """General mode's tree correction is h(closed) only when the projection
-    of closed is zero; otherwise the level and the tree are named, and a
-    run ends in a no-solution stage, exit 3."""
+def test_a_tree_whose_projection_has_no_lift_is_a_solve_error(monkeypatch, capsys):
+    """The tree step lifts the projection of a tree's closed element into
+    module x positives; when that has no preimage, the level and the tree
+    are named, and a general-mode run ends in a no-solution stage, exit 3."""
     import ktforest.extension as extension
 
-    spec = parse_spec(ktforest.example_path("quadratic.kt"))
+    lift = extension.lift_delta_preimage
+
+    def no_lift_from_depth_2(res, target):
+        # on taylor_shear.kt only the level-0 tree steps lift from depth 2
+        if any(trees and trees[0][1].module_degree == -2 for trees, _pos in target.terms):
+            return None
+        return lift(res, target)
+
+    monkeypatch.setattr(extension, "lift_delta_preimage", no_lift_from_depth_2)
+    path = ktforest.example_path("taylor_shear.kt")
+    spec = parse_spec(path)
     res = spec.resolution
-    general = solve_general_extension(res, spec.positive, solve_hook(res, K), K)
-    # a projection that keeps every element; generator tables, whose closed
-    # elements hold no product, solve as before
-    monkeypatch.setattr(extension, "project_to_resolution",
-                        lambda _hook_value, elem, joined=None: elem)
-    node = parse_tree("V(pi1,pi2)", spec.symbols)
     with pytest.raises(SolveError) as err:
-        general.q_level_on_tree(range(0, 1), node)
-    assert (err.value.stage, err.value.item) == ("residue level 0", "V(pi1,pi2)")
-    assert str(err.value).startswith("[residue level 0] no solution for V(pi1,pi2): ")
+        solve_general_extension(res, spec.positive, solve_hook(res, K), K)
+    assert (err.value.stage, err.value.item) == ("residue level 0", "V(e1,e2)")
+    assert str(err.value) == ("[residue level 0] no solution for V(e1,e2): "
+                              "no preimage under the resolution differential")
 
     capsys.readouterr()
-    code = main(["run", ktforest.example_path("quadratic.kt"), "--mode", "general",
-                 "--neg-degree-max", "4"])
+    code = main(["run", path, "--mode", "general", "--neg-degree-max", "4"])
     out = capsys.readouterr().out
     assert code == 3
-    assert "residue level 0: no-solution (V(pi1,pi2): " in out
+    assert ("residue level 0: no-solution (V(e1,e2): "
+            "no preimage under the resolution differential)") in out
     assert "result: FAIL" in out
+
+
+def test_the_explicit_guard_fires_on_a_perturbed_tree_table(monkeypatch):
+    """Explicit mode evaluates a tree by the tree formula over the stored
+    table, which must reproduce the tree step's value; a perturbed entry is
+    a SolveError naming the level and the tree."""
+    import ktforest.extension as extension
+
+    solve_tree = extension._solve_tree
+
+    def doubled(ext, k, node):
+        value = solve_tree(ext, k, node)
+        if (k, node) in ext.chi:
+            ext.chi[(k, node)] = ext.chi[(k, node)].scale(2)
+        return value
+
+    spec = parse_spec(ktforest.example_path("taylor_shear.kt"))
+    res = spec.resolution
+    hook = solve_hook(res, K)
+    assert solve_residues_explicit(res, spec.positive, hook, K).chi  # unperturbed: solved
+    monkeypatch.setattr(extension, "_solve_tree", doubled)
+    with pytest.raises(SolveError) as err:
+        solve_residues_explicit(res, spec.positive, hook, K)
+    assert (err.value.stage, err.value.item) == ("residue level 0", "V(e1,e2)")
+    assert "the tree formula gives" in err.value.detail
 
 
 # ---------------------------------------------------------------------------

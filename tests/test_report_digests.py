@@ -6,7 +6,9 @@ unknowns that `poly` used before it split systems into components, so a
 change of the linear algebra that moves any byte of a report fails here.
 The general-mode reports were recorded later, once general mode solved only
 the finite tables and evaluated Q on trees by the homotopy formula: every
-one passes, with trees checked through K.
+one passes, with trees checked through K.  The `taylor_shear.kt` pins were
+recorded once both modes solved the tree tables by one step; its explicit
+report is the one the former explicit solver printed.
 The K = 7 pin was recorded with the Leibniz evaluator that formed every
 term as left * image * right and summed the levels one by one.
 """
@@ -57,6 +59,12 @@ DIGESTS = {
     ("regular_sequence.kt", "general"): (
         "2d0df46f6b6b435bb68e860397674edcae9b813fccecbb807539ea1bd6b77125",
         "c2e79631da13e402a2064124e31a227d5897a78f3ec34eb0daec7475c2567a7d"),
+    ("taylor_shear.kt", "explicit"): (
+        "3524aa433243f2302017f49d4ce1a7579d870c92264bc6ffbc7b0e38e033b81d",
+        "6ae700990181c6a6699f5961d26e03f74b6b528fba2710a0401112827f44cabc"),
+    ("taylor_shear.kt", "general"): (
+        "8a6a297afaf2aefbed9de465fd8fd745865e1ed51066caaa8f060a8aefd4c60a",
+        "82ae4c1368ad01542a1a0ad102a935fa978f3412747a85e994a1d325df3f8e9c"),
 }
 
 

@@ -19,11 +19,11 @@ from ktforest.cli import parse_spec
 from ktforest.forest import (AlgebraElement, accumulate, collect, contract_vertex,
                              enumerate_tree_basis, is_leaf, parity_sign, root_split,
                              subtree_at, substitute_at_path, tree_degree, vertices)
-from ktforest.kt import add_tree_formula, solve_hook
+from ktforest.kt import solve_hook
 from ktforest.poly import Poly
 
 SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt", "quadratic.kt",
-         "regular_sequence.kt"]
+         "regular_sequence.kt", "taylor_shear.kt"]
 K = 6
 
 
@@ -71,14 +71,14 @@ def former_vertex_weight(node, path):
     return total
 
 
-def former_add_tree_formula(acc, node, leaf_value, hook_value, include_root):
+def former_add_tree_formula(acc, node, leaf_value, hook_value):
     for path, gen in former_leaf_paths(node):
         value = leaf_value(gen)
         if value.is_zero():
             continue
         w = former_vertex_weight(node, path)
         substitute_at_path(acc, node, path, value, parity_sign(w), w)
-    for path in former_inner_vertex_paths(node) + ([()] if include_root else []):
+    for path in former_inner_vertex_paths(node) + [()]:
         value = hook_value(subtree_at(node, path))
         if value.is_zero():
             continue
@@ -100,8 +100,7 @@ def former_image(differential, node):
         cnode, sign = contract_vertex(node, path)
         if cnode is not None:
             accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
-    former_add_tree_formula(acc, node, differential.leaf_value, differential.hook.element,
-                            include_root=True)
+    former_add_tree_formula(acc, node, differential.leaf_value, differential.hook.element)
     return collect(ring, acc)
 
 
@@ -137,15 +136,3 @@ def test_on_tree_matches_the_former_image(name):
     differential = hook.differential()
     for node in trees:
         assert differential.on_tree(node) == former_image(differential, node)
-
-
-@pytest.mark.parametrize("name", SPECS)
-def test_tree_formula_without_root_matches_the_former(name):
-    res, trees, hook = setup(name)
-    differential = hook.differential()
-    for node in trees:
-        acc, former = {}, {}
-        add_tree_formula(acc, node, differential.leaf_value, hook.element, include_root=False)
-        former_add_tree_formula(former, node, differential.leaf_value, hook.element,
-                                include_root=False)
-        assert collect(res.ring, acc) == collect(res.ring, former)
