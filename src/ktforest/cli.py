@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .extension import (ExtensionData, PositivePart, check_ideal_preserved, koszul_mode,
@@ -36,16 +35,20 @@ class SpecError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass
 class ProblemSpec:
-    name: str
-    ring: RingSpec
-    ideal: List[Poly]
-    resolution: FreeResolution
-    positive: Optional[PositivePart]
-    symbols: SymbolTable
-    koszul_tables: Dict[int, Dict[GeneratorId, AlgebraElement]]
-    options: dict = field(default_factory=dict)
+    def __init__(self, name: str, ring: RingSpec, ideal: List[Poly],
+                 resolution: FreeResolution, positive: Optional[PositivePart],
+                 symbols: SymbolTable,
+                 koszul_tables: Dict[int, Dict[GeneratorId, AlgebraElement]],
+                 options: Optional[dict] = None):
+        self.name = name
+        self.ring = ring
+        self.ideal = ideal
+        self.resolution = resolution
+        self.positive = positive
+        self.symbols = symbols
+        self.koszul_tables = koszul_tables
+        self.options = {} if options is None else options
 
     @property
     def mode(self) -> str:
@@ -316,19 +319,23 @@ def _parse_koszul_tables(sections, resolution, symbols):
 # the pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RunReport:
-    spec_name: str
-    mode: str
-    options: dict
-    stages: list = field(default_factory=list)
-    quotient: list = field(default_factory=list)
-    hook_lines: list = field(default_factory=list)
-    residues: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
-    truncation: dict = field(default_factory=dict)
-    failed_stage: Optional[str] = None
+    def __init__(self, spec_name: str, mode: str, options: dict,
+                 stages: Optional[list] = None, quotient: Optional[list] = None,
+                 hook_lines: Optional[list] = None, residues: Optional[list] = None,
+                 verdicts: Optional[list] = None, timings: Optional[dict] = None,
+                 truncation: Optional[dict] = None, failed_stage: Optional[str] = None):
+        self.spec_name = spec_name
+        self.mode = mode
+        self.options = options
+        self.stages = [] if stages is None else stages
+        self.quotient = [] if quotient is None else quotient
+        self.hook_lines = [] if hook_lines is None else hook_lines
+        self.residues = [] if residues is None else residues
+        self.verdicts = [] if verdicts is None else verdicts
+        self.timings = {} if timings is None else timings
+        self.truncation = {} if truncation is None else truncation
+        self.failed_stage = failed_stage
 
     def all_passed(self) -> bool:
         return self.failed_stage is None and all(v["passed"] for v in self.verdicts)

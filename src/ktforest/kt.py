@@ -15,7 +15,6 @@ trees too deep for the resolution are forced to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
@@ -37,12 +36,12 @@ class SolveError(RuntimeError):
         super().__init__(f"[{stage}] no solution for {item}" + (f": {detail}" if detail else ""))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    checked: str
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str, passed: bool, checked: str, failures: Optional[list] = None):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"

@@ -22,9 +22,10 @@ up to a degree cap.  `matrix_rank`, used on such systems by the exactness
 oracle and the quotient dimensions.  Both split their system into the
 connected components of its unknowns and equations, which for graded input
 include the split by internal degree, and run one Gauss-Jordan kernel on
-each component; `solve_lift` skips every component whose right-hand side
-is zero, since its answer is zero, and `matrix_rank` every component with
-one equation or one unknown, since its rank is 1.
+each component.  `solve_lift` builds only the components its target
+reaches, since every other one has a zero right-hand side and the answer
+zero, and `matrix_rank` skips every component with one equation or one
+unknown, since its rank is 1.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Optional, Sequence
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
@@ -582,12 +583,15 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
     ordered graded-lexicographically by monomial and then by column index.
     Returns None when no solution exists within the cap.
 
-    The rational system is split into the connected components of its
-    unknowns and equations.  A component whose right-hand side is zero has
-    the zero solution and is skipped; every other component is eliminated
-    on its own, its unknowns in their global order.  Within a component a
-    pivot depends only on earlier columns of that component, so the answer
-    is the one elimination of the whole system would give.
+    The rational system falls apart into the connected components of its
+    unknowns and equations, and a component without a target term has the
+    zero solution.  So only the components the target reaches are built: a
+    walk from the target's terms alternates between equations and the
+    unknowns that appear in them, and `linear_system` builds the equations
+    of the unknowns it closes on.  Each component is eliminated on its own,
+    its unknowns in their global order.  Within a component a pivot depends
+    only on earlier columns of that component, so the answer is the one
+    elimination of the whole system would give.
     """
     if not columns:
         return [] if all(t.is_zero() for t in target) else None
@@ -608,32 +612,51 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
     if poly_degree_cap is None:
         poly_degree_cap = target_max
 
-    # Unknowns: (column j, monomial m), ordered by (monomial graded-lex, j).
-    # slice_basis is graded-lex within a degree, so this order is already sorted.
-    # A zero column never contributes; its coefficient stays 0.
-    low = [min((p.total_degree() for p in vec if not p.is_zero()), default=None)
-           for vec in columns]
+    # An unknown (column j, monomial m) exists when column j is nonzero,
+    # deg m <= cap and deg m + low_j <= bound, low_j being the least total
+    # degree of the column's nonzero entries.  A zero column never
+    # contributes; its coefficient stays 0.
     bound = max(target_max, poly_degree_cap)
-    unknowns = []
-    for d in range(poly_degree_cap + 1):
-        for m in slice_basis(ring, d):
-            for j, lo in enumerate(low):
-                if lo is not None and d + lo <= bound:
-                    unknowns.append((j, m))
+    terms_of_row = [[] for _ in range(n_rows)]  # (j, exponent, limit on deg m)
+    terms_of_column = []  # (row, exponent) per column
+    for j, vec in enumerate(columns):
+        terms = [(r, e) for r, p in enumerate(vec) for e in p.terms]
+        terms_of_column.append(terms)
+        if terms:
+            limit = min(poly_degree_cap, bound - min(p.total_degree() for p in vec if p))
+            for r, e in terms:
+                terms_of_row[r].append((j, e, limit))
 
+    # The equations (row, monomial) and unknowns the target's terms reach.
+    todo = [(r, mu) for r in range(n_rows) for mu in target[r].terms]
+    seen = set(todo)
+    reached = set()
+    while todo:
+        r, mu = todo.pop()
+        for j, e, limit in terms_of_row[r]:
+            m = tuple(map(sub, mu, e))
+            if min(m) < 0 or sum(m) > limit or (j, m) in reached:
+                continue
+            reached.add((j, m))
+            for r2, e2 in terms_of_column[j]:
+                key = (r2, tuple(map(add, e2, m)))
+                if key not in seen:
+                    seen.add(key)
+                    todo.append(key)
+
+    unknowns = sorted(reached, key=lambda jm: (monomial_key(jm[1]), jm[0]))
     equations = linear_system(columns, unknowns)
     for r in range(n_rows):
         for mu in target[r].terms:
-            if equations.setdefault((r, mu), {}) == {}:
+            if (r, mu) not in equations:
                 return None  # a target term no unknown can reach
 
+    # every component holds a target term, so none has a zero right-hand side
     eq_keys = sorted(equations, key=lambda k: (k[0], monomial_key(k[1])))
     eq_rows = [equations[k] for k in eq_keys]
     rhs = [target[r].terms.get(mu, 0) for r, mu in eq_keys]
     solution: dict = {}  # unknown index -> nonzero value
     for eqs, unks in _blocks(eq_rows):
-        if not any(rhs[e] for e in eqs):
-            continue
         sol = rref_solve(_dense(eq_rows, eqs, unks), [rhs[e] for e in eqs], len(unks))
         if sol is None:
             return None

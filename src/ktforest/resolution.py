@@ -13,7 +13,6 @@ extension layer uses for hook comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -132,10 +131,10 @@ class ModuleElement:
         return f"ModuleElement({self})"
 
 
-@dataclass
 class ComplexReport:
-    passed: bool
-    failures: list  # (generator, residue ModuleElement or Poly)
+    def __init__(self, passed: bool, failures: list):
+        self.passed = passed
+        self.failures = failures  # (generator, residue ModuleElement or Poly)
 
     def witness(self) -> str:
         if self.passed:
@@ -144,13 +143,14 @@ class ComplexReport:
         return f"d*d != 0 on {g.label}: residue {res}"
 
 
-@dataclass
 class HomologyReport:
-    graded: bool
-    poly_degree_max: int
-    # (homological_degree, internal_degree) -> (dim_kernel, dim_image, dim_homology)
-    dims: dict = field(default_factory=dict)
-    exact: bool = True
+    def __init__(self, graded: bool, poly_degree_max: int, dims: Optional[dict] = None,
+                 exact: bool = True):
+        self.graded = graded
+        self.poly_degree_max = poly_degree_max
+        # (homological_degree, internal_degree) -> (dim_kernel, dim_image, dim_homology)
+        self.dims = {} if dims is None else dims
+        self.exact = exact
 
     def failures(self) -> list:
         return [k for k, v in self.dims.items() if v[2] != 0]

@@ -2,12 +2,16 @@
 
 The fraction-free kernel `_reduce` and `rref_solve` are compared with
 sympy's reduced row echelon form on small dense systems.  `solve_lift` is
-compared with the single dense Gauss-Jordan over all unknowns that it
-replaced, kept below as the oracle; `matrix_rank`, on the sparse rows of
-drawn dense matrices, with sympy's rank; `quotient_dims` of drawn
-homogeneous ideals with the standard monomials of a sympy Groebner basis.
-The drawn lifting systems are sparse and fall apart into blocks: by
-polynomial degree, and by rows of the target that no column shares.
+compared with two oracles kept below: the single dense Gauss-Jordan over
+all unknowns, and the whole-system solve that built every unknown up to
+the cap and eliminated the blocks with a nonzero right-hand side.  Against
+the latter, `rref_solve` must also receive the very same systems.
+`matrix_rank`, on the sparse rows of drawn dense matrices, is compared
+with sympy's rank; `quotient_dims` of drawn homogeneous ideals with the
+standard monomials of a sympy Groebner basis, and `ideal_member` with
+reduction by that basis.  The drawn lifting systems are sparse and fall
+apart into blocks: by polynomial degree, and by rows of the target that no
+column shares.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktforest.poly import (Poly, RingSpec, _reduce, matrix_rank, monomial_key, rref_solve,
-                           slice_basis, solve_lift)
-from ktforest.resolution import quotient_dims
+from ktforest import poly
+from ktforest.poly import (Poly, RingSpec, _blocks, _dense, _reduce, linear_system, matrix_rank,
+                           monomial_key, rref_solve, slice_basis, solve_lift)
+from ktforest.resolution import ideal_member, quotient_dims
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -114,6 +119,68 @@ def dense_solve_lift(columns, target, poly_degree_cap=None):
     return out
 
 
+def whole_system_solve_lift(columns, target, poly_degree_cap=None):
+    """The whole-system solve: every unknown up to the cap is built, and the
+    blocks with a zero right-hand side are skipped.  It calls the kernel as
+    `poly.rref_solve`, so that a spy on the module sees its systems."""
+    if not columns:
+        return [] if all(t.is_zero() for t in target) else None
+    ring = (list(target) + [p for vec in columns for p in vec])[0].ring
+    n_rows = len(target)
+    if all(t.is_zero() for t in target):
+        return [Poly.zero(ring) for _ in columns]
+    target_max = max(t.total_degree() for t in target if not t.is_zero())
+    if poly_degree_cap is None:
+        poly_degree_cap = target_max
+    low = [min((p.total_degree() for p in vec if not p.is_zero()), default=None)
+           for vec in columns]
+    bound = max(target_max, poly_degree_cap)
+    unknowns = []
+    for d in range(poly_degree_cap + 1):
+        for m in slice_basis(ring, d):
+            for j, lo in enumerate(low):
+                if lo is not None and d + lo <= bound:
+                    unknowns.append((j, m))
+    equations = linear_system(columns, unknowns)
+    for r in range(n_rows):
+        for mu in target[r].terms:
+            if equations.setdefault((r, mu), {}) == {}:
+                return None
+    eq_keys = sorted(equations, key=lambda k: (k[0], monomial_key(k[1])))
+    eq_rows = [equations[k] for k in eq_keys]
+    rhs = [target[r].terms.get(mu, 0) for r, mu in eq_keys]
+    solution = {}
+    for eqs, unks in _blocks(eq_rows):
+        if not any(rhs[e] for e in eqs):
+            continue
+        sol = poly.rref_solve(_dense(eq_rows, eqs, unks), [rhs[e] for e in eqs], len(unks))
+        if sol is None:
+            return None
+        solution.update((i, v) for i, v in zip(unks, sol) if v)
+    out = [Poly.zero(ring) for _ in columns]
+    for i in sorted(solution):
+        j, m = unknowns[i]
+        out[j] = out[j] + Poly.monomial(ring, m, solution[i])
+    return out
+
+
+def solve_and_record(solver, *args):
+    """The solver's answer and the systems (rows, rhs, unknowns) that it
+    hands to `poly.rref_solve`, in order."""
+    systems = []
+    kernel = poly.rref_solve
+
+    def spy(rows, rhs, num_unknowns):
+        systems.append(([list(row) for row in rows], list(rhs), num_unknowns))
+        return kernel(rows, rhs, num_unknowns)
+
+    poly.rref_solve = spy
+    try:
+        return solver(*args), systems
+    finally:
+        poly.rref_solve = kernel
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -201,6 +268,41 @@ def lifting_problems(draw):
 
 
 @st.composite
+def reachable_lifting_problems(draw):
+    """Lifting systems of which the target reaches only some components.
+
+    Entries are not homogeneous, so a column links several degrees; some
+    columns are zero; the cap may lie above the target's degree; and in an
+    "unreachable" problem the target has a term in a row that every column
+    leaves zero, which no unknown reaches.
+    """
+    ring = RingSpec(["x", "y", "z"][:draw(st.integers(1, 3))])
+    n_rows = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["consistent", "consistent", "perturbed", "unreachable"]))
+    empty_row = draw(st.integers(0, n_rows - 1)) if kind == "unreachable" else None
+    zero = Poly.zero(ring)
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        support = set() if draw(st.integers(0, 4)) == 0 else draw(
+            st.sets(st.integers(0, n_rows - 1), min_size=1, max_size=n_rows))
+        columns.append([draw(polys(ring, 3, min_terms=1, max_terms=3))
+                        if r in support and r != empty_row else zero for r in range(n_rows)])
+    multipliers = [draw(polys(ring, 2, max_terms=2)) for _ in columns]
+    target = []
+    for r in range(n_rows):
+        acc = zero
+        for col, c in zip(columns, multipliers):
+            acc = acc + col[r] * c
+        target.append(acc)
+    if kind != "consistent":
+        r = empty_row if kind == "unreachable" else draw(st.integers(0, n_rows - 1))
+        target[r] = target[r] + draw(polys(ring, 3, min_terms=1, max_terms=1))
+    top = max((t.total_degree() for t in target if t), default=0)
+    cap = draw(st.one_of(st.none(), st.integers(top, top + 2)))
+    return columns, target, cap, kind
+
+
+@st.composite
 def block_matrices(draw):
     """Columns of a block-diagonal matrix with rows and columns shuffled."""
     blocks = []
@@ -241,14 +343,38 @@ def homogeneous_ideals(draw):
     return ring, gens, draw(st.integers(0, 6))
 
 
+@st.composite
+def membership_problems(draw):
+    """A drawn homogeneous ideal, a polynomial and a cap >= its degree.
+
+    The polynomial is a combination of the generators, such a combination
+    plus one term, or a random polynomial.
+    """
+    ring, gens, _ = draw(homogeneous_ideals())
+    kind = draw(st.sampled_from(["member", "perturbed", "random"]))
+    if kind == "random":
+        p = draw(polys(ring, 4, min_terms=1))
+    else:
+        p = Poly.zero(ring)
+        for g in gens:
+            p = p + g * draw(polys(ring, 2, max_terms=2))
+        if kind == "perturbed":
+            p = p + draw(polys(ring, 4, min_terms=1, max_terms=1))
+    cap = (p.total_degree() or 0) + draw(st.integers(0, 2))
+    return ring, gens, p, cap
+
+
+def to_sympy(p, syms):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s ** k for s, k in zip(syms, e))) for e, c in p.terms.items()),
+               sympy.Integer(0))
+
+
 def standard_monomial_counts(ring, gens, cap):
     """Per degree through `cap`, the monomials outside the leading-term ideal
     of a grevlex Groebner basis of the ideal."""
     syms = sympy.symbols(ring.names)
-    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
-                 * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
-                 for e, c in g.terms.items()) for g in gens]
-    basis = sympy.groebner(exprs, *syms, order="grevlex")
+    basis = sympy.groebner([to_sympy(g, syms) for g in gens], *syms, order="grevlex")
     leading = [sympy.Poly(g, *syms).monoms(order="grevlex")[0] for g in basis.exprs]
     return [sum(1 for m in slice_basis(ring, k)
                 if not any(all(a >= b for a, b in zip(m, lead)) for lead in leading))
@@ -313,6 +439,24 @@ def test_solve_lift_matches_dense_elimination(problem):
 
 
 @SETTINGS
+@given(reachable_lifting_problems())
+def test_solve_lift_matches_the_whole_system_and_feeds_rref_solve_alike(problem):
+    columns, target, cap, kind = problem
+    got, got_systems = solve_and_record(solve_lift, columns, target, cap)
+    want, want_systems = solve_and_record(whole_system_solve_lift, columns, target, cap)
+    assert got == want
+    assert got_systems == want_systems
+    if kind == "unreachable":
+        assert got is None
+    if got is not None:
+        for r, t in enumerate(target):
+            acc = Poly.zero(t.ring)
+            for col, c in zip(columns, got):
+                acc = acc + col[r] * c
+            assert acc == t
+
+
+@SETTINGS
 @given(block_matrices())
 def test_matrix_rank_matches_sympy(columns):
     expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in col]
@@ -325,6 +469,16 @@ def test_matrix_rank_matches_sympy(columns):
 def test_quotient_dims_match_groebner_standard_monomials(problem):
     ring, gens, cap = problem
     assert quotient_dims(ring, gens, cap) == standard_monomial_counts(ring, gens, cap)
+
+
+@SETTINGS
+@given(membership_problems())
+def test_ideal_member_matches_groebner_reduction(problem):
+    ring, gens, p, cap = problem
+    syms = sympy.symbols(ring.names)
+    basis = sympy.groebner([to_sympy(g, syms) for g in gens], *syms, order="grevlex")
+    _, remainder = sympy.reduced(to_sympy(p, syms), list(basis.exprs), *syms, order="grevlex")
+    assert ideal_member(ring, gens, p, cap) == (remainder == 0)
 
 
 def test_unreachable_target_term_has_no_lift():

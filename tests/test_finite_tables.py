@@ -16,8 +16,9 @@ import pytest
 import ktforest
 from ktforest.cli import parse_spec
 from ktforest.extension import (ExtensionData, _assert_square_on_generators,
-                                _solve_level_on_trees, lift_delta_preimage,
-                                solve_general_extension, solve_residues_explicit)
+                                _solve_level_on_trees, check_ideal_preserved,
+                                lift_delta_preimage, solve_general_extension,
+                                solve_residues_explicit)
 from ktforest.forest import AlgebraElement, leaf
 from ktforest.kt import SolveError, solve_hook
 
@@ -83,3 +84,17 @@ def test_general_mode_stores_no_positive_tables_when_the_input_squares_to_zero(n
     ext = solve_general_extension(res, pos, solve_hook(res, 6), 6)
     assert ext.level_max == min(res.length, 6)
     assert not ext.var_q and not ext.vgen_q
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_general_mode_solves_level_length_to_empty_tables(name):
+    # on ideal-preserving input no generator has a module of depth > length
+    # to land in, and the tree window 3..length - k is empty at k = length
+    spec = parse_spec(ktforest.example_path(name))
+    res, pos = spec.resolution, spec.positive
+    assert check_ideal_preserved(pos, spec.ideal, spec.poly_cap).passed
+    for k in (res.length, 6):
+        ext = solve_general_extension(res, pos, solve_hook(res, k), k)
+        assert ext.level_max == res.length
+        for table in (ext.gen_q, ext.chi, ext.var_q, ext.vgen_q):
+            assert not [key for key in table if key[0] == res.length]

@@ -2,17 +2,22 @@
 
 A stand-in for a linter's unused-import rule, with the standard library
 only.  Uses count in code and in annotations, quoted ones included;
-`__init__.py` re-exports its imports and is left out.
+`__init__.py` re-exports its imports and is left out.  Also: a cold start
+of the command line imports neither `dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ktforest"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "ktforest"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -68,3 +73,12 @@ def test_unused_import_is_found():
     tree = ast.parse("from typing import Dict, List\nimport os\n"
                      "def f(x: 'Dict[str, int]') -> None:\n    pass\n")
     assert set(imported_names(tree)) - used_names(tree) == {"List", "os"}
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # they pull in ast, dis and tokenize, compiled afresh at every start
+    # that has no bytecode cache
+    code = "import sys, ktforest.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
