@@ -1,7 +1,10 @@
 """Decorated rooted trees and the graded symmetric algebra they generate.
 
-Trees are nested tuples: a leaf is ('L', gen) and an inner node is
-('N', (child, ...)).  The trivial tree is a bare leaf.  Admissible shapes
+Trees are interned tuples: a leaf is ('L', gen) and an inner node is
+('N', (child, ...)), each built by `leaf` or `node`, which return the one
+`Node` object of that structure.  So a tree hashes by identity, and every
+dict and cache lookup of one is a pointer hash instead of a walk down to
+its leaves.  The trivial tree is a bare leaf.  Admissible shapes
 have at least two children at the root and at every inner vertex.  Leaf
 decorations are resolution generators; polynomial coefficients and positive
 generators live outside the tree, on the enclosing monomial.
@@ -26,7 +29,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from .poly import Poly, RingSpec, exact
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
-Node = tuple  # ('L', GeneratorId) | ('N', (Node, ...))
 Monomial = tuple  # (trees: tuple[Node, ...], pos: tuple[GeneratorId, ...])
 
 
@@ -35,8 +37,52 @@ def parity_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+class Node(tuple):
+    """A tree, ('L', GeneratorId) or ('N', (Node, ...)), interned.
+
+    Built only by `leaf` and `node`, so equal trees are one object and the
+    hash is the object's.  Equality, ordering and indexing are a tuple's:
+    a tree equals the plain tuple of its structure but hashes differently,
+    so a dict keyed by trees is read with the `Node` (`as_node`).
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
+_leaves: dict = {}  # GeneratorId -> its leaf
+_joins: dict = {}  # tuple of interned children -> the tree joining them
+
+
 def leaf(gen: GeneratorId) -> Node:
-    return ("L", gen)
+    """The trivial tree on a generator."""
+    tree = _leaves.get(gen)
+    if tree is None:
+        tree = _leaves[gen] = tuple.__new__(Node, ("L", gen))
+    return tree
+
+
+def node(children: Iterable) -> Node:
+    """The tree joining `children` at a new root, in the order given.
+
+    A child that is not interned (a plain-tuple tree) is interned first.
+    """
+    kids = tuple(children)
+    tree = _joins.get(kids)
+    if tree is None:
+        if any(type(c) is not Node for c in kids):
+            kids = tuple(map(as_node, kids))
+            tree = _joins.get(kids)
+        if tree is None:
+            tree = _joins[kids] = tuple.__new__(Node, ("N", kids))
+    return tree
+
+
+def as_node(tree) -> Node:
+    """The interned tree of a `Node` or of nested plain tuples."""
+    if type(tree) is Node:
+        return tree
+    return leaf(tree[1]) if tree[0] == "L" else node(tree[1])
 
 
 def is_leaf(node: Node) -> bool:
@@ -126,15 +172,15 @@ def _sort_factors_with_sign(items: list) -> Tuple[Optional[list], int]:
 
 
 @lru_cache(maxsize=None)
-def canonicalize_node(node: Node) -> Tuple[Optional[Node], int]:
+def canonicalize_node(tree: Node) -> Tuple[Optional[Node], int]:
     """Canonical representative and Koszul sign, or (None, 0) for zero."""
-    if node[0] == "L":
-        return node, 1
-    if len(node[1]) < 2:
-        raise TreeError(f"vertex with {len(node[1])} child(ren) is inadmissible")
+    if tree[0] == "L":
+        return leaf(tree[1]), 1
+    if len(tree[1]) < 2:
+        raise TreeError(f"vertex with {len(tree[1])} child(ren) is inadmissible")
     sign = 1
     kids = []
-    for c in node[1]:
+    for c in tree[1]:
         cc, s = canonicalize_node(c)
         if cc is None:
             return None, 0
@@ -143,7 +189,7 @@ def canonicalize_node(node: Node) -> Tuple[Optional[Node], int]:
     kids, s = _sort_factors_with_sign(kids)
     if kids is None:
         return None, 0
-    return ("N", tuple(k[2] for k in kids)), sign * s
+    return node(k[2] for k in kids), sign * s
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +223,16 @@ def vertices(node: Node) -> List[Tuple[tuple, Node, int]]:
     return out
 
 
-def replace_at_path(node: Node, path: tuple, replacement: Node) -> Node:
+def replace_at_path(tree: Node, path: tuple, replacement: Node) -> Node:
     if not path:
         return replacement
     i = path[0]
-    kids = list(node[1])
+    kids = list(tree[1])
     kids[i] = replace_at_path(kids[i], path[1:], replacement)
-    return ("N", tuple(kids))
+    return node(kids)
 
 
-def delete_at_path(node: Node, path: tuple) -> Optional[Node]:
+def delete_at_path(tree: Node, path: tuple) -> Optional[Node]:
     """Remove the subtree at path; None when the shape becomes inadmissible.
 
     A parent left with fewer than two children is inadmissible and kills the
@@ -195,11 +241,11 @@ def delete_at_path(node: Node, path: tuple) -> Optional[Node]:
     if not path:
         raise TreeError("cannot delete the whole tree here")
     parent_path, i = path[:-1], path[-1]
-    parent = subtree_at(node, parent_path)
+    parent = subtree_at(tree, parent_path)
     kids = parent[1][:i] + parent[1][i + 1:]
     if len(kids) < 2:
         return None
-    return replace_at_path(node, parent_path, ("N", kids))
+    return replace_at_path(tree, parent_path, node(kids))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +297,7 @@ def make_monomial(factors: Iterable[tuple]) -> Tuple[Optional[Monomial], int]:
     if items is None:
         return None, 0
     pos = tuple(obj for _, _, (kind, obj) in items if kind == "p")
-    trees = tuple(obj for _, _, (kind, obj) in items if kind == "t")
+    trees = tuple(as_node(obj) for _, _, (kind, obj) in items if kind == "t")
     return (trees, pos), sign
 
 
@@ -556,18 +602,18 @@ def root_join(elem: AlgebraElement) -> AlgebraElement:
 
     A map of degree -1; positive factors pass with the Koszul sign of an odd
     operator.  Monomials with fewer than two tree factors are rejected.  The
-    joined tree follows the canonical positives, so ((node,), pos) is
+    joined tree follows the canonical positives, so ((tree,), pos) is
     canonical as it stands.
     """
     acc: dict = {}
     for (trees, pos), c in elem.terms.items():
         if len(trees) < 2:
             raise TreeError("root_join needs at least two tree factors")
-        node, sign = canonicalize_node(("N", trees))
-        if node is None:
+        joined, sign = canonicalize_node(node(trees))
+        if joined is None:
             continue
         sign *= parity_sign(mono_pos_degree((trees, pos)))
-        accumulate(acc, ((node,), pos), c.terms, sign)
+        accumulate(acc, ((joined,), pos), c.terms, sign)
     return collect(elem.ring, acc)
 
 
@@ -586,17 +632,17 @@ def root_split(elem: AlgebraElement) -> AlgebraElement:
     return collect(elem.ring, acc)
 
 
-def contract_vertex(node: Node, path: tuple) -> Tuple[Optional[Node], int]:
+def contract_vertex(tree: Node, path: tuple) -> Tuple[Optional[Node], int]:
     """Remove an inner vertex, splicing its children into its parent."""
     if not path:
         raise TreeError("cannot contract the root")
-    target = subtree_at(node, path)
+    target = subtree_at(tree, path)
     if is_leaf(target):
         raise TreeError("cannot contract a leaf")
     parent_path, i = path[:-1], path[-1]
-    parent = subtree_at(node, parent_path)
+    parent = subtree_at(tree, parent_path)
     kids = parent[1][:i] + target[1] + parent[1][i + 1:]
-    raw = replace_at_path(node, parent_path, ("N", kids))
+    raw = replace_at_path(tree, parent_path, node(kids))
     return canonicalize_node(raw)
 
 
@@ -715,7 +761,7 @@ def enumerate_tree_basis(res: FreeResolution, neg_degree: int) -> Tuple[Node, ..
     if neg_degree >= 3:
         for combo in _multisets_with_degree(_trees_through(res, neg_degree - 2),
                                             neg_degree - 1, 2):
-            out.append(("N", combo))
+            out.append(node(combo))
     # listing order: leaf count, then inner-vertex count, then shape and
     # decorations; the canonical child order inside each tree is tree_key
     out.sort(key=lambda t: (leaf_count(t), inner_vertex_count(t)) + tree_key(t)[1:])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .forest import AlgebraElement, Node, canonicalize_node, leaf, tree_str
+from .forest import AlgebraElement, Node, canonicalize_node, leaf, node, tree_str
 from .poly import Poly, RingSpec, TokenCursor, parse_expression
 from .resolution import GeneratorId, ModuleElement
 
@@ -81,24 +81,24 @@ def _parse_written_tree(text: str, symbols: SymbolTable) -> Node:
             raise ParseError(f"tree decorations must be module generators: {name!r}")
         return obj
 
-    def node():
+    def subtree():
         kind, val = take()
         if kind != "name":
             raise ParseError(f"expected a label or V(...), got {val!r}")
         if val == "V" and peek() == ("op", "("):
             take()
-            children = [node()]
+            children = [subtree()]
             while peek() == ("op", ","):
                 take()
-                children.append(node())
+                children.append(subtree())
             if take() != ("op", ")"):
                 raise ParseError("expected closing parenthesis in tree")
             if len(children) < 2:
                 raise ParseError(f"a tree vertex needs at least two children in {text!r}")
-            return ("N", tuple(children))
+            return node(children)
         return leaf(decoration(val))
 
-    written = node()
+    written = subtree()
     cursor.finish()
     return written
 

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
                      collect, enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
-                     mono_label, mono_mul, parity_sign, root_join, root_split, contract_vertex,
+                     mono_label, mono_mul, node, parity_sign, root_join, root_split, contract_vertex,
                      substitute_at_path, sum_elements, tree_degree, tree_key, tree_str, vertices,
                      mono_pos_degree)
 from .poly import Poly
@@ -380,7 +380,7 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
             if len(tx) != 1 or not is_leaf(tx[0]) or len(ty) != 1 or not is_leaf(ty[0]):
                 raise ValueError("product arguments must be module-valued")
             gx, gy = tx[0][1], ty[0][1]
-            cnode, sign = canonicalize_node(("N", (leaf(gx), leaf(gy))))
+            cnode, sign = canonicalize_node(node((leaf(gx), leaf(gy))))
             if cnode is None:
                 continue
             # the second argument's positives exit past the first decoration;

@@ -600,7 +600,7 @@ def solve_lift(columns: Sequence[Sequence[Poly]], target: Sequence[Poly],
         for p in vec:
             if ring is None:
                 ring = p.ring
-            elif p.ring != ring:
+            elif p.ring is not ring and p.ring != ring:
                 raise RingError("solve_lift entries over mixed rings")
     n_rows = len(target)
     for vec in columns:

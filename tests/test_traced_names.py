@@ -1,10 +1,11 @@
 """The names the benchmark's tracer reads still exist.
 
 `perfbench/tracing.py` wraps each function named in its `SPANNED` table and
-reads the memos `TreeDifferential._memo` and `ExtensionData._tree_memo`
-after a run.  A rename would otherwise surface only as a failed traced
-benchmark run.  The table is read without calling `instrument()`, which
-would patch the modules.
+reads the memos `TreeDifferential._memo` and `ExtensionData._tree_memo` and
+the counts of `forest.canonicalize_node.cache_info()` after a run.  A
+rename would otherwise surface only as a failed traced benchmark run.  The
+table is read without calling `instrument()`, which would patch the
+modules.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import ktforest
-from ktforest import extension, kt
+from ktforest import extension, forest, kt
 from ktforest.cli import check_mode, parse_spec, run
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -50,7 +51,10 @@ def test_traced_memos_exist_after_a_run(monkeypatch):
     spec = parse_spec(ktforest.example_path("quadratic.kt"))
     spec.options["neg_degree_max"] = 4
     check_mode(spec)
+    before = forest.canonicalize_node.cache_info()
     assert run(spec).all_passed()
+    after = forest.canonicalize_node.cache_info()
+    assert after.hits > before.hits and after.currsize >= before.currsize
     assert instances[kt.TreeDifferential] and instances[extension.ExtensionData]
     assert all(isinstance(t._memo, dict) for t in instances[kt.TreeDifferential])
     assert all(isinstance(e._tree_memo, dict) for e in instances[extension.ExtensionData])
