@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, collect,
                      enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf, mono_label,
-                     parity_sign, sum_elements, tree_str)
+                     parity_sign, sum_elements, sums_to_zero, tree_str)
 from .kt import (CheckResult, HookMap, SolveError, add_tree_formula, homotopy, hook_product,
                  hook_window, project_to_resolution, two_leaf_product, verify_hook)
 from .poly import Poly, RingSpec
@@ -238,25 +238,28 @@ class ExtensionData:
 
     # -- assembled operators ------------------------------------------------------
 
-    def apply_level(self, k: int, elem: AlgebraElement) -> AlgebraElement:
+    def apply_level(self, k: int, elem: AlgebraElement, acc: Optional[dict] = None,
+                    sign: int = 1) -> AlgebraElement:
         """The level-k piece of Q; level -1 is the hook's tree differential."""
         if k == -1:
-            return self.hook.differential().apply(elem)
-        return self._apply_levels(range(k, k + 1), elem)
+            return self.hook.differential().apply(elem, acc, sign)
+        return self._apply_levels(range(k, k + 1), elem, None, acc, sign)
 
-    def apply(self, elem: AlgebraElement) -> AlgebraElement:
+    def apply(self, elem: AlgebraElement, acc: Optional[dict] = None,
+              sign: int = 1) -> AlgebraElement:
         """The total differential in one Leibniz pass.
 
         Each tree factor gets its level -1 image, from the hook's evaluator,
         and its image summed over levels 0..level_max; positive factors and
-        coefficients get their images summed over those levels.
+        coefficients get their images summed over those levels.  `acc` and
+        `sign` are those of `apply_derivation`, here and in `apply_level`.
         """
         return self._apply_levels(range(0, self.level_max + 1), elem,
-                                  self.hook.differential().on_tree)
+                                  self.hook.differential().on_tree, acc, sign)
 
     def _apply_levels(self, levels: range, elem: AlgebraElement,
-                      delta: Optional[Callable[[Node], AlgebraElement]] = None
-                      ) -> AlgebraElement:
+                      delta: Optional[Callable[[Node], AlgebraElement]] = None,
+                      acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
         """Q summed over `levels` by the Leibniz rule, plus the tree images `delta`."""
         image = partial(self.q_level_on_tree, levels)
 
@@ -264,7 +267,7 @@ class ExtensionData:
             return sum_elements(self.res.ring, (self.q_level_on_coeff(k, c) for k in levels))
 
         return apply_derivation(elem, delta or image, image, on_coeff,
-                                on_tree_extra=image if delta else None)
+                                on_tree_extra=image if delta else None, acc=acc, sign=sign)
 
     # -- reporting -------------------------------------------------------------------
 
@@ -347,8 +350,10 @@ def lift_delta_preimage(res: FreeResolution, target: AlgebraElement) -> Optional
 def _closed_element(ext: ExtensionData, k: int, x: AlgebraElement) -> AlgebraElement:
     """-Q_k(delta x) - sum_{m<k} Q_m Q_{k-1-m}(x), the value Q^2 = 0 forces
     on delta Q_k(x); it reads level k only on delta x."""
-    return -sum_elements(ext.res.ring, (ext.apply_level(m, ext.apply_level(k - 1 - m, x))
-                                        for m in range(k + 1)))
+    acc: dict = {}
+    for m in range(k + 1):
+        ext.apply_level(m, ext.apply_level(k - 1 - m, x), acc, -1)
+    return collect(ext.res.ring, acc)
 
 
 def _closed_preimage(ext: ExtensionData, closed: AlgebraElement) -> Optional[AlgebraElement]:
@@ -470,10 +475,13 @@ def _assert_square_on_generators(ext: ExtensionData, k: int):
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):
             x = AlgebraElement.from_tree(ring, leaf(g))
-            total = ext.apply_level(-1, ext.apply_level(k, x)) - _closed_element(ext, k, x)
-            if not total.is_zero():
+            # Q^2 on x at level k: delta Q_k(x) less the closed element
+            total = ext.apply_level(-1, ext.apply_level(k, x), {})
+            for m in range(k + 1):
+                ext.apply_level(m, ext.apply_level(k - 1 - m, x), total)
+            if not sums_to_zero(total):
                 raise SolveError(f"level {k} consistency", g.label,
-                                 f"square residue {total}")
+                                 f"square residue {collect(ring, total)}")
 
 
 # ---------------------------------------------------------------------------
@@ -515,30 +523,30 @@ def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     """
     ring = ext.res.ring
     failures = []
-    count = 0
     items: List[Tuple[str, AlgebraElement]] = []
     for j in range(ring.num_vars):
         items.append((ring.names[j], AlgebraElement.scalar(Poly.variable(ring, j))))
     for g in ext.pos.gens:
         items.append((g.label, AlgebraElement.from_positive(ring, g)))
+    first = len(items)
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):
             items.append((g.label, AlgebraElement.from_tree(ring, leaf(g))))
+    generators = range(first, len(items))
     for degree in range(3, neg_degree_max + 1):
         for node in enumerate_tree_basis(ext.res, degree):
             if not is_leaf(node):
                 items.append((tree_str(node), AlgebraElement.from_tree(ring, node)))
-    for label, x in items:
-        count += 1
-        residue = ext.apply(ext.apply(x))
-        if not residue.is_zero():
-            failures.append((label, f"square residue {residue}"))
-    for depth in range(1, ext.res.length + 1):
-        for g in ext.res.generators(depth):
-            img = ext.apply(AlgebraElement.from_tree(ring, leaf(g)))
-            if not img.has_only_module_and_scalar():
-                failures.append((g.label, "image leaves module x positives"))
-    checked = f"{count} sources, trees through negative degree {neg_degree_max}"
+    leaving = []  # module generators whose image leaves module x positives
+    for i, (label, x) in enumerate(items):
+        qx = ext.apply(x)
+        residue = ext.apply(qx, {})
+        if not sums_to_zero(residue):
+            failures.append((label, f"square residue {collect(ring, residue)}"))
+        if i in generators and not qx.has_only_module_and_scalar():
+            leaving.append((label, "image leaves module x positives"))
+    failures += leaving
+    checked = f"{len(items)} sources, trees through negative degree {neg_degree_max}"
     return CheckResult("total differential square zero", not failures, checked, failures)
 
 
@@ -575,9 +583,10 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     ring = ext.res.ring
     levels = range(-1, ext.level_max + 1)  # the hook plus every correction table
 
-    def proj(elem, joined=None):
-        return project_to_resolution(partial(ext.chi_levels, levels), elem, joined)
+    def proj(elem, joined=None, acc=None):
+        return project_to_resolution(partial(ext.chi_levels, levels), elem, joined, acc)
 
+    one = Poly.one(ring)
     failures = []
     count = 0
     monos = []
@@ -585,13 +594,15 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
         monos.extend(enumerate_monomial_basis(ext.res, degree))
     for mono in monos:
         count += 1
-        x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
+        x = AlgebraElement._of(ring, {mono: one})
         hx = homotopy(x)
-        lhs = proj(x, hx)
-        h_q = homotopy(ext.apply(x))
-        q_h = ext.apply(hx)
-        if not sum_elements(ring, (lhs, -x, h_q, q_h)).is_zero():
-            failures.append((mono_label(mono), f"Incl Proj mismatch: {lhs - (x - h_q - q_h)}"))
+        residue = proj(x, hx, {})  # Proj x - x + h Q x + Q h x
+        accumulate(residue, mono, one.terms, -1)
+        homotopy(ext.apply(x), residue)
+        ext.apply(hx, residue)
+        if not sums_to_zero(residue):
+            failures.append((mono_label(mono),
+                             f"Incl Proj mismatch: {collect(ring, residue)}"))
     # Proj Incl = Id on core monomials: trivial tree and pure positive samples
     for depth in range(1, ext.res.length + 1):
         for g in ext.res.generators(depth):
@@ -616,7 +627,7 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def higher_product(ext: ExtensionData, a: ModuleElement, b: ModuleElement,
-                   k: int) -> AlgebraElement:
+                   k: int, acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
     """The level-k binary product read off the hook corrections.
 
     Level 0 is the product of the plain hook; level k >= 1 reads the level
@@ -624,7 +635,7 @@ def higher_product(ext: ExtensionData, a: ModuleElement, b: ModuleElement,
     """
     return two_leaf_product(AlgebraElement.from_module_element(a),
                             AlgebraElement.from_module_element(b),
-                            partial(ext.chi_level, k - 1))
+                            partial(ext.chi_level, k - 1), acc, sign)
 
 
 def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
@@ -647,22 +658,22 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
             ea, eb = ModuleElement.of_gen(ring, a), ModuleElement.of_gen(ring, b)
             ea_alg = AlgebraElement.from_module_element(ea)
             eb_alg = AlgebraElement.from_module_element(eb)
-            lhs = ext.apply_level(-1, higher_product(ext, ea, eb, k))
+            # lhs - rhs, both sides added into one accumulator
+            residue = ext.apply_level(-1, higher_product(ext, ea, eb, k), {})
             if a.module_degree <= -2:
-                lhs = lhs - higher_product(ext, res.diff[a], eb, k)
+                higher_product(ext, res.diff[a], eb, k, residue, -1)
             if b.module_degree <= -2:
-                lhs = lhs - higher_product(ext, ea, res.diff[b], k).scale(parity_sign(i))
-            rhs = AlgebraElement.zero(ring)
+                higher_product(ext, ea, res.diff[b], k, residue, -parity_sign(i))
             for m in range(0, k):
                 n = k - 1 - m
                 chi = partial(ext.chi_level, n - 1)
-                rhs = rhs - ext.apply_level(m, higher_product(ext, ea, eb, n))
-                rhs = rhs + two_leaf_product(ext.q_level_on_gen(m, a), eb_alg, chi)
-                rhs = rhs + two_leaf_product(
-                    ea_alg, ext.q_level_on_gen(m, b), chi).scale(parity_sign(i))
-            if lhs != rhs:
+                ext.apply_level(m, higher_product(ext, ea, eb, n), residue)
+                two_leaf_product(ext.q_level_on_gen(m, a), eb_alg, chi, residue, -1)
+                two_leaf_product(ea_alg, ext.q_level_on_gen(m, b), chi, residue,
+                                 -parity_sign(i))
+            if not sums_to_zero(residue):
                 failures.append((f"{a.label} *_{k} {b.label}",
-                                 f"defect mismatch: {lhs - rhs}"))
+                                 f"defect mismatch: {collect(ring, residue)}"))
     return CheckResult(f"level-{k} product defect", not failures,
                        f"{count} generator pairs", failures)
 

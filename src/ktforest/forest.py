@@ -253,8 +253,14 @@ def delete_at_path(tree: Node, path: tuple) -> Optional[Node]:
 # ---------------------------------------------------------------------------
 
 def mono_degree(mono: Monomial) -> int:
+    # loops, not generators: the Leibniz rule calls this on image terms
     trees, pos = mono
-    return sum(tree_degree(t) for t in trees) + sum(g.module_degree for g in pos)
+    degree = 0
+    for t in trees:
+        degree += tree_degree(t)
+    for g in pos:
+        degree += g.module_degree
+    return degree
 
 
 def mono_pos_degree(mono: Monomial) -> int:
@@ -422,6 +428,11 @@ def collect(ring: RingSpec, acc: dict) -> "AlgebraElement":
     return AlgebraElement._of(ring, terms)
 
 
+def sums_to_zero(acc: dict) -> bool:
+    """Whether every sum built by `accumulate` cancelled."""
+    return not any(any(slot.values()) for slot in acc.values())
+
+
 def sum_elements(ring: RingSpec, elems: Iterable["AlgebraElement"]) -> "AlgebraElement":
     """The sum of elements, built in place by `accumulate`."""
     acc: dict = {}
@@ -465,7 +476,7 @@ class AlgebraElement:
 
     @staticmethod
     def from_tree(ring: RingSpec, node: Node, coeff: Optional[Poly] = None) -> "AlgebraElement":
-        c = coeff if coeff is not None else Poly.const(ring, 1)
+        c = coeff if coeff is not None else Poly.one(ring)
         cnode, sign = canonicalize_node(node)
         if cnode is None:
             return AlgebraElement.zero(ring)
@@ -480,7 +491,7 @@ class AlgebraElement:
 
     @staticmethod
     def from_positive(ring: RingSpec, gen: GeneratorId, coeff: Optional[Poly] = None) -> "AlgebraElement":
-        c = coeff if coeff is not None else Poly.const(ring, 1)
+        c = coeff if coeff is not None else Poly.one(ring)
         return AlgebraElement(ring, {((), (gen,)): c})
 
     # -- basic algebra ---------------------------------------------------------
@@ -597,24 +608,25 @@ class AlgebraElement:
 # the root maps
 # ---------------------------------------------------------------------------
 
-def root_join(elem: AlgebraElement) -> AlgebraElement:
+def root_join(elem: AlgebraElement, acc: Optional[dict] = None,
+              sign: int = 1) -> AlgebraElement:
     """Join each product of at least two trees into one tree at a new root.
 
     A map of degree -1; positive factors pass with the Koszul sign of an odd
     operator.  Monomials with fewer than two tree factors are rejected.  The
     joined tree follows the canonical positives, so ((tree,), pos) is
-    canonical as it stands.
+    canonical as it stands.  `acc` and `sign` are those of `apply_derivation`.
     """
-    acc: dict = {}
+    out = {} if acc is None else acc
     for (trees, pos), c in elem.terms.items():
         if len(trees) < 2:
             raise TreeError("root_join needs at least two tree factors")
-        joined, sign = canonicalize_node(node(trees))
+        joined, s = canonicalize_node(node(trees))
         if joined is None:
             continue
-        sign *= parity_sign(mono_pos_degree((trees, pos)))
-        accumulate(acc, ((joined,), pos), c.terms, sign)
-    return collect(elem.ring, acc)
+        s *= parity_sign(mono_pos_degree((trees, pos)))
+        accumulate(out, ((joined,), pos), c.terms, sign * s)
+    return collect(elem.ring, out) if acc is None else acc
 
 
 def root_split(elem: AlgebraElement) -> AlgebraElement:
@@ -684,8 +696,8 @@ def apply_derivation(elem: AlgebraElement,
                      on_tree: Callable[[Node], AlgebraElement],
                      on_positive: Optional[Callable[[GeneratorId], AlgebraElement]] = None,
                      on_coeff: Optional[Callable[[Poly], AlgebraElement]] = None,
-                     on_tree_extra: Optional[Callable[[Node], AlgebraElement]] = None
-                     ) -> AlgebraElement:
+                     on_tree_extra: Optional[Callable[[Node], AlgebraElement]] = None,
+                     acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
     """Extend generator images to the whole algebra by the graded Leibniz rule.
 
     The operator is odd (degree +1): passing a factor of degree d costs
@@ -700,19 +712,44 @@ def apply_derivation(elem: AlgebraElement,
     when given, is a second image of each tree factor, inserted in the same
     place: the result is that of on_tree + on_tree_extra, without forming
     the sum of the two images.
+
+    Given an accumulator `acc` (`accumulate`), the terms times `sign` are
+    added into it and it is returned; without one, the collected element.
     """
-    acc: dict = {}
-    unit = Poly.const(elem.ring, 1).terms
+    out = {} if acc is None else acc
+    unit = Poly.one(elem.ring).terms
     constant = (0,) * elem.ring.num_vars
 
     def insert(img, rest, passed, c):
+        alone = not (rest[0] or rest[1])
+        single = c is None or len(c) == 1
+        if c is not None and single:
+            (ce, cv), = c.items()
         for m, d in img.terms.items():
-            mono, sign = mono_mul(m, rest)
-            if mono is None:
-                continue
+            if alone:
+                mono, s = m, sign
+            else:
+                mono, s = mono_mul(m, rest)
+                if mono is None:
+                    continue
+                s *= sign
             if passed & 1 and not mono_degree(m) & 1:
-                sign = -sign
-            accumulate(acc, mono, d.terms, sign, c)
+                s = -s
+            dt = d.terms
+            if single and len(dt) == 1:  # nearly every term: no call
+                (e, v), = dt.items()
+                if c is not None:
+                    e, v = tuple(map(add, ce, e)), cv * v
+                if s < 0:
+                    v = -v
+                slot = out.get(mono)
+                if slot is None:
+                    out[mono] = {e: v}
+                else:
+                    old = slot.get(e)
+                    slot[e] = v if old is None else old + v
+            else:
+                accumulate(out, mono, dt, s, c)
 
     for mono, c in elem.terms.items():
         trees, pos = mono
@@ -738,7 +775,7 @@ def apply_derivation(elem: AlgebraElement,
                 if img is not None and img.terms:
                     insert(img, rest, passed, ct)
             passed += tree_degree(t)
-    return collect(elem.ring, acc)
+    return collect(elem.ring, out) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

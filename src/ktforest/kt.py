@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
                      collect, enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
                      mono_label, mono_mul, node, parity_sign, root_join, root_split, contract_vertex,
-                     substitute_at_path, sum_elements, tree_degree, tree_key, tree_str, vertices,
+                     substitute_at_path, sums_to_zero, tree_degree, tree_key, tree_str, vertices,
                      mono_pos_degree)
 from .poly import Poly
 from .resolution import FreeResolution, GeneratorId, ModuleElement
@@ -140,7 +140,7 @@ class TreeDifferential:
         acc: dict = {}
         for mono, c in root_split(AlgebraElement.from_tree(ring, node)).terms.items():
             accumulate(acc, mono, c.terms)
-        one = Poly.const(ring, 1).terms
+        one = Poly.one(ring).terms
         for path, sub, w in vertices(node)[1:]:
             if not is_leaf(sub):
                 cnode, sign = contract_vertex(node, path)
@@ -149,8 +149,9 @@ class TreeDifferential:
         add_tree_formula(acc, node, self.leaf_value, self.hook.element)
         return collect(ring, acc)
 
-    def apply(self, elem: AlgebraElement) -> AlgebraElement:
-        return apply_derivation(elem, self.on_tree)
+    def apply(self, elem: AlgebraElement, acc: Optional[dict] = None,
+              sign: int = 1) -> AlgebraElement:
+        return apply_derivation(elem, self.on_tree, acc=acc, sign=sign)
 
 
 def add_tree_formula(acc: dict, node: Node,
@@ -259,14 +260,16 @@ def verify_hook(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> Chec
 # homotopy retract
 # ---------------------------------------------------------------------------
 
-def homotopy(elem: AlgebraElement) -> AlgebraElement:
+def homotopy(elem: AlgebraElement, acc: Optional[dict] = None,
+             sign: int = 1) -> AlgebraElement:
     """Join every monomial with at least two tree factors at a new root."""
-    return root_join(elem.project_products())
+    return root_join(elem.project_products(), acc, sign)
 
 
 def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
                           elem: AlgebraElement,
-                          joined: Optional[AlgebraElement] = None) -> AlgebraElement:
+                          joined: Optional[AlgebraElement] = None,
+                          acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
     """The retract projection: module part, scalar part, and hooked joins.
 
     The products are joined at a new root and sent through the degree +1
@@ -274,17 +277,21 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
     an odd operator.  The hook (`HookMap.element`) gives the projection of
     the tree differential's retract, the hook plus every correction table
     that of the extension.  `joined` is homotopy(elem) when the caller
-    already has it.
+    already has it.  `acc` and `sign` are those of `apply_derivation`.
     """
-    out = elem.project_module() + elem.project_scalar()
+    out = {} if acc is None else acc
+    for part in (elem.project_module(), elem.project_scalar()):
+        for mono, c in part.terms.items():
+            accumulate(out, mono, c.terms, sign)
     if joined is None:
         joined = homotopy(elem)
     for (trees, pos), c in joined.terms.items():
-        value = hook_value(trees[0])
-        if not value.is_zero():
-            sign = parity_sign(mono_pos_degree((trees, pos)))
-            out = out + AlgebraElement(elem.ring, {((), pos): c.scale(sign)}) * value
-    return out
+        s = sign * parity_sign(mono_pos_degree((trees, pos)))
+        for m, d in hook_value(trees[0]).terms.items():
+            mono, s2 = mono_mul(((), pos), m)
+            if mono is not None:
+                accumulate(out, mono, d.terms, s * s2, c.terms)
+    return collect(elem.ring, out) if acc is None else acc
 
 
 def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> CheckResult:
@@ -306,32 +313,35 @@ def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> C
             return differential._image(node)
         return differential.on_tree(node)
 
+    one = Poly.one(ring)
     failures = []
     monos = []
     for degree in range(1, neg_degree_max + 1):
         monos.extend(enumerate_monomial_basis(res, degree))
     for mono in monos:
-        x = AlgebraElement(ring, {mono: Poly.const(ring, 1)})
+        x = AlgebraElement._of(ring, {mono: one})
         hx = homotopy(x)
-        d_h = apply_derivation(hx, delta_of_join)
-        h_d = homotopy(differential.apply(x))
-        p = project_to_resolution(hook.element, x, hx)
-        if not sum_elements(ring, (d_h, h_d, -x, p)).is_zero():
-            failures.append((mono_label(mono), f"lhs - rhs = {(d_h + h_d) - (x - p)}"))
+        residue = apply_derivation(hx, delta_of_join, acc={})
+        homotopy(differential.apply(x), residue)
+        accumulate(residue, mono, one.terms, -1)
+        project_to_resolution(hook.element, x, hx, residue)
+        if not sums_to_zero(residue):
+            failures.append((mono_label(mono), f"lhs - rhs = {collect(ring, residue)}"))
     return CheckResult("homotopy retract", not failures,
                        f"{len(monos)} algebra monomials through negative degree {neg_degree_max}",
                        failures)
 
 
-def verify_square_zero(apply_fn: Callable[[AlgebraElement], AlgebraElement],
+def verify_square_zero(apply_fn: Callable[..., AlgebraElement],
                        basis: List[AlgebraElement], label: str = "square zero",
                        checked: str = "") -> CheckResult:
-    """apply_fn(apply_fn(x)) = 0 on every basis element."""
+    """apply_fn(apply_fn(x)) = 0 on every basis element; the outer
+    apply_fn(elem, acc) adds into an accumulator, as `TreeDifferential.apply`."""
     failures = []
     for x in basis:
-        residue = apply_fn(apply_fn(x))
-        if not residue.is_zero():
-            failures.append((str(x), f"residue {residue}"))
+        residue = apply_fn(apply_fn(x), {})
+        if not sums_to_zero(residue):
+            failures.append((str(x), f"residue {collect(x.ring, residue)}"))
     return CheckResult(label, not failures, checked or f"{len(basis)} basis elements", failures)
 
 
@@ -366,26 +376,28 @@ def hook_product(hook: HookMap, a, b):
 
 
 def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
-                     chi: Callable[[Node], AlgebraElement]) -> AlgebraElement:
+                     chi: Callable[[Node], AlgebraElement],
+                     acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
     """The product that a table chi on two-leaf trees defines.
 
     Arguments are (module x positives)-valued; the product of g and h is
     chi(V(g,h)), the tree taken in canonical order with its Koszul sign.
     The hook gives the product of the resolution (`hook_product`), a level
-    k - 1 correction table the level-k product of the extension.
+    k - 1 correction table the level-k product of the extension.  `acc` and
+    `sign` are those of `apply_derivation`.
     """
-    acc: dict = {}
+    out = {} if acc is None else acc
     for (tx, px), cx in x.terms.items():
         for (ty, py), cy in y.terms.items():
             if len(tx) != 1 or not is_leaf(tx[0]) or len(ty) != 1 or not is_leaf(ty[0]):
                 raise ValueError("product arguments must be module-valued")
             gx, gy = tx[0][1], ty[0][1]
-            cnode, sign = canonicalize_node(node((leaf(gx), leaf(gy))))
+            cnode, s = canonicalize_node(node((leaf(gx), leaf(gy))))
             if cnode is None:
                 continue
             # the second argument's positives exit past the first decoration;
             # the product map is even, so the blocks themselves pass freely
-            sign *= parity_sign(sum(g.module_degree for g in py) * gx.module_degree)
+            s *= sign * parity_sign(sum(g.module_degree for g in py) * gx.module_degree)
             value = chi(cnode)
             if value.is_zero():
                 continue
@@ -396,8 +408,8 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
             for m, c in value.terms.items():
                 mono, s3 = mono_mul(dressed, m)
                 if mono is not None:
-                    accumulate(acc, mono, c.terms, sign * s2 * s3, coeff)
-    return collect(x.ring, acc)
+                    accumulate(out, mono, c.terms, s * s2 * s3, coeff)
+    return collect(x.ring, out) if acc is None else acc
 
 
 def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap) -> CheckResult:

@@ -133,6 +133,12 @@ class Poly:
         return Poly._of(ring, {(0,) * ring.num_vars: c})
 
     @staticmethod
+    @lru_cache(maxsize=None)
+    def one(ring: RingSpec) -> "Poly":
+        """The unit of the ring, one shared instance (a Poly is immutable)."""
+        return Poly.const(ring, 1)
+
+    @staticmethod
     def variable(ring: RingSpec, index: int) -> "Poly":
         exp = [0] * ring.num_vars
         exp[index] = 1

@@ -68,7 +68,7 @@ class ModuleElement:
 
     @staticmethod
     def of_gen(ring: RingSpec, gen: GeneratorId, coeff: Optional[Poly] = None) -> "ModuleElement":
-        return ModuleElement(ring, {gen: coeff if coeff is not None else Poly.const(ring, 1)})
+        return ModuleElement(ring, {gen: coeff if coeff is not None else Poly.one(ring)})
 
     def is_zero(self) -> bool:
         return not self.terms
