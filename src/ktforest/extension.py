@@ -16,9 +16,10 @@ gets one step: its level-k value is a preimage under the level -1
 differential of the element that Q^2 = 0 forces, the homotopy part plus an
 exact lift of the projection (`_closed_preimage`).  Square-zero of the
 total differential is then verified degree by degree.  A second, general
-mode drops the ideal-preservation hypothesis.  It evaluates Q on a tree by
-the step itself, on demand, where the explicit mode reads the tree formula;
-both modes solve the same tree tables.
+mode needs Q^2 = 0 only modulo the ideal, not on the polynomial ring O;
+it still needs the ideal preserved, or level 0 has no lift.  Both modes
+read trees by the tree formula, except where Q^2 != 0 on O: there Q on a
+tree is the step itself, on demand.
 """
 
 from __future__ import annotations
@@ -97,30 +98,26 @@ class PositivePart:
                                 on_positive=lambda g: self.q_on_gens[g],
                                 on_coeff=self.qplus_poly)
 
+    def _squares(self):
+        """(source, Q^2 of it) for each variable and generator where it is nonzero."""
+        sources = [(f"variable {self.ring.names[j]}", self.q_on_vars[j])
+                   for j in sorted(self.q_on_vars)]
+        sources += [(g.label, self.q_on_gens[g]) for g in self.gens]
+        for source, image in sources:
+            square = self.qplus(image)
+            if not square.is_zero():
+                yield source, square
+
     def square_issues(self) -> List[str]:
         """Where the derivation fails to square to zero on the nose."""
-        issues = []
-        for j in sorted(self.q_on_vars):
-            r = self.qplus(self.q_on_vars[j])
-            if not r.is_zero():
-                issues.append(f"square on variable {self.ring.names[j]}: {r}")
-        for g in self.gens:
-            r = self.qplus(self.q_on_gens[g])
-            if not r.is_zero():
-                issues.append(f"square on {g.label}: {r}")
-        return issues
+        return [f"square on {source}: {square}" for source, square in self._squares()]
 
     def square_in_ideal(self, ideal: Sequence[Poly]) -> List[str]:
-        """Variables whose squared image leaves the ideal (lift-mode gate)."""
-        issues = []
-        for j in sorted(self.q_on_vars):
-            r = self.qplus(self.q_on_vars[j])
-            for (_trees, pos), c in r.terms.items():
-                if not ideal_member(self.ring, ideal, c):
-                    issues.append(
-                        f"square on variable {self.ring.names[j]} has coefficient "
-                        f"{c} outside the ideal")
-        return issues
+        """Variables and generators whose squared image leaves the ideal
+        (the general-mode gate)."""
+        return [f"square on {source} has coefficient {c} outside the ideal"
+                for source, square in self._squares() for c in square.terms.values()
+                if not ideal_member(self.ring, ideal, c)]
 
     def slice_nonempty(self, degree: int) -> bool:
         """Whether the positive algebra has monomials of the given degree."""
@@ -156,19 +153,18 @@ class ExtensionData:
 
     Q is the sum of its levels: level -1 is the hook's tree differential,
     and level k >= 0 reads the level-k tables.  On a tree, level k is the
-    tree formula over the `chi` tables, or in general mode the tree step
-    (`_solve_tree`) itself; both modes fill `chi` by that step.  One
+    tree formula over the `chi` tables that the tree step (`_solve_tree`)
+    fills, or with `by_step` set (Q^2 != 0 on O) the step itself.  One
     evaluator, `q_level_on_tree`, gives Q summed over a range of levels
     >= 0; `apply_level(k)` runs it on levels k..k, and `apply` on levels
     0..level_max beside level -1.
     """
 
-    def __init__(self, res: FreeResolution, pos: PositivePart, hook: HookMap,
-                 mode: str = "explicit"):
+    def __init__(self, res: FreeResolution, pos: PositivePart, hook: HookMap):
         self.res = res
         self.pos = pos
         self.hook = hook
-        self.mode = mode
+        self.by_step = False  # Q on trees by the tree step, not the tree formula
         self.gen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
         self.chi: Dict[Tuple[int, Node], AlgebraElement] = {}
         self.var_q: Dict[Tuple[int, int], AlgebraElement] = {}
@@ -222,7 +218,7 @@ class ExtensionData:
             return sum_elements(ring, (self.q_level_on_positive(k, source) for k in levels))
         if is_leaf(source):
             return sum_elements(ring, (self.q_level_on_gen(k, source[1]) for k in levels))
-        if self.mode != "general":
+        if not self.by_step:
             return self._tree_formula(levels, source)
         if len(levels) != 1:
             return sum_elements(ring, (self.q_level_on_tree(range(k, k + 1), source)
@@ -371,7 +367,7 @@ def _closed_preimage(ext: ExtensionData, closed: AlgebraElement) -> Optional[Alg
     return h_part + lifted
 
 
-def _solve_finite_tables(ext: ExtensionData, k: int, positive_tables: bool):
+def _solve_finite_tables(ext: ExtensionData, k: int):
     """Solve level k on the ring variables and positive generators, then on
     the module generators by increasing depth.
 
@@ -379,11 +375,11 @@ def _solve_finite_tables(ext: ExtensionData, k: int, positive_tables: bool):
     of a leaf has no tree factor, so none of these reads a tree at level k.
     Level 0 on variables and positives is the input.  Above it their tables
     vanish unless the positive derivation fails to square to zero on the
-    nose, so they are solved only when `positive_tables` says it does.
+    nose, so they are solved only when `ext.by_step` says it does.
     """
     res, ring = ext.res, ext.res.ring
     sources = []
-    if k >= 1 and positive_tables:
+    if k >= 1 and ext.by_step:
         sources += [(f"variable level {k}", ring.names[j],
                      AlgebraElement.scalar(Poly.variable(ring, j)), ext.var_q, j)
                     for j in range(ring.num_vars)]
@@ -422,8 +418,9 @@ def _solve_tree(ext: ExtensionData, k: int, node: Node) -> AlgebraElement:
 def _solve_level_on_trees(ext: ExtensionData, k: int):
     """Run the tree step on the basis trees of degree 3..length - k, at any K.
 
-    General mode runs it through its memo.  Explicit mode evaluates trees by
-    the tree formula, which must reproduce the step's value exactly.
+    Trees are evaluated by the tree formula, which must reproduce the step's
+    value exactly.  With `ext.by_step` set, Q on a tree is the step itself,
+    run here through its memo.
     """
     if not ext.pos.slice_nonempty(k + 1):
         return
@@ -432,7 +429,7 @@ def _solve_level_on_trees(ext: ExtensionData, k: int):
         for node in enumerate_tree_basis(ext.res, degree):
             if is_leaf(node):
                 continue
-            if ext.mode == "general":
+            if ext.by_step:
                 ext.q_level_on_tree(level, node)
                 continue
             value = _solve_tree(ext, k, node)
@@ -443,27 +440,51 @@ def _solve_level_on_trees(ext: ExtensionData, k: int):
 
 
 # ---------------------------------------------------------------------------
-# the explicit solver
+# the solvers: an input gate, then one level loop
 # ---------------------------------------------------------------------------
 
 def solve_residues_explicit(res: FreeResolution, pos: PositivePart, hook: HookMap,
                             neg_degree_max: int) -> ExtensionData:
     """Solve the correction tables of the ideal-preserving extension.
 
-    Levels run from 0 through min(length - 1, K); within a level, the finite
-    tables come first (`_solve_finite_tables`), then the basis trees of
-    degree 3..length - k (`_solve_level_on_trees`).  Square-zero is asserted
-    on every module generator after each level.  The caller gates the input
-    with `check_ideal_preserved` (as `cli.run` does); the solver does not.
+    The positive derivation must square to zero on the nose; levels run
+    from 0 through min(length - 1, K) (`_solve_levels`).  The caller gates
+    the input with `check_ideal_preserved` (as `cli.run` does); the solver
+    does not.
     """
     issues = pos.square_issues()
     if issues:
         raise SolveError("positive input", issues[0],
                          "positive differential must square to zero; "
                          "use the general mode for quotient lifts")
-    ext = ExtensionData(res, pos, hook, mode="explicit")
-    for k in range(0, min(res.length - 1, neg_degree_max) + 1):
-        _solve_finite_tables(ext, k, positive_tables=False)  # the gate left no issue
+    return _solve_levels(res, pos, hook, min(res.length - 1, neg_degree_max), by_step=False)
+
+
+def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMap,
+                            neg_degree_max: int) -> ExtensionData:
+    """Solve the extension when the derivation squares to zero modulo the ideal.
+
+    Levels run from 0 through min(length, K) (`_solve_levels`).  Only where
+    Q^2 != 0 on O do the variables and positive generators get tables above
+    level 0, and Q on a tree is the tree step, memoized and run on demand.
+    """
+    issues = pos.square_in_ideal(res.ideal_generators())
+    if issues:
+        raise SolveError("positive input", issues[0],
+                         "squared derivation leaves the ideal")
+    return _solve_levels(res, pos, hook, min(res.length, neg_degree_max),
+                         by_step=bool(pos.square_issues()))
+
+
+def _solve_levels(res: FreeResolution, pos: PositivePart, hook: HookMap, top: int,
+                  by_step: bool) -> ExtensionData:
+    """Levels 0..top: the finite tables (`_solve_finite_tables`), then the
+    tree tables (`_solve_level_on_trees`); square-zero is asserted on every
+    module generator after each level."""
+    ext = ExtensionData(res, pos, hook)
+    ext.by_step = by_step
+    for k in range(0, top + 1):
+        _solve_finite_tables(ext, k)
         _solve_level_on_trees(ext, k)
         ext.level_max = k
         _assert_square_on_generators(ext, k)
@@ -482,33 +503,6 @@ def _assert_square_on_generators(ext: ExtensionData, k: int):
             if not sums_to_zero(total):
                 raise SolveError(f"level {k} consistency", g.label,
                                  f"square residue {collect(ring, total)}")
-
-
-# ---------------------------------------------------------------------------
-# the general solver
-# ---------------------------------------------------------------------------
-
-def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMap,
-                            neg_degree_max: int) -> ExtensionData:
-    """Solve the extension without assuming the ideal-preserving form.
-
-    Level by level through min(length, K), the finite tables are solved
-    (`_solve_finite_tables`), then the tree tables (`_solve_level_on_trees`).
-    Q on a tree is the tree step (`_solve_tree`), memoized, and on demand
-    past the tables' window, where it lifts only a nonzero projection.  The
-    positive derivation only needs to square to zero modulo the ideal.
-    """
-    issues = pos.square_in_ideal(res.ideal_generators())
-    if issues:
-        raise SolveError("positive input", issues[0],
-                         "squared derivation leaves the ideal")
-    ext = ExtensionData(res, pos, hook, mode="general")
-    positive_tables = bool(pos.square_issues())
-    for k in range(0, min(res.length, neg_degree_max) + 1):
-        _solve_finite_tables(ext, k, positive_tables)
-        _solve_level_on_trees(ext, k)
-        ext.level_max = k
-    return ext
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +568,9 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     relation h Incl = 0 on the monomial basis.  The side relations h h = 0
     and Proj h = 0 hold by construction, since h of a basis monomial is a
     sum of single joined trees; a test checks that on every bundled spec.
-    The projection reads the hook and every tree table.  Explicit Q reads
-    the same tables through the tree formula; general Q on a tree is the
-    tree step, whose module part is the negated table entry.  So the
+    The projection reads the hook and every tree table.  Q reads the same
+    tables through the tree formula, or with `by_step` set, Q on a tree is
+    the tree step, whose module part is the negated table entry.  So the
     identities check the evaluator against the projection, not the solved
     values (`verify_extension` checks those).
     """
@@ -712,7 +706,7 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart,
     """
     ring = kres.ring
     hook = koszul_hook(kres, neg_degree_max)
-    ext = ExtensionData(kres, pos, hook, mode="koszul")
+    ext = ExtensionData(kres, pos, hook)
     failures = []
     for k, table in sorted(qk_tables.items()):
         for depth in range(1, kres.length + 1):

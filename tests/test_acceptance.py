@@ -76,7 +76,7 @@ def test_acceptance_2_quadratic_ideal():
     assert boundary_equivalent(res, ext.q_level_on_gen(0, pi1), want0)
     assert boundary_equivalent(res, ext.q_level_on_gen(1, pi1), want1)
     # the full printed table, with the solver's value for the flagged entry
-    worked = ExtensionData(res, pos, hook, mode="explicit")
+    worked = ExtensionData(res, pos, hook)
     printed = {
         (0, "pi1"): "2*xi1*pi1 + 2*xi2*pi2",
         (0, "pi3"): "2*xi3*pi2 + 2*xi4*pi3",

@@ -161,6 +161,25 @@ def test_explicit_solver_refuses_a_non_preserving_derivation():
         ("residue level 0", "pi2", "no preimage under the resolution differential")
 
 
+def test_general_gate_checks_the_square_on_positive_generators(tmp_path, capsys):
+    """taylor_shear.kt with Q xi = eta, Q eta = zeta and no Q x: Q^2(xi) =
+    zeta has coefficient 1, outside the ideal.  General mode stops at its
+    input gate and names xi, as explicit mode does."""
+    text = open(spec_path("taylor_shear.kt"), encoding="utf-8").read()
+    path = tmp_path / "taylor_shear.kt"
+    path.write_text(text.replace(
+        "generators 1 = xi\nQ x = y*xi\n",
+        "generators 1 = xi\ngenerators 2 = eta\ngenerators 3 = zeta\n"
+        "Q xi = eta\nQ eta = zeta\nQ zeta = 0\n"))
+    spec = parse_spec(str(path))
+    assert spec.positive.square_in_ideal(spec.ideal) == [
+        "square on xi has coefficient 1 outside the ideal"]
+    for mode in ("explicit", "general"):
+        capsys.readouterr()
+        assert main(["run", str(path), "--mode", mode, "--neg-degree-max", "4"]) == 3
+        assert "positive input: no-solution (square on xi" in capsys.readouterr().out
+
+
 def test_broken_complex_fails_with_stage():
     text = """
 [ring]

@@ -100,7 +100,7 @@ def former_apply_level(ext):
     def level_image(k, node):
         if is_leaf(node):
             return ext.gen_q.get((k, node[1]), zero)
-        if ext.mode != "general":
+        if not ext.by_step:
             acc = {}
             add_tree_formula(acc, node, lambda g: ext.gen_q.get((k, g), zero),
                              lambda t: ext.chi.get((k, t), zero))

@@ -230,7 +230,7 @@ def test_quadratic_worked_table_verbatim(quadratic_resolution, quadratic_positiv
     hook = solve_hook(res, 6)
     ext = solve_residues_explicit(res, quadratic_positive, hook, 6)
     symbols = res_symbols(res, quadratic_positive)
-    worked = ExtensionData(res, quadratic_positive, hook, mode="explicit")
+    worked = ExtensionData(res, quadratic_positive, hook)
     table = {
         (0, "pi1"): "2*xi1*pi1 + 2*xi2*pi2",
         (0, "pi3"): "2*xi3*pi2 + 2*xi4*pi3",
@@ -251,7 +251,7 @@ def test_quadratic_worked_table_verbatim(quadratic_resolution, quadratic_positiv
 
 def test_corrupted_table_detected(quadratic_resolution, quadratic_positive, quadratic_ext):
     res = quadratic_resolution
-    broken = ExtensionData(res, quadratic_positive, quadratic_ext.hook, mode="explicit")
+    broken = ExtensionData(res, quadratic_positive, quadratic_ext.hook)
     broken.gen_q = dict(quadratic_ext.gen_q)
     broken.level_max = quadratic_ext.level_max
     g = res.gen_by_label("pi1")

@@ -1,7 +1,7 @@
 """The one finite-table step that both extension solvers share.
 
-Each level of both solvers solves the tables on module generators (and in
-general mode on the ring variables and positive generators) by
+Each level of both solvers solves the tables on module generators (and,
+where Q^2 != 0 on O, on the ring variables and positive generators) by
 `_closed_preimage` of the closed element -Q_k(delta x) - sum_{m<k} Q_m
 Q_{k-1-m}(x).  The explicit solver used to have its own step: it lifted
 the negated closed element with `lift_delta_preimage`, negated the lift,
@@ -15,11 +15,12 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
+import ktforest.extension as extension
 from ktforest.extension import (ExtensionData, _assert_square_on_generators,
                                 _solve_level_on_trees, check_ideal_preserved,
                                 lift_delta_preimage, solve_general_extension,
-                                solve_residues_explicit)
-from ktforest.forest import AlgebraElement, leaf
+                                solve_residues_explicit, verify_extension)
+from ktforest.forest import AlgebraElement, enumerate_tree_basis, is_leaf, leaf
 from ktforest.kt import SolveError, solve_hook
 
 SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt", "quadratic.kt",
@@ -53,7 +54,7 @@ def former_level_on_generators(ext: ExtensionData, k: int):
 
 def former_explicit_extension(res, pos, hook, neg_degree_max) -> ExtensionData:
     """`solve_residues_explicit` with the former step, without its gates."""
-    ext = ExtensionData(res, pos, hook, mode="explicit")
+    ext = ExtensionData(res, pos, hook)
     for k in range(0, min(res.length - 1, neg_degree_max) + 1):
         former_level_on_generators(ext, k)
         _solve_level_on_trees(ext, k)
@@ -98,3 +99,54 @@ def test_general_mode_solves_level_length_to_empty_tables(name):
         assert ext.level_max == res.length
         for table in (ext.gen_q, ext.chi, ext.var_q, ext.vgen_q):
             assert not [key for key in table if key[0] == res.length]
+
+
+@pytest.mark.parametrize("solve", [solve_residues_explicit, solve_general_extension])
+def test_a_wrong_level_0_value_fails_the_level_0_square_assertion(monkeypatch, solve):
+    """quadratic.kt has length 2, so level 0 has no tree window, and its last
+    module generator pib is the last source the level-0 step solves; nothing
+    else at level 0 reads its value.  Doubled, it fails the square-zero
+    assertion on the generators at level 0, in both modes."""
+    spec = parse_spec(ktforest.example_path("quadratic.kt"))
+    res = spec.resolution
+    gens = [g for depth in range(1, res.length + 1) for g in res.generators(depth)]
+    assert gens[-1].label == "pib"
+    hook = solve_hook(res, 6)
+    closed_preimage = extension._closed_preimage
+    values = []
+
+    def doubled_last(ext, closed):
+        values.append(closed_preimage(ext, closed))
+        return values[-1].scale(2) if len(values) == len(gens) else values[-1]
+
+    monkeypatch.setattr(extension, "_closed_preimage", doubled_last)
+    with pytest.raises(SolveError) as err:
+        solve(res, spec.positive, hook, 6)
+    assert not values[len(gens) - 1].is_zero()
+    assert (err.value.stage, err.value.item) == ("level 0 consistency", "pib")
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_general_mode_runs_the_tree_step_only_on_the_window(monkeypatch, name):
+    """On ideal-preserving input that squares to zero on O, general mode
+    evaluates trees by the tree formula: the tree step runs once on each
+    window tree, a basis tree of degree 3..length - k at each level k with a
+    nonempty positive slice of degree k + 1, and never on demand, neither
+    in the solver nor in the verifier."""
+    spec = parse_spec(ktforest.example_path(name))
+    res, pos = spec.resolution, spec.positive
+    hook = solve_hook(res, 6)
+    solve_tree = extension._solve_tree
+    calls = []
+
+    def counted(ext, k, node):
+        calls.append((k, node))
+        return solve_tree(ext, k, node)
+
+    monkeypatch.setattr(extension, "_solve_tree", counted)
+    ext = solve_general_extension(res, pos, hook, 6)
+    assert verify_extension(ext, 6).passed
+    window = [(k, node) for k in range(ext.level_max + 1) if pos.slice_nonempty(k + 1)
+              for degree in range(3, res.length - k + 1)
+              for node in enumerate_tree_basis(res, degree) if not is_leaf(node)]
+    assert calls == window

@@ -1,12 +1,13 @@
 """General mode's tree step against the solver it replaced.
 
-General mode evaluates Q_k on a tree t by the step every source gets, the
-preimage `_closed_preimage` of closed = -Q_k(delta t) - sum_{m<k} Q_m
-Q_{k-1-m}(t), on demand and memoized.  The former solver lifted every tree
-at every level in order of reach (source degree plus level) through the
+Where Q^2 != 0 on O, general mode evaluates Q_k on a tree t by the step
+every source gets, the preimage `_closed_preimage` of closed = -Q_k(delta
+t) - sum_{m<k} Q_m Q_{k-1-m}(t), on demand and memoized; elsewhere it
+reads the tree formula.  The former solver lifted every tree at every
+level in order of reach (source degree plus level) through the
 truncation, and read a table outside that window as missing.  It is kept
-below as the reference: on every (level, tree) it solves, the lazy step
-must give its value, and the finite tables must be its tables.  Explicit
+below as the reference: on every (level, tree) it solves, general Q must
+give its value, and the finite tables must be its tables.  Explicit
 and general Q must agree exactly on every basis monomial, and both modes
 must solve the same tree tables.
 """
@@ -40,7 +41,8 @@ class ReachLoopData(ExtensionData):
     loop solved them; an entry outside its window is missing, not zero."""
 
     def __init__(self, res, pos, hook, neg_degree_max):
-        super().__init__(res, pos, hook, mode="general")
+        super().__init__(res, pos, hook)
+        self.by_step = True
         self.neg_degree_max = neg_degree_max
         self.tree_q = {}
         self.solved_trees = []  # every (level, tree) the loop solved

@@ -232,10 +232,12 @@ def test_a_tree_whose_projection_has_no_lift_is_a_solve_error(monkeypatch, capsy
     assert "result: FAIL" in out
 
 
-def test_the_explicit_guard_fires_on_a_perturbed_tree_table(monkeypatch):
-    """Explicit mode evaluates a tree by the tree formula over the stored
-    table, which must reproduce the tree step's value; a perturbed entry is
-    a SolveError naming the level and the tree."""
+@pytest.mark.parametrize("solve", [solve_residues_explicit, solve_general_extension])
+def test_the_explicit_guard_fires_on_a_perturbed_tree_table(monkeypatch, solve):
+    """On input that squares to zero on O, both solvers evaluate a tree by
+    the tree formula over the stored table, which must reproduce the tree
+    step's value; a perturbed entry is a SolveError naming the level and the
+    tree."""
     import ktforest.extension as extension
 
     solve_tree = extension._solve_tree
@@ -249,10 +251,10 @@ def test_the_explicit_guard_fires_on_a_perturbed_tree_table(monkeypatch):
     spec = parse_spec(ktforest.example_path("taylor_shear.kt"))
     res = spec.resolution
     hook = solve_hook(res, K)
-    assert solve_residues_explicit(res, spec.positive, hook, K).chi  # unperturbed: solved
+    assert solve(res, spec.positive, hook, K).chi  # unperturbed: solved
     monkeypatch.setattr(extension, "_solve_tree", doubled)
     with pytest.raises(SolveError) as err:
-        solve_residues_explicit(res, spec.positive, hook, K)
+        solve(res, spec.positive, hook, K)
     assert (err.value.stage, err.value.item) == ("residue level 0", "V(e1,e2)")
     assert "the tree formula gives" in err.value.detail
 
