@@ -508,7 +508,7 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
             gate = check_ideal_preserved(spec.positive, spec.ideal, cap)
             report.timings["check_ideal_preserved"] = clock() - t0
             report.add_verdict(gate)
-            if spec.mode == "explicit" and not gate.passed:
+            if not gate.passed:
                 report.failed_stage = "check_ideal_preserved"
                 return report
             t0 = clock()

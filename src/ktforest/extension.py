@@ -41,6 +41,20 @@ from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleEleme
 # the positive part
 # ---------------------------------------------------------------------------
 
+def _derivative_of_coeff(ring: RingSpec, c: Poly, images) -> AlgebraElement:
+    """The sum of dc/dx_j times image over the (j, image) pairs, in place."""
+    partials: dict = {}
+    acc: dict = {}
+    for j, image in images:
+        dc = partials.get(j)
+        if dc is None:
+            dc = partials[j] = c.partial(j).terms
+        if dc:
+            for mono, v in image.terms.items():
+                accumulate(acc, mono, v.terms, 1, dc)
+    return collect(ring, acc)
+
+
 class PositivePart:
     """Positive generators with a degree +1 derivation on their algebra.
 
@@ -83,12 +97,7 @@ class PositivePart:
                 raise ValueError(f"{what} has a component of the wrong degree")
 
     def qplus_poly(self, p: Poly) -> AlgebraElement:
-        out = AlgebraElement.zero(self.ring)
-        for j, img in self.q_on_vars.items():
-            dp = p.partial(j)
-            if not dp.is_zero():
-                out = out + img.scale(dp)
-        return out
+        return _derivative_of_coeff(self.ring, p, self.q_on_vars.items())
 
     def qplus(self, elem: AlgebraElement) -> AlgebraElement:
         def on_tree(_node):
@@ -195,11 +204,16 @@ class ExtensionData:
             return self.pos.q_on_gens[g]
         return self.vgen_q.get((k, g), self._zero)
 
-    def q_level_on_coeff(self, k: int, c: Poly) -> AlgebraElement:
-        if k == 0:
-            return self.pos.qplus_poly(c)
-        return sum_elements(self.res.ring, (val.scale(c.partial(j))
-                                            for (kk, j), val in self.var_q.items() if kk == k))
+    def q_level_on_coeff(self, levels: range, c: Poly) -> AlgebraElement:
+        """Q summed over `levels` on a coefficient (`_derivative_of_coeff`).
+
+        The variables' images are read from `pos.q_on_vars` and `var_q` on
+        every call: general mode writes `var_q` level by level.
+        """
+        n, var_q = self.res.ring.num_vars, self.var_q
+        images = list(self.pos.q_on_vars.items()) if 0 in levels else []
+        images += [(j, var_q[k, j]) for k in levels if k for j in range(n) if (k, j) in var_q]
+        return _derivative_of_coeff(self.res.ring, c, images)
 
     # -- Q summed over a range of levels >= 0 ------------------------------------
 
@@ -258,11 +272,8 @@ class ExtensionData:
                       acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
         """Q summed over `levels` by the Leibniz rule, plus the tree images `delta`."""
         image = partial(self.q_level_on_tree, levels)
-
-        def on_coeff(c):
-            return sum_elements(self.res.ring, (self.q_level_on_coeff(k, c) for k in levels))
-
-        return apply_derivation(elem, delta or image, image, on_coeff,
+        return apply_derivation(elem, delta or image, image,
+                                partial(self.q_level_on_coeff, levels),
                                 on_tree_extra=image if delta else None, acc=acc, sign=sign)
 
     # -- reporting -------------------------------------------------------------------

@@ -253,14 +253,7 @@ def delete_at_path(tree: Node, path: tuple) -> Optional[Node]:
 # ---------------------------------------------------------------------------
 
 def mono_degree(mono: Monomial) -> int:
-    # loops, not generators: the Leibniz rule calls this on image terms
-    trees, pos = mono
-    degree = 0
-    for t in trees:
-        degree += tree_degree(t)
-    for g in pos:
-        degree += g.module_degree
-    return degree
+    return sum(map(tree_degree, mono[0])) + mono_pos_degree(mono)
 
 
 def mono_pos_degree(mono: Monomial) -> int:
@@ -291,7 +284,8 @@ def make_monomial(factors: Iterable[tuple]) -> Tuple[Optional[Monomial], int]:
     first in a monomial, each group sorted by its canonical key.  Returns
     (None, 0) when an odd factor repeats.  The reference normalizer: the
     engine builds its monomials canonical by construction (`mono_mul`, the
-    root maps, `substitute_at_path`), and the tests compare those with it.
+    merges of `apply_derivation`, the root maps, `substitute_at_path`), and
+    the tests compare those with it.
     """
     items = []
     for kind, obj in factors:
@@ -350,7 +344,7 @@ def _merge(xs: tuple, ys: tuple, order) -> Tuple[Optional[tuple], int]:
 
 
 def _gen_order(g: GeneratorId) -> tuple:
-    return g.key, g.module_degree
+    return g.key, g[0]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
@@ -671,7 +665,10 @@ def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement
     canonical positives with the new tree, if any, after them.
     """
     for (trees, pos), c in value.terms.items():
-        term_sign = sign * parity_sign(sum(g.module_degree for g in pos) * weight)
+        odd = 0
+        for g in pos:
+            odd ^= g[0]
+        term_sign = -sign if odd & weight & 1 else sign
         if trees:
             if len(trees) != 1 or not is_leaf(trees[0]):
                 raise TreeError("substitution value must be module + scalar valued")
@@ -707,6 +704,14 @@ def apply_derivation(elem: AlgebraElement,
     to the front of the monomial with factor i removed: its term is
     (-1)^(passed * (1 + deg m)) * c * (m * rest), summed in place.
 
+    The kernel runs once per (factor, rest).  What depends on the rest
+    alone, whether it is empty and the parity of its positives' degrees, is
+    computed once for all terms of the factor's image.  Each image term's
+    sign follows its own degree: the parities of its trees' and of its
+    positives' degrees, taken in one loop each when an odd `passed` or odd
+    positives of the rest make them count, give both its Leibniz sign and
+    the sign of its product with the rest.
+
     `on_coeff` must be a derivation of the ring O (every caller's is), so
     it is zero on constants and is never called on one.  `on_tree_extra`,
     when given, is a second image of each tree factor, inserted in the same
@@ -721,20 +726,57 @@ def apply_derivation(elem: AlgebraElement,
     constant = (0,) * elem.ring.num_vars
 
     def insert(img, rest, passed, c):
-        alone = not (rest[0] or rest[1])
+        rt, rp = rest
+        alone = not (rt or rp)
+        rp_odd = 0
+        for g in rp:
+            rp_odd ^= g[0]
+        # a term's degree counts only for an odd `passed` (the Leibniz
+        # sign) or odd positives in the rest (passing the term's trees)
+        by_degree = (passed | rp_odd) & 1
         single = c is None or len(c) == 1
         if c is not None and single:
             (ce, cv), = c.items()
         for m, d in img.terms.items():
+            mt, mp = m
+            odd = 0
+            if by_degree:
+                t_odd = 0
+                for t in mt:
+                    t_odd ^= tree_degree(t)
+                p_odd = 0
+                for g in mp:
+                    p_odd ^= g[0]
+                # (-1)^(passed * (1 + deg m)), then the rest's positives
+                # passing the trees of m
+                odd = (passed & ~(t_odd ^ p_odd) ^ t_odd & rp_odd) & 1
             if alone:
-                mono, s = m, sign
+                mono = m
             else:
-                mono, s = mono_mul(m, rest)
-                if mono is None:
-                    continue
-                s *= sign
-            if passed & 1 and not mono_degree(m) & 1:
-                s = -s
+                pos, trees = mp or rp, mt or rt
+                if mp and rp:
+                    if len(mp) == 1 == len(rp):
+                        # of positive degree, a generator orders as its key
+                        x, y = mp[0], rp[0]
+                        if x > y:
+                            pos = rp + mp
+                            odd ^= x[0] & y[0] & 1
+                        elif x == y and y[0] & 1:
+                            continue
+                        else:
+                            pos = mp + rp
+                    else:
+                        pos, p = _merge(mp, rp, _gen_order)
+                        if pos is None:
+                            continue
+                        odd ^= p
+                if mt and rt:
+                    trees, p = _merge(mt, rt, _tree_order)
+                    if trees is None:
+                        continue
+                    odd ^= p
+                mono = (trees, pos)
+            s = -sign if odd else sign
             dt = d.terms
             if single and len(dt) == 1:  # nearly every term: no call
                 (e, v), = dt.items()

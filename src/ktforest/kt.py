@@ -121,11 +121,14 @@ class TreeDifferential:
         self.res = res
         self.hook = hook
         self._memo: Dict[Node, AlgebraElement] = {}
+        # d of each generator as an algebra element: the augmentation at depth 1
+        self._leaf_values = {
+            g: AlgebraElement.scalar(res.augment[g]) if d == -1
+            else AlgebraElement.from_module_element(res.diff[g])
+            for d, gens in res.gens_by_degree.items() for g in gens}
 
     def leaf_value(self, gen: GeneratorId) -> AlgebraElement:
-        if gen.module_degree == -1:
-            return AlgebraElement.scalar(self.res.augment[gen])
-        return AlgebraElement.from_module_element(self.res.diff[gen])
+        return self._leaf_values[gen]
 
     def on_tree(self, node: Node) -> AlgebraElement:
         cached = self._memo.get(node)
@@ -416,16 +419,17 @@ def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap) -> CheckResu
     """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for every pair of generators."""
     failures = []
     gens = [g for depth in range(1, res.length + 1) for g in res.generators(depth)]
+    values = {}  # each generator's element and its differential, built once
+    for g in gens:
+        e = ModuleElement.of_gen(res.ring, g)
+        d_mod, d_scalar = res.apply_diff(e)
+        values[g] = e, d_mod if d_scalar.is_zero() else d_scalar
     for a in gens:
+        ea, da = values[a]
         for b in gens:
-            ea = ModuleElement.of_gen(res.ring, a)
-            eb = ModuleElement.of_gen(res.ring, b)
+            eb, db = values[b]
             prod = hook_product(hook, ea, eb)
             lhs_mod, lhs_scalar = res.apply_diff(prod)
-            da_mod, da_scalar = res.apply_diff(ea)
-            db_mod, db_scalar = res.apply_diff(eb)
-            da = da_mod if da_scalar.is_zero() else da_scalar
-            db = db_mod if db_scalar.is_zero() else db_scalar
             rhs = hook_product(hook, da, eb)
             rhs = rhs + hook_product(hook, ea, db).scale(parity_sign(a.module_degree))
             if not (lhs_scalar.is_zero() and lhs_mod == rhs):

@@ -149,6 +149,26 @@ def test_non_preserving_derivation_fails_early():
     assert not report.all_passed()
 
 
+def test_general_mode_stops_at_the_ideal_gate(tmp_path, capsys):
+    """A derivation that does not preserve the ideal has no level-0 lift, so
+    general mode stops at the gate as explicit mode does: exit 1, no
+    residue stage."""
+    spec = parse_spec("inline.kt", text=NON_PRESERVING)
+    spec.options.update(mode="general", neg_degree_max=4)
+    report = run(spec)
+    assert report.failed_stage == "check_ideal_preserved"
+    stages = [s["stage"] for s in report.stages]
+    assert stages[-1] == "solve_hook" and "solve_extension" not in stages
+    assert not any(s.startswith("residue") for s in stages)
+    path = tmp_path / "non_preserving.kt"
+    path.write_text(NON_PRESERVING)
+    capsys.readouterr()
+    assert main(["run", str(path), "--mode", "general", "--neg-degree-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "ideal preservation: FAIL" in out
+    assert "residue level" not in out and "solve_extension" not in out
+
+
 def test_explicit_solver_refuses_a_non_preserving_derivation():
     # the solver leaves the ideal gate to its caller, and still finds no
     # level 0 correction for this input

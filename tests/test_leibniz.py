@@ -2,8 +2,10 @@
 
 `mono_mul` is compared with `make_monomial` on the concatenated factors,
 `apply_derivation` with the former left * image * right evaluation (kept
-below as the oracle, multiplying through `make_monomial`), and the one-pass
-`ExtensionData.apply` with the sum of its levels.
+below as the oracle, multiplying through `make_monomial`), on drawn
+elements and on one element for each shape of the rest a factor's image
+meets, and the one-pass `ExtensionData.apply` with the sum of its levels,
+on trees and on coefficients.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 import ktforest
 from ktforest.cli import main, parse_spec
 from ktforest.extension import solve_general_extension, solve_residues_explicit
-from ktforest.forest import (AlgebraElement, apply_derivation, enumerate_tree_basis,
-                             make_monomial, mono_mul, parity_sign, tree_degree)
+from ktforest.forest import (AlgebraElement, apply_derivation, collect, enumerate_tree_basis,
+                             is_leaf, make_monomial, mono_mul, parity_sign, sum_elements,
+                             tree_degree)
 from ktforest.kt import SolveError, TreeDifferential, solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
@@ -162,7 +165,7 @@ def test_apply_derivation_matches_oracle_per_level(ext, x, k):
         images = dict(on_tree=lambda t: ext.q_level_on_tree(level, t),
                       on_positive=lambda g: ext.q_level_on_tree(level, g)
                       if g in SPEC.positive.gens else None,
-                      on_coeff=lambda c: ext.q_level_on_coeff(k, c))
+                      on_coeff=lambda c: ext.q_level_on_coeff(level, c))
     assert apply_derivation(x, **images) == leibniz_oracle(x, **images)
 
 
@@ -230,6 +233,109 @@ def test_a_tree_whose_projection_has_no_lift_is_a_solve_error(monkeypatch, capsy
     assert ("residue level 0: no-solution (V(e1,e2): "
             "no preimage under the resolution differential)") in out
     assert "result: FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# every branch of the kernel
+# ---------------------------------------------------------------------------
+
+def tree_of(degree, joined=False):
+    return next(t for t in TREES if tree_degree(t) == degree and is_leaf(t) != joined)
+
+
+ODD, EVEN, JOIN = ("t", tree_of(-1)), ("t", tree_of(-2)), ("t", tree_of(-3, joined=True))
+ODD2 = ("t", TREES[1])  # a second leaf of degree -1
+X, Y = (Poly.variable(RING, j) for j in range(2))
+ONE = Poly.const(RING, 1)
+
+# images of mixed degree whose terms meet every merge outcome: an odd
+# factor of the rest repeated (zero), keys before and after the rest's
+IMAGE = element_from([([ODD], ONE), ([ODD2], X), ([XI1, EVEN], X), ([XI2], Y),
+                      ([ETA, XI2], ONE.scale(2)),
+                      ([ODD2, JOIN, XI1, ETA], Y - ONE.scale(3)), ([], X * Y)])
+IMAGES = dict(on_tree=lambda t: IMAGE if tree_degree(t) % 2 else -IMAGE,
+              on_positive=lambda g: IMAGE.scale(X) if g[0] % 2 else IMAGE,
+              on_coeff=lambda c: IMAGE.scale(c.partial(0)))
+
+# the rest that each factor's image meets
+RESTS = {
+    "no factor left, a tree": [([ODD], ONE)],
+    "no factor left, a positive": [([XI2], ONE)],
+    "one odd positive": [([EVEN, XI1], ONE), ([EVEN, XI2], ONE)],
+    "one even positive": [([ODD, ETA], ONE)],
+    "two positives, odd and even": [([ODD, XI1, ETA], ONE)],
+    "two odd positives": [([JOIN, XI1, XI2], ONE)],
+    "only trees": [([ODD, EVEN, JOIN], ONE)],
+    "trees and positives": [([ODD2, EVEN, XI1, ETA], ONE)],
+    "multi-term, non-unit coefficients": [([ODD, XI1], X.scale(2) - Y), ([EVEN, ETA], X * Y),
+                                          ([ODD2, JOIN, XI2], ONE.scale(-3))],
+}
+
+
+@pytest.mark.parametrize("rest", RESTS)
+def test_kernel_branch_matches_oracle(rest):
+    x = element_from(RESTS[rest])
+    expected = leibniz_oracle(x, **IMAGES)
+    assert apply_derivation(x, **IMAGES) == expected
+    # into a given accumulator, with sign -1
+    start = element_from([([ODD, XI1], X), ([EVEN], ONE)])
+    acc = {mono: dict(c.terms) for mono, c in start.terms.items()}
+    assert apply_derivation(x, **IMAGES, acc=acc, sign=-1) is acc
+    assert collect(RING, acc) == start - expected
+    # a second image of each tree, inserted in the same place
+    extra = dict(IMAGES, on_tree_extra=lambda t: IMAGE.scale(Y))
+    assert apply_derivation(x, **extra) == leibniz_oracle(
+        x, **dict(IMAGES, on_tree=lambda t: IMAGES["on_tree"](t) + IMAGE.scale(Y)))
+
+
+def coefficient_oracle(ext, k, c):
+    """Q_k on a coefficient by the formula the in-place sum replaced."""
+    if k == 0:
+        images = ext.pos.q_on_vars.items()
+    else:
+        images = [(j, val) for (kk, j), val in ext.var_q.items() if kk == k]
+    out = AlgebraElement.zero(ext.res.ring)
+    for j, image in images:
+        out = out + image.scale(c.partial(j))
+    return out
+
+
+@pytest.mark.parametrize("name, solve", [
+    ("quadratic.kt", solve_residues_explicit), ("quadratic.kt", solve_general_extension),
+    ("ideal-only quadratic", solve_general_extension)])
+def test_coefficient_image_is_the_sum_of_its_levels(monkeypatch, name, solve):
+    """After each level is solved, over every level range: the evaluator's
+    image of a coefficient is the sum of its per-level images, and those
+    are the variables' images times the partial derivatives."""
+    import ktforest.extension as extension
+    from test_homotopy_corrections import inputs
+
+    res, positive, hook = inputs(name)
+    ring = res.ring
+    coeffs = [Poly.parse(text, ring) for text in ("x", "x^2*y - 3*y", "x*y^2 + 2")]
+    assert_square = extension._assert_square_on_generators
+    solved = []
+
+    def check_then_assert(ext, k):
+        for c in coeffs:
+            scalar = AlgebraElement.scalar(c)
+            per_level = [ext.q_level_on_coeff(range(m, m + 1), c) for m in range(k + 1)]
+            for m in range(k + 1):
+                assert per_level[m] == coefficient_oracle(ext, m, c)
+                assert ext.apply_level(m, scalar) == per_level[m]
+            for lo in range(k + 1):
+                for hi in range(lo, k + 1):
+                    total = sum_elements(ring, per_level[lo:hi + 1])
+                    assert ext.q_level_on_coeff(range(lo, hi + 1), c) == total
+            assert ext.apply(scalar) == sum_elements(ring, per_level)
+        solved.append(k)
+        assert_square(ext, k)
+
+    monkeypatch.setattr(extension, "_assert_square_on_generators", check_then_assert)
+    ext = solve(res, positive, hook, K)
+    assert solved == list(range(ext.level_max + 1))
+    if name == "ideal-only quadratic":
+        assert any(k > 0 for k, _j in ext.var_q)  # levels above 0 are read
 
 
 @pytest.mark.parametrize("solve", [solve_residues_explicit, solve_general_extension])
