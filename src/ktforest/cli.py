@@ -15,13 +15,15 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-from .extension import (ExtensionData, PositivePart, check_ideal_preserved, koszul_mode,
+from .extension import (PositivePart, check_ideal_preserved, koszul_mode,
                         solve_general_extension, solve_residues_explicit, verify_extension,
                         verify_incl_proj, verify_product_defect)
 from .forest import AlgebraElement, enumerate_tree_basis, tree_str
-from .grammar import ParseError, SymbolTable, parse_element, parse_hook_table
+from .grammar import (ParseError, SymbolTable, parse_element, parse_hook_table,
+                      parse_module_element)
 from .kt import (HookMap, SolveError, solve_hook, tree_basis_elements, verify_hook,
                  verify_hook_product_leibniz, verify_retract, verify_square_zero)
 from .poly import Poly, RingSpec
@@ -97,6 +99,14 @@ def _read_sections(text: str):
     return sections
 
 
+def _on_line(number: Optional[int], build, *args):
+    """build(*args), its ValueError raised as a SpecError naming line `number`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SpecError(str(exc), number) from None
+
+
 def _degree(word: str, number: int) -> int:
     try:
         return int(word)
@@ -131,10 +141,7 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
         if key != "gens":
             raise SpecError(f"unknown ideal key {key!r}", number)
         for chunk in value.split(","):
-            try:
-                ideal.append(Poly.parse(chunk, ring))
-            except ValueError as exc:
-                raise SpecError(str(exc), number) from None
+            ideal.append(_on_line(number, Poly.parse, chunk, ring))
 
     resolution, res_symbols = _parse_resolution(sections, ring, ideal)
     if not ideal:
@@ -226,22 +233,12 @@ def _parse_resolution(sections, ring, ideal):
     for number, label, value in diff_rows:
         if label not in by_label:
             raise SpecError(f"unknown generator {label!r} in d row", number)
-        try:
-            elem = parse_element(value, symbols)
-            diff[by_label[label]] = elem.module_part()
-        except ValueError as exc:
-            raise SpecError(str(exc), number) from None
+        diff[by_label[label]] = _on_line(number, parse_module_element, value, symbols)
     for number, label, value in augment_rows:
         if label not in by_label:
             raise SpecError(f"unknown generator {label!r} in augment row", number)
-        try:
-            augment[by_label[label]] = Poly.parse(value, ring)
-        except ValueError as exc:
-            raise SpecError(str(exc), number) from None
-    try:
-        res = FreeResolution(ring, gens_by_degree, diff, augment)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+        augment[by_label[label]] = _on_line(number, Poly.parse, value, ring)
+    res = _on_line(None, FreeResolution, ring, gens_by_degree, diff, augment)
     return res, dict(by_label)
 
 
@@ -274,10 +271,7 @@ def _parse_positive(sections, ring, res_symbols):
     q_on_gens: Dict[GeneratorId, AlgebraElement] = {}
     by_label = {g.label: g for g in gens}
     for number, target, value in q_rows:
-        try:
-            elem = parse_element(value, symbols)
-        except ValueError as exc:
-            raise SpecError(str(exc), number) from None
+        elem = _on_line(number, parse_element, value, symbols)
         if target in ring.names:
             q_on_vars[ring.var_index(target)] = elem
         elif target in by_label:
@@ -286,10 +280,7 @@ def _parse_positive(sections, ring, res_symbols):
             raise SpecError(f"unknown derivation target {target!r}", number)
     for g in gens:
         q_on_gens.setdefault(g, AlgebraElement.zero(ring))
-    try:
-        positive = PositivePart(ring, gens, q_on_vars, q_on_gens)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    positive = _on_line(None, PositivePart, ring, gens, q_on_vars, q_on_gens)
     return positive, symbols
 
 
@@ -306,11 +297,8 @@ def _parse_koszul_tables(sections, resolution, symbols):
             level = int(parts[0][1:])
         except ValueError:
             raise SpecError(f"bad level in {key!r}", number) from None
-        try:
-            gen = resolution.gen_by_label(parts[1])
-            elem = parse_element(value, symbols)
-        except ValueError as exc:
-            raise SpecError(str(exc), number) from None
+        gen = _on_line(number, resolution.gen_by_label, parts[1])
+        elem = _on_line(number, parse_element, value, symbols)
         tables.setdefault(level, {})[gen] = elem
     return tables
 
@@ -320,25 +308,39 @@ def _parse_koszul_tables(sections, resolution, symbols):
 # ---------------------------------------------------------------------------
 
 class RunReport:
-    def __init__(self, spec_name: str, mode: str, options: dict,
-                 stages: Optional[list] = None, quotient: Optional[list] = None,
-                 hook_lines: Optional[list] = None, residues: Optional[list] = None,
-                 verdicts: Optional[list] = None, timings: Optional[dict] = None,
-                 truncation: Optional[dict] = None, failed_stage: Optional[str] = None):
+    def __init__(self, spec_name: str, mode: str, options: dict):
         self.spec_name = spec_name
         self.mode = mode
         self.options = options
-        self.stages = [] if stages is None else stages
-        self.quotient = [] if quotient is None else quotient
-        self.hook_lines = [] if hook_lines is None else hook_lines
-        self.residues = [] if residues is None else residues
-        self.verdicts = [] if verdicts is None else verdicts
-        self.timings = {} if timings is None else timings
-        self.truncation = {} if truncation is None else truncation
-        self.failed_stage = failed_stage
+        self.stages: list = []
+        self.quotient: list = []
+        self.hook_lines: list = []
+        self.residues: list = []
+        self.verdicts: list = []
+        self.timings: Dict[str, float] = {}
+        self.truncation: dict = {}
+        self.failed_stage: Optional[str] = None
 
     def all_passed(self) -> bool:
         return self.failed_stage is None and all(v["passed"] for v in self.verdicts)
+
+    def exit_code(self) -> int:
+        """0 all verdicts pass, 3 a lifting step had no solution, 1 any other failure."""
+        if any(stage["status"] == "no-solution" for stage in self.stages):
+            return 3
+        return 0 if self.all_passed() else 1
+
+    def add_stage(self, name: str, status: str, detail: str = "") -> None:
+        self.stages.append({"stage": name, "status": status, "detail": detail})
+
+    @contextmanager
+    def timed(self, key: str):
+        """Time the block under `key`, also when it raises or returns early."""
+        start = time.monotonic()
+        try:
+            yield
+        finally:
+            self.timings[key] = time.monotonic() - start
 
     def add_verdict(self, check):
         self.verdicts.append({
@@ -414,129 +416,107 @@ class RunReport:
 def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
     """Execute the full pipeline on a parsed spec.
 
-    The optional `verify` option (space-separated names) restricts the
-    verifiers that run; everything applicable runs by default, and the
-    ideal-preservation gate always.
+    Each stage is timed under its `--timings` key, a stage that fails too.
+    The first stage that fails, or a lifting step with no solution, ends
+    the run.  The optional `verify` option (space-separated names) restricts
+    the verifiers that run; everything applicable runs by default, and the
+    ideal-preservation gate always.  Every pipeline function is called
+    through its module-global name, which `perfbench/tracing.py` rebinds.
     """
     report = RunReport(spec.name, spec.mode, dict(spec.options))
-    selected = spec.options.get("verify")
-    selected = set(selected.split()) if selected else None
-
-    def wanted(tag):
-        return selected is None or tag in selected
-    depth = spec.neg_degree_max
-    cap = spec.poly_cap
+    res, depth, cap = spec.resolution, spec.neg_degree_max, spec.poly_cap
     report.truncation = {"neg_degree_max": depth, "poly_degree_max": cap}
-    res = spec.resolution
-    clock = time.monotonic
+    wanted = set(spec.options.get("verify", "").split() or VERIFIERS)
+    timed, stage = report.timed, report.add_stage
 
-    def stage(name, status, detail=""):
-        report.stages.append({"stage": name, "status": status, "detail": detail})
-
-    t0 = clock()
-    complex_report = res.check_complex()
-    report.timings["check_complex"] = clock() - t0
-    stage("check_complex", "pass" if complex_report.passed else "fail",
-          complex_report.witness())
-    if not complex_report.passed:
-        report.failed_stage = "check_complex"
+    def stop(name):
+        report.failed_stage = name
         return report
 
-    t0 = clock()
-    homology = res.check_exactness(cap)
-    report.timings["check_exactness"] = clock() - t0
-    if not homology.graded:
-        stage("check_exactness", "skipped", "resolution is not internally graded")
-    else:
-        bad = homology.failures()
-        stage("check_exactness",
-              "pass" if homology.exact else "fail",
-              f"H = 0 in degrees -1..-{res.length} through polynomial degree {cap}"
-              if homology.exact else f"nonzero homology at {bad[:3]}")
-        if not homology.exact:
-            report.failed_stage = "check_exactness"
-            return report
-    t0 = clock()
     try:
-        report.quotient = quotient_dims(spec.ring, spec.ideal, cap)
-    except ValueError:
-        report.quotient = []
-    report.timings["quotient_dims"] = clock() - t0
+        with timed("check_complex"):
+            complex_report = res.check_complex()
+        stage("check_complex", "pass" if complex_report.passed else "fail",
+              complex_report.witness())
+        if not complex_report.passed:
+            return stop("check_complex")
 
-    try:
-        t0 = clock()
-        if hook_table is not None:
-            hook = hook_table
-            check = verify_hook(res, hook, depth)
-            report.add_verdict(check)  # a user table is always checked
-            stage("hook", "verified" if check.passed else "fail", "user-supplied table")
-            if not check.passed:
-                report.failed_stage = "hook"
-                return report
-        elif spec.mode == "koszul-compare":
-            hook = None
+        with timed("check_exactness"):
+            homology = res.check_exactness(cap)
+        if not homology.graded:
+            stage("check_exactness", "skipped", "resolution is not internally graded")
+        elif homology.exact:
+            stage("check_exactness", "pass",
+                  f"H = 0 in degrees -1..-{res.length} through polynomial degree {cap}")
         else:
-            hook = solve_hook(res, depth)
-            stage("solve_hook", "pass", f"{len(hook.table)} nonzero values")
-        report.timings["hook"] = clock() - t0
+            stage("check_exactness", "fail", f"nonzero homology at {homology.failures()[:3]}")
+            return stop("check_exactness")
+
+        with timed("quotient_dims"):
+            try:
+                report.quotient = quotient_dims(spec.ring, spec.ideal, cap)
+            except ValueError:
+                pass
+
+        with timed("hook"):
+            hook = hook_table
+            if hook is not None:
+                check = verify_hook(res, hook, depth)
+                report.add_verdict(check)  # a user table is always checked
+                stage("hook", "verified" if check.passed else "fail", "user-supplied table")
+                if not check.passed:
+                    return stop("hook")
+            elif spec.mode != "koszul-compare":
+                hook = solve_hook(res, depth)
+                stage("solve_hook", "pass", f"{len(hook.table)} nonzero values")
 
         if hook is not None:
             report.hook_lines = hook.lines()
-            t0 = clock()
-            if wanted("square_zero"):
-                report.add_verdict(verify_square_zero(
-                    hook.differential().apply, tree_basis_elements(res, depth),
-                    label="tree differential square zero",
-                    checked=f"basis trees through negative degree {depth}"))
-            if wanted("retract"):
-                report.add_verdict(verify_retract(res, hook, depth))
-            if wanted("hook_product"):
-                report.add_verdict(verify_hook_product_leibniz(res, hook))
-            report.timings["negative_part_checks"] = clock() - t0
+            with timed("negative_part_checks"):
+                if "square_zero" in wanted:
+                    report.add_verdict(verify_square_zero(
+                        hook.differential().apply, tree_basis_elements(res, depth),
+                        label="tree differential square zero",
+                        checked=f"basis trees through negative degree {depth}"))
+                if "retract" in wanted:
+                    report.add_verdict(verify_retract(res, hook, depth))
+                if "hook_product" in wanted:
+                    report.add_verdict(verify_hook_product_leibniz(res, hook))
 
-        ext: Optional[ExtensionData] = None
         if spec.mode == "koszul-compare":
-            t0 = clock()
-            ext, comparison = koszul_mode(res, spec.positive, spec.koszul_tables, depth)
-            report.hook_lines = ext.hook.lines()
-            report.add_verdict(comparison)
-            stage("koszul_mode", "pass" if comparison.passed else "fail",
-                  "ingested tables extended through the exterior product")
-            report.timings["extension"] = clock() - t0
-        elif spec.positive is not None:
-            t0 = clock()
-            gate = check_ideal_preserved(spec.positive, spec.ideal, cap)
-            report.timings["check_ideal_preserved"] = clock() - t0
+            with timed("extension"):
+                ext, comparison = koszul_mode(res, spec.positive, spec.koszul_tables, depth)
+                report.hook_lines = ext.hook.lines()
+                report.add_verdict(comparison)
+                stage("koszul_mode", "pass" if comparison.passed else "fail",
+                      "ingested tables extended through the exterior product")
+        elif spec.positive is None:
+            return report
+        else:
+            with timed("check_ideal_preserved"):
+                gate = check_ideal_preserved(spec.positive, spec.ideal, cap)
             report.add_verdict(gate)
             if not gate.passed:
-                report.failed_stage = "check_ideal_preserved"
-                return report
-            t0 = clock()
-            if spec.mode == "general":
-                ext = solve_general_extension(res, spec.positive, hook, depth)
-            else:
-                ext = solve_residues_explicit(res, spec.positive, hook, depth)
-            report.timings["extension"] = clock() - t0
-            stage("solve_extension", "pass",
-                  f"levels 0..{ext.level_max} ({spec.mode} mode)")
+                return stop("check_ideal_preserved")
+            with timed("extension"):
+                if spec.mode == "general":
+                    ext = solve_general_extension(res, spec.positive, hook, depth)
+                else:
+                    ext = solve_residues_explicit(res, spec.positive, hook, depth)
+            stage("solve_extension", "pass", f"levels 0..{ext.level_max} ({spec.mode} mode)")
 
-        if ext is not None:
-            t0 = clock()
+        with timed("extension_checks"):
             report.residues = ext.residue_records()
-            checks = [("extension", verify_extension, depth),
-                      ("incl_proj", verify_incl_proj, max(depth - 1, 1))]
-            if ext.level_max >= 1 or ext.chi:
-                checks.append(("star", verify_product_defect, 1))
-            for tag, verifier, bound in checks:
-                if wanted(tag):
-                    report.add_verdict(verifier(ext, bound))
-            report.timings["extension_checks"] = clock() - t0
+            if "extension" in wanted:
+                report.add_verdict(verify_extension(ext, depth))
+            if "incl_proj" in wanted:
+                report.add_verdict(verify_incl_proj(ext, max(depth - 1, 1)))
+            if "star" in wanted and (ext.level_max >= 1 or ext.chi):
+                report.add_verdict(verify_product_defect(ext, 1))
     except SolveError as exc:
         stage(exc.stage, "no-solution", f"{exc.item}: {exc.detail}")
-        report.failed_stage = exc.stage
         report.options["solver_error"] = str(exc)
-        return report
-
+        return stop(exc.stage)
     return report
 
 
@@ -621,18 +601,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(check.summary())
         return 0 if check.passed else 1
 
-    try:
-        report = run(spec)
-    except SolveError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    report = run(spec)
     text = emit(report, args.format, args.out, include_timings=args.timings)
     if not args.out:
         sys.stdout.write(text)
-    if report.failed_stage is not None:
-        solver_stages = [s for s in report.stages if s["status"] == "no-solution"]
-        return 3 if solver_stages else 1
-    return 0 if report.all_passed() else 1
+    return report.exit_code()
 
 
 if __name__ == "__main__":

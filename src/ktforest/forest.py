@@ -424,7 +424,10 @@ def collect(ring: RingSpec, acc: dict) -> "AlgebraElement":
 
 def sums_to_zero(acc: dict) -> bool:
     """Whether every sum built by `accumulate` cancelled."""
-    return not any(any(slot.values()) for slot in acc.values())
+    for slot in acc.values():
+        if any(slot.values()):
+            return False
+    return True
 
 
 def sum_elements(ring: RingSpec, elems: Iterable["AlgebraElement"]) -> "AlgebraElement":

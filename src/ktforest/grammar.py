@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .forest import AlgebraElement, Node, canonicalize_node, leaf, node, tree_str
+from .forest import AlgebraElement, Node, canonicalize_node, is_leaf, leaf, node, tree_str
 from .poly import Poly, RingSpec, TokenCursor, parse_expression
 from .resolution import GeneratorId, ModuleElement
 
@@ -57,8 +57,14 @@ def parse_element(text: str, symbols: SymbolTable) -> AlgebraElement:
 
 
 def parse_module_element(text: str, symbols: SymbolTable) -> ModuleElement:
+    """A module element: polynomial multiples of negative-degree generators.
+
+    A scalar term, a positive factor or a product of trees raises ParseError.
+    """
     elem = parse_element(text, symbols)
-    return elem.module_part() if not elem.is_zero() else ModuleElement.zero(symbols.ring)
+    if any(pos or len(trees) != 1 or not is_leaf(trees[0]) for trees, pos in elem.terms):
+        raise ParseError(f"not a module element: {text!r}")
+    return elem.module_part()
 
 
 def parse_tree(text: str, symbols: SymbolTable) -> Optional[Node]:
@@ -116,19 +122,22 @@ def parse_hook_table(lines, symbols: SymbolTable) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "->" not in line:
-            raise ParseError(f"hook line needs '->': {line!r}")
-        tree_text, value_text = line.split("->", 1)
-        node = _parse_written_tree(tree_text.strip(), symbols)
-        value = parse_module_element(value_text.strip(), symbols)
-        cnode, _sign = canonicalize_node(node)
-        if cnode is None:
-            if not value.is_zero():
-                raise ParseError(f"hook value on a vanishing tree: {line!r}")
-            continue
-        if cnode in first_line:
-            raise ParseError(f"line {number}: tree {tree_str(cnode)} already given "
-                             f"on line {first_line[cnode]}")
+        try:
+            if "->" not in line:
+                raise ParseError(f"hook line needs '->': {line!r}")
+            tree_text, value_text = line.split("->", 1)
+            node = _parse_written_tree(tree_text.strip(), symbols)
+            value = parse_module_element(value_text.strip(), symbols)
+            cnode, _sign = canonicalize_node(node)
+            if cnode is None:
+                if not value.is_zero():
+                    raise ParseError(f"hook value on a vanishing tree: {line!r}")
+                continue
+            if cnode in first_line:
+                raise ParseError(f"tree {tree_str(cnode)} already given "
+                                 f"on line {first_line[cnode]}")
+        except ValueError as exc:
+            raise ParseError(f"line {number}: {exc}") from None
         first_line[cnode] = number
         table[node] = value
     return table

@@ -647,3 +647,25 @@ def test_non_integer_generator_degree_names_its_line(tmp_path, line, replacement
     with pytest.raises(SpecError) as err:
         parse_spec(path)
     assert str(err.value).startswith(f"line {number}: generator degree must be an integer")
+
+
+@pytest.mark.parametrize("replacement", ["d pi = x*pi2 - y*pi1 + x^3",
+                                         "d pi = x*pi2 - y*pi1 + pi1*pi2"],
+                         ids=["scalar", "tree-product"])
+def test_d_row_with_a_non_module_term_names_its_line(tmp_path, replacement):
+    path, number = _edited_spec(tmp_path, "quadratic.kt", "d pi = x*pi2 - y*pi1", replacement)
+    value = replacement.split("=", 1)[1].strip()
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == f"line {number}: not a module element: {value!r}"
+    code, out, err_text = run_cli("run", path)
+    assert code == 2 and out == "" and f"line {number}: not a module element" in err_text
+
+
+@pytest.mark.parametrize("value", ["x*pi + 1", "xi1*pi"], ids=["scalar", "positive"])
+def test_hook_line_with_a_non_module_term_names_its_line(tmp_path, value):
+    table = tmp_path / "hook.txt"
+    table.write_text(f"# header\nV(pi1,pi2) -> {value}\n")
+    code, out, err = run_cli("verify", spec_path("quadratic.kt"), "--hook", str(table))
+    assert code == 2 and out == ""
+    assert f"input error: line 2: not a module element: {value!r}" in err

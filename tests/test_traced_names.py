@@ -13,6 +13,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,38 @@ def test_traced_memos_exist_after_a_run(monkeypatch):
     assert instances[kt.TreeDifferential] and instances[extension.ExtensionData]
     assert all(isinstance(t._memo, dict) for t in instances[kt.TreeDifferential])
     assert all(isinstance(e._tree_memo, dict) for e in instances[extension.ExtensionData])
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+
+tracer = tracing.instrument()
+from ktforest import cli, example_path
+from ktforest.grammar import parse_hook_table
+from ktforest.kt import HookMap
+
+spec = cli.parse_spec(example_path("quadratic.kt"))
+spec.options["neg_degree_max"] = 4
+cli.check_mode(spec)
+with open(example_path("quadratic_hook.txt"), encoding="utf-8") as handle:
+    table = parse_hook_table(handle.read().splitlines(), spec.symbols)
+assert cli.run(spec).all_passed()
+assert cli.run(spec, HookMap(spec.resolution, table)).all_passed()
+print(json.dumps({"spanned": tracing.SPANNED, "calls": tracer.calls}))
+"""
+
+
+def test_traced_run_records_every_verifier():
+    """`instrument()` rebinds the names `cli` imported, so `cli.run` must call
+    every verifier through its module-global name for the benchmark's spans
+    to see it.  The patching runs in a subprocess so it cannot leak into
+    other tests."""
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACING.parent)],
+                          capture_output=True, text=True, check=True)
+    data = json.loads(proc.stdout)
+    verifiers = [f"{layer}.{name}" for layer in ("kt", "extension")
+                 for name in data["spanned"][layer] if name.startswith("verify_")]
+    assert len(verifiers) == 7
+    assert [key for key in verifiers if not data["calls"].get(key)] == []
