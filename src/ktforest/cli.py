@@ -141,11 +141,16 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
         if key != "gens":
             raise SpecError(f"unknown ideal key {key!r}", number)
         for chunk in value.split(","):
-            ideal.append(_on_line(number, Poly.parse, chunk, ring))
+            gen = _on_line(number, Poly.parse, chunk, ring)
+            if gen.is_zero():
+                raise SpecError(f"ideal generator {chunk.strip()!r} is zero", number)
+            ideal.append(gen)
 
     resolution, res_symbols = _parse_resolution(sections, ring, ideal)
-    if not ideal:
-        ideal = resolution.ideal_generators()
+    if not ideal:  # the augmentation's image; a zero value generates nothing
+        ideal = [p for p in resolution.ideal_generators() if not p.is_zero()]
+        if not ideal:
+            raise SpecError("the augmentation is zero on every generator: no ideal to resolve")
 
     positive, symbols = _parse_positive(sections, ring, res_symbols)
     koszul_tables = _parse_koszul_tables(sections, resolution, symbols)
@@ -453,10 +458,7 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
             return stop("check_exactness")
 
         with timed("quotient_dims"):
-            try:
-                report.quotient = quotient_dims(spec.ring, spec.ideal, cap)
-            except ValueError:
-                pass
+            report.quotient = quotient_dims(spec.ring, spec.ideal, cap)
 
         with timed("hook"):
             hook = hook_table

@@ -27,11 +27,11 @@ from __future__ import annotations
 from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .forest import (AlgebraElement, Node, accumulate, apply_derivation, collect,
-                     enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf, mono_label,
-                     parity_sign, sum_elements, sums_to_zero, tree_str)
-from .kt import (CheckResult, HookMap, SolveError, add_tree_formula, homotopy, hook_product,
-                 hook_window, project_to_resolution, two_leaf_product, verify_hook)
+from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
+                     collect, enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
+                     mono_label, parity_sign, sum_elements, sums_to_zero, tree_str)
+from .kt import (CheckResult, HookMap, SolveError, homotopy, hook_product, hook_window,
+                 project_to_resolution, two_leaf_product, verify_hook)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -240,10 +240,10 @@ class ExtensionData:
         return _solve_tree(self, levels[0], source)
 
     def _tree_formula(self, levels: range, node: Node) -> AlgebraElement:
-        """Corrected leaves plus hook substitutions, one walk for all `levels`."""
+        """The tree formula over the children's images, for all `levels` at once."""
         acc: dict = {}
-        add_tree_formula(acc, node, lambda g: self.q_level_on_tree(levels, leaf(g)),
-                         lambda t: self.chi_levels(levels, t))
+        add_tree_formula(acc, node, partial(self.q_level_on_tree, levels),
+                         partial(self.chi_levels, levels))
         return collect(self.res.ring, acc)
 
     # -- assembled operators ------------------------------------------------------

@@ -193,62 +193,6 @@ def canonicalize_node(tree: Node) -> Tuple[Optional[Node], int]:
 
 
 # ---------------------------------------------------------------------------
-# vertex addressing
-# ---------------------------------------------------------------------------
-
-def subtree_at(node: Node, path: tuple) -> Node:
-    for i in path:
-        node = node[1][i]
-    return node
-
-
-def vertices(node: Node) -> List[Tuple[tuple, Node, int]]:
-    """Every vertex as (path, subtree, weight), in planar DFS preorder.
-
-    The weight gives the sign of a substitution at the vertex: zero at the
-    root; at a child, its parent's weight minus one plus the degrees of the
-    subtrees to its left.
-    """
-    out: List[Tuple[tuple, Node, int]] = []
-
-    def walk(n, path, weight):
-        out.append((path, n, weight))
-        if n[0] == "N":
-            weight -= 1
-            for i, c in enumerate(n[1]):
-                walk(c, path + (i,), weight)
-                weight += tree_degree(c)
-
-    walk(node, (), 0)
-    return out
-
-
-def replace_at_path(tree: Node, path: tuple, replacement: Node) -> Node:
-    if not path:
-        return replacement
-    i = path[0]
-    kids = list(tree[1])
-    kids[i] = replace_at_path(kids[i], path[1:], replacement)
-    return node(kids)
-
-
-def delete_at_path(tree: Node, path: tuple) -> Optional[Node]:
-    """Remove the subtree at path; None when the shape becomes inadmissible.
-
-    A parent left with fewer than two children is inadmissible and kills the
-    term, including a root left with a single child.
-    """
-    if not path:
-        raise TreeError("cannot delete the whole tree here")
-    parent_path, i = path[:-1], path[-1]
-    parent = subtree_at(tree, parent_path)
-    kids = parent[1][:i] + parent[1][i + 1:]
-    if len(kids) < 2:
-        return None
-    return replace_at_path(tree, parent_path, node(kids))
-
-
-# ---------------------------------------------------------------------------
 # the graded symmetric algebra
 # ---------------------------------------------------------------------------
 
@@ -641,51 +585,95 @@ def root_split(elem: AlgebraElement) -> AlgebraElement:
     return collect(elem.ring, acc)
 
 
-def contract_vertex(tree: Node, path: tuple) -> Tuple[Optional[Node], int]:
-    """Remove an inner vertex, splicing its children into its parent."""
-    if not path:
-        raise TreeError("cannot contract the root")
-    target = subtree_at(tree, path)
-    if is_leaf(target):
-        raise TreeError("cannot contract a leaf")
-    parent_path, i = path[:-1], path[-1]
-    parent = subtree_at(tree, parent_path)
-    kids = parent[1][:i] + target[1] + parent[1][i + 1:]
-    raw = replace_at_path(tree, parent_path, node(kids))
-    return canonicalize_node(raw)
+def _splice(rest: tuple, after: int, trees: tuple) -> Tuple[Optional[Node], int]:
+    """Join `rest` with the canonical factors `trees` spliced into one slot.
+
+    `rest` are the other children of a canonical tree, in order, and
+    `after` is the degree parity of those after the slot.  Returns the
+    canonical tree and the parity of the Koszul sign of sorting the factors
+    in, or (None, 0) when an odd factor repeats or fewer than two children
+    remain.
+    """
+    if not trees:  # a deletion keeps the order
+        return (node(rest), 0) if len(rest) >= 2 else (None, 0)
+    merged, parity = _merge(rest, trees, _tree_order)
+    if merged is None or len(merged) < 2:
+        return None, 0
+    if after:  # the factors first pass the children after the slot
+        for t in trees:
+            parity ^= _tree_order(t)[1]
+    return node(merged), parity & 1
 
 
 def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement,
                        sign: int, weight: int):
     """Add sign times `node` with the subtree at `path` replaced by a value.
 
-    The value must live in (module + scalar) tensor positives.  Module terms
-    decorate a fresh leaf; scalar terms delete the leaf slot, killing the
-    term when the shape degenerates.  Positive factors exit the tree with
-    the parity of the vertex weight (`vertices`) times their degree,
-    accumulated from the odd join maps along the path.  The terms are summed
-    into `acc` by `accumulate`; each one's monomial is the value term's
+    Each term of the value takes the place of the subtree: its trees are
+    spliced in as children of the vertex above, a scalar term deletes the
+    slot, and a vertex left with fewer than two children kills the term;
+    every vertex on the path sorts its new child in with the Koszul sign.
+    At the root (path ()) the term is the value's own monomial.  Positive
+    factors exit the tree with the parity of the vertex weight (see
+    `add_tree_formula`) times their degree.  The terms are summed into
+    `acc` by `accumulate`; each one's monomial is the value term's
     canonical positives with the new tree, if any, after them.
     """
+    steps = []  # (the other children, parity after the slot), from the bottom
+    for i in path:
+        kids = node[1]
+        after = 0
+        for c in kids[i + 1:]:
+            after ^= tree_degree(c)
+        steps.append((kids[:i] + kids[i + 1:], after & 1))
+        node = kids[i]
+    steps.reverse()
     for (trees, pos), c in value.terms.items():
         odd = 0
         for g in pos:
             odd ^= g[0]
-        term_sign = -sign if odd & weight & 1 else sign
-        if trees:
-            if len(trees) != 1 or not is_leaf(trees[0]):
-                raise TreeError("substitution value must be module + scalar valued")
-            raw = replace_at_path(node, path, trees[0])
-        elif path:
-            raw = delete_at_path(node, path)
-            if raw is None:
-                continue
-        else:  # a scalar in place of the whole tree
-            accumulate(acc, ((), pos), c.terms, term_sign)
-            continue
-        cnode, s = canonicalize_node(raw)
-        if cnode is not None:
-            accumulate(acc, ((cnode,), pos), c.terms, term_sign * s)
+        parity = odd & weight
+        for rest, after in steps:
+            tree, p = _splice(rest, after, trees)
+            if tree is None:
+                break
+            trees, parity = (tree,), parity ^ p
+        else:
+            accumulate(acc, (trees, pos), c.terms, -sign if parity & 1 else sign)
+
+
+def add_tree_formula(acc: dict, node: Node,
+                     child_image: Callable[[Node], AlgebraElement],
+                     root_value: Callable[[Node], AlgebraElement]):
+    """Add the substitution terms of the tree formula on an inner tree.
+
+    The formula replaces each leaf decoration g by its value, and the
+    subtree t at each inner vertex and at the root by minus its hook value,
+    each term with the sign of its vertex weight: 0 at the root, and at a
+    child its parent's weight minus 1 plus the degrees of the subtrees to
+    its left.  It is evaluated children first: the image of each child
+    c_i, `child_image(c_i)` (memoized by the caller), already holds every
+    term from inside c_i, relative to c_i.  Each of its terms is spliced
+    into slot i (`substitute_at_path`) with the sign of the child's weight
+    w_i, which its positives also pass; then -root_value(node) replaces
+    the whole tree.
+
+    Level -1 (`TreeDifferential.on_tree`) adds the root split beside this.
+    There the image of an inner child holds its own root split, which
+    spliced into slot i contracts the child's root into the root of
+    `node`: the vertex contractions.  Every correction level
+    (`ExtensionData`) shares the formula with child images and root values
+    summed over its levels.
+    """
+    weight = -1
+    for i, child in enumerate(node[1]):
+        image = child_image(child)
+        if image.terms:
+            substitute_at_path(acc, node, (i,), image, parity_sign(weight), weight)
+        weight += tree_degree(child)
+    value = root_value(node)
+    if value.terms:
+        substitute_at_path(acc, node, (), value, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -866,24 +854,31 @@ def _trees_through(res: FreeResolution, neg_degree: int) -> Tuple[Node, ...]:
 
 
 def _multisets_with_degree(candidates: Sequence[Node], total: int, min_count: int):
-    """Multisets of candidate trees with degree sum -total, in key order."""
+    """Multisets of candidate trees with degree sum -total, each in key order.
+
+    The candidates come in key order.  The recursion takes them by depth,
+    shallowest first, and stops at the first one deeper than what remains;
+    each multiset is put back in key order by sorting its indices.
+    """
     depths = [-tree_degree(node) for node in candidates]
+    by_depth = sorted(range(len(candidates)), key=depths.__getitem__)
     results: List[tuple] = []
-    chosen: List[Node] = []
+    chosen: List[int] = []
 
     def recurse(start: int, remaining: int):
         if remaining == 0:
             if len(chosen) >= min_count:
-                results.append(tuple(chosen))
+                results.append(tuple(candidates[i] for i in sorted(chosen)))
             return
-        for i in range(start, len(candidates)):
+        for at in range(start, len(by_depth)):
+            i = by_depth[at]
             d = depths[i]
             if d > remaining:
-                continue
+                break
             limit = 1 if d % 2 else remaining // d
             for taken in range(1, limit + 1):
-                chosen.append(candidates[i])
-                recurse(i + 1, remaining - d * taken)
+                chosen.append(i)
+                recurse(at + 1, remaining - d * taken)
             del chosen[-limit:]
 
     recurse(0, total)

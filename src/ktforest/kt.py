@@ -5,7 +5,10 @@ root into a product, contracting each inner vertex, applying the resolution
 differential to each leaf, and subtracting hook substitutions at every inner
 vertex and at the root, each with the sign of the vertex weight.  On trivial
 trees it is the resolution differential; on products it extends by the
-graded Leibniz rule.
+graded Leibniz rule.  A tree's image is built from its children's memoized
+images (`forest.add_tree_formula`): each child's terms are spliced into its
+slot, where the child's own root split contracts the child's root, then
+the root split and the hook at the root are added.
 
 The hook is solved degree by degree: for every basis tree, the required
 value is a preimage under the resolution differential of an expression in
@@ -17,11 +20,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .forest import (AlgebraElement, Node, accumulate, apply_derivation, canonicalize_node,
-                     collect, enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
-                     mono_label, mono_mul, node, parity_sign, root_join, root_split, contract_vertex,
-                     substitute_at_path, sums_to_zero, tree_degree, tree_key, tree_str, vertices,
-                     mono_pos_degree)
+from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
+                     canonicalize_node, collect, enumerate_monomial_basis, enumerate_tree_basis,
+                     is_leaf, leaf, mono_label, mono_mul, mono_pos_degree, node, parity_sign,
+                     root_join, root_split, sums_to_zero, tree_degree, tree_key, tree_str)
 from .poly import Poly
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
@@ -137,45 +139,17 @@ class TreeDifferential:
         return cached
 
     def _image(self, node: Node) -> AlgebraElement:
+        """The root split plus the tree formula over the children's images."""
         if is_leaf(node):
             return self.leaf_value(node[1])
-        ring = self.res.ring
         acc: dict = {}
-        for mono, c in root_split(AlgebraElement.from_tree(ring, node)).terms.items():
-            accumulate(acc, mono, c.terms)
-        one = Poly.one(ring).terms
-        for path, sub, w in vertices(node)[1:]:
-            if not is_leaf(sub):
-                cnode, sign = contract_vertex(node, path)
-                if cnode is not None:
-                    accumulate(acc, ((cnode,), ()), one, sign * parity_sign(w))
-        add_tree_formula(acc, node, self.leaf_value, self.hook.element)
-        return collect(ring, acc)
+        accumulate(acc, (node[1], ()), Poly.one(self.res.ring).terms)
+        add_tree_formula(acc, node, self.on_tree, self.hook.element)
+        return collect(self.res.ring, acc)
 
     def apply(self, elem: AlgebraElement, acc: Optional[dict] = None,
               sign: int = 1) -> AlgebraElement:
         return apply_derivation(elem, self.on_tree, acc=acc, sign=sign)
-
-
-def add_tree_formula(acc: dict, node: Node,
-                     leaf_value: Callable[[GeneratorId], AlgebraElement],
-                     hook_value: Callable[[Node], AlgebraElement]):
-    """Add the substitution terms of the tree formula to an accumulator.
-
-    Each leaf decoration g is replaced by leaf_value(g), and the subtree t
-    at each inner vertex and at the root by -hook_value(t); each term
-    carries the sign of its vertex weight.  Zero values are skipped.  Level
-    -1 (`TreeDifferential.on_tree`, which adds the root split and the
-    vertex contractions) and every correction level (`ExtensionData`) share
-    this formula.
-    """
-    for path, sub, w in vertices(node):
-        if is_leaf(sub):
-            value, sign = leaf_value(sub[1]), parity_sign(w)
-        else:
-            value, sign = hook_value(sub), -parity_sign(w)
-        if not value.is_zero():
-            substitute_at_path(acc, node, path, value, sign, w)
 
 
 # ---------------------------------------------------------------------------

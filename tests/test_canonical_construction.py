@@ -23,13 +23,14 @@ import ktforest
 from ktforest.cli import parse_spec
 from ktforest.extension import _group_by_positives, _koszul_leibniz_extend, lift_delta_preimage
 from ktforest.forest import (AlgebraElement, _gen_order, _merge, _tree_order,
-                             canonicalize_node, collect, delete_at_path, enumerate_tree_basis,
-                             is_leaf, leaf, vertices,
+                             canonicalize_node, collect, enumerate_tree_basis,
+                             is_leaf, leaf,
                              make_monomial, mono_pos_degree, parity_sign,
-                             replace_at_path, root_join, root_split, substitute_at_path)
+                             root_join, root_split, substitute_at_path)
 from ktforest.kt import SolveError, solve_hook, two_leaf_product
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement
+from vertex_walk import delete_at_path, replace_at_path, vertices
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 K = 4

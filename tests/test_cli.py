@@ -669,3 +669,36 @@ def test_hook_line_with_a_non_module_term_names_its_line(tmp_path, value):
     code, out, err = run_cli("verify", spec_path("quadratic.kt"), "--hook", str(table))
     assert code == 2 and out == ""
     assert f"input error: line 2: not a module element: {value!r}" in err
+
+
+def test_zero_ideal_generator_is_an_input_error(tmp_path):
+    # the Koszul complex of a sequence holding 0 is not acyclic, yet no
+    # internal grading exists to catch it in `check_exactness`
+    path, number = _edited_spec(tmp_path, "koszul_compare.kt", "gens = x^2, y^2",
+                                "gens = 0, x^2, y^2")
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == f"line {number}: ideal generator '0' is zero"
+    code, out, err_text = run_cli("run", path, "--neg-degree-max", "2")
+    assert code == 2 and out == "" and f"line {number}: ideal generator '0' is zero" in err_text
+
+
+NON_MINIMAL = """
+[ring]
+vars = x, y
+[resolution]
+generators -1 = pi1, pi2
+generators -2 = pi
+d pi = pi1
+augment pi1 = 0
+augment pi2 = {augment}
+"""
+
+
+def test_ideal_from_the_augmentation_drops_zero_values():
+    spec = parse_spec("inline.kt", text=NON_MINIMAL.format(augment="y^2"))
+    assert [str(p) for p in spec.ideal] == ["y^2"]
+    assert run(spec).quotient == [1, 2, 2, 2, 2, 2, 2]
+    with pytest.raises(SpecError) as err:
+        parse_spec("inline.kt", text=NON_MINIMAL.format(augment="0"))
+    assert str(err.value) == "the augmentation is zero on every generator: no ideal to resolve"

@@ -26,11 +26,12 @@ from ktforest.forest import (AlgebraElement, apply_derivation, collect,
                              enumerate_monomial_basis, is_leaf, leaf, mono_label,
                              sum_elements, tree_degree, tree_str)
 from ktforest.grammar import parse_hook_table
-from ktforest.kt import (CheckResult, HookMap, TreeDifferential, add_tree_formula, homotopy,
+from ktforest.kt import (CheckResult, HookMap, TreeDifferential, homotopy,
                          project_to_resolution, solve_hook, verify_retract)
 from ktforest.poly import Poly
 from test_extension import MONOMIAL3_HOOK_LINES, make_positive
 from test_homotopy_corrections import Unsolved, reach_loop_extension
+from test_vertex_walk import former_add_tree_formula
 
 K = 5
 
@@ -102,8 +103,8 @@ def former_apply_level(ext):
             return ext.gen_q.get((k, node[1]), zero)
         if not ext.by_step:
             acc = {}
-            add_tree_formula(acc, node, lambda g: ext.gen_q.get((k, g), zero),
-                             lambda t: ext.chi.get((k, t), zero))
+            former_add_tree_formula(acc, node, lambda g: ext.gen_q.get((k, g), zero),
+                                    lambda t: ext.chi.get((k, t), zero))
             return collect(ring, acc)
         if (k, node) in ext.tree_q:
             return ext.tree_q[(k, node)]

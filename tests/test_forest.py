@@ -8,14 +8,15 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.forest import (AlgebraElement, TreeError, _mono_sort_key,
-                             canonicalize_node, contract_vertex,
+from ktforest.forest import (AlgebraElement, TreeError, _mono_sort_key, _trees_through,
+                             canonicalize_node,
                              enumerate_monomial_basis, enumerate_tree_basis,
                              inner_vertex_count, is_leaf, koszul_sign, leaf, leaf_count,
-                             make_monomial, mono_degree, root_join, root_split, subtree_at,
-                             tree_degree, tree_key, tree_str, vertices)
+                             make_monomial, mono_degree, root_join, root_split,
+                             tree_degree, tree_key, tree_str)
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
+from vertex_walk import contract_vertex, vertices
 
 
 def gens_of(res, depth):
@@ -257,6 +258,33 @@ def former_multisets_with_degree(candidates, total, min_count):
     return results
 
 
+def key_order_multisets(candidates, total, min_count):
+    """The recursion before it took the candidates by depth: every call
+    visits every candidate after `start`, in key order, and skips those
+    deeper than what remains."""
+    depths = [-tree_degree(node) for node in candidates]
+    results = []
+    chosen = []
+
+    def recurse(start, remaining):
+        if remaining == 0:
+            if len(chosen) >= min_count:
+                results.append(tuple(chosen))
+            return
+        for i in range(start, len(candidates)):
+            d = depths[i]
+            if d > remaining:
+                continue
+            limit = 1 if d % 2 else remaining // d
+            for taken in range(1, limit + 1):
+                chosen.append(candidates[i])
+                recurse(i + 1, remaining - d * taken)
+            del chosen[-limit:]
+
+    recurse(0, total)
+    return results
+
+
 def former_tree_basis(res, neg_degree):
     out = [leaf(g) for g in res.generators(neg_degree)]
     if neg_degree >= 3:
@@ -283,6 +311,12 @@ def former_monomial_basis(res, neg_degree):
                                   "koszul_compare.kt", "koszul_function.kt"])
 def test_basis_enumeration_matches_the_former_recursion(name):
     res = parse_spec(ktforest.example_path(name)).resolution
-    for degree in range(1, 7):
+    top = 8 if name == "monomial_ideal.kt" else 6  # 3,444 candidate trees at 8
+    for degree in range(1, top + 1):
         assert enumerate_tree_basis(res, degree) == former_tree_basis(res, degree)
-        assert enumerate_monomial_basis(res, degree) == former_monomial_basis(res, degree)
+        if degree <= 7:
+            assert enumerate_monomial_basis(res, degree) == former_monomial_basis(res, degree)
+        else:  # the first former recursion takes seconds here
+            combos = key_order_multisets(_trees_through(res, degree), degree, 1)
+            assert enumerate_monomial_basis(res, degree) \
+                == tuple(sorted(((c, ()) for c in combos), key=_mono_sort_key))

@@ -1,11 +1,15 @@
-"""One vertex walk for the tree formula, against the former walkers.
+"""The tree formula against the vertex walks it replaced.
 
-`forest.vertices` returns every vertex of a tree as (path, subtree, weight)
-in planar DFS preorder, each weight built from its parent's.  It replaced
-three walkers: `inner_vertex_paths` and `leaf_paths` listed the paths, and
-`vertex_weight` recomputed each weight from the root.  Those bodies, and the
-former `TreeDifferential._image` that read them, are kept below as oracles
-on every basis tree of the bundled specs through K = 6.
+`forest.add_tree_formula` evaluates the formula children first: each
+child's memoized image is spliced into its slot.  Before that, the formula
+walked every vertex of the tree (`vertex_walk.vertices`, each weight built
+from its parent's), and before that, three walkers listed the paths and
+recomputed each weight from the root: `inner_vertex_paths`, `leaf_paths`
+and `vertex_weight`.  Those bodies, and the former
+`TreeDifferential._image` that read them, are kept below as oracles on
+every basis tree of the bundled specs through K = 6, on the degree-K+1
+joins that `verify_retract` builds, in every mode each spec runs, at level
+-1 and at every range of correction levels.
 """
 
 from __future__ import annotations
@@ -16,11 +20,14 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.forest import (AlgebraElement, accumulate, collect, contract_vertex,
-                             enumerate_tree_basis, is_leaf, parity_sign, root_split,
-                             subtree_at, substitute_at_path, tree_degree, vertices)
+from ktforest.extension import koszul_mode, solve_general_extension, solve_residues_explicit
+from ktforest.forest import (AlgebraElement, accumulate, canonicalize_node, collect,
+                             enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf, node,
+                             parity_sign, root_split, tree_degree)
 from ktforest.kt import solve_hook
 from ktforest.poly import Poly
+from vertex_walk import (contract_vertex, former_substitute_at_path, subtree_at,
+                         vertices)
 
 SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt", "quadratic.kt",
          "regular_sequence.kt", "taylor_shear.kt"]
@@ -77,13 +84,13 @@ def former_add_tree_formula(acc, node, leaf_value, hook_value):
         if value.is_zero():
             continue
         w = former_vertex_weight(node, path)
-        substitute_at_path(acc, node, path, value, parity_sign(w), w)
+        former_substitute_at_path(acc, node, path, value, parity_sign(w), w)
     for path in former_inner_vertex_paths(node) + [()]:
         value = hook_value(subtree_at(node, path))
         if value.is_zero():
             continue
         w = former_vertex_weight(node, path)
-        substitute_at_path(acc, node, path, value, -parity_sign(w), w)
+        former_substitute_at_path(acc, node, path, value, -parity_sign(w), w)
 
 
 def former_image(differential, node):
@@ -111,6 +118,30 @@ def setup(name):
     return res, trees, solve_hook(res, K)
 
 
+def joins(res):
+    """The trees of degree K + 1 that `verify_retract` joins and evaluates."""
+    out = []
+    for trees, _ in enumerate_monomial_basis(res, K):
+        if len(trees) >= 2:
+            tree = canonicalize_node(node(trees))[0]
+            if tree is not None:
+                out.append(tree)
+    return out
+
+
+MODES = [(name, mode) for name in SPECS for mode in ("explicit", "general")] \
+    + [("koszul_compare.kt", "koszul-compare")]
+
+
+def extension(name, mode):
+    spec = parse_spec(ktforest.example_path(name))
+    res, _, hook = setup(name)
+    if mode == "koszul-compare":
+        return koszul_mode(spec.resolution, spec.positive, spec.koszul_tables, K)[0]
+    solve = solve_general_extension if mode == "general" else solve_residues_explicit
+    return solve(res, spec.positive, hook, K)
+
+
 @pytest.mark.parametrize("name", SPECS)
 def test_vertices_match_the_former_walkers(name):
     _, trees, _ = setup(name)
@@ -136,3 +167,25 @@ def test_on_tree_matches_the_former_image(name):
     differential = hook.differential()
     for node in trees:
         assert differential.on_tree(node) == former_image(differential, node)
+
+
+@pytest.mark.parametrize("name, mode", MODES)
+def test_images_match_the_vertex_walk_in_every_mode(name, mode):
+    """Level -1 and every range of correction levels, on the basis trees
+    and on the joins of degree K + 1."""
+    ext = extension(name, mode)
+    res, trees, _ = setup(name)
+    inner = [t for t in trees if not is_leaf(t)] + joins(res)
+    assert not ext.by_step
+    differential = ext.hook.differential()
+    for tree in inner:
+        assert differential._image(tree) == former_image(differential, tree)
+    ranges = [range(k, k + 1) for k in range(ext.level_max + 1)]
+    ranges.append(range(0, ext.level_max + 1))
+    for levels in ranges:
+        for tree in inner:
+            acc: dict = {}
+            former_add_tree_formula(acc, tree,
+                                    lambda g: ext.q_level_on_tree(levels, leaf(g)),
+                                    lambda t: ext.chi_levels(levels, t))
+            assert ext._tree_formula(levels, tree) == collect(res.ring, acc)
