@@ -28,7 +28,7 @@ from .kt import (HookMap, SolveError, solve_hook, tree_basis_elements, verify_ho
                  verify_hook_product_leibniz, verify_retract, verify_square_zero)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
-                         build_koszul_complex, quotient_dims)
+                         build_koszul_complex, ideal_member, quotient_dims)
 
 
 class SpecError(ValueError):
@@ -137,6 +137,7 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
         raise SpecError("missing vars in [ring]")
 
     ideal: List[Poly] = []
+    ideal_lines: List[int] = []  # the gens line of each generator
     for number, key, value in sections.get("ideal", []):
         if key != "gens":
             raise SpecError(f"unknown ideal key {key!r}", number)
@@ -145,17 +146,26 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
             if gen.is_zero():
                 raise SpecError(f"ideal generator {chunk.strip()!r} is zero", number)
             ideal.append(gen)
+            ideal_lines.append(number)
 
     resolution, res_symbols = _parse_resolution(sections, ring, ideal)
-    if not ideal:  # the augmentation's image; a zero value generates nothing
-        ideal = [p for p in resolution.ideal_generators() if not p.is_zero()]
+    # the augmentation's image; a zero value generates nothing
+    augmented = [p for p in resolution.ideal_generators() if not p.is_zero()]
+    if not ideal:
+        ideal = augmented
         if not ideal:
             raise SpecError("the augmentation is zero on every generator: no ideal to resolve")
+    elif ideal != augmented:
+        _check_same_ideal(ring, ideal, ideal_lines, augmented)
 
     positive, symbols = _parse_positive(sections, ring, res_symbols)
     koszul_tables = _parse_koszul_tables(sections, resolution, symbols)
 
-    options = {key: value for _n, key, value in sections.get("options", [])}
+    options = {}
+    for number, key, value in sections.get("options", []):
+        if key not in OPTIONS:
+            raise SpecError(f"unknown option {key!r}; known: {' '.join(OPTIONS)}", number)
+        options[key] = value
 
     name = path.rsplit("/", 1)[-1]
     spec = ProblemSpec(name, ring, ideal, resolution, positive, symbols,
@@ -164,6 +174,21 @@ def parse_spec(path: str, text: Optional[str] = None) -> ProblemSpec:
     return spec
 
 
+def _check_same_ideal(ring: RingSpec, ideal: List[Poly], lines: List[int],
+                      augmented: List[Poly]) -> None:
+    """Each [ideal] generator in the ideal of the augmentation values, and
+    each of those in the [ideal]; a SpecError names the gens line."""
+    for gen, number in zip(ideal, lines):
+        if not ideal_member(ring, augmented, gen):
+            raise SpecError(f"ideal generator {gen} is not in the ideal of the "
+                            "resolution's augmentation values", number)
+    for value in augmented:
+        if not ideal_member(ring, ideal, value):
+            raise SpecError(f"augmentation value {value} is not in the ideal "
+                            "of the [ideal] generators", lines[0])
+
+
+OPTIONS = ("mode", "neg_degree_max", "poly_cap", "verify")
 VERIFIERS = ("square_zero", "retract", "hook_product", "extension", "incl_proj", "star")
 
 
@@ -460,17 +485,18 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
         with timed("quotient_dims"):
             report.quotient = quotient_dims(spec.ring, spec.ideal, cap)
 
-        with timed("hook"):
-            hook = hook_table
-            if hook is not None:
+        hook = hook_table
+        if hook is not None:
+            with timed("hook"):
                 check = verify_hook(res, hook, depth)
-                report.add_verdict(check)  # a user table is always checked
-                stage("hook", "verified" if check.passed else "fail", "user-supplied table")
-                if not check.passed:
-                    return stop("hook")
-            elif spec.mode != "koszul-compare":
+            report.add_verdict(check)  # a user table is always checked
+            stage("hook", "verified" if check.passed else "fail", "user-supplied table")
+            if not check.passed:
+                return stop("hook")
+        elif spec.mode != "koszul-compare":  # koszul-compare builds its hook in `koszul_mode`
+            with timed("hook"):
                 hook = solve_hook(res, depth)
-                stage("solve_hook", "pass", f"{len(hook.table)} nonzero values")
+            stage("solve_hook", "pass", f"{len(hook.table)} nonzero values")
 
         if hook is not None:
             report.hook_lines = hook.lines()

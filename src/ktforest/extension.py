@@ -28,10 +28,10 @@ from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
-                     collect, enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
-                     mono_label, parity_sign, sum_elements, sums_to_zero, tree_str)
-from .kt import (CheckResult, HookMap, SolveError, homotopy, hook_product, hook_window,
-                 project_to_resolution, two_leaf_product, verify_hook)
+                     collect, enumerate_tree_basis, is_leaf, leaf, parity_sign, sum_elements,
+                     sums_to_zero, tree_str)
+from .kt import (CheckResult, HookMap, SolveError, _retract_failures, _square_failures, homotopy,
+                 hook_product, hook_window, project_to_resolution, two_leaf_product, verify_hook)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -399,11 +399,17 @@ def _solve_finite_tables(ext: ExtensionData, k: int):
                     for g in ext.pos.gens]
     sources += [(f"residue level {k}", g.label, AlgebraElement.from_tree(ring, leaf(g)),
                  ext.gen_q, g)
-                for depth in range(1, res.length + 1) for g in res.generators(depth)]
+                for g in res.module_generators()]
     for stage, label, x, table, key in sources:
-        value = _closed_preimage(ext, _closed_element(ext, k, x))
+        closed = _closed_element(ext, k, x)
+        value = _closed_preimage(ext, closed)
         if value is None:
             raise SolveError(stage, label, "no preimage under the resolution differential")
+        if table is ext.gen_q:  # Q^2 = 0 on x at level k: delta gives back `closed`
+            delta = ext.apply_level(-1, value)
+            if delta != closed:
+                raise SolveError(f"level {k} consistency", label,
+                                 f"square residue {delta - closed}")
         if not value.is_zero():
             table[(k, key)] = value
 
@@ -489,31 +495,16 @@ def solve_general_extension(res: FreeResolution, pos: PositivePart, hook: HookMa
 
 def _solve_levels(res: FreeResolution, pos: PositivePart, hook: HookMap, top: int,
                   by_step: bool) -> ExtensionData:
-    """Levels 0..top: the finite tables (`_solve_finite_tables`), then the
-    tree tables (`_solve_level_on_trees`); square-zero is asserted on every
-    module generator after each level."""
+    """Levels 0..top: the finite tables (`_solve_finite_tables`), which
+    assert square-zero on every module generator, then the tree tables
+    (`_solve_level_on_trees`)."""
     ext = ExtensionData(res, pos, hook)
     ext.by_step = by_step
     for k in range(0, top + 1):
         _solve_finite_tables(ext, k)
         _solve_level_on_trees(ext, k)
         ext.level_max = k
-        _assert_square_on_generators(ext, k)
     return ext
-
-
-def _assert_square_on_generators(ext: ExtensionData, k: int):
-    ring = ext.res.ring
-    for depth in range(1, ext.res.length + 1):
-        for g in ext.res.generators(depth):
-            x = AlgebraElement.from_tree(ring, leaf(g))
-            # Q^2 on x at level k: delta Q_k(x) less the closed element
-            total = ext.apply_level(-1, ext.apply_level(k, x), {})
-            for m in range(k + 1):
-                ext.apply_level(m, ext.apply_level(k - 1 - m, x), total)
-            if not sums_to_zero(total):
-                raise SolveError(f"level {k} consistency", g.label,
-                                 f"square residue {collect(ring, total)}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,30 +518,20 @@ def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     (module x positives) + positives.
     """
     ring = ext.res.ring
-    failures = []
-    items: List[Tuple[str, AlgebraElement]] = []
-    for j in range(ring.num_vars):
-        items.append((ring.names[j], AlgebraElement.scalar(Poly.variable(ring, j))))
-    for g in ext.pos.gens:
-        items.append((g.label, AlgebraElement.from_positive(ring, g)))
-    first = len(items)
-    for depth in range(1, ext.res.length + 1):
-        for g in ext.res.generators(depth):
-            items.append((g.label, AlgebraElement.from_tree(ring, leaf(g))))
-    generators = range(first, len(items))
-    for degree in range(3, neg_degree_max + 1):
-        for node in enumerate_tree_basis(ext.res, degree):
-            if not is_leaf(node):
-                items.append((tree_str(node), AlgebraElement.from_tree(ring, node)))
-    leaving = []  # module generators whose image leaves module x positives
-    for i, (label, x) in enumerate(items):
-        qx = ext.apply(x)
-        residue = ext.apply(qx, {})
-        if not sums_to_zero(residue):
-            failures.append((label, f"square residue {collect(ring, residue)}"))
-        if i in generators and not qx.has_only_module_and_scalar():
-            leaving.append((label, "image leaves module x positives"))
-    failures += leaving
+    gens = ext.res.module_generators()
+    items = [(ring.names[j], AlgebraElement.scalar(Poly.variable(ring, j)))
+             for j in range(ring.num_vars)]
+    items += [(g.label, AlgebraElement.from_positive(ring, g)) for g in ext.pos.gens]
+    items += [(g.label, AlgebraElement.from_tree(ring, leaf(g))) for g in gens]
+    items += [(tree_str(node), AlgebraElement.from_tree(ring, node))
+              for degree in range(3, neg_degree_max + 1)
+              for node in enumerate_tree_basis(ext.res, degree) if not is_leaf(node)]
+    failures = _square_failures(ext.apply, items, "square residue ")
+    # delta of a generator is module- or scalar-valued, so Q of it leaves
+    # module x positives where its image summed over levels >= 0 does
+    levels = range(0, ext.level_max + 1)
+    failures += [(g.label, "image leaves module x positives") for g in gens
+                 if not ext.q_level_on_tree(levels, leaf(g)).has_only_module_and_scalar()]
     checked = f"{len(items)} sources, trees through negative degree {neg_degree_max}"
     return CheckResult("total differential square zero", not failures, checked, failures)
 
@@ -586,42 +567,20 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     values (`verify_extension` checks those).
     """
     ring = ext.res.ring
-    levels = range(-1, ext.level_max + 1)  # the hook plus every correction table
-
-    def proj(elem, joined=None, acc=None):
-        return project_to_resolution(partial(ext.chi_levels, levels), elem, joined, acc)
-
-    one = Poly.one(ring)
-    failures = []
-    count = 0
-    monos = []
-    for degree in range(1, neg_degree_max + 1):
-        monos.extend(enumerate_monomial_basis(ext.res, degree))
-    for mono in monos:
-        count += 1
-        x = AlgebraElement._of(ring, {mono: one})
-        hx = homotopy(x)
-        residue = proj(x, hx, {})  # Proj x - x + h Q x + Q h x
-        accumulate(residue, mono, one.terms, -1)
-        homotopy(ext.apply(x), residue)
-        ext.apply(hx, residue)
-        if not sums_to_zero(residue):
-            failures.append((mono_label(mono),
-                             f"Incl Proj mismatch: {collect(ring, residue)}"))
+    # the hook plus every correction table
+    hook_value = partial(ext.chi_levels, range(-1, ext.level_max + 1))
+    count, failures = _retract_failures(ext.res, neg_degree_max, ext.apply, ext.apply,
+                                        hook_value, "Incl Proj mismatch: ")
     # Proj Incl = Id on core monomials: trivial tree and pure positive samples
-    for depth in range(1, ext.res.length + 1):
-        for g in ext.res.generators(depth):
-            count += 1
-            x = AlgebraElement.from_tree(ring, leaf(g))
-            if proj(x) != x:
-                failures.append((g.label, "Proj Incl != Id"))
-            if not homotopy(x).is_zero():
-                failures.append((g.label, "h Incl != 0"))
-    for g in ext.pos.gens:
-        count += 1
-        x = AlgebraElement.from_positive(ring, g)
-        if proj(x) != x:
-            failures.append((g.label, "Proj Incl != Id"))
+    core = [(g.label, AlgebraElement.from_tree(ring, leaf(g)))
+            for g in ext.res.module_generators()]
+    core += [(g.label, AlgebraElement.from_positive(ring, g)) for g in ext.pos.gens]
+    for label, x in core:
+        if project_to_resolution(hook_value, x) != x:
+            failures.append((label, "Proj Incl != Id"))
+        if not homotopy(x).is_zero():
+            failures.append((label, "h Incl != 0"))
+    count += len(core)
     return CheckResult("inclusion/projection homotopy", not failures,
                        f"{count} monomials through negative degree {neg_degree_max}",
                        failures)
@@ -654,11 +613,9 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
     """
     res, ring = ext.res, ext.res.ring
     failures = []
-    count = 0
-    gens = [g for depth in range(1, res.length + 1) for g in res.generators(depth)]
+    gens = res.module_generators()
     for a in gens:
         for b in gens:
-            count += 1
             i = -a.module_degree
             ea, eb = ModuleElement.of_gen(ring, a), ModuleElement.of_gen(ring, b)
             ea_alg = AlgebraElement.from_module_element(ea)
@@ -680,7 +637,7 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
                 failures.append((f"{a.label} *_{k} {b.label}",
                                  f"defect mismatch: {collect(ring, residue)}"))
     return CheckResult(f"level-{k} product defect", not failures,
-                       f"{count} generator pairs", failures)
+                       f"{len(gens) ** 2} generator pairs", failures)
 
 
 # ---------------------------------------------------------------------------
@@ -719,18 +676,17 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart,
     hook = koszul_hook(kres, neg_degree_max)
     ext = ExtensionData(kres, pos, hook)
     failures = []
+    gens = kres.module_generators()
     for k, table in sorted(qk_tables.items()):
-        for depth in range(1, kres.length + 1):
-            for g in kres.generators(depth):
-                value = _koszul_leibniz_extend(kres, table, g)
-                if not value.is_zero():
-                    ext.gen_q[(k, g)] = value
+        for g in gens:
+            value = _koszul_leibniz_extend(kres, table, g)
+            if not value.is_zero():
+                ext.gen_q[(k, g)] = value
         ext.level_max = max(ext.level_max, k)
     hook_report = verify_hook(kres, hook, neg_degree_max)
     if not hook_report.passed:
         failures.extend(hook_report.failures)
     # the hook product must be the exterior product itself
-    gens = [g for depth in range(1, kres.length + 1) for g in kres.generators(depth)]
     for a in gens:
         for b in gens:
             ea, eb = ModuleElement.of_gen(ring, a), ModuleElement.of_gen(ring, b)

@@ -562,11 +562,8 @@ def root_join(elem: AlgebraElement, acc: Optional[dict] = None,
     for (trees, pos), c in elem.terms.items():
         if len(trees) < 2:
             raise TreeError("root_join needs at least two tree factors")
-        joined, s = canonicalize_node(node(trees))
-        if joined is None:
-            continue
-        s *= parity_sign(mono_pos_degree((trees, pos)))
-        accumulate(out, ((joined,), pos), c.terms, sign * s)
+        accumulate(out, ((node(trees),), pos), c.terms,
+                   sign * parity_sign(mono_pos_degree((trees, pos))))
     return collect(elem.ring, out) if acc is None else acc
 
 

@@ -18,6 +18,7 @@ trees too deep for the resolution are forced to zero.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
@@ -271,6 +272,28 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
     return collect(elem.ring, out) if acc is None else acc
 
 
+def _retract_failures(res: FreeResolution, neg_degree_max: int, apply_q, apply_q_to_joins,
+                      hook_value: Callable[[Node], AlgebraElement], mismatch: str):
+    """(count, failures) of Q h x + h Q x - x + (inclusion of the projection) x,
+    summed in one accumulator, on each basis monomial x through the truncation.
+    `apply_q` gives Q, `apply_q_to_joins` Q on the joins h x (each adds into an
+    accumulator, as `TreeDifferential.apply`); the projection reads `hook_value`."""
+    ring, one = res.ring, Poly.one(res.ring)
+    monos = [mono for degree in range(1, neg_degree_max + 1)
+             for mono in enumerate_monomial_basis(res, degree)]
+    failures = []
+    for mono in monos:
+        x = AlgebraElement._of(ring, {mono: one})
+        hx = homotopy(x)
+        residue = apply_q_to_joins(hx, acc={})
+        homotopy(apply_q(x), residue)
+        accumulate(residue, mono, one.terms, -1)
+        project_to_resolution(hook_value, x, hx, residue)
+        if not sums_to_zero(residue):
+            failures.append((mono_label(mono), f"{mismatch}{collect(ring, residue)}"))
+    return len(monos), failures
+
+
 def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> CheckResult:
     """delta h + h delta = Id - (inclusion of the projection), per monomial.
 
@@ -283,42 +306,37 @@ def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> C
     than to keep.
     """
     differential = hook.differential()
-    ring = res.ring
 
     def delta_of_join(node):
         if tree_degree(node) < -neg_degree_max:
             return differential._image(node)
         return differential.on_tree(node)
 
-    one = Poly.one(ring)
-    failures = []
-    monos = []
-    for degree in range(1, neg_degree_max + 1):
-        monos.extend(enumerate_monomial_basis(res, degree))
-    for mono in monos:
-        x = AlgebraElement._of(ring, {mono: one})
-        hx = homotopy(x)
-        residue = apply_derivation(hx, delta_of_join, acc={})
-        homotopy(differential.apply(x), residue)
-        accumulate(residue, mono, one.terms, -1)
-        project_to_resolution(hook.element, x, hx, residue)
-        if not sums_to_zero(residue):
-            failures.append((mono_label(mono), f"lhs - rhs = {collect(ring, residue)}"))
+    count, failures = _retract_failures(res, neg_degree_max, differential.apply,
+                                        partial(apply_derivation, on_tree=delta_of_join),
+                                        hook.element, "lhs - rhs = ")
     return CheckResult("homotopy retract", not failures,
-                       f"{len(monos)} algebra monomials through negative degree {neg_degree_max}",
+                       f"{count} algebra monomials through negative degree {neg_degree_max}",
                        failures)
+
+
+def _square_failures(apply_fn: Callable[..., AlgebraElement], sources, residue: str) -> list:
+    """(label, residue + Q Q x) for each (label, x) source where Q Q x != 0;
+    the outer apply_fn(elem, acc) adds into an accumulator, as
+    `TreeDifferential.apply`."""
+    failures = []
+    for label, x in sources:
+        acc = apply_fn(apply_fn(x), {})
+        if not sums_to_zero(acc):
+            failures.append((label, f"{residue}{collect(x.ring, acc)}"))
+    return failures
 
 
 def verify_square_zero(apply_fn: Callable[..., AlgebraElement],
                        basis: List[AlgebraElement], label: str = "square zero",
                        checked: str = "") -> CheckResult:
-    """apply_fn(apply_fn(x)) = 0 on every basis element; the outer
-    apply_fn(elem, acc) adds into an accumulator, as `TreeDifferential.apply`."""
-    failures = []
-    for x in basis:
-        residue = apply_fn(apply_fn(x), {})
-        if not sums_to_zero(residue):
-            failures.append((str(x), f"residue {collect(x.ring, residue)}"))
+    """apply_fn(apply_fn(x)) = 0 on every basis element (`_square_failures`)."""
+    failures = _square_failures(apply_fn, ((str(x), x) for x in basis), "residue ")
     return CheckResult(label, not failures, checked or f"{len(basis)} basis elements", failures)
 
 
@@ -392,7 +410,7 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
 def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap) -> CheckResult:
     """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for every pair of generators."""
     failures = []
-    gens = [g for depth in range(1, res.length + 1) for g in res.generators(depth)]
+    gens = res.module_generators()
     values = {}  # each generator's element and its differential, built once
     for g in gens:
         e = ModuleElement.of_gen(res.ring, g)

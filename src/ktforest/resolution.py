@@ -214,6 +214,10 @@ class FreeResolution:
         """Generators of the module in homological degree -depth."""
         return self.gens_by_degree.get(-depth, ())
 
+    def module_generators(self) -> List[GeneratorId]:
+        """Every generator, by increasing depth."""
+        return [g for depth in range(1, self.length + 1) for g in self.generators(depth)]
+
     def rank(self, depth: int) -> int:
         return len(self.generators(depth))
 
@@ -262,35 +266,50 @@ class FreeResolution:
     # -- internal grading ------------------------------------------------------
 
     def internal_weights(self) -> Optional[dict]:
-        """Polynomial-degree weights making d degree-preserving, if they exist."""
+        """Polynomial-degree weights making d degree-preserving, if they exist.
+
+        A nonzero augmentation value fixes its generator's weight, and each
+        term c*h of d(g) ties w(g) = deg c + w(h); a zero value constrains
+        nothing.  Weights spread along the ties from the fixed generators,
+        then from the first generator of each component that nothing fixes,
+        which starts at 0.  A conflict, or a coefficient that is not
+        homogeneous, leaves the resolution ungraded (None).
+        """
         if self._weights is not None:
             return self._weights or None
-        weights: dict = {}
+        self._weights = {}  # ungraded, unless the walk below completes
+        fixed: dict = {}
+        ties: dict = {g: [] for g in self.module_generators()}  # g -> [(h, w(h) - w(g))]
         for g in self.gens_by_degree[-1]:
             phi = self.augment[g]
-            if phi.is_zero() or not phi.is_homogeneous():
-                self._weights = {}
-                return None
-            weights[g] = phi.total_degree()
+            if not phi.is_zero():
+                if not phi.is_homogeneous():
+                    return None
+                fixed[g] = phi.total_degree()
         for depth in range(2, self.length + 1):
             for g in self.generators(depth):
-                w = None
                 for h, c in self.diff[g].terms.items():
                     if not c.is_homogeneous():
-                        self._weights = {}
                         return None
-                    candidate = c.total_degree() + weights[h]
-                    if w is None:
-                        w = candidate
-                    elif w != candidate:
-                        self._weights = {}
+                    ties[g].append((h, -c.total_degree()))
+                    ties[h].append((g, c.total_degree()))
+        weights: dict = {}
+        for start in list(fixed) + list(ties):
+            if start in weights:
+                continue
+            weights[start] = fixed.get(start, 0)
+            stack = [start]
+            while stack:
+                g = stack.pop()
+                for h, shift in ties[g]:
+                    w = weights[g] + shift
+                    if h not in weights:
+                        weights[h] = w
+                        stack.append(h)
+                    if weights[h] != w or fixed.get(h, w) != w:
                         return None
-                if w is None:
-                    self._weights = {}
-                    return None
-                weights[g] = w
-        self._weights = weights
-        return weights
+        self._weights = {g: weights[g] for g in ties}  # by depth
+        return self._weights
 
     # -- the differential as Poly columns ----------------------------------------
 
@@ -313,8 +332,9 @@ class FreeResolution:
         """Slice-by-slice homology dimensions for degrees -1 .. -(L-1).
 
         Requires an internal grading; exactness is only claimed through the
-        verified polynomial-degree window.  On the slice of internal degree
-        k, d on the module of degree -depth has the unknowns (j, m) with
+        verified polynomial-degree window, which starts at the lowest weight
+        when a weight is negative.  On the slice of internal degree k, d on
+        the module of degree -depth has the unknowns (j, m) with
         deg m = k - weight(g_j).
         """
         weights = self.internal_weights()
@@ -323,10 +343,11 @@ class FreeResolution:
                                   dims={}, exact=False)
         report = HomologyReport(graded=True, poly_degree_max=poly_degree_max)
         ranks = {}  # (depth, k) -> (rank of d on the slice, source dimension)
+        lowest = min(0, *weights.values())
         for depth in range(1, self.length + 1):
             columns = self._columns(depth)
             gens = self.generators(depth)
-            for k in range(poly_degree_max + 1):
+            for k in range(lowest, poly_degree_max + 1):
                 unknowns = [(j, m) for j, g in enumerate(gens) if weights[g] <= k
                             for m in slice_basis(self.ring, k - weights[g])]
                 system = linear_system(columns, unknowns)

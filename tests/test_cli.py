@@ -702,3 +702,103 @@ def test_ideal_from_the_augmentation_drops_zero_values():
     with pytest.raises(SpecError) as err:
         parse_spec("inline.kt", text=NON_MINIMAL.format(augment="0"))
     assert str(err.value) == "the augmentation is zero on every generator: no ideal to resolve"
+
+
+def test_zero_augmentation_value_keeps_the_exactness_check():
+    # pi1 and pi form a component that no augmentation fixes: weight 0
+    spec = parse_spec("inline.kt", text=NON_MINIMAL.format(augment="y^2"))
+    weights = {g.label: w for g, w in spec.resolution.internal_weights().items()}
+    assert weights == {"pi1": 0, "pi2": 2, "pi": 0}
+    report = run(spec)
+    assert report.stages[1] == {
+        "stage": "check_exactness", "status": "pass",
+        "detail": "H = 0 in degrees -1..-2 through polynomial degree 6"}
+    assert report.exit_code() == 0
+
+
+def test_non_exact_resolution_with_a_zero_augmentation_fails_exactness(tmp_path):
+    # without pi, the cycle pi1 is not a boundary; the run used to skip the
+    # exactness check and stop at the hook solve (exit 3)
+    text = NON_MINIMAL.format(augment="y^2").replace("generators -2 = pi\nd pi = pi1\n", "")
+    path = tmp_path / "non_exact.kt"
+    path.write_text(text)
+    report = run(parse_spec(str(path)))
+    assert [s["stage"] for s in report.stages] == ["check_complex", "check_exactness"]
+    assert report.stages[1]["status"] == "fail"
+    code, out, err = run_cli("run", str(path))
+    assert code == 1 and "check_exactness: fail" in out and err == ""
+
+
+ONE_GENERATOR = """
+[ring]
+vars = x, y
+[ideal]
+gens = {gens}
+[resolution]
+generators -1 = pi
+augment pi = y^3
+"""
+
+
+@pytest.mark.parametrize("gens, message", [
+    ("x^2", "ideal generator x^2 is not in the ideal of the resolution's augmentation values"),
+    ("y^3, x^2", "ideal generator x^2 is not in the ideal of the resolution's augmentation "
+                 "values"),
+    ("y^4", "augmentation value y^3 is not in the ideal of the [ideal] generators"),
+], ids=["ideal-outside", "one-of-two-outside", "augmentation-outside"])
+def test_ideal_that_disagrees_with_the_resolution_is_an_input_error(tmp_path, gens, message):
+    path = tmp_path / "mismatch.kt"
+    path.write_text(ONE_GENERATOR.format(gens=gens))
+    with pytest.raises(SpecError) as err:
+        parse_spec(str(path))
+    assert str(err.value) == f"line 5: {message}"
+    code, out, err_text = run_cli("run", str(path))
+    assert code == 2 and out == "" and f"input error: line 5: {message}" in err_text
+
+
+def test_ideal_with_other_generators_of_the_same_ideal_is_accepted():
+    spec = parse_spec("inline.kt", text=ONE_GENERATOR.format(gens="y^3, x*y^3 + y^4"))
+    assert [str(p) for p in spec.ideal] == ["y^3", "y^4 + x*y^3"]
+    assert run(spec).exit_code() == 0
+
+
+def test_unknown_option_is_an_input_error(tmp_path):
+    path = _quadratic_with_options(tmp_path, "mode = explicit", "neg_degre_max = 2")
+    lines = open(path, encoding="utf-8").read().splitlines()
+    number = lines.index("neg_degre_max = 2") + 1
+    message = (f"line {number}: unknown option 'neg_degre_max'; "
+               "known: mode neg_degree_max poly_cap verify")
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == message
+    code, out, err_text = run_cli("run", path)
+    assert code == 2 and out == "" and f"input error: {message}" in err_text
+
+
+NEGATIVE_WEIGHT = """
+[ring]
+vars = x, y
+[resolution]
+generators -1 = h1, h2, h3
+generators -2 = g, g1, g2
+generators -3 = t
+d g = x^3*h1 + y*h2 - x*h3
+d g1 = x*h1
+d g2 = y*h1
+d t = y*g1 - x*g2
+augment h1 = 0
+augment h2 = x
+augment h3 = y
+"""
+
+
+def test_exactness_is_checked_from_the_lowest_weight():
+    # the tie through g gives h1 the weight -1, and the cycle h1 is the
+    # only homology: it sits at internal degree -1, below polynomial degree 0
+    spec = parse_spec("inline.kt", text=NEGATIVE_WEIGHT)
+    weights = {g.label: w for g, w in spec.resolution.internal_weights().items()}
+    assert weights == {"h1": -1, "h2": 1, "h3": 1, "g": 2, "g1": 0, "g2": 0, "t": 1}
+    homology = spec.resolution.check_exactness(4)
+    assert homology.failures() == [(-1, -1)]
+    report = run(spec)
+    assert report.stages[1]["status"] == "fail" and report.exit_code() == 1

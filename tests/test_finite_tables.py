@@ -6,7 +6,10 @@ where Q^2 != 0 on O, on the ring variables and positive generators) by
 Q_{k-1-m}(x).  The explicit solver used to have its own step: it lifted
 the negated closed element with `lift_delta_preimage`, negated the lift,
 and required the element to vanish where the target bidegree is zero.
-That step is kept below as the reference for the explicit tables.
+That step is kept below as the reference for the explicit tables, with the
+former square-zero assertion, which re-evaluated every closed element on
+the module generators after each level; the step now compares delta of
+each generator's value with the closed element it has just lifted.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import pytest
 import ktforest
 from ktforest.cli import parse_spec
 import ktforest.extension as extension
-from ktforest.extension import (ExtensionData, _assert_square_on_generators,
-                                _solve_level_on_trees, check_ideal_preserved,
+from ktforest.extension import (ExtensionData, _solve_level_on_trees, check_ideal_preserved,
                                 lift_delta_preimage, solve_general_extension,
                                 solve_residues_explicit, verify_extension)
-from ktforest.forest import AlgebraElement, enumerate_tree_basis, is_leaf, leaf
+from ktforest.forest import (AlgebraElement, collect, enumerate_tree_basis, is_leaf, leaf,
+                             sums_to_zero)
 from ktforest.kt import SolveError, solve_hook
 
 SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt", "quadratic.kt",
@@ -52,6 +55,21 @@ def former_level_on_generators(ext: ExtensionData, k: int):
                 ext.gen_q[(k, g)] = value
 
 
+def former_assert_square_on_generators(ext: ExtensionData, k: int):
+    """The solvers' former square-zero assertion after each level."""
+    ring = ext.res.ring
+    for depth in range(1, ext.res.length + 1):
+        for g in ext.res.generators(depth):
+            x = AlgebraElement.from_tree(ring, leaf(g))
+            # Q^2 on x at level k: delta Q_k(x) less the closed element
+            total = ext.apply_level(-1, ext.apply_level(k, x), {})
+            for m in range(k + 1):
+                ext.apply_level(m, ext.apply_level(k - 1 - m, x), total)
+            if not sums_to_zero(total):
+                raise SolveError(f"level {k} consistency", g.label,
+                                 f"square residue {collect(ring, total)}")
+
+
 def former_explicit_extension(res, pos, hook, neg_degree_max) -> ExtensionData:
     """`solve_residues_explicit` with the former step, without its gates."""
     ext = ExtensionData(res, pos, hook)
@@ -59,7 +77,7 @@ def former_explicit_extension(res, pos, hook, neg_degree_max) -> ExtensionData:
         former_level_on_generators(ext, k)
         _solve_level_on_trees(ext, k)
         ext.level_max = k
-        _assert_square_on_generators(ext, k)
+        former_assert_square_on_generators(ext, k)
     return ext
 
 
@@ -105,8 +123,9 @@ def test_general_mode_solves_level_length_to_empty_tables(name):
 def test_a_wrong_level_0_value_fails_the_level_0_square_assertion(monkeypatch, solve):
     """quadratic.kt has length 2, so level 0 has no tree window, and its last
     module generator pib is the last source the level-0 step solves; nothing
-    else at level 0 reads its value.  Doubled, it fails the square-zero
-    assertion on the generators at level 0, in both modes."""
+    else at level 0 reads its value.  Doubled, delta of it no longer gives
+    back the closed element it was lifted from, which fails the level-0
+    square-zero assertion on the generators, in both modes."""
     spec = parse_spec(ktforest.example_path("quadratic.kt"))
     res = spec.resolution
     gens = [g for depth in range(1, res.length + 1) for g in res.generators(depth)]

@@ -313,10 +313,11 @@ def test_coefficient_image_is_the_sum_of_its_levels(monkeypatch, name, solve):
     res, positive, hook = inputs(name)
     ring = res.ring
     coeffs = [Poly.parse(text, ring) for text in ("x", "x^2*y - 3*y", "x*y^2 + 2")]
-    assert_square = extension._assert_square_on_generators
+    solve_finite_tables = extension._solve_finite_tables
     solved = []
 
-    def check_then_assert(ext, k):
+    def check(ext):  # levels 0..level_max are solved
+        k = ext.level_max
         for c in coeffs:
             scalar = AlgebraElement.scalar(c)
             per_level = [ext.q_level_on_coeff(range(m, m + 1), c) for m in range(k + 1)]
@@ -329,10 +330,15 @@ def test_coefficient_image_is_the_sum_of_its_levels(monkeypatch, name, solve):
                     assert ext.q_level_on_coeff(range(lo, hi + 1), c) == total
             assert ext.apply(scalar) == sum_elements(ring, per_level)
         solved.append(k)
-        assert_square(ext, k)
 
-    monkeypatch.setattr(extension, "_assert_square_on_generators", check_then_assert)
+    def check_then_solve(ext, k):  # level k - 1 is solved when level k starts
+        if k:
+            check(ext)
+        solve_finite_tables(ext, k)
+
+    monkeypatch.setattr(extension, "_solve_finite_tables", check_then_solve)
     ext = solve(res, positive, hook, K)
+    check(ext)
     assert solved == list(range(ext.level_max + 1))
     if name == "ideal-only quadratic":
         assert any(k > 0 for k, _j in ext.var_q)  # levels above 0 are read

@@ -163,6 +163,33 @@ def test_rank_nullity_per_slice(quadratic_resolution):
             assert report.dims[(deg + 1, k)][1] == rank
 
 
+@pytest.mark.parametrize("layers, diff_lines, augment_lines, expected", [
+    # the quadratic resolution: every weight follows from the augmentation
+    ([["pi1", "pi2", "pi3"], ["pi", "pib"]], {"pi": {"pi2": "x", "pi1": "-y"},
+                                             "pib": {"pi3": "x", "pi2": "-y"}},
+     {"pi1": "x^2", "pi2": "x*y", "pi3": "y^2"},
+     {"pi1": 2, "pi2": 2, "pi3": 2, "pi": 3, "pib": 3}),
+    # a zero value fixes nothing; the tie through pi fixes pi1 from pi2
+    ([["pi1", "pi2"], ["pi"]], {"pi": {"pi1": "x^3", "pi2": "y"}},
+     {"pi1": "0", "pi2": "x^2"}, {"pi1": 0, "pi2": 2, "pi": 3}),
+    # a component that nothing fixes starts at 0, wherever it sits
+    ([["pi1"], ["pi"], ["p"]], {"pi": {}, "p": {"pi": "x*y"}},
+     {"pi1": "x"}, {"pi1": 1, "pi": 0, "p": 2}),
+    # two ties that disagree
+    ([["pi1", "pi2"], ["pi"]], {"pi": {"pi1": "y", "pi2": "x"}},
+     {"pi1": "x", "pi2": "x^2"}, None),
+    # a coefficient or a value that is not homogeneous
+    ([["pi1"], ["pi"]], {"pi": {"pi1": "x + y^2"}}, {"pi1": "0"}, None),
+    ([["pi1"]], {}, {"pi1": "x + y^2"}, None),
+], ids=["quadratic", "zero-value", "unfixed-component", "conflict", "coefficient", "value"])
+def test_internal_weights_spread_along_the_differential(ring_xy, layers, diff_lines,
+                                                        augment_lines, expected):
+    res = make_resolution(ring_xy, layers, diff_lines, augment_lines)
+    weights = res.internal_weights()
+    assert (None if weights is None else {g.label: w for g, w in weights.items()}) == expected
+    assert res.internal_weights() is weights  # kept after the first call
+
+
 def test_ideal_membership(ring_xy):
     gens = [Poly.parse("x^2", ring_xy), Poly.parse("x*y", ring_xy)]
     assert ideal_member(ring_xy, gens, Poly.parse("x^3 + x^2*y", ring_xy))
