@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from .extension import (PositivePart, check_ideal_preserved, koszul_mode,
                         solve_general_extension, solve_residues_explicit, verify_extension,
                         verify_incl_proj, verify_product_defect)
-from .forest import AlgebraElement, enumerate_tree_basis, tree_str
+from .forest import AlgebraElement, enumerate_tree_basis, is_leaf, tree_str
 from .grammar import (ParseError, SymbolTable, parse_element, parse_hook_table,
                       parse_module_element)
 from .kt import (HookMap, SolveError, solve_hook, tree_basis_elements, verify_hook,
@@ -327,8 +327,14 @@ def _parse_koszul_tables(sections, resolution, symbols):
             level = int(parts[0][1:])
         except ValueError:
             raise SpecError(f"bad level in {key!r}", number) from None
+        if level < 0:
+            raise SpecError(f"level must be nonnegative in {key!r}", number)
         gen = _on_line(number, resolution.gen_by_label, parts[1])
+        if gen.module_degree != -1:
+            raise SpecError(f"tables are given on depth-1 generators, not {gen.label}", number)
         elem = _on_line(number, parse_element, value, symbols)
+        if any(len(trees) != 1 or not is_leaf(trees[0]) for trees, _pos in elem.terms):
+            raise SpecError(f"not one generator times positives in each term: {value!r}", number)
         tables.setdefault(level, {})[gen] = elem
     return tables
 

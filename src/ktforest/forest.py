@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import Poly, RingSpec, exact
+from .poly import Combination, Poly, RingSpec, exact
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
 Monomial = tuple  # (trees: tuple[Node, ...], pos: tuple[GeneratorId, ...])
@@ -383,33 +383,12 @@ def sum_elements(ring: RingSpec, elems: Iterable["AlgebraElement"]) -> "AlgebraE
     return collect(ring, acc)
 
 
-class AlgebraElement:
-    """O-linear combination of canonical monomials in trees and positives.
+class AlgebraElement(Combination):
+    """O-linear combination of canonical monomials in trees and positives."""
 
-    No stored coefficient is the zero Poly, so `is_zero` and `==` read the
-    dict as it is.  The constructor filters zeros; `_of`, for results that
-    hold none by construction, does not.
-    """
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: RingSpec, terms: Optional[dict] = None):
-        self.ring = ring
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def _of(cls, ring: RingSpec, terms: dict) -> "AlgebraElement":
-        """Wrap a dict known to hold no zero Poly, without copying it."""
-        elem = object.__new__(cls)
-        elem.ring = ring
-        elem.terms = terms
-        return elem
-
-    @staticmethod
-    def zero(ring: RingSpec) -> "AlgebraElement":
-        return AlgebraElement._of(ring, {})
 
     @staticmethod
     def scalar(p: Poly) -> "AlgebraElement":
@@ -437,27 +416,9 @@ class AlgebraElement:
 
     # -- basic algebra ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Poly.zero(self.ring)) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return AlgebraElement._of(self.ring, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._of(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+    # in the class's own namespace, where the benchmark's tracer wraps them
+    __add__ = Combination.__add__
+    __sub__ = Combination.__sub__
 
     def scale(self, value) -> "AlgebraElement":
         # the coefficients form a domain: a nonzero multiple has no zero term
@@ -477,9 +438,6 @@ class AlgebraElement:
                 if mono is not None:
                     accumulate(acc, mono, c2.terms, sign, c1.terms)
         return collect(self.ring, acc)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
 
     # -- projections --------------------------------------------------------------
 
@@ -516,33 +474,13 @@ class AlgebraElement:
 
     # -- display --------------------------------------------------------------------
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _chunks(self) -> list:
         chunks = []
         for mono in sorted(self.terms, key=_mono_sort_key):
-            coeff = self.terms[mono]
             trees, pos = mono
             factors = [g.label for g in pos] + [tree_str(t) for t in trees]
-            if len(coeff.terms) > 1:
-                sign = "+"
-                body = "(" + str(coeff) + ")"
-            else:
-                text = str(coeff)
-                sign = "-" if text.startswith("-") else "+"
-                body = text.lstrip("-")
-            if factors and body == "1":
-                body = "*".join(factors)
-            elif factors:
-                body = body + "*" + "*".join(factors)
-            chunks.append((sign, body))
-        out = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self):
-        return f"AlgebraElement({self})"
+            chunks.append(self.terms[mono].times_chunk("*".join(factors)))
+        return chunks
 
 
 # ---------------------------------------------------------------------------

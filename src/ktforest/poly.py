@@ -10,7 +10,9 @@ constants in the input, Fractions arise only at the end of the elimination
 kernel `_reduce`, which is fraction-free: it scales each row to integers,
 eliminates by integer cross-multiplication with exact gcd divisions, and
 divides each pivot row by its pivot last.  An int and an equal Fraction
-compare and hash the same, so dicts may mix them.
+compare and hash the same, so dicts may mix them.  `Combination`, the base
+of `Poly` and of the module and algebra elements of the higher layers, owns
+the zero-free dict, the sum and difference, equality and the text form.
 
 The module also provides the exact linear algebra of the higher layers.
 `linear_system` is the one place where a map of free modules, given by
@@ -102,28 +104,92 @@ def monomial_str(exp: Exponent, ring: RingSpec) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class Poly:
-    """Immutable exact polynomial over a RingSpec."""
+class Combination:
+    """A finite linear combination: `terms` maps keys to nonzero coefficients.
+
+    `Poly`, `resolution.ModuleElement` and `forest.AlgebraElement` are its
+    three kinds: exponents to rationals, generators to Polys, monomials to
+    Polys.  No stored coefficient is zero (a coefficient is zero when it is
+    falsy), so the zero element holds the empty dict and `is_zero` and `==`
+    read the dict as it is.  The constructor filters zeros; `_of`, for
+    results that hold none by construction, does not.  A subclass supplies
+    `_chunks()`, the (sign, body) pairs of its text form in order.
+    """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: RingSpec, terms: dict):
+    def __init__(self, ring: RingSpec, terms: Optional[dict] = None):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    # -- constructors ------------------------------------------------------
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @classmethod
-    def _of(cls, ring: RingSpec, terms: dict) -> "Poly":
+    def _of(cls, ring: RingSpec, terms: dict):
         """Wrap a dict known to hold no zero coefficient, without copying it."""
-        p = object.__new__(cls)
-        p.ring = ring
-        p.terms = terms
-        return p
+        obj = object.__new__(cls)
+        obj.ring = ring
+        obj.terms = terms
+        return obj
 
-    @staticmethod
-    def zero(ring: RingSpec) -> "Poly":
-        return Poly._of(ring, {})
+    @classmethod
+    def zero(cls, ring: RingSpec):
+        return cls._of(ring, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _check(self, other: "Combination"):
+        if self.ring != other.ring:
+            raise RingError(f"ring mismatch: {self.ring} vs {other.ring}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+            else:
+                s = s + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return self._of(self.ring, out)
+
+    def __neg__(self):
+        return self._of(self.ring, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ring == other.ring
+                and self.terms == other.terms)
+
+    def __str__(self):
+        chunks = self._chunks()
+        if not chunks:
+            return "0"
+        first_sign, text = chunks[0]
+        if first_sign == "-":
+            text = "-" + text
+        for sign, body in chunks[1:]:
+            text += f" {sign} {body}"
+        return text
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class Poly(Combination):
+    """Immutable exact polynomial over a RingSpec."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(ring: RingSpec, value) -> "Poly":
@@ -150,12 +216,6 @@ class Poly:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def coeff(self, exp: Exponent):
         return self.terms.get(tuple(exp), 0)
 
@@ -170,27 +230,6 @@ class Poly:
         return len(degs) <= 1
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "Poly"):
-        if self.ring != other.ring:
-            raise RingError(f"ring mismatch: {self.ring} vs {other.ring}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly._of(self.ring, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly._of(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -222,42 +261,37 @@ class Poly:
             out[tuple(d)] = c * e[index]
         return Poly._of(self.ring, out)
 
-    # -- comparison / hashing ---------------------------------------------
+    # -- hashing and text form -----------------------------------------------
 
     def canonical(self) -> tuple:
         return tuple(sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0])))
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.ring, self.canonical()))
 
-    # -- text form ---------------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True)
+    def _chunks(self) -> list:
         chunks = []
-        for exp, coeff in items:
+        for exp, coeff in sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
+                                 reverse=True):
             mono = monomial_str(exp, self.ring)
-            if mono == "1":
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = f"{abs(coeff)}*{mono}"
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+            a = abs(coeff)
+            body = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
+            chunks.append(("-" if coeff < 0 else "+", body))
+        return chunks
 
-    def __repr__(self):
-        return f"Poly({self})"
+    def times_chunk(self, factors: str) -> tuple:
+        """The (sign, body) of this coefficient times `factors` in a signed sum.
+
+        A coefficient of several terms is bracketed; a unit one is dropped
+        before nonempty `factors`.
+        """
+        if len(self.terms) > 1:
+            sign, body = "+", f"({self})"
+        else:
+            ((sign, body),) = self._chunks()
+        if not factors:
+            return sign, body
+        return sign, factors if body == "1" else f"{body}*{factors}"
 
     @staticmethod
     def parse(text: str, ring: RingSpec) -> "Poly":
@@ -344,8 +378,9 @@ def parse_expression(text: str, factor, unit, error=ValueError):
     `factor(kind, value)` turns a number ("num", int or Fraction) or a name
     ("name", str) into an operand; operands support +, -, unary - and *,
     and multiply in the written order.  `unit` is the value of a zeroth
-    power.  Malformed input raises `error`.  Only the first term of a sum,
-    or of a parenthesized sum, may carry leading signs.
+    power; a power takes at most two products per bit of its exponent.
+    Malformed input raises `error`.  Only the first term of a sum, or of a
+    parenthesized sum, may carry leading signs.
     """
     cursor = TokenCursor(text, error)
     peek, take = cursor.peek, cursor.take
@@ -389,9 +424,14 @@ def parse_expression(text: str, factor, unit, error=ValueError):
         kind, power = take()
         if kind != "num" or power.denominator != 1 or power < 0:
             raise error("exponent must be a nonnegative integer")
-        result = unit
-        for _ in range(int(power)):
-            result = result * base
+        # repeated squaring: powers of one operand need only associativity
+        result, power = unit, int(power)
+        while power:
+            if power & 1:
+                result = result * base
+            power >>= 1
+            if power:
+                base = base * base
         return result
 
     result = parse_sum()

@@ -17,8 +17,8 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (Poly, RingSpec, linear_system, matrix_rank, slice_basis, slice_dim,
-                   solve_lift)
+from .poly import (Combination, Poly, RingSpec, linear_system, matrix_rank, slice_basis,
+                   slice_dim, solve_lift)
 
 
 class GeneratorId(tuple):
@@ -53,44 +53,14 @@ class GeneratorId(tuple):
         return self.label
 
 
-class ModuleElement:
+class ModuleElement(Combination):
     """A finite O-linear combination of resolution generators."""
 
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: RingSpec, terms: Optional[dict] = None):
-        self.ring = ring
-        self.terms = {g: p for g, p in (terms or {}).items() if not p.is_zero()}
-
-    @staticmethod
-    def zero(ring: RingSpec) -> "ModuleElement":
-        return ModuleElement(ring, {})
+    __slots__ = ()
 
     @staticmethod
     def of_gen(ring: RingSpec, gen: GeneratorId, coeff: Optional[Poly] = None) -> "ModuleElement":
         return ModuleElement(ring, {gen: coeff if coeff is not None else Poly.one(ring)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        out = dict(self.terms)
-        for g, p in other.terms.items():
-            s = out.get(g, Poly.zero(self.ring)) + p
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return ModuleElement(self.ring, out)
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.ring, {g: -p for g, p in self.terms.items()})
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
 
     def scale(self, p) -> "ModuleElement":
         if not isinstance(p, Poly):
@@ -102,33 +72,9 @@ class ModuleElement:
     def degrees(self) -> set:
         return {g.module_degree for g in self.terms}
 
-    def __eq__(self, other):
-        return isinstance(other, ModuleElement) and self.terms == other.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for g in sorted(self.terms, key=lambda g: g.key):
-            p = self.terms[g]
-            if len(p.terms) > 1:
-                body = f"({p})*{g.label}"
-                sign = "+"
-            else:
-                text = str(p)
-                if text.startswith("-"):
-                    sign, text = "-", text[1:]
-                else:
-                    sign = "+"
-                body = g.label if text == "1" else f"{text}*{g.label}"
-            chunks.append((sign, body))
-        out = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self):
-        return f"ModuleElement({self})"
+    def _chunks(self) -> list:
+        return [self.terms[g].times_chunk(g.label)
+                for g in sorted(self.terms, key=lambda g: g.key)]
 
 
 class ComplexReport:

@@ -683,6 +683,28 @@ def test_zero_ideal_generator_is_an_input_error(tmp_path):
     assert code == 2 and out == "" and f"line {number}: ideal generator '0' is zero" in err_text
 
 
+KOSZUL_Q1_E2 = "Q1 e2 = -2*y*e12*eta2 - 2*e12*xi21*xi22"
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    ("Q0 e1 = -2*x*e1*xi11 - 2*x*e2*xi12", "Q0 e1 = x*xi11",
+     "not one generator times positives in each term: 'x*xi11'"),
+    (KOSZUL_Q1_E2, KOSZUL_Q1_E2 + "\nQ5 e12 = x*e12*eta1",
+     "tables are given on depth-1 generators, not e12"),
+    (KOSZUL_Q1_E2, KOSZUL_Q1_E2 + "\nQ-1 e2 = 5*e1*xi11",
+     "level must be nonnegative in 'Q-1 e2'"),
+], ids=["scalar-term", "depth-2-generator", "negative-level"])
+def test_koszul_q_row_the_evaluator_cannot_read_names_its_line(tmp_path, line, replacement,
+                                                               message):
+    path, number = _edited_spec(tmp_path, "koszul_compare.kt", line, replacement)
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == f"line {number}: {message}"
+    code, out, err_text = run_cli("run", path, "--neg-degree-max", "2")
+    assert code == 2 and out == "" and f"input error: line {number}: {message}" in err_text
+    assert "Traceback" not in err_text
+
+
 NON_MINIMAL = """
 [ring]
 vars = x, y

@@ -1,11 +1,11 @@
-"""No `Poly` stores a zero coefficient and no `AlgebraElement` a zero Poly.
+"""No `Poly` stores a zero coefficient, and no `ModuleElement` or
+`AlgebraElement` a zero Poly.
 
 `is_zero()` and `==` read the stored dicts as they are, so one stored zero
 would make a zero element look nonzero.  The arithmetic results and
-`collect` wrap their dicts without a second filter (`Poly._of`,
-`AlgebraElement._of`); these tests check that what they wrap holds no zero:
-every image a full run memoizes, and the results of the operations on
-inputs that cancel.
+`collect` wrap their dicts without a second filter (`Combination._of`);
+these tests check that what they wrap holds no zero: every image a full run
+memoizes, and the results of the operations on inputs that cancel.
 """
 
 from __future__ import annotations
@@ -22,14 +22,16 @@ from ktforest.cli import check_mode, parse_spec, run
 from ktforest.forest import (AlgebraElement, enumerate_tree_basis, make_monomial,
                              sum_elements)
 from ktforest.poly import Poly
+from ktforest.resolution import ModuleElement
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 K = 5
 
 
-def assert_no_stored_zero(elem: AlgebraElement):
-    for mono, c in elem.terms.items():
-        assert c.terms, f"zero Poly stored at {mono}"
+def assert_no_stored_zero(elem):
+    """No Poly coefficient of a ModuleElement or AlgebraElement is zero."""
+    for key, c in elem.terms.items():
+        assert c.terms, f"zero Poly stored at {key}"
         assert all(v != 0 for v in c.terms.values()), f"zero coefficient in {c.terms}"
 
 
@@ -111,3 +113,19 @@ def test_algebra_results_store_no_zero(x, y, p, s):
     assert (x - x).is_zero() and x + (-x) == AlgebraElement.zero(RING)
     assert sum_elements(RING, [x, y, -x]) == y
     assert (x + y) - y == x
+
+
+module_elements = st.builds(
+    lambda terms: ModuleElement(RING, dict(terms)),
+    st.lists(st.tuples(st.sampled_from(SPEC.resolution.module_generators()), polys),
+             max_size=4))
+
+
+@SETTINGS
+@given(module_elements, module_elements, polys, scalars)
+def test_module_results_store_no_zero(u, v, p, s):
+    cancelled = [u - u, u + (-u), (u + v) - v, v - (u + v), u.scale(p - p), u.scale(0)]
+    for r in cancelled + [u + v, u - v, -u, u.scale(p), u.scale(s)]:
+        assert_no_stored_zero(r)
+    assert (u - u).is_zero() and u + (-u) == ModuleElement.zero(RING)
+    assert (u + v) - v == u

@@ -7,13 +7,16 @@ for `parse_poly`, `ParseError` for the grammar of `ktforest.grammar`.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
 from ktforest.forest import AlgebraElement
 from ktforest.grammar import ParseError, parse_element, parse_hook_table, parse_tree
-from ktforest.poly import Poly, RingSpec, parse_poly
+from ktforest.poly import Poly, RingSpec, parse_expression, parse_poly
 
 MALFORMED = {
     "unclosed parenthesis": "(x+y",
@@ -110,3 +113,39 @@ def test_zero_denominator_is_malformed_input(symbols):
         parse_poly("x^2 + 1/0*y^2", RingSpec(["x", "y"]))
     with pytest.raises(ParseError, match="zero denominator"):
         parse_element("1/0*x*pi", symbols)
+
+
+class Counted:
+    """A power of one symbol, held as its exponent, counting the products taken."""
+
+    products = 0
+
+    def __init__(self, exponent):
+        self.exponent = exponent
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(self.exponent + other.exponent)
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 7, 64, 1000, 99999999999])
+def test_power_takes_two_products_per_exponent_bit(power):
+    Counted.products = 0
+    result = parse_expression(f"a^{power}", lambda kind, value: Counted(1), Counted(0))
+    assert result.exponent == power
+    assert Counted.products <= 2 * power.bit_length()
+
+
+@pytest.mark.parametrize("base", ["x - 2*y", "1/2*x + y^2"])
+def test_power_of_a_poly_is_the_repeated_product(base):
+    ring = RingSpec(["x", "y"])
+    p = parse_poly(base, ring)
+    for power in range(7):
+        assert parse_poly(f"({base})^{power}", ring) == reduce(mul, [p] * power, Poly.one(ring))
+
+
+@pytest.mark.parametrize("base", ["x*xi1 + pi1", "xi1*xi2 + eta1 - y*pi1*pi2", "xi1 + pi"])
+def test_power_of_an_element_is_the_repeated_product(base, symbols):
+    x, unit = parse_element(base, symbols), parse_element("1", symbols)
+    for power in range(6):
+        assert parse_element(f"({base})^{power}", symbols) == reduce(mul, [x] * power, unit)

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from ktforest.poly import (Poly, RingSpec, matrix_rank, monomial_key, parse_poly, rref_solve,
-                           slice_basis, slice_dim, solve_lift)
+from ktforest.forest import AlgebraElement, leaf
+from ktforest.poly import (Poly, RingError, RingSpec, matrix_rank, monomial_key, parse_poly,
+                           rref_solve, slice_basis, slice_dim, solve_lift)
+from ktforest.resolution import GeneratorId, ModuleElement
 
 
 @pytest.fixture
@@ -50,6 +52,26 @@ def test_ring_mismatch(ring):
     other = RingSpec(["x", "y", "z"])
     with pytest.raises(Exception):
         P("x", ring) + P("x", other)
+
+
+def x_times(kind, ring, gen):
+    """x times `gen` over `ring`, as a ModuleElement or an AlgebraElement."""
+    if kind is ModuleElement:
+        return ModuleElement.of_gen(ring, gen, P("x", ring))
+    return AlgebraElement.from_tree(ring, leaf(gen), P("x", ring))
+
+
+@pytest.mark.parametrize("kind", [ModuleElement, AlgebraElement])
+def test_elements_over_different_rings_neither_add_nor_compare_equal(ring, kind):
+    other = RingSpec(["x", "y", "z"])
+    a = x_times(kind, ring, GeneratorId(-1, 0, "g"))
+    b = x_times(kind, other, GeneratorId(-1, 1, "h"))
+    with pytest.raises(RingError):
+        a + b
+    with pytest.raises(RingError):
+        a - b
+    assert kind.zero(ring) != kind.zero(other)
+    assert kind.zero(ring) == kind.zero(RingSpec(["x", "y"]))
 
 
 def test_parse_round_trip(ring):
