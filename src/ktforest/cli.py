@@ -65,6 +65,7 @@ class ProblemSpec:
         return int(self.options.get("poly_cap", 6))
 
 
+SECTIONS = ("ring", "ideal", "resolution", "positive", "koszul_q", "options")
 # rows that add to the rows before them; any other key is given once
 APPENDING_ROWS = {("ideal", "gens"), ("positive", "generators")}
 
@@ -81,6 +82,9 @@ def _read_sections(text: str):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
+            if current not in SECTIONS:
+                raise SpecError(f"unknown section [{current}]; known: {' '.join(SECTIONS)}",
+                                number)
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -233,7 +237,7 @@ def _parse_resolution(sections, ring, ideal):
         return res, {g.label: g for gens in res.gens_by_degree.values() for g in gens}
     gens_by_degree: Dict[int, list] = {}
     by_label: Dict[str, GeneratorId] = {}
-    diff_rows, augment_rows = [], []
+    value_rows = []  # (line, "d" or "augment", generator label, value)
     for number, key, value in rows:
         parts = key.split()
         if parts[0] == "generators" and len(parts) == 2:
@@ -249,10 +253,8 @@ def _parse_resolution(sections, ring, ideal):
                 by_label[label] = g
                 gens.append(g)
             gens_by_degree[degree] = gens
-        elif parts[0] == "d" and len(parts) == 2:
-            diff_rows.append((number, parts[1], value))
-        elif parts[0] == "augment" and len(parts) == 2:
-            augment_rows.append((number, parts[1], value))
+        elif parts[0] in ("d", "augment") and len(parts) == 2:
+            value_rows.append((number, parts[0], parts[1], value))
         elif parts[0] == "koszul":
             continue
         else:
@@ -260,14 +262,18 @@ def _parse_resolution(sections, ring, ideal):
     symbols = SymbolTable(ring, by_label)
     diff: Dict[GeneratorId, ModuleElement] = {}
     augment: Dict[GeneratorId, Poly] = {}
-    for number, label, value in diff_rows:
-        if label not in by_label:
-            raise SpecError(f"unknown generator {label!r} in d row", number)
-        diff[by_label[label]] = _on_line(number, parse_module_element, value, symbols)
-    for number, label, value in augment_rows:
-        if label not in by_label:
-            raise SpecError(f"unknown generator {label!r} in augment row", number)
-        augment[by_label[label]] = _on_line(number, Poly.parse, value, ring)
+    for number, kind, label, value in value_rows:
+        gen = by_label.get(label)
+        if gen is None:
+            raise SpecError(f"unknown generator {label!r} in {kind} row", number)
+        if kind == "augment":
+            if gen.module_degree != -1:
+                raise SpecError(f"augment is given on depth-1 generators, not {label}", number)
+            augment[gen] = _on_line(number, Poly.parse, value, ring)
+        elif gen.module_degree == -1:
+            raise SpecError(f"d is given on generators of depth at least 2, not {label}", number)
+        else:
+            diff[gen] = _on_line(number, parse_module_element, value, symbols)
     res = _on_line(None, FreeResolution, ring, gens_by_degree, diff, augment)
     return res, dict(by_label)
 
@@ -636,7 +642,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if check.passed else 1
 
     report = run(spec)
-    text = emit(report, args.format, args.out, include_timings=args.timings)
+    try:
+        text = emit(report, args.format, args.out, include_timings=args.timings)
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     if not args.out:
         sys.stdout.write(text)
     return report.exit_code()

@@ -24,7 +24,7 @@ tree is the step itself, on demand.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
@@ -654,10 +654,10 @@ def koszul_hook(kres: KoszulComplex, neg_degree_max: int) -> HookMap:
         for node in enumerate_tree_basis(kres, degree):
             if is_leaf(node) or any(not is_leaf(c) for c in node[1]):
                 continue
-            value = reduce(kres.wedge, [ModuleElement.of_gen(kres.ring, child[1])
-                                        for child in node[1]])
-            if not value.is_zero():
-                table[node] = value
+            product = kres.wedge_gens(*(child[1] for child in node[1]))
+            if product is not None:
+                sign, gen = product
+                table[node] = ModuleElement.of_gen(kres.ring, gen, Poly.const(kres.ring, sign))
     return HookMap(kres, table)
 
 
@@ -717,8 +717,8 @@ def _koszul_leibniz_extend(kres: KoszulComplex,
             h = trees[0][1]
             # operator passes idx odd generators; positives then exit past them
             sign = parity_sign(idx) * parity_sign(sum(p.module_degree for p in pos) * idx)
-            value = reduce(kres.wedge, [ModuleElement.of_gen(ring, h if i == idx else depth1[s2])
-                                        for i, s2 in enumerate(subset)])
-            for gg, p in value.terms.items():
-                accumulate(acc, ((leaf(gg),), pos), p.terms, sign, c.terms)
+            product = kres.wedge_gens(*(h if i == idx else depth1[s2]
+                                        for i, s2 in enumerate(subset)))
+            if product is not None:
+                accumulate(acc, ((leaf(product[1]),), pos), c.terms, sign * product[0])
     return collect(ring, acc)

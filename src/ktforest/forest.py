@@ -18,6 +18,11 @@ adjacent siblings of odd degree is the zero element and is never stored.
 a symmetric algebra on positive generators.  A monomial is a pair
 (tree factors, positive factors), each tuple in canonical order; products
 and reorderings carry Koszul signs computed from homogeneous degrees.
+
+Every sign of a reordering comes from the signed merge `resolution._merge`:
+products merge two sorted factor tuples, and `canonicalize_node`,
+`make_monomial` and `koszul_sign` sort a factor sequence through its fold
+`resolution.signed_sort`.
 """
 
 from __future__ import annotations
@@ -27,14 +32,10 @@ from operator import add
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import Combination, Poly, RingSpec, exact
-from .resolution import FreeResolution, GeneratorId, ModuleElement
+from .resolution import (FreeResolution, GeneratorId, ModuleElement, _merge, parity_sign,
+                         signed_sort)
 
 Monomial = tuple  # (trees: tuple[Node, ...], pos: tuple[GeneratorId, ...])
-
-
-def parity_sign(n: int) -> int:
-    """(-1)**n computed by parity, safe for negative integers."""
-    return -1 if n % 2 else 1
 
 
 class Node(tuple):
@@ -149,26 +150,7 @@ def koszul_sign(degrees: Sequence[int], permutation: Sequence[int]) -> int:
     perm = list(permutation)
     if sorted(perm) != list(range(len(degrees))):
         raise ValueError("not a permutation of the index set")
-    return _sort_factors_with_sign([(i, degrees[i], i) for i in perm])[1]
-
-
-def _sort_factors_with_sign(items: list) -> Tuple[Optional[list], int]:
-    """Bubble-sort (key, degree, payload) triples, tracking Koszul signs.
-
-    Returns (sorted items, sign), or (None, 0) when two equal factors of odd
-    degree collide.
-    """
-    items = list(items)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j][0] > items[j + 1][0]:
-                sign *= parity_sign(items[j][1] * items[j + 1][1])
-                items[j], items[j + 1] = items[j + 1], items[j]
-    for a, b in zip(items, items[1:]):
-        if a[0] == b[0] and a[1] % 2 != 0:
-            return None, 0
-    return items, sign
+    return signed_sort(perm, lambda i: (i, degrees[i]))[1]
 
 
 @lru_cache(maxsize=None)
@@ -185,11 +167,9 @@ def canonicalize_node(tree: Node) -> Tuple[Optional[Node], int]:
         if cc is None:
             return None, 0
         sign *= s
-        kids.append((tree_key(cc), tree_degree(cc), cc))
-    kids, s = _sort_factors_with_sign(kids)
-    if kids is None:
-        return None, 0
-    return node(k[2] for k in kids), sign * s
+        kids.append(cc)
+    kids, s = signed_sort(kids, _tree_order)
+    return (None, 0) if kids is None else (node(kids), sign * s)
 
 
 # ---------------------------------------------------------------------------
@@ -231,60 +211,25 @@ def make_monomial(factors: Iterable[tuple]) -> Tuple[Optional[Monomial], int]:
     merges of `apply_derivation`, the root maps, `substitute_at_path`), and
     the tests compare those with it.
     """
-    items = []
-    for kind, obj in factors:
-        if kind == "p":
-            items.append(((0, obj.key), obj.module_degree, (kind, obj)))
-        else:
-            items.append(((1, tree_key(obj)), tree_degree(obj), (kind, obj)))
-    items, sign = _sort_factors_with_sign(items)
+    items, sign = signed_sort(factors, _factor_order)
     if items is None:
         return None, 0
-    pos = tuple(obj for _, _, (kind, obj) in items if kind == "p")
-    trees = tuple(as_node(obj) for _, _, (kind, obj) in items if kind == "t")
+    pos = tuple(obj for kind, obj in items if kind == "p")
+    trees = tuple(as_node(obj) for kind, obj in items if kind == "t")
     return (trees, pos), sign
+
+
+def _factor_order(factor: tuple) -> tuple:
+    """`make_monomial`'s order: positives first, each group by its key."""
+    kind, obj = factor
+    key, degree = _gen_order(obj) if kind == "p" else _tree_order(obj)
+    return (kind == "t", key), degree
 
 
 @lru_cache(maxsize=None)
 def _tree_order(node: Node) -> tuple:
     """(tree_key, tree_degree) in one cache lookup."""
     return tree_key(node), tree_degree(node)
-
-
-def _merge(xs: tuple, ys: tuple, order) -> Tuple[Optional[tuple], int]:
-    """Sorted merge of two sorted factor tuples, as in xs * ys.
-
-    `order` maps a factor to (key, degree).  Each factor of ys moves past the
-    factors of xs not yet placed, at the cost of (-1)^(its degree times their
-    degree sum); equal keys keep xs first.  Returns (merged, parity of the
-    sign), or (None, 0) when an odd factor occurs in both.
-    """
-    if len(xs) == 1 == len(ys):  # most products: one factor on each side
-        (kx, dx), (ky, dy) = order(xs[0]), order(ys[0])
-        if kx > ky:
-            return ys + xs, dx & dy & 1
-        if kx == ky and dy & 1:
-            return None, 0
-        return xs + ys, 0
-    info = [order(x) for x in xs]
-    suffix = [0] * (len(xs) + 1)
-    for i in range(len(xs) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + info[i][1]
-    out = []
-    parity = 0
-    i, n = 0, len(xs)
-    for y in ys:
-        ky, dy = order(y)
-        while i < n and info[i][0] <= ky:
-            if dy & 1 and info[i][0] == ky:
-                return None, 0
-            out.append(xs[i])
-            i += 1
-        if dy & 1 and suffix[i] & 1:
-            parity ^= 1
-        out.append(y)
-    out.extend(xs[i:])
-    return tuple(out), parity
 
 
 def _gen_order(g: GeneratorId) -> tuple:

@@ -8,17 +8,74 @@ exactness is verified per polynomial-degree slice by exact rank counts.
 
 Koszul complexes on an arbitrary list of polynomials can be built
 automatically; they carry their exterior multiplication table, which the
-extension layer uses for hook comparisons.
+extension layer uses for hook comparisons.  Every Koszul sign of a
+reordering, here and in `forest`, comes from the signed merge `_merge`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (Combination, Poly, RingSpec, linear_system, matrix_rank, slice_basis,
                    slice_dim, solve_lift)
+
+
+def parity_sign(n: int) -> int:
+    """(-1)**n computed by parity, safe for negative integers."""
+    return -1 if n % 2 else 1
+
+
+def _merge(xs: tuple, ys: tuple, order) -> Tuple[Optional[tuple], int]:
+    """Sorted merge of two sorted factor tuples, as in xs * ys.
+
+    `order` maps a factor to (key, degree).  Each factor of ys moves past the
+    factors of xs not yet placed, at the cost of (-1)^(its degree times their
+    degree sum); equal keys keep xs first.  Returns (merged, parity of the
+    sign), or (None, 0) when an odd factor occurs in both.
+    """
+    if len(xs) == 1 == len(ys):  # most products: one factor on each side
+        (kx, dx), (ky, dy) = order(xs[0]), order(ys[0])
+        if kx > ky:
+            return ys + xs, dx & dy & 1
+        if kx == ky and dy & 1:
+            return None, 0
+        return xs + ys, 0
+    info = [order(x) for x in xs]
+    suffix = [0] * (len(xs) + 1)
+    for i in range(len(xs) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + info[i][1]
+    out = []
+    parity = 0
+    i, n = 0, len(xs)
+    for y in ys:
+        ky, dy = order(y)
+        while i < n and info[i][0] <= ky:
+            if dy & 1 and info[i][0] == ky:
+                return None, 0
+            out.append(xs[i])
+            i += 1
+        if dy & 1 and suffix[i] & 1:
+            parity ^= 1
+        out.append(y)
+    out.extend(xs[i:])
+    return tuple(out), parity
+
+
+def signed_sort(factors: Iterable, order) -> Tuple[Optional[tuple], int]:
+    """Sort factors by `_merge`'s `order`, merging them in one at a time.
+
+    Returns (sorted tuple, Koszul sign), or (None, 0) when an odd factor
+    repeats; equal keys keep their order.
+    """
+    out, parity = (), 0
+    for factor in factors:
+        out, p = _merge(out, (factor,), order)
+        if out is None:
+            return None, 0
+        parity ^= p
+    return out, parity_sign(parity)
 
 
 class GeneratorId(tuple):
@@ -342,31 +399,21 @@ class KoszulComplex(FreeResolution):
         self.gen_of_subset = {s: g for g, s in subset_of_gen.items()}
         super().__init__(ring, gens_by_degree, diff, augment)
 
-    def wedge_gens(self, a: GeneratorId, b: GeneratorId):
-        """Exterior product of two generators: (sign, generator) or None."""
-        sa, sb = self.subset_of_gen[a], self.subset_of_gen[b]
-        if set(sa) & set(sb):
-            return None
-        # sorting sa + sb passes each b of sb past the larger a of sa
-        inversions = sum(1 for a in sa for b in sb if b < a)
-        return (-1) ** inversions, self.gen_of_subset[tuple(sorted(sa + sb))]
+    def wedge_gens(self, *gens: GeneratorId) -> Optional[Tuple[int, GeneratorId]]:
+        """Exterior product of generators, in order: (sign, generator) or None,
+        the indices of their subsets sorted as odd factors by `signed_sort`."""
+        indices, sign = signed_sort([i for g in gens for i in self.subset_of_gen[g]],
+                                    lambda i: (i, 1))
+        return None if indices is None else (sign, self.gen_of_subset[indices])
 
-    def wedge(self, a, b):
-        """Product of module elements (Poly operands act as scalars)."""
-        if isinstance(a, Poly) and isinstance(b, Poly):
-            return a * b
-        if isinstance(a, Poly):
-            return b.scale(a)
-        if isinstance(b, Poly):
-            return a.scale(b)
+    def wedge(self, a: ModuleElement, b: ModuleElement) -> ModuleElement:
+        """Exterior product of module elements."""
         out = ModuleElement.zero(self.ring)
         for g, p in a.terms.items():
             for h, q in b.terms.items():
                 w = self.wedge_gens(g, h)
-                if w is None:
-                    continue
-                sign, gen = w
-                out = out + ModuleElement.of_gen(self.ring, gen, (p * q).scale(sign))
+                if w is not None:
+                    out = out + ModuleElement.of_gen(self.ring, w[1], (p * q).scale(w[0]))
         return out
 
 
@@ -384,19 +431,15 @@ def build_koszul_complex(phis: Sequence[Poly], labels: Optional[Sequence[str]] =
         labels = [f"e{i + 1}" for i in range(n)]
     gens_by_degree: dict = {}
     subset_of_gen: dict = {}
-    gen_of_subset: dict = {}
     for size in range(1, n + 1):
         gens = []
         for idx, subset in enumerate(combinations(range(1, n + 1), size)):
-            if size == 1:
-                label = labels[subset[0] - 1]
-            else:
-                label = "e" + "".join(str(i) for i in subset)
+            label = labels[subset[0] - 1] if size == 1 else "e" + "".join(map(str, subset))
             g = GeneratorId(-size, idx, label)
             gens.append(g)
             subset_of_gen[g] = subset
-            gen_of_subset[subset] = g
         gens_by_degree[-size] = gens
+    gen_of_subset = {s: g for g, s in subset_of_gen.items()}
     diff: dict = {}
     augment: dict = {}
     for g, subset in subset_of_gen.items():
@@ -406,7 +449,7 @@ def build_koszul_complex(phis: Sequence[Poly], labels: Optional[Sequence[str]] =
         img = ModuleElement.zero(ring)
         for j, elt in enumerate(subset):
             rest = subset[:j] + subset[j + 1:]
-            coeff = phis[elt - 1].scale((-1) ** j)
+            coeff = phis[elt - 1].scale(parity_sign(j))
             img = img + ModuleElement.of_gen(ring, gen_of_subset[rest], coeff)
         diff[g] = img
     return KoszulComplex(ring, gens_by_degree, diff, augment, subset_of_gen)

@@ -797,6 +797,45 @@ def test_unknown_option_is_an_input_error(tmp_path):
     assert code == 2 and out == "" and f"input error: {message}" in err_text
 
 
+@pytest.mark.parametrize("section, header", [("[positive]", "[positve]"),
+                                             ("[options]", "[option]")])
+def test_unknown_section_is_an_input_error(tmp_path, section, header):
+    # before, the misspelled section was dropped and the run passed
+    path, number = _edited_spec(tmp_path, "quadratic.kt", section, header)
+    message = (f"line {number}: unknown section {header}; "
+               "known: ring ideal resolution positive koszul_q options")
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == message
+    code, out, err_text = run_cli("run", path, "--neg-degree-max", "2")
+    assert code == 2 and out == "" and f"input error: {message}" in err_text
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    ("d pib = x*pi3 - y*pi2", "d pib = x*pi3 - y*pi2\nd pi1 = x*pi2",
+     "d is given on generators of depth at least 2, not pi1"),
+    ("augment pi3 = y^2", "augment pi3 = y^2\naugment pi = x",
+     "augment is given on depth-1 generators, not pi"),
+], ids=["d-at-depth-1", "augment-at-depth-2"])
+def test_resolution_row_of_the_wrong_depth_names_its_line(tmp_path, line, replacement,
+                                                          message):
+    path, number = _edited_spec(tmp_path, "quadratic.kt", line, replacement)
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == f"line {number}: {message}"
+    code, out, err_text = run_cli("run", path, "--neg-degree-max", "2")
+    assert code == 2 and out == "" and f"input error: line {number}: {message}" in err_text
+
+
+def test_unwritable_out_path_is_an_input_error(tmp_path):
+    target = tmp_path / "missing" / "r.txt"
+    code, out, err = run_cli("run", spec_path("quadratic.kt"), "--neg-degree-max", "2",
+                             "--out", str(target))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("input error: ") and str(target) in err
+    assert not target.exists()
+
+
 NEGATIVE_WEIGHT = """
 [ring]
 vars = x, y

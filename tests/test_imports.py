@@ -2,8 +2,10 @@
 
 A stand-in for a linter's unused-import rule, with the standard library
 only.  Uses count in code and in annotations, quoted ones included;
-`__init__.py` re-exports its imports and is left out.  Also: a cold start
-of the command line imports neither `dataclasses` nor `inspect`.
+`__init__.py` re-exports its imports and is left out.  Also: no module
+raises -1 to a power, since every sign comes from `resolution.parity_sign`
+or the signed merge; and a cold start of the command line imports neither
+`dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
@@ -73,6 +75,33 @@ def test_unused_import_is_found():
     tree = ast.parse("from typing import Dict, List\nimport os\n"
                      "def f(x: 'Dict[str, int]') -> None:\n    pass\n")
     assert set(imported_names(tree)) - used_names(tree) == {"List", "os"}
+
+
+def powers_of_minus_one(tree: ast.Module) -> list:
+    """Lines of every `(-1) ** n` and `pow(-1, n)` in the module."""
+    def minus_one(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and minus_one(node.left):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "pow" and node.args and minus_one(node.args[0])):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_power_of_minus_one(module):
+    lines = powers_of_minus_one(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+    assert not lines, f"{module}: (-1) ** n on lines {lines}; use parity_sign(n)"
+
+
+def test_power_of_minus_one_is_found():
+    tree = ast.parse("a = (-1) ** n\nb = pow(-1, n)\nc = -1 ** n\nd = 2 ** n\n")
+    assert powers_of_minus_one(tree) == [1, 2]
 
 
 def test_cold_start_imports_neither_dataclasses_nor_inspect():
