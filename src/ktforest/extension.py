@@ -30,8 +30,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
                      collect, enumerate_tree_basis, is_leaf, leaf, parity_sign, sum_elements,
                      sums_to_zero, tree_str)
-from .kt import (CheckResult, HookMap, SolveError, _retract_failures, _square_failures, homotopy,
-                 hook_product, hook_window, project_to_resolution, two_leaf_product, verify_hook)
+from .kt import (CheckResult, HookMap, SolveError, _retract_failures, homotopy, hook_product,
+                 hook_window, hooked_joins, project_to_resolution, residue, seeded,
+                 two_leaf_product, verify_hook)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -514,22 +515,36 @@ def _solve_levels(res: FreeResolution, pos: PositivePart, hook: HookMap, top: in
 def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     """Square-zero on variables, positive and module generators, and trees.
 
-    Also asserts the containment of module-generator images in
+    Q = delta + Q+, with Q+ summed over levels 0..level_max, so Q Q x is
+    delta delta x, which the evaluator keeps (`square_residue`), plus
+    Q+ delta x + Q Q+ x.  Variables and positives have delta x = 0.  Also
+    asserts the containment of module-generator images in
     (module x positives) + positives.
     """
     ring = ext.res.ring
     gens = ext.res.module_generators()
-    items = [(ring.names[j], AlgebraElement.scalar(Poly.variable(ring, j)))
+    delta = ext.hook.differential()
+    levels = range(0, ext.level_max + 1)
+    items = [(ring.names[j], AlgebraElement.scalar(Poly.variable(ring, j)), None)
              for j in range(ring.num_vars)]
-    items += [(g.label, AlgebraElement.from_positive(ring, g)) for g in ext.pos.gens]
-    items += [(g.label, AlgebraElement.from_tree(ring, leaf(g))) for g in gens]
-    items += [(tree_str(node), AlgebraElement.from_tree(ring, node))
-              for degree in range(3, neg_degree_max + 1)
-              for node in enumerate_tree_basis(ext.res, degree) if not is_leaf(node)]
-    failures = _square_failures(ext.apply, items, "square residue ")
+    items += [(g.label, AlgebraElement.from_positive(ring, g), None) for g in ext.pos.gens]
+    items += [(g.label, None, leaf(g)) for g in gens]
+    items += [(tree_str(t), None, t) for degree in range(3, neg_degree_max + 1)
+              for t in enumerate_tree_basis(ext.res, degree) if not is_leaf(t)]
+
+    def square(x: Optional[AlgebraElement], tree: Optional[Node]) -> Optional[AlgebraElement]:
+        if tree is None:  # delta x = 0
+            acc, qx = {}, ext._apply_levels(levels, x)
+        else:
+            acc, qx = seeded(delta.square_residue(tree)), ext.q_level_on_tree(levels, tree)
+            ext._apply_levels(levels, delta.on_tree(tree), acc=acc)
+        ext.apply(qx, acc)
+        return residue(ring, acc)
+
+    failures = [(label, f"square residue {r}")
+                for label, x, tree in items for r in (square(x, tree),) if r is not None]
     # delta of a generator is module- or scalar-valued, so Q of it leaves
     # module x positives where its image summed over levels >= 0 does
-    levels = range(0, ext.level_max + 1)
     failures += [(g.label, "image leaves module x positives") for g in gens
                  if not ext.q_level_on_tree(levels, leaf(g)).has_only_module_and_scalar()]
     checked = f"{len(items)} sources, trees through negative degree {neg_degree_max}"
@@ -566,11 +581,28 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     identities check the evaluator against the projection, not the solved
     values (`verify_extension` checks those).
     """
-    ring = ext.res.ring
+    ring, one = ext.res.ring, Poly.one(ext.res.ring)
+    delta = ext.hook.differential()
+    levels = range(0, ext.level_max + 1)
     # the hook plus every correction table
     hook_value = partial(ext.chi_levels, range(-1, ext.level_max + 1))
-    count, failures = _retract_failures(ext.res, neg_degree_max, ext.apply, ext.apply,
-                                        hook_value, "Incl Proj mismatch: ")
+
+    def incl_proj(mono) -> Optional[AlgebraElement]:
+        """delta's retract residue (`retract_residue`) plus Q+ h x + h Q+ x,
+        and the joins h x through `hook_value` less those through the hook,
+        which the residue holds: the correction tables, and any difference
+        between the hook the projection reads and delta's."""
+        acc = seeded(delta.retract_residue(mono))
+        x = AlgebraElement._of(ring, {mono: one})
+        hx = homotopy(x)
+        ext._apply_levels(levels, hx, acc=acc)
+        homotopy(ext._apply_levels(levels, x), acc)
+        hooked_joins(hook_value, hx, acc)
+        hooked_joins(ext.hook.element, hx, acc, -1)
+        return residue(ring, acc)
+
+    count, failures = _retract_failures(ext.res, neg_degree_max, incl_proj,
+                                        "Incl Proj mismatch: ")
     # Proj Incl = Id on core monomials: trivial tree and pure positive samples
     core = [(g.label, AlgebraElement.from_tree(ring, leaf(g)))
             for g in ext.res.module_generators()]

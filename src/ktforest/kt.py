@@ -18,14 +18,14 @@ trees too deep for the resolution are forced to zero.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
-                     canonicalize_node, collect, enumerate_monomial_basis, enumerate_tree_basis,
-                     is_leaf, leaf, mono_label, mono_mul, mono_pos_degree, node, parity_sign,
-                     root_join, root_split, sums_to_zero, tree_degree, tree_key, tree_str)
-from .poly import Poly
+from .forest import (AlgebraElement, Monomial, Node, accumulate, add_tree_formula,
+                     apply_derivation, canonicalize_node, collect, enumerate_monomial_basis,
+                     enumerate_tree_basis, is_leaf, leaf, mono_label, mono_mul, mono_pos_degree,
+                     node, parity_sign, root_join, root_split, sums_to_zero, tree_degree,
+                     tree_key, tree_str)
+from .poly import Poly, RingSpec
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
 
@@ -64,7 +64,7 @@ class HookMap:
 
     The map owns the level -1 evaluator of its table (`differential`), so
     that every reader of the final table (the verifiers and the extension)
-    computes each tree image once; `set_value` discards it.
+    computes each tree image and residue once; `set_value` discards it.
     """
 
     def __init__(self, res: FreeResolution, table: Optional[dict] = None):
@@ -118,12 +118,20 @@ class HookMap:
 
 
 class TreeDifferential:
-    """Evaluator for the differential determined by a hook table."""
+    """Evaluator for the differential determined by a hook table.
+
+    It owns the level -1 residues of the identities it checks, each computed
+    on first read: δ(δ t) per tree and δ h x + h δ x - x + ι p x per
+    monomial, collected, or None where they cancel.  The verifiers of Q
+    start from them and add only the terms of level >= 0.
+    """
 
     def __init__(self, res: FreeResolution, hook: HookMap):
         self.res = res
         self.hook = hook
         self._memo: Dict[Node, AlgebraElement] = {}
+        self._squares: Dict[Node, Optional[AlgebraElement]] = {}
+        self._retracts: Dict[Monomial, Optional[AlgebraElement]] = {}
         # d of each generator as an algebra element: the augmentation at depth 1
         self._leaf_values = {
             g: AlgebraElement.scalar(res.augment[g]) if d == -1
@@ -151,6 +159,42 @@ class TreeDifferential:
     def apply(self, elem: AlgebraElement, acc: Optional[dict] = None,
               sign: int = 1) -> AlgebraElement:
         return apply_derivation(elem, self.on_tree, acc=acc, sign=sign)
+
+    def square_residue(self, node: Node) -> Optional[AlgebraElement]:
+        return self._residue(self._squares, node, self._square)
+
+    def retract_residue(self, mono: Monomial) -> Optional[AlgebraElement]:
+        return self._residue(self._retracts, mono, self._retract)
+
+    def _residue(self, memo: dict, key, compute: Callable[..., dict]) -> Optional[AlgebraElement]:
+        if key not in memo:
+            memo[key] = residue(self.res.ring, compute(key))
+        return memo[key]
+
+    def _square(self, node: Node) -> dict:
+        return self.apply(self.on_tree(node), {})
+
+    def _retract(self, mono: Monomial) -> dict:
+        """δ h x + h δ x - x + ι p x; a joined tree h(x) that is not in the
+        memo (one degree past the basis) is evaluated here and not kept."""
+        one = Poly.one(self.res.ring)
+        x = AlgebraElement._of(self.res.ring, {mono: one})
+        hx = homotopy(x)
+        acc = apply_derivation(hx, lambda t: self._memo.get(t) or self._image(t), acc={})
+        homotopy(self.apply(x), acc)
+        accumulate(acc, mono, one.terms, -1)
+        project_to_resolution(self.hook.element, x, hx, acc)
+        return acc
+
+
+def residue(ring: RingSpec, acc: dict) -> Optional[AlgebraElement]:
+    """The collected sums of an accumulator, or None where all cancel."""
+    return None if sums_to_zero(acc) else collect(ring, acc)
+
+
+def seeded(stored: Optional[AlgebraElement]) -> dict:
+    """A new accumulator holding a stored residue's terms (none for None)."""
+    return {mono: dict(c.terms) for mono, c in stored.terms.items()} if stored else {}
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +305,31 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
     for part in (elem.project_module(), elem.project_scalar()):
         for mono, c in part.terms.items():
             accumulate(out, mono, c.terms, sign)
-    if joined is None:
-        joined = homotopy(elem)
+    hooked_joins(hook_value, homotopy(elem) if joined is None else joined, out, sign)
+    return collect(elem.ring, out) if acc is None else acc
+
+
+def hooked_joins(hook_value: Callable[[Node], AlgebraElement], joined: AlgebraElement,
+                 acc: dict, sign: int = 1):
+    """Add the joined trees sent through `hook_value`, the projection's third part."""
     for (trees, pos), c in joined.terms.items():
         s = sign * parity_sign(mono_pos_degree((trees, pos)))
         for m, d in hook_value(trees[0]).terms.items():
             mono, s2 = mono_mul(((), pos), m)
             if mono is not None:
-                accumulate(out, mono, d.terms, s * s2, c.terms)
-    return collect(elem.ring, out) if acc is None else acc
+                accumulate(acc, mono, d.terms, s * s2, c.terms)
 
 
-def _retract_failures(res: FreeResolution, neg_degree_max: int, apply_q, apply_q_to_joins,
-                      hook_value: Callable[[Node], AlgebraElement], mismatch: str):
-    """(count, failures) of Q h x + h Q x - x + (inclusion of the projection) x,
-    summed in one accumulator, on each basis monomial x through the truncation.
-    `apply_q` gives Q, `apply_q_to_joins` Q on the joins h x (each adds into an
-    accumulator, as `TreeDifferential.apply`); the projection reads `hook_value`."""
-    ring, one = res.ring, Poly.one(res.ring)
+def _retract_failures(res: FreeResolution, neg_degree_max: int,
+                      residue_of: Callable[[Monomial], Optional[AlgebraElement]],
+                      mismatch: str):
+    """(count, failures) of the retract identity on each basis monomial through
+    the truncation; `residue_of` gives a monomial's residue, None where it
+    cancels."""
     monos = [mono for degree in range(1, neg_degree_max + 1)
              for mono in enumerate_monomial_basis(res, degree)]
-    failures = []
-    for mono in monos:
-        x = AlgebraElement._of(ring, {mono: one})
-        hx = homotopy(x)
-        residue = apply_q_to_joins(hx, acc={})
-        homotopy(apply_q(x), residue)
-        accumulate(residue, mono, one.terms, -1)
-        project_to_resolution(hook_value, x, hx, residue)
-        if not sums_to_zero(residue):
-            failures.append((mono_label(mono), f"{mismatch}{collect(ring, residue)}"))
+    failures = [(mono_label(mono), f"{mismatch}{r}")
+                for mono in monos for r in (residue_of(mono),) if r is not None]
     return len(monos), failures
 
 
@@ -300,53 +339,25 @@ def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> C
     The identity holds for any hook table, since the differential and the
     projection read the same one: it checks the tree formula against the
     projection, not the solved values (`verify_hook` checks those).  The
-    images of the joined trees h(x) of degree K + 1 are not memoized:
-    this check reads each of them once, and the extension reads some of
-    them (none over a Taylor resolution), which costs less to recompute
-    than to keep.
+    residues stay on the evaluator (`TreeDifferential.retract_residue`),
+    where `verify_incl_proj` reads them.
     """
-    differential = hook.differential()
-
-    def delta_of_join(node):
-        if tree_degree(node) < -neg_degree_max:
-            return differential._image(node)
-        return differential.on_tree(node)
-
-    count, failures = _retract_failures(res, neg_degree_max, differential.apply,
-                                        partial(apply_derivation, on_tree=delta_of_join),
-                                        hook.element, "lhs - rhs = ")
+    count, failures = _retract_failures(res, neg_degree_max,
+                                        hook.differential().retract_residue, "lhs - rhs = ")
     return CheckResult("homotopy retract", not failures,
                        f"{count} algebra monomials through negative degree {neg_degree_max}",
                        failures)
 
 
-def _square_failures(apply_fn: Callable[..., AlgebraElement], sources, residue: str) -> list:
-    """(label, residue + Q Q x) for each (label, x) source where Q Q x != 0;
-    the outer apply_fn(elem, acc) adds into an accumulator, as
-    `TreeDifferential.apply`."""
-    failures = []
-    for label, x in sources:
-        acc = apply_fn(apply_fn(x), {})
-        if not sums_to_zero(acc):
-            failures.append((label, f"{residue}{collect(x.ring, acc)}"))
-    return failures
-
-
-def verify_square_zero(apply_fn: Callable[..., AlgebraElement],
-                       basis: List[AlgebraElement], label: str = "square zero",
-                       checked: str = "") -> CheckResult:
-    """apply_fn(apply_fn(x)) = 0 on every basis element (`_square_failures`)."""
-    failures = _square_failures(apply_fn, ((str(x), x) for x in basis), "residue ")
-    return CheckResult(label, not failures, checked or f"{len(basis)} basis elements", failures)
-
-
-def tree_basis_elements(res: FreeResolution, neg_degree_max: int) -> List[AlgebraElement]:
-    """All basis trees through the truncation, as algebra elements."""
-    out = []
-    for degree in range(1, neg_degree_max + 1):
-        for node in enumerate_tree_basis(res, degree):
-            out.append(AlgebraElement.from_tree(res.ring, node))
-    return out
+def verify_square_zero(differential: TreeDifferential, neg_degree_max: int) -> CheckResult:
+    """delta delta t = 0 on every basis tree through the truncation, read
+    from the evaluator (`TreeDifferential.square_residue`)."""
+    failures = [(tree_str(t), f"residue {r}")
+                for degree in range(1, neg_degree_max + 1)
+                for t in enumerate_tree_basis(differential.res, degree)
+                for r in (differential.square_residue(t),) if r is not None]
+    return CheckResult("tree differential square zero", not failures,
+                       f"basis trees through negative degree {neg_degree_max}", failures)
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +419,32 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
 
 
 def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap) -> CheckResult:
-    """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for every pair of generators."""
+    """d(a*b) = d(a)*b + (-1)^|a| a*d(b) for every pair of generators.
+
+    Each generator pair's product is computed once; by bilinearity the
+    products with d(a) and d(b) are sums of those, and a base-ring value
+    of d multiplies as a scalar.
+    """
     failures = []
     gens = res.module_generators()
-    values = {}  # each generator's element and its differential, built once
-    for g in gens:
-        e = ModuleElement.of_gen(res.ring, g)
-        d_mod, d_scalar = res.apply_diff(e)
-        values[g] = e, d_mod if d_scalar.is_zero() else d_scalar
+    elements = {g: ModuleElement.of_gen(res.ring, g) for g in gens}
+    products = {(a, b): hook_product(hook, elements[a], elements[b])
+                for a in gens for b in gens}
+    diffs = {g: res.apply_diff(elements[g]) for g in gens}
+
+    def with_diff(a: GeneratorId, g: GeneratorId, left: bool) -> ModuleElement:
+        """d(a) * g if `left`, else g * d(a), from the generator products."""
+        a_mod, a_scalar = diffs[a]
+        if not a_scalar.is_zero():
+            return elements[g].scale(a_scalar)
+        return sum((products[(c, g) if left else (g, c)].scale(p)
+                    for c, p in a_mod.terms.items()), ModuleElement.zero(res.ring))
+
     for a in gens:
-        ea, da = values[a]
         for b in gens:
-            eb, db = values[b]
-            prod = hook_product(hook, ea, eb)
-            lhs_mod, lhs_scalar = res.apply_diff(prod)
-            rhs = hook_product(hook, da, eb)
-            rhs = rhs + hook_product(hook, ea, db).scale(parity_sign(a.module_degree))
+            lhs_mod, lhs_scalar = res.apply_diff(products[a, b])
+            rhs = with_diff(a, b, True) \
+                + with_diff(b, a, False).scale(parity_sign(a.module_degree))
             if not (lhs_scalar.is_zero() and lhs_mod == rhs):
                 failures.append((f"{a.label} * {b.label}",
                                  f"d(product) = {lhs_mod} + {lhs_scalar} vs {rhs}"))

@@ -1,9 +1,15 @@
-"""Shared fixtures: the bundled example data, built programmatically."""
+"""Shared fixtures: the bundled example data, built programmatically, and
+the command line run in this process."""
 
 from __future__ import annotations
 
+import io
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
+from ktforest.cli import main
 from ktforest.poly import Poly, RingSpec
 from ktforest.resolution import FreeResolution, GeneratorId, ModuleElement
 
@@ -81,3 +87,21 @@ def monomial3_resolution(ring_xyz):
         },
         augment_lines={"e1": "x^2", "e2": "y*z", "e3": "x*z", "e4": "x*y"},
     )
+
+
+def run_main(*argv):
+    """(exit code, stdout, stderr) of `ktforest ARGV`, run in this process.
+
+    An uncaught exception is printed to stderr as a traceback with exit
+    code 1, as the interpreter would; argparse's exit gives its own code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()

@@ -19,8 +19,8 @@ from ktforest.extension import (ExtensionData, boundary_equivalent, higher_produ
                                 verify_product_defect)
 from ktforest.forest import AlgebraElement, enumerate_tree_basis, leaf
 from ktforest.grammar import SymbolTable, parse_element, parse_hook_table, parse_tree
-from ktforest.kt import (HookMap, TreeDifferential, solve_hook, tree_basis_elements,
-                         verify_hook, verify_retract, verify_square_zero)
+from ktforest.kt import (HookMap, TreeDifferential, solve_hook, verify_hook, verify_retract,
+                         verify_square_zero)
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement, quotient_dims
 
@@ -48,7 +48,7 @@ def test_acceptance_1_regular_sequence_hook_unique():
     assert hook.value(target) == ModuleElement.of_gen(res.ring, res.gen_by_label("pi"))
     assert list(hook.table) == [target], "the hook must vanish everywhere else"
     differential = TreeDifferential(res, hook)
-    square = verify_square_zero(differential.apply, tree_basis_elements(res, 6))
+    square = verify_square_zero(differential, 6)
     assert square.passed, square.summary()
     retract = verify_retract(res, hook, 6)
     assert retract.passed, retract.summary()

@@ -11,19 +11,16 @@ from pathlib import Path
 import pytest
 
 import ktforest
+from ktforest import cli
 from ktforest.cli import ProblemSpec, SpecError, emit, main, parse_spec, run
 from ktforest.extension import solve_residues_explicit
 from ktforest.kt import SolveError, solve_hook
 
+from conftest import run_main as run_cli
+
 
 def spec_path(name):
     return ktforest.example_path(name)
-
-
-def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "ktforest.cli", *args],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_parse_bundled_quadratic():
@@ -270,6 +267,13 @@ def test_package_runs_as_module():
                            "--degree", "3"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["V(pi1,pi2)", "V(pi1,pi3)", "V(pi2,pi3)"]
+
+
+def test_cli_module_runs_as_a_script():
+    proc = subprocess.run([sys.executable, "-m", "ktforest.cli", "run",
+                           spec_path("koszul_function.kt")], capture_output=True, text=True)
+    assert proc.returncode == 0 and "result: PASS" in proc.stdout, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_json_round_trip(tmp_path):
@@ -833,6 +837,17 @@ def test_unwritable_out_path_is_an_input_error(tmp_path):
                              "--out", str(target))
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("input error: ") and str(target) in err
+    assert not target.exists()
+
+
+def test_unwritable_out_path_is_rejected_before_the_run(monkeypatch, tmp_path, capsys):
+    def no_run(*_args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    target = tmp_path / "missing" / "r.txt"
+    assert main(["run", spec_path("quadratic.kt"), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
     assert not target.exists()
 
 

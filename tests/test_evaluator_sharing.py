@@ -10,6 +10,11 @@ mode the oracle reads the tables of the former reach-loop solver
 `verify_retract` and `verify_incl_proj` compute h(x) once per monomial;
 their verdicts, failure lists included, are compared with the former
 implementations, kept below as the oracle.
+The level -1 residues, delta delta t per basis tree and the retract residue
+per basis monomial, are computed once per run and kept on the evaluator;
+`verify_extension` and `verify_incl_proj` add only the terms of level >= 0
+to them, and must equal the unsplit Q Q x loop and the full run, kept below
+as the oracles.
 """
 
 from __future__ import annotations
@@ -19,17 +24,20 @@ from collections import Counter
 import pytest
 
 import ktforest
+from ktforest import cli, extension
 from ktforest.cli import check_mode, parse_spec, run
 from ktforest.extension import (koszul_mode, solve_general_extension, solve_residues_explicit,
-                                verify_incl_proj)
-from ktforest.forest import (AlgebraElement, apply_derivation, collect,
-                             enumerate_monomial_basis, is_leaf, leaf, mono_label,
-                             sum_elements, tree_degree, tree_str)
+                                verify_extension, verify_incl_proj)
+from ktforest.forest import (AlgebraElement, apply_derivation, canonicalize_node, collect,
+                             enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
+                             mono_label, node, sum_elements, tree_degree, tree_str)
 from ktforest.grammar import parse_hook_table
 from ktforest.kt import (CheckResult, HookMap, TreeDifferential, homotopy,
                          project_to_resolution, solve_hook, verify_retract)
 from ktforest.poly import Poly
 from test_extension import MONOMIAL3_HOOK_LINES, make_positive
+from test_failing_reports import (double_first_gen_q_entry, double_last_hook_entry,
+                                  double_one_tree_image)
 from test_homotopy_corrections import Unsolved, reach_loop_extension
 from test_vertex_walk import former_add_tree_formula
 
@@ -38,6 +46,16 @@ K = 5
 
 def example(name):
     return parse_spec(ktforest.example_path(name))
+
+
+def basis_trees(res, neg_degree_max):
+    return [t for degree in range(1, neg_degree_max + 1)
+            for t in enumerate_tree_basis(res, degree)]
+
+
+def basis_monomials(res, neg_degree_max):
+    return [m for degree in range(1, neg_degree_max + 1)
+            for m in enumerate_monomial_basis(res, degree)]
 
 
 def basis_elements(res, neg_degree_max):
@@ -309,3 +327,138 @@ def test_incl_proj_matches_the_former_verifier(corrupt):
     assert incl_proj.passed == (not corrupt)
     if corrupt:
         assert len(incl_proj.failures) > 1
+
+
+# ---------------------------------------------------------------------------
+# level -1 once: the residues kept on the evaluator
+# ---------------------------------------------------------------------------
+
+def test_level_minus_one_residues_are_computed_once_per_run(monkeypatch):
+    computed = {"_square": Counter(), "_retract": Counter()}
+    for name, seen in computed.items():
+        def counting(self, key, _compute=getattr(TreeDifferential, name), _seen=seen):
+            _seen[key] += 1
+            return _compute(self, key)
+        monkeypatch.setattr(TreeDifferential, name, counting)
+    # the Leibniz passes of Q's verifiers that read the tree images of delta
+    delta_passes = Counter()
+    verifying = []
+
+    def counting_derivation(elem, on_tree, *args, **kwargs):
+        if verifying and isinstance(getattr(on_tree, "__self__", None), TreeDifferential):
+            delta_passes[verifying[-1]] += 1
+        return apply_derivation(elem, on_tree, *args, **kwargs)
+
+    monkeypatch.setattr(extension, "apply_derivation", counting_derivation)
+    for name in ("verify_extension", "verify_incl_proj"):
+        def in_verifier(*args, _verify=getattr(cli, name), _name=name):
+            verifying.append(_name)
+            try:
+                return _verify(*args)
+            finally:
+                verifying.pop()
+        monkeypatch.setattr(cli, name, in_verifier)
+    spec = example("quadratic.kt")
+    spec.options.update(mode="explicit", neg_degree_max=K)
+    check_mode(spec)
+    report = run(spec)
+    assert report.all_passed()
+    res = spec.resolution
+    assert computed["_square"] == Counter(basis_trees(res, K))
+    assert computed["_retract"] == Counter(basis_monomials(res, K))
+    # delta enters Q's verifiers only in Q Q+ x, once per source
+    [checked] = [v["checked"] for v in report.verdicts
+                 if v["name"] == "total differential square zero"]
+    assert delta_passes == Counter({"verify_extension": int(checked.split()[0])})
+
+
+def former_verify_extension(ext, neg_degree_max):
+    """`verify_extension` before the level split: Q Q x in two passes of Q on
+    every source.  Kept as the oracle."""
+    ring = ext.res.ring
+    gens = ext.res.module_generators()
+    items = [(ring.names[j], AlgebraElement.scalar(Poly.variable(ring, j)))
+             for j in range(ring.num_vars)]
+    items += [(g.label, AlgebraElement.from_positive(ring, g)) for g in ext.pos.gens]
+    items += [(g.label, AlgebraElement.from_tree(ring, leaf(g))) for g in gens]
+    items += [(tree_str(t), AlgebraElement.from_tree(ring, t))
+              for degree in range(3, neg_degree_max + 1)
+              for t in enumerate_tree_basis(ext.res, degree) if not is_leaf(t)]
+    failures = []
+    for label, x in items:
+        square = ext.apply(ext.apply(x))
+        if not square.is_zero():
+            failures.append((label, f"square residue {square}"))
+    levels = range(0, ext.level_max + 1)
+    failures += [(g.label, "image leaves module x positives") for g in gens
+                 if not ext.q_level_on_tree(levels, leaf(g)).has_only_module_and_scalar()]
+    return CheckResult("total differential square zero", not failures,
+                       f"{len(items)} sources, trees through negative degree {neg_degree_max}",
+                       failures)
+
+
+def general_only_spec(depth):
+    from test_report_digests_general_only import GENERAL_ONLY, GIVEN
+
+    with open(ktforest.example_path("quadratic.kt"), encoding="utf-8") as handle:
+        text = handle.read()
+    spec = parse_spec("general_only.kt", text.replace(GIVEN, GENERAL_ONLY))
+    spec.options.update(mode="general", neg_degree_max=depth)
+    return spec
+
+
+@pytest.mark.parametrize("case, target, perturb", [
+    ("solved", None, None),
+    ("doubled hook entry", "solve_hook", double_last_hook_entry),
+    ("doubled gen_q entry", "solve_residues_explicit", double_first_gen_q_entry),
+    ("general-only input", None, None)])
+def test_extension_matches_the_unsplit_square(monkeypatch, case, target, perturb):
+    if perturb is not None:
+        monkeypatch.setattr(cli, target, perturb(getattr(cli, target)))
+    compared = []
+
+    def both(ext, depth):
+        split = verify_extension(ext, depth)
+        compared.append((verdict(split), verdict(former_verify_extension(ext, depth))))
+        return split
+
+    monkeypatch.setattr(cli, "verify_extension", both)
+    spec = general_only_spec(3) if case == "general-only input" else example("quadratic.kt")
+    check_mode(spec)
+    run(spec)
+    [(split, unsplit)] = compared
+    assert split == unsplit
+    assert split[0] == (case == "solved")
+
+
+@pytest.mark.parametrize("perturb", [None, double_one_tree_image])
+def test_incl_proj_alone_gives_the_full_run_verdict(monkeypatch, perturb):
+    if perturb is not None:
+        monkeypatch.setattr(cli, "solve_hook", perturb(cli.solve_hook))
+
+    def incl_proj_verdicts(**options):
+        spec = example("quadratic.kt")
+        spec.options.update(options)
+        check_mode(spec)
+        return [v for v in run(spec).verdicts if v["name"] == "inclusion/projection homotopy"]
+
+    full = incl_proj_verdicts()
+    assert incl_proj_verdicts(verify="incl_proj") == full
+    assert [v["passed"] for v in full] == [perturb is None]
+
+
+def test_set_value_discards_the_residue_memos():
+    res = example("quadratic.kt").resolution
+    hook = solve_hook(res, K)
+    trees, monos = basis_trees(res, K), basis_monomials(res, K)
+    # a stale evaluator: one doubled tree image breaks both identities
+    stale = hook.differential()
+    pi1, pi2 = res.generators(1)[:2]
+    tree = canonicalize_node(node((leaf(pi1), leaf(pi2))))[0]
+    stale._memo[tree] = stale.on_tree(tree).scale(2)
+    assert any(stale.square_residue(t) is not None for t in trees)
+    assert any(stale.retract_residue(m) is not None for m in monos)
+    hook.set_value(tree, hook.value(tree))
+    fresh = hook.differential()
+    assert all(fresh.square_residue(t) is None for t in trees)
+    assert all(fresh.retract_residue(m) is None for m in monos)

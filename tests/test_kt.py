@@ -12,7 +12,7 @@ from ktforest.forest import (AlgebraElement, canonicalize_node, enumerate_monomi
                              enumerate_tree_basis, is_leaf, leaf, make_monomial, parity_sign,
                              tree_str)
 from ktforest.kt import (HookMap, TreeDifferential, homotopy, hook_product,
-                         project_to_resolution, solve_hook, tree_basis_elements, verify_hook,
+                         project_to_resolution, solve_hook, verify_hook,
                          verify_hook_product_leibniz, verify_retract, verify_square_zero)
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement
@@ -109,8 +109,7 @@ def test_rank_one_module_empty_hook(ring_xy):
     hook = solve_hook(res, 6)
     assert not hook.table
     differential = TreeDifferential(res, hook)
-    basis = tree_basis_elements(res, 6)
-    assert verify_square_zero(differential.apply, basis).passed
+    assert verify_square_zero(differential, 6).passed
 
 
 # -- the differential on fixtures ------------------------------------------------
@@ -218,24 +217,20 @@ def test_normative_sign_template(quadratic_resolution, quadratic_hook):
 
 def test_square_zero_quadratic_through_degree6(quadratic_resolution, quadratic_hook):
     differential = TreeDifferential(quadratic_resolution, quadratic_hook)
-    basis = tree_basis_elements(quadratic_resolution, 6)
-    report = verify_square_zero(differential.apply, basis,
-                                checked="trees through negative degree 6")
+    report = verify_square_zero(differential, 6)
     assert report.passed, report.summary()
 
 
 def test_square_zero_regular_through_degree6(regular_resolution, regular_hook):
     differential = TreeDifferential(regular_resolution, regular_hook)
-    basis = tree_basis_elements(regular_resolution, 6)
-    report = verify_square_zero(differential.apply, basis)
+    report = verify_square_zero(differential, 6)
     assert report.passed, report.summary()
 
 
 def test_square_zero_monomial3(monomial3_resolution):
     hook = solve_hook(monomial3_resolution, 5)
     differential = TreeDifferential(monomial3_resolution, hook)
-    basis = tree_basis_elements(monomial3_resolution, 5)
-    report = verify_square_zero(differential.apply, basis)
+    report = verify_square_zero(differential, 5)
     assert report.passed, report.summary()
 
 
@@ -313,8 +308,7 @@ def test_corrupted_hook_breaks_square_zero(quadratic_resolution):
     }
     hook = HookMap(res, table)
     differential = TreeDifferential(res, hook)
-    basis = tree_basis_elements(res, 4)
-    report = verify_square_zero(differential.apply, basis)
+    report = verify_square_zero(differential, 4)
     assert not report.passed
     assert any("V(pi1,pi2)" in item for item, _ in report.failures)
 
@@ -322,8 +316,10 @@ def test_corrupted_hook_breaks_square_zero(quadratic_resolution):
 def test_differential_raises_degree_by_one(quadratic_resolution, quadratic_hook):
     from ktforest.forest import mono_degree
 
-    differential = TreeDifferential(quadratic_resolution, quadratic_hook)
-    for x in tree_basis_elements(quadratic_resolution, 5):
+    res = quadratic_resolution
+    differential = TreeDifferential(res, quadratic_hook)
+    for x in (AlgebraElement.from_tree(res.ring, t)
+              for degree in range(1, 6) for t in enumerate_tree_basis(res, degree)):
         [(mono, _)] = list(x.terms.items())
         image = differential.apply(x)
         degrees = {mono_degree(m) for m in image.terms}
