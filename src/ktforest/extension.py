@@ -587,12 +587,12 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     # the hook plus every correction table
     hook_value = partial(ext.chi_levels, range(-1, ext.level_max + 1))
 
-    def incl_proj(mono) -> Optional[AlgebraElement]:
+    def incl_proj(mono, neg_degree_max) -> Optional[AlgebraElement]:
         """delta's retract residue (`retract_residue`) plus Q+ h x + h Q+ x,
         and the joins h x through `hook_value` less those through the hook,
         which the residue holds: the correction tables, and any difference
         between the hook the projection reads and delta's."""
-        acc = seeded(delta.retract_residue(mono))
+        acc = seeded(delta.retract_residue(mono, neg_degree_max))
         x = AlgebraElement._of(ring, {mono: one})
         hx = homotopy(x)
         ext._apply_levels(levels, hx, acc=acc)

@@ -299,14 +299,17 @@ def accumulate(acc: dict, mono: Monomial, coeff: dict, sign: int = 1,
 def collect(ring: RingSpec, acc: dict) -> "AlgebraElement":
     """The element of the sums built by `accumulate`, zeros dropped.
 
-    Each slot becomes the terms of its Poly as it is; only a slot where a
-    sum cancelled is filtered.
+    A slot of one nonzero term becomes its shared Poly (`poly.OneTermPolys`),
+    any other its Poly as it is, filtered only where a sum cancelled.
     """
-    terms = {}
+    terms, shared = {}, ring.one_terms
     for mono, slot in acc.items():
         if 0 in slot.values():
             slot = {e: v for e, v in slot.items() if v}
-        if slot:
+        if len(slot) == 1:
+            ((e, v),) = slot.items()
+            terms[mono] = shared[e, v, type(v)]
+        elif slot:
             terms[mono] = Poly._of(ring, slot)
     return AlgebraElement._of(ring, terms)
 
@@ -593,8 +596,8 @@ def apply_derivation(elem: AlgebraElement,
     added into it and it is returned; without one, the collected element.
     """
     out = {} if acc is None else acc
-    unit = Poly.one(elem.ring).terms
     constant = (0,) * elem.ring.num_vars
+    unit = {constant: 1}
 
     def insert(img, rest, passed, c):
         rt, rp = rest

@@ -23,8 +23,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .forest import (AlgebraElement, Monomial, Node, accumulate, add_tree_formula,
                      apply_derivation, canonicalize_node, collect, enumerate_monomial_basis,
                      enumerate_tree_basis, is_leaf, leaf, mono_label, mono_mul, mono_pos_degree,
-                     node, parity_sign, root_join, root_split, sums_to_zero, tree_degree,
-                     tree_key, tree_str)
+                     node, parity_sign, root_join, root_split, sum_elements, sums_to_zero,
+                     tree_degree, tree_key, tree_str)
 from .poly import Poly, RingSpec
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
@@ -132,10 +132,10 @@ class TreeDifferential:
         self._memo: Dict[Node, AlgebraElement] = {}
         self._squares: Dict[Node, Optional[AlgebraElement]] = {}
         self._retracts: Dict[Monomial, Optional[AlgebraElement]] = {}
-        # d of each generator as an algebra element: the augmentation at depth 1
+        # d of each generator, collected: the augmentation at depth 1
         self._leaf_values = {
-            g: AlgebraElement.scalar(res.augment[g]) if d == -1
-            else AlgebraElement.from_module_element(res.diff[g])
+            g: sum_elements(res.ring, [AlgebraElement.scalar(res.augment[g]) if d == -1
+                                       else AlgebraElement.from_module_element(res.diff[g])])
             for d, gens in res.gens_by_degree.items() for g in gens}
 
     def leaf_value(self, gen: GeneratorId) -> AlgebraElement:
@@ -163,8 +163,8 @@ class TreeDifferential:
     def square_residue(self, node: Node) -> Optional[AlgebraElement]:
         return self._residue(self._squares, node, self._square)
 
-    def retract_residue(self, mono: Monomial) -> Optional[AlgebraElement]:
-        return self._residue(self._retracts, mono, self._retract)
+    def retract_residue(self, mono: Monomial, neg_degree_max: int) -> Optional[AlgebraElement]:
+        return self._residue(self._retracts, mono, lambda m: self._retract(m, neg_degree_max))
 
     def _residue(self, memo: dict, key, compute: Callable[..., dict]) -> Optional[AlgebraElement]:
         if key not in memo:
@@ -174,13 +174,15 @@ class TreeDifferential:
     def _square(self, node: Node) -> dict:
         return self.apply(self.on_tree(node), {})
 
-    def _retract(self, mono: Monomial) -> dict:
-        """δ h x + h δ x - x + ι p x; a joined tree h(x) that is not in the
-        memo (one degree past the basis) is evaluated here and not kept."""
+    def _retract(self, mono: Monomial, neg_degree_max: int) -> dict:
+        """δ h x + h δ x - x + ι p x; h(x), one degree below the trees of x,
+        keeps its image through the truncation, not one degree past it."""
         one = Poly.one(self.res.ring)
         x = AlgebraElement._of(self.res.ring, {mono: one})
         hx = homotopy(x)
-        acc = apply_derivation(hx, lambda t: self._memo.get(t) or self._image(t), acc={})
+        image = self.on_tree if sum(map(tree_degree, mono[0])) > -neg_degree_max \
+            else lambda t: self._memo.get(t) or self._image(t)
+        acc = apply_derivation(hx, image, acc={})
         homotopy(self.apply(x), acc)
         accumulate(acc, mono, one.terms, -1)
         project_to_resolution(self.hook.element, x, hx, acc)
@@ -321,15 +323,15 @@ def hooked_joins(hook_value: Callable[[Node], AlgebraElement], joined: AlgebraEl
 
 
 def _retract_failures(res: FreeResolution, neg_degree_max: int,
-                      residue_of: Callable[[Monomial], Optional[AlgebraElement]],
+                      residue_of: Callable[[Monomial, int], Optional[AlgebraElement]],
                       mismatch: str):
     """(count, failures) of the retract identity on each basis monomial through
-    the truncation; `residue_of` gives a monomial's residue, None where it
-    cancels."""
+    the truncation; `residue_of(mono, neg_degree_max)` gives a monomial's
+    residue, None where it cancels."""
     monos = [mono for degree in range(1, neg_degree_max + 1)
              for mono in enumerate_monomial_basis(res, degree)]
-    failures = [(mono_label(mono), f"{mismatch}{r}")
-                for mono in monos for r in (residue_of(mono),) if r is not None]
+    failures = [(mono_label(mono), f"{mismatch}{r}") for mono in monos
+                for r in (residue_of(mono, neg_degree_max),) if r is not None]
     return len(monos), failures
 
 

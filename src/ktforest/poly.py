@@ -56,10 +56,25 @@ def exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
+class OneTermPolys(dict):
+    """A ring's shared Polys value * x^exp by (exp, value, type of value),
+    made on first lookup: a Poly is immutable, and an int prints apart
+    from an equal Fraction."""
+
+    def __init__(self, ring: "RingSpec"):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, key):
+        exp, value, _ = key
+        p = self[key] = Poly._of(self.ring, {exp: value})
+        return p
+
+
 class RingSpec:
     """An ordered list of variable names fixing the polynomial ring."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "one_terms")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -68,6 +83,7 @@ class RingSpec:
         if len(set(names)) != len(names):
             raise RingError(f"duplicate variable names: {names}")
         self.names = names
+        self.one_terms = OneTermPolys(self)
 
     @property
     def num_vars(self) -> int:
@@ -199,10 +215,9 @@ class Poly(Combination):
         return Poly._of(ring, {(0,) * ring.num_vars: c})
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def one(ring: RingSpec) -> "Poly":
-        """The unit of the ring, one shared instance (a Poly is immutable)."""
-        return Poly.const(ring, 1)
+        """The unit of the ring, one shared instance (`OneTermPolys`)."""
+        return ring.one_terms[(0,) * ring.num_vars, 1, int]
 
     @staticmethod
     def variable(ring: RingSpec, index: int) -> "Poly":

@@ -2,6 +2,8 @@
 
 The final hook's level -1 evaluator is shared by every reader of the table,
 so a run computes each tree image once; `HookMap.set_value` discards it.
+The retract residues keep the image of each joined tree through the
+truncation, so a run without the square-zero check does so too.
 `ExtensionData` has one evaluator for Q summed over a range of levels:
 `apply_level(k)` must equal the former per-level evaluator, kept below as
 the oracle, at every level, and `apply` the sum of its levels; in general
@@ -72,8 +74,9 @@ def basis_elements(res, neg_degree_max):
 # the shared level -1 evaluator
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["quadratic.kt", "monomial_ideal.kt"])
-def test_each_tree_image_is_computed_once_per_run(monkeypatch, name):
+def images_computed_twice(monkeypatch, name, neg_degree_max, **options):
+    """The trees through the truncation whose image a passing run computes
+    more than once; the joined trees of degree K + 1 are not kept."""
     computed = Counter()
     image = TreeDifferential._image
 
@@ -83,12 +86,25 @@ def test_each_tree_image_is_computed_once_per_run(monkeypatch, name):
 
     monkeypatch.setattr(TreeDifferential, "_image", counting)
     spec = example(name)
-    spec.options["neg_degree_max"] = K
+    spec.options.update(neg_degree_max=neg_degree_max, **options)
     check_mode(spec)
     assert run(spec).all_passed()
-    # the retract check does not keep the joined trees of degree K + 1
-    twice = [node for node, n in computed.items() if n > 1 and tree_degree(node) >= -K]
-    assert computed and not twice
+    assert computed
+    return [node for node, n in computed.items()
+            if n > 1 and tree_degree(node) >= -neg_degree_max]
+
+
+@pytest.mark.parametrize("name", ["quadratic.kt", "monomial_ideal.kt"])
+def test_each_tree_image_is_computed_once_per_run(monkeypatch, name):
+    assert not images_computed_twice(monkeypatch, name, K)
+
+
+@pytest.mark.parametrize("verify", ["retract extension", "incl_proj"])
+def test_tree_images_are_kept_without_the_square_zero_check(monkeypatch, verify):
+    # the retract residues keep each joined tree through K: before, these
+    # runs computed 173 and 47 basis-tree images twice
+    assert not images_computed_twice(monkeypatch, "quadratic.kt", 7, mode="explicit",
+                                     verify=verify)
 
 
 def test_set_value_discards_the_shared_evaluator():
@@ -336,9 +352,9 @@ def test_incl_proj_matches_the_former_verifier(corrupt):
 def test_level_minus_one_residues_are_computed_once_per_run(monkeypatch):
     computed = {"_square": Counter(), "_retract": Counter()}
     for name, seen in computed.items():
-        def counting(self, key, _compute=getattr(TreeDifferential, name), _seen=seen):
+        def counting(self, key, *args, _compute=getattr(TreeDifferential, name), _seen=seen):
             _seen[key] += 1
-            return _compute(self, key)
+            return _compute(self, key, *args)
         monkeypatch.setattr(TreeDifferential, name, counting)
     # the Leibniz passes of Q's verifiers that read the tree images of delta
     delta_passes = Counter()
@@ -457,8 +473,8 @@ def test_set_value_discards_the_residue_memos():
     tree = canonicalize_node(node((leaf(pi1), leaf(pi2))))[0]
     stale._memo[tree] = stale.on_tree(tree).scale(2)
     assert any(stale.square_residue(t) is not None for t in trees)
-    assert any(stale.retract_residue(m) is not None for m in monos)
+    assert any(stale.retract_residue(m, K) is not None for m in monos)
     hook.set_value(tree, hook.value(tree))
     fresh = hook.differential()
     assert all(fresh.square_residue(t) is None for t in trees)
-    assert all(fresh.retract_residue(m) is None for m in monos)
+    assert all(fresh.retract_residue(m, K) is None for m in monos)

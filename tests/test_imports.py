@@ -4,8 +4,10 @@ A stand-in for a linter's unused-import rule, with the standard library
 only.  Uses count in code and in annotations, quoted ones included;
 `__init__.py` re-exports its imports and is left out.  Also: no module
 raises -1 to a power, since every sign comes from `resolution.parity_sign`
-or the signed merge; and a cold start of the command line imports neither
-`dataclasses` nor `inspect`.
+or the signed merge; no module writes to a `terms` dict in place, since
+`forest.collect` shares one Poly per one-term coefficient among every
+element that holds it; and a cold start of the command line imports
+neither `dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
@@ -102,6 +104,40 @@ def test_no_power_of_minus_one(module):
 def test_power_of_minus_one_is_found():
     tree = ast.parse("a = (-1) ** n\nb = pow(-1, n)\nc = -1 ** n\nd = 2 ** n\n")
     assert powers_of_minus_one(tree) == [1, 2]
+
+
+TERMS_WRITERS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def terms_writes(tree: ast.Module) -> list:
+    """Lines of every in-place write to a `.terms` dict: a subscript store
+    or `del`, and a call of one of its mutating methods."""
+    def terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and terms(node.value)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in TERMS_WRITERS and terms(node.func.value)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_write_to_terms(module):
+    lines = terms_writes(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+    assert not lines, f"{module}: in-place write to a terms dict on lines {lines}"
+
+
+def test_write_to_terms_is_found():
+    tree = ast.parse("p.terms[e] = 1\np.terms[e] += 1\ndel p.terms[e]\np.terms.update(d)\n"
+                     "p.terms.pop(e)\np.terms.popitem()\np.terms.setdefault(e, 0)\n"
+                     "p.terms.clear()\nv = p.terms[e]\np.terms.get(e)\nacc[e] = 1\n"
+                     "acc.pop(e)\nq.terms = {}\n")
+    assert terms_writes(tree) == list(range(1, 9))
 
 
 def test_cold_start_imports_neither_dataclasses_nor_inspect():
