@@ -18,7 +18,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from typing import Dict, List, Optional
 
-from .extension import (PositivePart, check_ideal_preserved, koszul_mode,
+from .extension import (PositivePart, check_ideal_preserved, koszul_hook, koszul_mode,
                         solve_general_extension, solve_residues_explicit, verify_extension,
                         verify_incl_proj, verify_product_defect)
 from .forest import AlgebraElement, enumerate_tree_basis, is_leaf, tree_str
@@ -458,6 +458,10 @@ class RunReport:
 def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
     """Execute the full pipeline on a parsed spec.
 
+    Every mode runs the same stages.  The hook stage solves the hook or
+    checks a given table: `hook_table`, or in koszul-compare mode the
+    exterior product (`koszul_hook`).  Only the extension stage differs by
+    mode: it solves (explicit or general) or ingests (`koszul_mode`).
     Each stage is timed under its `--timings` key, a stage that fails too.
     The first stage that fails, or a lifting step with no solution, ends
     the run.  The optional `verify` option (space-separated names) restricts
@@ -497,50 +501,49 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
         with timed("quotient_dims"):
             report.quotient = quotient_dims(spec.ring, spec.ideal, cap)
 
-        hook = hook_table
+        hook, given = hook_table, "user-supplied table"
+        if spec.mode == "koszul-compare":  # the given table is the exterior product
+            hook, given = koszul_hook(res, depth), "exterior product on corollas"
         if hook is not None:
             with timed("hook"):
                 check = verify_hook(res, hook, depth)
-            report.add_verdict(check)  # a user table is always checked
-            stage("hook", "verified" if check.passed else "fail", "user-supplied table")
+            report.add_verdict(check)  # a given table is always checked
+            stage("hook", "verified" if check.passed else "fail", given)
             if not check.passed:
                 return stop("hook")
-        elif spec.mode != "koszul-compare":  # koszul-compare builds its hook in `koszul_mode`
+        else:
             with timed("hook"):
                 hook = solve_hook(res, depth)
             stage("solve_hook", "pass", f"{len(hook.table)} nonzero values")
 
-        if hook is not None:
-            report.hook_lines = hook.lines()
-            with timed("negative_part_checks"):
-                if "square_zero" in wanted:
-                    report.add_verdict(verify_square_zero(hook.differential(), depth))
-                if "retract" in wanted:
-                    report.add_verdict(verify_retract(res, hook, depth))
-                if "hook_product" in wanted:
-                    report.add_verdict(verify_hook_product_leibniz(res, hook))
+        report.hook_lines = hook.lines()
+        with timed("negative_part_checks"):
+            if "square_zero" in wanted:
+                report.add_verdict(verify_square_zero(hook.differential(), depth))
+            if "retract" in wanted:
+                report.add_verdict(verify_retract(res, hook, depth))
+            if "hook_product" in wanted:
+                report.add_verdict(verify_hook_product_leibniz(res, hook))
 
-        if spec.mode == "koszul-compare":
-            with timed("extension"):
-                ext, comparison = koszul_mode(res, spec.positive, spec.koszul_tables, depth)
-                report.hook_lines = ext.hook.lines()
+        if spec.positive is None:
+            return report
+        with timed("check_ideal_preserved"):
+            gate = check_ideal_preserved(spec.positive, spec.ideal, cap)
+        report.add_verdict(gate)
+        if not gate.passed:
+            return stop("check_ideal_preserved")
+        with timed("extension"):
+            if spec.mode == "koszul-compare":
+                ext, comparison = koszul_mode(res, spec.positive, hook, spec.koszul_tables)
                 report.add_verdict(comparison)
                 stage("koszul_mode", "pass" if comparison.passed else "fail",
                       "ingested tables extended through the exterior product")
-        elif spec.positive is None:
-            return report
-        else:
-            with timed("check_ideal_preserved"):
-                gate = check_ideal_preserved(spec.positive, spec.ideal, cap)
-            report.add_verdict(gate)
-            if not gate.passed:
-                return stop("check_ideal_preserved")
-            with timed("extension"):
-                if spec.mode == "general":
-                    ext = solve_general_extension(res, spec.positive, hook, depth)
-                else:
-                    ext = solve_residues_explicit(res, spec.positive, hook, depth)
-            stage("solve_extension", "pass", f"levels 0..{ext.level_max} ({spec.mode} mode)")
+            else:
+                solve = (solve_general_extension if spec.mode == "general"
+                         else solve_residues_explicit)
+                ext = solve(res, spec.positive, hook, depth)
+                stage("solve_extension", "pass",
+                      f"levels 0..{ext.level_max} ({spec.mode} mode)")
 
         with timed("extension_checks"):
             report.residues = ext.residue_records()
@@ -557,14 +560,8 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
     return report
 
 
-def emit(report: RunReport, fmt: str = "text", path: Optional[str] = None,
-         include_timings: bool = False) -> str:
-    text = report.to_json(include_timings) if fmt == "json" \
-        else report.to_text(include_timings)
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return text
+def emit(report: RunReport, fmt: str = "text", include_timings: bool = False) -> str:
+    return report.to_json(include_timings) if fmt == "json" else report.to_text(include_timings)
 
 
 # ---------------------------------------------------------------------------

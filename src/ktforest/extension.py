@@ -19,7 +19,10 @@ total differential is then verified degree by degree.  A second, general
 mode needs Q^2 = 0 only modulo the ideal, not on the polynomial ring O;
 it still needs the ideal preserved, or level 0 has no lift.  Both modes
 read trees by the tree formula, except where Q^2 != 0 on O: there Q on a
-tree is the step itself, on demand.
+tree is the step itself, on demand.  The Koszul comparison (`koszul_mode`)
+solves nothing: given the exterior-product hook and level tables on the
+depth-1 generators, it extends the tables through the hook product, and
+the same verifiers check the result.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_d
                      sums_to_zero, tree_str)
 from .kt import (CheckResult, HookMap, SolveError, _retract_failures, homotopy, hook_product,
                  hook_window, hooked_joins, project_to_resolution, residue, seeded,
-                 two_leaf_product, verify_hook)
+                 two_leaf_product)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -676,6 +679,14 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
 # Koszul-complex comparison mode
 # ---------------------------------------------------------------------------
 
+def _exterior(kres: KoszulComplex, *gens: GeneratorId) -> ModuleElement:
+    """The exterior product of generators, in order (`wedge_gens`)."""
+    product = kres.wedge_gens(*gens)
+    if product is None:
+        return ModuleElement.zero(kres.ring)
+    return ModuleElement.of_gen(kres.ring, product[1], Poly.const(kres.ring, product[0]))
+
+
 def koszul_hook(kres: KoszulComplex, neg_degree_max: int) -> HookMap:
     """The hook determined by the exterior product: nonzero only on corollas.
 
@@ -686,71 +697,53 @@ def koszul_hook(kres: KoszulComplex, neg_degree_max: int) -> HookMap:
         for node in enumerate_tree_basis(kres, degree):
             if is_leaf(node) or any(not is_leaf(c) for c in node[1]):
                 continue
-            product = kres.wedge_gens(*(child[1] for child in node[1]))
-            if product is not None:
-                sign, gen = product
-                table[node] = ModuleElement.of_gen(kres.ring, gen, Poly.const(kres.ring, sign))
+            value = _exterior(kres, *(child[1] for child in node[1]))
+            if value:
+                table[node] = value
     return HookMap(kres, table)
 
 
-def koszul_mode(kres: KoszulComplex, pos: PositivePart,
-                qk_tables: Dict[int, Dict[GeneratorId, AlgebraElement]],
-                neg_degree_max: int) -> Tuple[ExtensionData, CheckResult]:
+def koszul_mode(kres: KoszulComplex, pos: PositivePart, hook: HookMap,
+                qk_tables: Dict[int, Dict[GeneratorId, AlgebraElement]]
+                ) -> Tuple[ExtensionData, CheckResult]:
     """Ingest a differential given on the Koszul generators and compare.
 
-    The hook is the exterior product on corollas and zero elsewhere; the
-    ingested level tables on depth-1 generators extend to all generators by
-    the Leibniz rule through the exterior product.  The hook corrections of
-    nonnegative level all vanish; validity is certified by the hook
-    recursion and the square-zero check of the assembled differential.
+    `hook` is the exterior product on corollas (`koszul_hook`), checked by
+    the caller like any given table.  Each level table on the depth-1
+    generators extends to every generator, by increasing depth, through the
+    hook product: with e_S = e_s e_rest, s the first index of S,
+    Q_k e_S = Q_k(e_s) e_rest - e_s Q_k(e_rest).  The hook corrections of
+    nonnegative level all vanish.  The comparison checks that the hook
+    product is the exterior product on every pair of generators.
     """
     ring = kres.ring
-    hook = koszul_hook(kres, neg_degree_max)
     ext = ExtensionData(kres, pos, hook)
-    failures = []
     gens = kres.module_generators()
+    unit = {g: AlgebraElement.from_module_element(ModuleElement.of_gen(ring, g)) for g in gens}
     for k, table in sorted(qk_tables.items()):
         for g in gens:
-            value = _koszul_leibniz_extend(kres, table, g)
-            if not value.is_zero():
+            subset = kres.subset_of_gen[g]
+            if len(subset) == 1:
+                value = table.get(g)
+                if value and any(len(trees) != 1 or not is_leaf(trees[0])
+                                 for trees, _pos in value.terms):
+                    raise ValueError(f"Q{k} {g.label} is not one generator times positives")
+            else:
+                first, rest = (kres.gen_of_subset[part] for part in (subset[:1], subset[1:]))
+                acc: dict = {}
+                two_leaf_product(ext.q_level_on_gen(k, first), unit[rest], hook.element, acc)
+                two_leaf_product(unit[first], ext.q_level_on_gen(k, rest), hook.element, acc, -1)
+                value = collect(ring, acc)
+            if value:
                 ext.gen_q[(k, g)] = value
         ext.level_max = max(ext.level_max, k)
-    hook_report = verify_hook(kres, hook, neg_degree_max)
-    if not hook_report.passed:
-        failures.extend(hook_report.failures)
-    # the hook product must be the exterior product itself
+    failures = []
     for a in gens:
         for b in gens:
             ea, eb = ModuleElement.of_gen(ring, a), ModuleElement.of_gen(ring, b)
-            if hook_product(hook, ea, eb) != kres.wedge(ea, eb):
+            if hook_product(hook, ea, eb) != _exterior(kres, a, b):
                 failures.append((f"{a.label} * {b.label}",
                                  "hook product differs from the exterior product"))
-    checked = ("hook recursion + product table through degree "
-               f"{hook_window(kres, neg_degree_max)}")
-    report = CheckResult("koszul comparison", not failures, checked, failures)
+    report = CheckResult("koszul comparison", not failures,
+                         f"{len(gens) ** 2} generator pairs", failures)
     return ext, report
-
-
-def _koszul_leibniz_extend(kres: KoszulComplex,
-                           table: Dict[GeneratorId, AlgebraElement],
-                           g: GeneratorId) -> AlgebraElement:
-    """Extend a depth-1 table to a product generator through the wedge."""
-    ring = kres.ring
-    subset = kres.subset_of_gen[g]
-    depth1 = {s: kres.gen_of_subset[(s,)] for s in subset}
-    acc: dict = {}
-    for idx, s in enumerate(subset):
-        img = table.get(depth1[s])
-        if img is None or img.is_zero():
-            continue
-        for (trees, pos), c in img.terms.items():
-            if len(trees) != 1 or not is_leaf(trees[0]):
-                raise ValueError("ingested tables must be module x positives valued")
-            h = trees[0][1]
-            # operator passes idx odd generators; positives then exit past them
-            sign = parity_sign(idx) * parity_sign(sum(p.module_degree for p in pos) * idx)
-            product = kres.wedge_gens(*(h if i == idx else depth1[s2]
-                                        for i, s2 in enumerate(subset)))
-            if product is not None:
-                accumulate(acc, ((leaf(product[1]),), pos), c.terms, sign * product[0])
-    return collect(ring, acc)

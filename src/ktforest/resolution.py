@@ -406,16 +406,6 @@ class KoszulComplex(FreeResolution):
                                     lambda i: (i, 1))
         return None if indices is None else (sign, self.gen_of_subset[indices])
 
-    def wedge(self, a: ModuleElement, b: ModuleElement) -> ModuleElement:
-        """Exterior product of module elements."""
-        out = ModuleElement.zero(self.ring)
-        for g, p in a.terms.items():
-            for h, q in b.terms.items():
-                w = self.wedge_gens(g, h)
-                if w is not None:
-                    out = out + ModuleElement.of_gen(self.ring, w[1], (p * q).scale(w[0]))
-        return out
-
 
 def build_koszul_complex(phis: Sequence[Poly], labels: Optional[Sequence[str]] = None) -> KoszulComplex:
     """Koszul complex on n polynomials: ranks C(n,i), d a contraction.

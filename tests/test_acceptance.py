@@ -14,7 +14,7 @@ import pytest
 import ktforest
 from ktforest.cli import main as cli_main, parse_spec, run as run_pipeline
 from ktforest.extension import (ExtensionData, boundary_equivalent, higher_product,
-                                koszul_mode, solve_general_extension,
+                                koszul_hook, koszul_mode, solve_general_extension,
                                 solve_residues_explicit, verify_extension,
                                 verify_product_defect)
 from ktforest.forest import AlgebraElement, enumerate_tree_basis, leaf
@@ -132,8 +132,10 @@ def test_acceptance_3_monomial_ideal_length3():
 def test_acceptance_4_koszul_comparison():
     t0 = time.monotonic()
     spec = parse_spec(spec_path("koszul_compare.kt"))
-    ext, comparison = koszul_mode(spec.resolution, spec.positive,
-                                  spec.koszul_tables, 6)
+    hook = koszul_hook(spec.resolution, 6)
+    check = verify_hook(spec.resolution, hook, 6)
+    assert check.passed, check.summary()
+    ext, comparison = koszul_mode(spec.resolution, spec.positive, hook, spec.koszul_tables)
     assert comparison.passed, comparison.summary()
     assert not ext.chi, "corrections of nonnegative level must vanish"
     for level, table in spec.koszul_tables.items():

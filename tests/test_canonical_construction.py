@@ -1,19 +1,20 @@
 """Monomials built canonical by construction, against `make_monomial`.
 
 The root maps, `substitute_at_path`, the positives-plus-leaf monomials of
-`lift_delta_preimage` and of the Koszul ingest, and the positive blocks of
-`two_leaf_product` build their monomials directly: the positives of a
-canonical monomial are in order, and the children of a canonical tree are
-in tree_key order with no odd factor repeated.  Their former bodies, which
-normalized every factor list through `make_monomial` and summed with
-`a + b`, are kept below as the oracles.  The one-factor-each path of
+`lift_delta_preimage`, and the positive blocks of `two_leaf_product`, which
+also extends the ingested Koszul tables, build their monomials directly: the
+positives of a canonical monomial are in order, and the children of a
+canonical tree are in tree_key order with no odd factor repeated.  Their
+former bodies, which normalized every factor list through `make_monomial`
+and summed with `a + b`, are kept below as the oracles, and so is the sign
+formula that once extended the Koszul tables.  The one-factor-each path of
 `_merge` is compared with the general merge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.extension import _group_by_positives, _koszul_leibniz_extend, lift_delta_preimage
+from ktforest.extension import _group_by_positives, koszul_hook, koszul_mode, lift_delta_preimage
 from ktforest.forest import (AlgebraElement, _gen_order, _merge, _tree_order,
                              canonicalize_node, collect, enumerate_tree_basis,
                              is_leaf, leaf,
@@ -29,7 +30,7 @@ from ktforest.forest import (AlgebraElement, _gen_order, _merge, _tree_order,
                              root_join, root_split, substitute_at_path)
 from ktforest.kt import SolveError, solve_hook, two_leaf_product
 from ktforest.poly import Poly
-from ktforest.resolution import ModuleElement
+from ktforest.resolution import ModuleElement, build_koszul_complex
 from vertex_walk import delete_at_path, replace_at_path, vertices
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -166,7 +167,19 @@ def former_lift_delta_preimage(res, target):
     return out
 
 
+def wedge(kres, a, b):
+    """The exterior product of two module elements, read from `wedge_gens`."""
+    out = ModuleElement.zero(kres.ring)
+    for g, p in a.terms.items():
+        for h, q in b.terms.items():
+            w = kres.wedge_gens(g, h)
+            if w is not None:
+                out = out + ModuleElement.of_gen(kres.ring, w[1], (p * q).scale(w[0]))
+    return out
+
+
 def former_koszul_extend(kres, table, g):
+    """The hand-written sign formula that once extended a depth-1 table."""
     ring = kres.ring
     subset = kres.subset_of_gen[g]
     depth1 = {s: kres.gen_of_subset[(s,)] for s in subset}
@@ -178,8 +191,9 @@ def former_koszul_extend(kres, table, g):
         for (trees, pos), c in img.terms.items():
             h = trees[0][1]
             sign = parity_sign(idx) * parity_sign(sum(p.module_degree for p in pos) * idx)
-            value = reduce(kres.wedge, [ModuleElement.of_gen(ring, h if i == idx else depth1[s2])
-                                        for i, s2 in enumerate(subset)])
+            value = reduce(partial(wedge, kres),
+                           [ModuleElement.of_gen(ring, h if i == idx else depth1[s2])
+                            for i, s2 in enumerate(subset)])
             for gg, p in value.terms.items():
                 mono, s2 = make_monomial([("p", u) for u in pos] + [("t", leaf(gg))])
                 if mono is not None:
@@ -286,14 +300,33 @@ def test_lift_delta_preimage_matches_former(name, draw):
     assert outcome(lift_delta_preimage) == outcome(former_lift_delta_preimage)
 
 
+KOSZUL_SEQUENCE = ("x^2", "y^2", "x*y", "x^3")
+
+
+@lru_cache(maxsize=None)
+def koszul_complex(n):
+    """The Koszul complex on the first n polynomials of KOSZUL_SEQUENCE, the
+    one of `koszul_compare.kt` at n = 2, and its exterior-product hook."""
+    d = data("koszul_compare.kt")
+    kres = d.res if n == 2 else build_koszul_complex(
+        [Poly.parse(text, d.ring) for text in KOSZUL_SEQUENCE[:n]])
+    return kres, koszul_hook(kres, K)
+
+
 @SETTINGS
 @given(draw=st.data())
 def test_koszul_ingest_matches_former(draw):
+    # on 2, 3 and 4 polynomials: generators through depth 4, each filled
+    # through the hook product
     d = data("koszul_compare.kt")
-    kres = d.res
-    table = {g: draw.draw(elements(d, d.leaves, 1, 1)) for g in kres.generators(1)}
-    for g in d.gens:
-        assert _koszul_leibniz_extend(kres, table, g) == former_koszul_extend(kres, table, g)
+    for n in (2, 3, 4):
+        kres, hook = koszul_complex(n)
+        gens = kres.module_generators()
+        table = {g: draw.draw(elements(d, [("t", leaf(h)) for h in gens], 1, 1))
+                 for g in kres.generators(1)}
+        ext = koszul_mode(kres, d.spec.positive, hook, {0: table})[0]
+        for g in gens:
+            assert ext.q_level_on_gen(0, g) == former_koszul_extend(kres, table, g), (n, g)
 
 
 @pytest.mark.parametrize("name", SPECS)

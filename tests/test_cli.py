@@ -279,7 +279,7 @@ def test_cli_module_runs_as_a_script():
 def test_json_round_trip(tmp_path):
     spec = parse_spec(spec_path("koszul_function.kt"))
     path = tmp_path / "report.json"
-    emit(run(spec), "json", str(path))
+    path.write_text(emit(run(spec), "json"))
     data = json.loads(path.read_text())
     assert data["result"] == "pass"
     assert data["spec"] == "koszul_function.kt"
@@ -555,13 +555,15 @@ def test_hook_product_leibniz_below_the_resolution_length(capsys, name, depth, c
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_koszul_comparison_below_the_product_window(capsys, depth):
-    # koszul_hook fills trees through length + 1 = 3 whatever K is, so all
-    # 9 pairs of the 3 generators are checked, the 4 pairs of depth-1
-    # generators (two-leaf trees of degree -3) among them
+    # koszul_hook fills trees through length + 1 = 3 whatever K is, and
+    # verify_hook checks them through the same window, so all 9 pairs of
+    # the 3 generators are compared, the 4 pairs of depth-1 generators
+    # (two-leaf trees of degree -3) among them
     assert main(["run", spec_path("koszul_compare.kt"), "--neg-degree-max", str(depth)]) == 0
     out = capsys.readouterr().out
-    assert ("koszul comparison: pass (hook recursion + product table through degree 3)"
-            in out)
+    assert "hook: verified (exterior product on corollas)" in out
+    assert "hook recursion: pass (1 basis trees through negative degree 3)" in out
+    assert "koszul comparison: pass (9 generator pairs)" in out
     assert "V(e1,e2) -> e12" in out
 
 
@@ -685,6 +687,23 @@ def test_zero_ideal_generator_is_an_input_error(tmp_path):
     assert str(err.value) == f"line {number}: ideal generator '0' is zero"
     code, out, err_text = run_cli("run", path, "--neg-degree-max", "2")
     assert code == 2 and out == "" and f"line {number}: ideal generator '0' is zero" in err_text
+
+
+@pytest.mark.parametrize("mode", ["koszul-compare", "explicit"])
+def test_koszul_compare_stops_at_the_ideal_gate(tmp_path, capsys, mode):
+    # Q(x^2) = 2*x*xi11 + 2*x*y^2*xi12 leaves the ideal (x^2, y^2): every
+    # mode stops at the gate, before its tables are solved or ingested
+    path, _ = _edited_spec(tmp_path, "koszul_compare.kt", "Q x = x^2*xi11 + y^2*xi12",
+                           "Q x = xi11 + y^2*xi12")
+    capsys.readouterr()
+    assert main(["run", path, "--mode", mode, "--neg-degree-max", "3",
+                 "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed_stage"] == "check_ideal_preserved"
+    gate = report["verdicts"][-1]
+    assert (gate["name"], gate["passed"], gate["failures"]) == \
+        ("ideal preservation", False, ["x^2: component 2*x*xi11 not in the ideal"])
+    assert [s["stage"] for s in report["stages"]][-1] in ("hook", "solve_hook")
 
 
 KOSZUL_Q1_E2 = "Q1 e2 = -2*y*e12*eta2 - 2*e12*xi21*xi22"

@@ -28,8 +28,8 @@ import pytest
 import ktforest
 from ktforest import cli, extension
 from ktforest.cli import check_mode, parse_spec, run
-from ktforest.extension import (koszul_mode, solve_general_extension, solve_residues_explicit,
-                                verify_extension, verify_incl_proj)
+from ktforest.extension import (koszul_hook, koszul_mode, solve_general_extension,
+                                solve_residues_explicit, verify_extension, verify_incl_proj)
 from ktforest.forest import (AlgebraElement, apply_derivation, canonicalize_node, collect,
                              enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
                              mono_label, node, sum_elements, tree_degree, tree_str)
@@ -181,7 +181,7 @@ def solved_extension(name, mode):
     spec = example(name)
     res, positive = spec.resolution, spec.positive
     if mode == "koszul-compare":
-        ext = koszul_mode(res, positive, spec.koszul_tables, K)[0]
+        ext = koszul_mode(res, positive, koszul_hook(res, K), spec.koszul_tables)[0]
         return ext, ext
     if name == "quadratic.kt" and mode == "general":
         # squares to zero only modulo the ideal: corrections on the variables

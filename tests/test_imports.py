@@ -6,8 +6,10 @@ only.  Uses count in code and in annotations, quoted ones included;
 raises -1 to a power, since every sign comes from `resolution.parity_sign`
 or the signed merge; no module writes to a `terms` dict in place, since
 `forest.collect` shares one Poly per one-term coefficient among every
-element that holds it; and a cold start of the command line imports
-neither `dataclasses` nor `inspect`.
+element that holds it; a cold start of the command line imports neither
+`dataclasses` nor `inspect`; and every module parses under the grammar of
+Python 3.10, the oldest version `pyproject.toml` accepts (grammar only, not
+library APIs).
 """
 
 from __future__ import annotations
@@ -63,6 +65,16 @@ def _quoted(annotation: ast.AST) -> list:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.extend(ast.walk(ast.parse(node.value, mode="eval")))
     return out
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_parses_as_python_3_10(module):
+    ast.parse((PACKAGE / module).read_text(encoding="utf-8"), feature_version=(3, 10))
+
+
+def test_python_3_11_syntax_is_rejected():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("module", MODULES)

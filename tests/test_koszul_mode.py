@@ -98,10 +98,8 @@ def test_koszul_hook_three_leaf_associativity(ring_xyz):
     table = {g.label: g for g in gens.values()}
     symbols = SymbolTable(ring_xyz, table)
     node = parse_tree("V(e1,e2,e3)", symbols)
-    e1 = ModuleElement.of_gen(ring_xyz, gens["e1"])
-    e2 = ModuleElement.of_gen(ring_xyz, gens["e2"])
-    e3 = ModuleElement.of_gen(ring_xyz, gens["e3"])
-    assert hook.value(node) == kres.wedge(e1, kres.wedge(e2, e3))
+    sign, e123 = kres.wedge_gens(gens["e1"], gens["e2"], gens["e3"])
+    assert hook.value(node) == ModuleElement.of_gen(ring_xyz, e123, Poly.const(ring_xyz, sign))
 
 
 def test_koszul_comparison_mode(regular_koszul, regular_pos_symbols):
@@ -113,8 +111,11 @@ def test_koszul_comparison_mode(regular_koszul, regular_pos_symbols):
         1: {kres.gen_by_label(l): parse_element(t, symbols)
             for l, t in REGULAR_QK_LEVEL1.items()},
     }
-    ext, report = koszul_mode(kres, pos, tables, 6)
+    hook = koszul_hook(kres, 6)
+    assert verify_hook(kres, hook, 6).passed
+    ext, report = koszul_mode(kres, pos, hook, tables)
     assert report.passed, report.summary()
+    assert report.checked == "9 generator pairs"
     # no corrections of nonnegative level on trees
     assert not ext.chi
     # restriction to the core equals the ingested tables
@@ -137,9 +138,19 @@ def test_koszul_mode_rejects_invalid_tables(regular_koszul, regular_pos_symbols)
             kres.gen_by_label("e2"): parse_element(
                 REGULAR_QK_LEVEL0["e2"], symbols)},
     }
-    ext, report = koszul_mode(kres, pos, tables, 5)
+    ext, report = koszul_mode(kres, pos, koszul_hook(kres, 5), tables)
     square = verify_extension(ext, 5)
     assert not square.passed
+
+
+@pytest.mark.parametrize("text", ["x*xi11", "e1*e2"], ids=["scalar", "tree-product"])
+def test_koszul_mode_rejects_a_value_off_the_generators(regular_koszul, regular_pos_symbols,
+                                                        text):
+    pos, symbols = regular_pos_symbols
+    kres = regular_koszul
+    tables = {0: {kres.gen_by_label("e2"): parse_element(text, symbols)}}
+    with pytest.raises(ValueError, match="Q0 e2 is not one generator times positives"):
+        koszul_mode(kres, pos, koszul_hook(kres, 5), tables)
 
 
 def test_regular_sequence_general_mode_agrees(ring_xy, regular_pos_symbols):

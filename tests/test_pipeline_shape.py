@@ -35,11 +35,9 @@ PASSING = {
                  "quadratic.kt", "regular_sequence.kt", "taylor_shear.kt")
     for mode in ("explicit", "general")
 }
-# koszul-compare mode neither solves nor checks a hook: it builds one inside
-# `koszul_mode`, timed under "extension", so it has no "hook" key
 PASSING["koszul_compare.kt", "koszul-compare"] = (
-    0, [["check_complex", "pass"], ["check_exactness", "pass"], ["koszul_mode", "pass"]], None,
-    ["check_complex", "check_exactness", "extension", "extension_checks", "quotient_dims"])
+    0, [["check_complex", "pass"], ["check_exactness", "pass"], ["hook", "verified"],
+        ["koszul_mode", "pass"]], None, SOLVED_KEYS)
 
 
 def shape(code, report):

@@ -11,6 +11,9 @@ recorded once both modes solved the tree tables by one step; its explicit
 report is the one the former explicit solver printed.
 The K = 7 pin was recorded with the Leibniz evaluator that formed every
 term as left * image * right and summed the levels one by one.
+The koszul-compare pin was recorded once that mode ran the common stages:
+its hook checked as a given table, the negative-part checks and the ideal
+gate before the comparison.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ DIGESTS = {
         "497c231b97aa22cbeb9a39e4a7b5fb45ff1dbf29c1513e818de753c2ad6f6d01",
         "b51b6c225e90159a132998f47b6f53e3862220b8275c6b3790152de8f1742bba"),
     ("koszul_compare.kt", "koszul-compare"): (
-        "52adb246c453641347c1b7dc885149e183d134576ef415274d067e4c0a5bd018",
-        "97689de05ab3e144b1f062ddfaad88033a68d4e4ddf865a98dc02ae49b068a66"),
+        "1c3e923acec763a54a2629a4cfa51c84aa98a5547a8073abdc83e3563c648711",
+        "0163ba6a5afe3f3830128fd1cd1220cb892fde74cea1701b26afdeb5bbd84962"),
     ("koszul_function.kt", "explicit"): (
         "e4a9afcf769a7781d656c8c1f55ab7e334a83cb32fb49c731bffc7dd7293aed1",
         "0aee26c9f10a356e08b41881b6004bfc5e5face3f3cd8b0b0f2cfb7067cc9ff5"),

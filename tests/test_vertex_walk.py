@@ -20,7 +20,8 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.extension import koszul_mode, solve_general_extension, solve_residues_explicit
+from ktforest.extension import (koszul_hook, koszul_mode, solve_general_extension,
+                                solve_residues_explicit)
 from ktforest.forest import (AlgebraElement, accumulate, canonicalize_node, collect,
                              enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf, node,
                              parity_sign, root_split, tree_degree)
@@ -137,7 +138,8 @@ def extension(name, mode):
     spec = parse_spec(ktforest.example_path(name))
     res, _, hook = setup(name)
     if mode == "koszul-compare":
-        return koszul_mode(spec.resolution, spec.positive, spec.koszul_tables, K)[0]
+        return koszul_mode(spec.resolution, spec.positive, koszul_hook(spec.resolution, K),
+                           spec.koszul_tables)[0]
     solve = solve_general_extension if mode == "general" else solve_residues_explicit
     return solve(res, spec.positive, hook, K)
 
