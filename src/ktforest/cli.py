@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from .extension import (PositivePart, check_ideal_preserved, koszul_hook, koszul_mode,
                         solve_general_extension, solve_residues_explicit, verify_extension,
                         verify_incl_proj, verify_product_defect)
-from .forest import AlgebraElement, enumerate_tree_basis, is_leaf, tree_str
+from .forest import AlgebraElement, Node, enumerate_tree_basis, is_leaf, tree_str
 from .grammar import (ParseError, SymbolTable, parse_element, parse_hook_table,
                       parse_module_element)
 from .kt import (HookMap, SolveError, solve_hook, verify_hook, verify_hook_product_leibniz,
@@ -551,7 +551,8 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
                 report.add_verdict(verify_extension(ext, depth))
             if "incl_proj" in wanted:
                 report.add_verdict(verify_incl_proj(ext, max(depth - 1, 1)))
-            if "star" in wanted and (ext.level_max >= 1 or ext.chi):
+            if "star" in wanted and (ext.level_max >= 1
+                                     or any(isinstance(s, Node) for _k, s in ext.tables)):
                 report.add_verdict(verify_product_defect(ext, 1))
     except SolveError as exc:
         stage(exc.stage, "no-solution", f"{exc.item}: {exc.detail}")

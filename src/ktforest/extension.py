@@ -4,12 +4,11 @@ The input is a square-zero degree +1 derivation on a symmetric algebra of
 positive generators over the polynomial ring, preserving the ideal resolved
 by the negative part.  The output is a total differential on the whole
 algebra: the tree differential at negative-degree level -1, the given
-derivation on the positive part, and solved correction tables
-
-  * on module generators, one table per nonnegative level, valued in
-    (module x positives) of the forced bidegree;
-  * on basis trees, hook corrections entering the same tree formula that
-    the level -1 differential uses.
+derivation on the positive part, and solved corrections in one table keyed
+by (level, source): on module generators, valued in (module x positives)
+of the forced bidegree; on basis trees, hook corrections entering the same
+tree formula that the level -1 differential uses; and where Q^2 != 0 on O,
+on variables and positive generators above level 0.
 
 Every source, a variable, a positive or module generator or a basis tree,
 gets one step: its level-k value is a preimage under the level -1
@@ -164,9 +163,13 @@ def check_ideal_preserved(pos: PositivePart, ideal: Sequence[Poly],
 class ExtensionData:
     """Solved correction tables plus the evaluator for the total differential.
 
+    Every solved value sits in one table, `tables[(level, source)]`, where a
+    source is a ring variable's index, a module or positive generator, or an
+    inner tree; absent entries are zero, and level 0 on a positive is the
+    input derivation.  A tree's entry is the negated module part of its step.
     Q is the sum of its levels: level -1 is the hook's tree differential,
     and level k >= 0 reads the level-k tables.  On a tree, level k is the
-    tree formula over the `chi` tables that the tree step (`_solve_tree`)
+    tree formula over the tree entries that the tree step (`_solve_tree`)
     fills, or with `by_step` set (Q^2 != 0 on O) the step itself.  One
     evaluator, `q_level_on_tree`, gives Q summed over a range of levels
     >= 0; `apply_level(k)` runs it on levels k..k, and `apply` on levels
@@ -178,10 +181,7 @@ class ExtensionData:
         self.pos = pos
         self.hook = hook
         self.by_step = False  # Q on trees by the tree step, not the tree formula
-        self.gen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
-        self.chi: Dict[Tuple[int, Node], AlgebraElement] = {}
-        self.var_q: Dict[Tuple[int, int], AlgebraElement] = {}
-        self.vgen_q: Dict[Tuple[int, GeneratorId], AlgebraElement] = {}
+        self.tables: Dict[Tuple[int, object], AlgebraElement] = {}
         self.level_max = -1
         self._zero = AlgebraElement.zero(res.ring)  # every absent table entry
         # images of Q summed over a range of levels >= 0, by source (a tree,
@@ -191,32 +191,29 @@ class ExtensionData:
     # -- the tables of one level >= 0 ----------------------------------------
 
     def q_level_on_gen(self, k: int, g: GeneratorId) -> AlgebraElement:
-        return self.gen_q.get((k, g), self._zero)
+        if k == 0 and g.module_degree > 0:
+            return self.pos.q_on_gens[g]
+        return self.tables.get((k, g), self._zero)
 
     def chi_level(self, k: int, node: Node) -> AlgebraElement:
         """The hook correction of a tree at level k; level -1 is the hook."""
         if k == -1:
             return self.hook.element(node)
-        return self.chi.get((k, node), self._zero)
+        return self.tables.get((k, node), self._zero)
 
     def chi_levels(self, levels: range, node: Node) -> AlgebraElement:
         """The hook corrections of a tree summed over `levels`."""
         return sum_elements(self.res.ring, (self.chi_level(k, node) for k in levels))
 
-    def q_level_on_positive(self, k: int, g: GeneratorId) -> AlgebraElement:
-        if k == 0:
-            return self.pos.q_on_gens[g]
-        return self.vgen_q.get((k, g), self._zero)
-
     def q_level_on_coeff(self, levels: range, c: Poly) -> AlgebraElement:
         """Q summed over `levels` on a coefficient (`_derivative_of_coeff`).
 
-        The variables' images are read from `pos.q_on_vars` and `var_q` on
-        every call: general mode writes `var_q` level by level.
+        The variables' images are read from `pos.q_on_vars` and `tables` on
+        every call: general mode writes their entries level by level.
         """
-        n, var_q = self.res.ring.num_vars, self.var_q
+        n, tables = self.res.ring.num_vars, self.tables
         images = list(self.pos.q_on_vars.items()) if 0 in levels else []
-        images += [(j, var_q[k, j]) for k in levels if k for j in range(n) if (k, j) in var_q]
+        images += [(j, tables[k, j]) for k in levels if k for j in range(n) if (k, j) in tables]
         return _derivative_of_coeff(self.res.ring, c, images)
 
     # -- Q summed over a range of levels >= 0 ------------------------------------
@@ -232,10 +229,9 @@ class ExtensionData:
 
     def _image(self, levels: range, source) -> AlgebraElement:
         ring = self.res.ring
-        if isinstance(source, GeneratorId):
-            return sum_elements(ring, (self.q_level_on_positive(k, source) for k in levels))
-        if is_leaf(source):
-            return sum_elements(ring, (self.q_level_on_gen(k, source[1]) for k in levels))
+        if isinstance(source, GeneratorId) or is_leaf(source):
+            g = source[1] if is_leaf(source) else source
+            return sum_elements(ring, (self.q_level_on_gen(k, g) for k in levels))
         if not self.by_step:
             return self._tree_formula(levels, source)
         if len(levels) != 1:
@@ -282,24 +278,17 @@ class ExtensionData:
 
     # -- reporting -------------------------------------------------------------------
 
+    def label(self, source) -> str:
+        """The name of a source: a variable, a generator or a tree."""
+        if isinstance(source, int):
+            return self.res.ring.names[source]
+        return source.label if isinstance(source, GeneratorId) else tree_str(source)
+
     def residue_records(self) -> List[dict]:
-        """Nonzero corrections as {level, source, value} records."""
-        records = []
-        for (k, g), val in self.gen_q.items():
-            if not val.is_zero():
-                records.append({"level": k, "source": g.label, "value": str(val)})
-        for (k, node), val in self.chi.items():
-            if not val.is_zero():
-                records.append({"level": k, "source": tree_str(node), "value": str(val)})
-        for (k, j), val in self.var_q.items():
-            if not val.is_zero():
-                records.append({"level": k, "source": self.res.ring.names[j],
-                                "value": str(val)})
-        for (k, g), val in self.vgen_q.items():
-            if not val.is_zero():
-                records.append({"level": k, "source": g.label, "value": str(val)})
-        records.sort(key=lambda r: (r["level"], r["source"]))
-        return records
+        """Nonzero table entries as {level, source, value} records."""
+        return sorted(({"level": k, "source": self.label(s), "value": str(val)}
+                       for (k, s), val in self.tables.items() if not val.is_zero()),
+                      key=lambda r: (r["level"], r["source"]))
 
 
 # ---------------------------------------------------------------------------
@@ -395,33 +384,32 @@ def _solve_finite_tables(ext: ExtensionData, k: int):
     res, ring = ext.res, ext.res.ring
     sources = []
     if k >= 1 and ext.by_step:
-        sources += [(f"variable level {k}", ring.names[j],
-                     AlgebraElement.scalar(Poly.variable(ring, j)), ext.var_q, j)
+        sources += [(f"variable level {k}", j, AlgebraElement.scalar(Poly.variable(ring, j)))
                     for j in range(ring.num_vars)]
-        sources += [(f"positive-generator level {k}", g.label,
-                     AlgebraElement.from_positive(ring, g), ext.vgen_q, g)
+        sources += [(f"positive-generator level {k}", g, AlgebraElement.from_positive(ring, g))
                     for g in ext.pos.gens]
-    sources += [(f"residue level {k}", g.label, AlgebraElement.from_tree(ring, leaf(g)),
-                 ext.gen_q, g)
+    sources += [(f"residue level {k}", g, AlgebraElement.from_tree(ring, leaf(g)))
                 for g in res.module_generators()]
-    for stage, label, x, table, key in sources:
+    for stage, source, x in sources:
         closed = _closed_element(ext, k, x)
         value = _closed_preimage(ext, closed)
         if value is None:
-            raise SolveError(stage, label, "no preimage under the resolution differential")
-        if table is ext.gen_q:  # Q^2 = 0 on x at level k: delta gives back `closed`
+            raise SolveError(stage, ext.label(source),
+                             "no preimage under the resolution differential")
+        if isinstance(source, GeneratorId) and source.module_degree < 0:
+            # a module generator: Q^2 = 0 on x at level k, delta gives back `closed`
             delta = ext.apply_level(-1, value)
             if delta != closed:
-                raise SolveError(f"level {k} consistency", label,
+                raise SolveError(f"level {k} consistency", ext.label(source),
                                  f"square residue {delta - closed}")
         if not value.is_zero():
-            table[(k, key)] = value
+            ext.tables[(k, source)] = value
 
 
 def _solve_tree(ext: ExtensionData, k: int, node: Node) -> AlgebraElement:
     """Q_k on a tree by `_closed_preimage`, the step every source gets.
 
-    The module part of the value, negated, is the table entry chi[(k, t)],
+    The module part of the value, negated, is the table entry `ext.tables[(k, t)]`,
     which the tree formula subtracts at the root; past degree length - k
     there is no module to land in.
     """
@@ -432,7 +420,7 @@ def _solve_tree(ext: ExtensionData, k: int, node: Node) -> AlgebraElement:
                          "no preimage under the resolution differential")
     entry = -value.project_module()
     if not entry.is_zero():
-        ext.chi[(k, node)] = entry
+        ext.tables[(k, node)] = entry
     return value
 
 
@@ -528,29 +516,28 @@ def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     gens = ext.res.module_generators()
     delta = ext.hook.differential()
     levels = range(0, ext.level_max + 1)
-    items = [(ring.names[j], AlgebraElement.scalar(Poly.variable(ring, j)), None)
-             for j in range(ring.num_vars)]
-    items += [(g.label, AlgebraElement.from_positive(ring, g), None) for g in ext.pos.gens]
-    items += [(g.label, None, leaf(g)) for g in gens]
-    items += [(tree_str(t), None, t) for degree in range(3, neg_degree_max + 1)
-              for t in enumerate_tree_basis(ext.res, degree) if not is_leaf(t)]
+    sources = [*range(ring.num_vars), *ext.pos.gens, *map(leaf, gens)]
+    sources += [t for degree in range(3, neg_degree_max + 1)
+                for t in enumerate_tree_basis(ext.res, degree) if not is_leaf(t)]
 
-    def square(x: Optional[AlgebraElement], tree: Optional[Node]) -> Optional[AlgebraElement]:
-        if tree is None:  # delta x = 0
+    def square(source) -> Optional[AlgebraElement]:
+        if isinstance(source, Node):
+            acc, qx = seeded(delta.square_residue(source)), ext.q_level_on_tree(levels, source)
+            ext._apply_levels(levels, delta.on_tree(source), acc=acc)
+        else:  # a variable or a positive generator: delta x = 0
+            x = (AlgebraElement.from_positive(ring, source) if isinstance(source, GeneratorId)
+                 else AlgebraElement.scalar(Poly.variable(ring, source)))
             acc, qx = {}, ext._apply_levels(levels, x)
-        else:
-            acc, qx = seeded(delta.square_residue(tree)), ext.q_level_on_tree(levels, tree)
-            ext._apply_levels(levels, delta.on_tree(tree), acc=acc)
         ext.apply(qx, acc)
         return residue(ring, acc)
 
-    failures = [(label, f"square residue {r}")
-                for label, x, tree in items for r in (square(x, tree),) if r is not None]
+    failures = [(ext.label(s), f"square residue {r}")
+                for s in sources for r in (square(s),) if r is not None]
     # delta of a generator is module- or scalar-valued, so Q of it leaves
     # module x positives where its image summed over levels >= 0 does
     failures += [(g.label, "image leaves module x positives") for g in gens
                  if not ext.q_level_on_tree(levels, leaf(g)).has_only_module_and_scalar()]
-    checked = f"{len(items)} sources, trees through negative degree {neg_degree_max}"
+    checked = f"{len(sources)} sources, trees through negative degree {neg_degree_max}"
     return CheckResult("total differential square zero", not failures, checked, failures)
 
 
@@ -735,7 +722,7 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart, hook: HookMap,
                 two_leaf_product(unit[first], ext.q_level_on_gen(k, rest), hook.element, acc, -1)
                 value = collect(ring, acc)
             if value:
-                ext.gen_q[(k, g)] = value
+                ext.tables[(k, g)] = value
         ext.level_max = max(ext.level_max, k)
     failures = []
     for a in gens:

@@ -10,7 +10,8 @@ decorations are resolution generators; polynomial coefficients and positive
 generators live outside the tree, on the enclosing monomial.
 
 Every stored tree is canonical: children at each vertex are sorted by
-(leaf count, shape string, decoration tuple), with the Koszul sign of the
+`tree_key`, (leaf count, shape string, decoration keys) built from the
+children's keys, with the Koszul sign of the
 sorting permutation absorbed into the coefficient.  A tree with two equal
 adjacent siblings of odd degree is the zero element and is never stored.
 
@@ -99,40 +100,14 @@ def tree_degree(node: Node) -> int:
 
 
 @lru_cache(maxsize=None)
-def leaf_count(node: Node) -> int:
-    if node[0] == "L":
-        return 1
-    return sum(leaf_count(c) for c in node[1])
-
-
-@lru_cache(maxsize=None)
-def inner_vertex_count(node: Node) -> int:
-    if node[0] == "L":
-        return 0
-    return sum(inner_vertex_count(c) + (0 if is_leaf(c) else 1) for c in node[1])
-
-
-@lru_cache(maxsize=None)
-def shape_str(node: Node) -> str:
-    if node[0] == "L":
-        return "*"
-    return "(" + "".join(shape_str(c) for c in node[1]) + ")"
-
-
-@lru_cache(maxsize=None)
-def decorations(node: Node) -> tuple:
-    if node[0] == "L":
-        return (node[1],)
-    out = ()
-    for c in node[1]:
-        out += decorations(c)
-    return out
-
-
-@lru_cache(maxsize=None)
 def tree_key(node: Node):
-    """Canonical comparison key for subtrees and tree factors."""
-    return (leaf_count(node), shape_str(node), tuple(g.key for g in decorations(node)))
+    """Canonical comparison key for subtrees and tree factors: (leaf count,
+    shape string, decoration keys), built from the children's keys."""
+    if node[0] == "L":
+        return 1, "*", (node[1].key,)
+    keys = [tree_key(c) for c in node[1]]
+    return (sum(k[0] for k in keys), "(" + "".join(k[1] for k in keys) + ")",
+            sum((k[2] for k in keys), ()))
 
 
 def tree_str(node: Node) -> str:
@@ -715,9 +690,9 @@ def enumerate_tree_basis(res: FreeResolution, neg_degree: int) -> Tuple[Node, ..
         for combo in _multisets_with_degree(_trees_through(res, neg_degree - 2),
                                             neg_degree - 1, 2):
             out.append(node(combo))
-    # listing order: leaf count, then inner-vertex count, then shape and
-    # decorations; the canonical child order inside each tree is tree_key
-    out.sort(key=lambda t: (leaf_count(t), inner_vertex_count(t)) + tree_key(t)[1:])
+    # listing order: leaf count, then inner-vertex count (the shape's "("s
+    # less the root's), then shape and decorations; children follow tree_key
+    out.sort(key=lambda t: (tree_key(t)[0], tree_key(t)[1].count("(")) + tree_key(t)[1:])
     cache[neg_degree] = tuple(out)
     return cache[neg_degree]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .forest import AlgebraElement, Node, canonicalize_node, is_leaf, leaf, node, tree_str
+from .kt import check_hook_degree
 from .poly import Poly, RingSpec, TokenCursor, parse_expression
 from .resolution import GeneratorId, ModuleElement
 
@@ -136,6 +137,7 @@ def parse_hook_table(lines, symbols: SymbolTable) -> dict:
             if cnode in first_line:
                 raise ParseError(f"tree {tree_str(cnode)} already given "
                                  f"on line {first_line[cnode]}")
+            check_hook_degree(cnode, value)
         except ValueError as exc:
             raise ParseError(f"line {number}: {exc}") from None
         first_line[cnode] = number

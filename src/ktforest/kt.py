@@ -54,6 +54,13 @@ class CheckResult:
         return text
 
 
+def check_hook_degree(cnode: Node, value: ModuleElement):
+    """A ValueError unless the value on a canonical tree has the tree's degree + 1."""
+    degree = tree_degree(cnode) + 1
+    if value.degrees() - {degree}:
+        raise ValueError(f"hook value for {tree_str(cnode)} must be homogeneous of degree {degree}")
+
+
 class HookMap:
     """O-linear table assigning a module element to each basis tree.
 
@@ -96,10 +103,7 @@ class HookMap:
             self.table.pop(cnode, None)
             self._elements.pop(cnode, None)
         else:
-            expected = tree_degree(cnode) + 1
-            if value.degrees() - {expected}:
-                raise ValueError(
-                    f"hook value for {tree_str(cnode)} must be homogeneous of degree {expected}")
+            check_hook_degree(cnode, value)
             self.table[cnode] = value
             self._elements[cnode] = AlgebraElement.from_module_element(value)
 

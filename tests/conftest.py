@@ -37,6 +37,21 @@ def make_resolution(ring: RingSpec, layers, diff_lines, augment_lines) -> FreeRe
     return FreeResolution(ring, gens_by_degree, diff, augment)
 
 
+def source_kind(source) -> str:
+    """The kind of an `ExtensionData.tables` source: a variable's index, a
+    positive or module generator, or a tree."""
+    if isinstance(source, int):
+        return "variable"
+    if isinstance(source, GeneratorId):
+        return "positive" if source.module_degree > 0 else "module"
+    return "tree"
+
+
+def entries(ext, kind: str) -> dict:
+    """The entries of `ext.tables` whose source is of one kind."""
+    return {key: value for key, value in ext.tables.items() if source_kind(key[1]) == kind}
+
+
 @pytest.fixture(scope="session")
 def ring_xy():
     return RingSpec(["x", "y"])

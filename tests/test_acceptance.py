@@ -24,7 +24,7 @@ from ktforest.kt import (HookMap, TreeDifferential, solve_hook, verify_hook, ver
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement, quotient_dims
 
-from conftest import make_resolution
+from conftest import entries, make_resolution
 
 
 def report_line(number, elapsed, budget, detail):
@@ -87,8 +87,8 @@ def test_acceptance_2_quadratic_ideal():
         (1, "pi3"): "-2*eta2*pib",
     }
     for (k, label), text in printed.items():
-        worked.gen_q[(k, res.gen_by_label(label))] = parse_element(text, symbols)
-    worked.gen_q[(0, res.gen_by_label("pi2"))] = ext.q_level_on_gen(
+        worked.tables[(k, res.gen_by_label(label))] = parse_element(text, symbols)
+    worked.tables[(0, res.gen_by_label("pi2"))] = ext.q_level_on_gen(
         0, res.gen_by_label("pi2"))
     worked.level_max = 1
     verbatim = verify_extension(worked, 6)
@@ -137,7 +137,7 @@ def test_acceptance_4_koszul_comparison():
     assert check.passed, check.summary()
     ext, comparison = koszul_mode(spec.resolution, spec.positive, hook, spec.koszul_tables)
     assert comparison.passed, comparison.summary()
-    assert not ext.chi, "corrections of nonnegative level must vanish"
+    assert not entries(ext, "tree"), "corrections of nonnegative level must vanish"
     for level, table in spec.koszul_tables.items():
         for gen, value in table.items():
             assert ext.q_level_on_gen(level, gen) == value
@@ -200,8 +200,8 @@ def test_acceptance_7_general_mode_regression():
     hook = solve_hook(res, 5)
     explicit = solve_residues_explicit(res, pos, hook, 5)
     general = solve_general_extension(res, pos, hook, 5)
-    assert not general.var_q, "variable corrections must be viable at zero"
-    assert not general.vgen_q
+    assert not entries(general, "variable"), "variable corrections must be viable at zero"
+    assert not entries(general, "positive")
     for depth in range(1, res.length + 1):
         for g in res.generators(depth):
             for k in range(0, max(explicit.level_max, general.level_max) + 1):

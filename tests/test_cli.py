@@ -256,6 +256,18 @@ def test_cli_verify_bad_hook(tmp_path):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("lines, number", [(["V(pi1,pi2) -> pi1"], 1),
+                                           (["V(pi1,pi2) -> x*pi", "V(pi1,pi3) -> x*pi2"], 2)])
+def test_cli_verify_names_the_line_of_a_wrong_degree_hook_value(tmp_path, lines, number):
+    table = tmp_path / "hook.txt"
+    table.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli("verify", spec_path("quadratic.kt"), "--hook", str(table))
+    tree = lines[-1].split(" ->")[0]
+    assert (code, out) == (2, "")
+    assert err == f"input error: line {number}: hook value for {tree} must be homogeneous " \
+                  "of degree -2\n"
+
+
 def test_cli_basis():
     code, out, _ = run_cli("basis", spec_path("quadratic.kt"), "--degree", "3")
     assert code == 0

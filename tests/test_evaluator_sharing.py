@@ -37,6 +37,7 @@ from ktforest.grammar import parse_hook_table
 from ktforest.kt import (CheckResult, HookMap, TreeDifferential, homotopy,
                          project_to_resolution, solve_hook, verify_retract)
 from ktforest.poly import Poly
+from conftest import entries
 from test_extension import MONOMIAL3_HOOK_LINES, make_positive
 from test_failing_reports import (double_first_gen_q_entry, double_last_hook_entry,
                                   double_one_tree_image)
@@ -134,11 +135,11 @@ def former_apply_level(ext):
 
     def level_image(k, node):
         if is_leaf(node):
-            return ext.gen_q.get((k, node[1]), zero)
+            return ext.tables.get((k, node[1]), zero)
         if not ext.by_step:
             acc = {}
-            former_add_tree_formula(acc, node, lambda g: ext.gen_q.get((k, g), zero),
-                                    lambda t: ext.chi.get((k, t), zero))
+            former_add_tree_formula(acc, node, lambda g: ext.tables.get((k, g), zero),
+                                    lambda t: ext.tables.get((k, t), zero))
             return collect(ring, acc)
         if (k, node) in ext.tree_q:
             return ext.tree_q[(k, node)]
@@ -150,7 +151,7 @@ def former_apply_level(ext):
         if k == 0:
             return ext.pos.qplus_poly(c)
         out = zero
-        for (kk, j), val in ext.var_q.items():
+        for (kk, j), val in entries(ext, "variable").items():
             if kk == k and not c.partial(j).is_zero():
                 out = out + val.scale(c.partial(j))
         return out
@@ -161,7 +162,7 @@ def former_apply_level(ext):
         return apply_derivation(
             elem, on_tree=lambda node: level_image(k, node),
             on_positive=lambda g: ext.pos.q_on_gens[g] if k == 0
-            else ext.vgen_q.get((k, g), zero),
+            else ext.tables.get((k, g), zero),
             on_coeff=lambda c: on_coeff(k, c))
 
     return apply_level
@@ -210,11 +211,11 @@ def test_total_differential_is_the_sum_of_its_levels(name, mode):
     res = ext.res
     assert ext.level_max >= 1
     if name in ("quadratic.kt", "koszul_compare.kt"):
-        assert any(k == 1 for k, _g in ext.gen_q)  # a nonzero level-1 table
+        assert any(k == 1 for k, _g in entries(ext, "module"))  # a nonzero level-1 table
     if name == "monomial_ideal.kt":
-        assert ext.chi
+        assert entries(ext, "tree")
     if mode == "general" and name == "quadratic.kt":
-        assert ext.var_q
+        assert entries(ext, "variable")
     former = former_apply_level(tables)
     compared = 0
     for mono, x in basis_elements(res, K):

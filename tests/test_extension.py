@@ -10,7 +10,7 @@ import pytest
 import ktforest
 from ktforest.cli import parse_spec
 from ktforest.extension import (ExtensionData, PositivePart, boundary_equivalent,
-                                check_ideal_preserved, higher_product, koszul_mode,
+                                check_ideal_preserved, higher_product, koszul_hook, koszul_mode,
                                 solve_general_extension, solve_residues_explicit,
                                 verify_extension, verify_incl_proj, verify_product_defect)
 from ktforest.forest import AlgebraElement, leaf
@@ -18,6 +18,8 @@ from ktforest.grammar import SymbolTable, parse_element, parse_tree
 from ktforest.kt import SolveError, solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId, build_koszul_complex
+from conftest import entries, source_kind
+from test_cli import BUNDLED_SPECS
 
 
 def make_positive(ring, degree_labels, q_vars, q_gens, symbols_extra=None):
@@ -210,7 +212,7 @@ def test_quadratic_level1_values(quadratic_resolution, quadratic_positive, quadr
 
 def test_quadratic_tree_corrections_vanish(quadratic_ext):
     # with a length-2 resolution there is no room for corrections on trees
-    assert not quadratic_ext.chi
+    assert not entries(quadratic_ext, "tree")
 
 
 def test_quadratic_square_zero(quadratic_ext):
@@ -241,8 +243,8 @@ def test_quadratic_worked_table_verbatim(quadratic_resolution, quadratic_positiv
         (1, "pi3"): "-2*eta2*pib",
     }
     for (k, label), text in table.items():
-        worked.gen_q[(k, res.gen_by_label(label))] = expect(worked, symbols, text)
-    worked.gen_q[(0, res.gen_by_label("pi2"))] = ext.q_level_on_gen(
+        worked.tables[(k, res.gen_by_label(label))] = expect(worked, symbols, text)
+    worked.tables[(0, res.gen_by_label("pi2"))] = ext.q_level_on_gen(
         0, res.gen_by_label("pi2"))
     worked.level_max = 1
     report = verify_extension(worked, 6)
@@ -252,11 +254,11 @@ def test_quadratic_worked_table_verbatim(quadratic_resolution, quadratic_positiv
 def test_corrupted_table_detected(quadratic_resolution, quadratic_positive, quadratic_ext):
     res = quadratic_resolution
     broken = ExtensionData(res, quadratic_positive, quadratic_ext.hook)
-    broken.gen_q = dict(quadratic_ext.gen_q)
+    broken.tables = entries(quadratic_ext, "module")
     broken.level_max = quadratic_ext.level_max
     g = res.gen_by_label("pi1")
     symbols = res_symbols(res, quadratic_positive)
-    broken.gen_q[(0, g)] = expect(broken, symbols, "2*xi1*pi1")  # drop one term
+    broken.tables[(0, g)] = expect(broken, symbols, "2*xi1*pi1")  # drop one term
     report = verify_extension(broken, 4)
     assert not report.passed
     assert any("pi1" in item for item, _ in report.failures)
@@ -269,8 +271,9 @@ def test_general_mode_matches_explicit(quadratic_resolution, quadratic_positive,
     res = quadratic_resolution
     hook = quadratic_ext.hook
     gen = solve_general_extension(res, quadratic_positive, hook, 5)
-    assert not gen.var_q, "variable corrections should vanish for a preserved ideal"
-    assert not gen.vgen_q
+    assert not entries(gen, "variable"), \
+        "variable corrections should vanish for a preserved ideal"
+    assert not entries(gen, "positive")
     for depth in range(1, res.length + 1):
         for g in res.generators(depth):
             for k in range(0, 2):
@@ -306,7 +309,7 @@ def test_monomial3_tree_correction(monomial3_resolution, monomial3_positive, mon
     value = ext.chi_level(0, node)
     assert value == expect(ext, symbols, "-xi*e134"), str(value)
     # and that is the only nonzero tree correction
-    nonzero = {k: v for k, v in ext.chi.items() if not v.is_zero()}
+    nonzero = {k: v for k, v in entries(ext, "tree").items() if not v.is_zero()}
     assert list(nonzero) == [(0, node)]
 
 
@@ -361,7 +364,7 @@ def test_rank_one_koszul_function(ring_xy):
     hook = solve_hook(res, 6)
     ext = solve_residues_explicit(res, pos, hook, 6)
     # every correction vanishes: the total differential is the plain sum
-    assert not ext.gen_q and not ext.chi
+    assert not entries(ext, "module") and not entries(ext, "tree")
     assert verify_extension(ext, 6).passed
 
 
@@ -382,7 +385,7 @@ def test_general_mode_nonzero_variable_corrections(ring_xy, quadratic_resolution
         solve_residues_explicit(res, pos, hook, 5)
     ext = solve_general_extension(res, pos, hook, 5)
     x_index = ring_xy.var_index("x")
-    correction = ext.var_q.get((1, x_index))
+    correction = ext.tables.get((1, x_index))
     assert correction is not None and not correction.is_zero()
     # the defining equation: the correction's boundary cancels the square
     x_elem = AlgebraElement.scalar(Poly.variable(ring_xy, x_index))
@@ -403,9 +406,52 @@ def test_solved_tables_hold_exact_coefficients():
     spec = parse_spec(ktforest.example_path("quadratic.kt"))
     hook = solve_hook(spec.resolution, 5)
     ext = solve_residues_explicit(spec.resolution, spec.positive, hook, 5)
-    assert hook.table and ext.gen_q  # chi is empty on this spec
+    assert hook.table and entries(ext, "module")  # no tree entry on this spec
     polys = [p for value in hook.table.values() for p in value.terms.values()]
-    for table in (ext.gen_q, ext.chi):
-        polys += [p for value in table.values() for p in value.terms.values()]
+    polys += [p for value in ext.tables.values() for p in value.terms.values()]
     coefficients = [c for p in polys for c in p.terms.values()]
     assert all(type(c) in (int, Fraction) for c in coefficients)
+
+
+# -- one record per table entry ------------------------------------------------------
+
+def general_only_spec():
+    """`quadratic.kt` with a derivation that squares to zero only modulo the
+    ideal: general mode fills the variable and positive-generator entries."""
+    from test_report_digests_general_only import GENERAL_ONLY, GIVEN
+
+    with open(ktforest.example_path("quadratic.kt"), encoding="utf-8") as handle:
+        return parse_spec("general_only.kt", handle.read().replace(GIVEN, GENERAL_ONLY))
+
+
+def solved_extension(spec, mode, depth):
+    """The extension `run` solves in a mode, without its verdicts."""
+    res, pos = spec.resolution, spec.positive
+    if mode == "koszul-compare":
+        return koszul_mode(res, pos, koszul_hook(res, depth), spec.koszul_tables)[0]
+    solve = solve_general_extension if mode == "general" else solve_residues_explicit
+    return solve(res, pos, solve_hook(res, depth), depth)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SPECS + ["general-only quadratic"])
+def test_source_labels_are_unique_within_a_level(name):
+    """`residue_records` sorts by (level, label): two sources with one label
+    would be ordered by insertion.  Every mode at K = 1 to 6 gives one
+    record per table entry, and no (level, label) twice."""
+    if name == "general-only quadratic":
+        spec, modes = general_only_spec(), ["general"]
+    else:
+        spec = parse_spec(ktforest.example_path(name))
+        modes = ["explicit", "general"] + (["koszul-compare"] if name == "koszul_compare.kt"
+                                           else [])
+    kinds = set()
+    for mode in modes:
+        for depth in range(1, 7):
+            ext = solved_extension(spec, mode, depth)
+            records = ext.residue_records()
+            assert len(records) == len(ext.tables), (mode, depth)
+            assert len({(r["level"], r["source"]) for r in records}) == len(records), \
+                (mode, depth)
+            kinds |= {source_kind(source) for _k, source in ext.tables}
+    if name == "general-only quadratic":
+        assert {"variable", "positive"} <= kinds

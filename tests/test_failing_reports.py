@@ -31,6 +31,7 @@ import ktforest
 from ktforest import cli
 from ktforest.cli import check_mode, emit, parse_spec, run
 from ktforest.forest import canonicalize_node, leaf, node
+from ktforest.resolution import GeneratorId
 
 
 def double_last_hook_entry(solve):
@@ -45,8 +46,8 @@ def double_last_hook_entry(solve):
 def double_first_gen_q_entry(solve):
     def perturbed(*args):
         ext = solve(*args)
-        key = next(iter(ext.gen_q))
-        ext.gen_q[key] = ext.gen_q[key].scale(2)
+        key = next(key for key in ext.tables if isinstance(key[1], GeneratorId))
+        ext.tables[key] = ext.tables[key].scale(2)
         return ext
     return perturbed
 

@@ -25,6 +25,7 @@ from ktforest.extension import (ExtensionData, _solve_level_on_trees, check_idea
 from ktforest.forest import (AlgebraElement, collect, enumerate_tree_basis, is_leaf, leaf,
                              sums_to_zero)
 from ktforest.kt import SolveError, solve_hook
+from conftest import entries
 
 SPECS = ["koszul_compare.kt", "koszul_function.kt", "monomial_ideal.kt", "quadratic.kt",
          "regular_sequence.kt", "taylor_shear.kt"]
@@ -52,7 +53,7 @@ def former_level_on_generators(ext: ExtensionData, k: int):
                                  "no preimage under the resolution differential")
             value = -lifted
             if not value.is_zero():
-                ext.gen_q[(k, g)] = value
+                ext.tables[(k, g)] = value
 
 
 def former_assert_square_on_generators(ext: ExtensionData, k: int):
@@ -89,10 +90,10 @@ def test_explicit_tables_equal_the_former_step(name, k):
     hook = solve_hook(res, k)
     ext = solve_residues_explicit(res, pos, hook, k)
     reference = former_explicit_extension(res, pos, hook, k)
-    assert ext.gen_q == reference.gen_q
-    assert ext.chi == reference.chi
+    assert entries(ext, "module") == entries(reference, "module")
+    assert entries(ext, "tree") == entries(reference, "tree")
     assert ext.level_max == reference.level_max
-    assert not ext.var_q and not ext.vgen_q
+    assert not entries(ext, "variable") and not entries(ext, "positive")
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -102,7 +103,7 @@ def test_general_mode_stores_no_positive_tables_when_the_input_squares_to_zero(n
     assert pos.square_issues() == []
     ext = solve_general_extension(res, pos, solve_hook(res, 6), 6)
     assert ext.level_max == min(res.length, 6)
-    assert not ext.var_q and not ext.vgen_q
+    assert not entries(ext, "variable") and not entries(ext, "positive")
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -115,8 +116,7 @@ def test_general_mode_solves_level_length_to_empty_tables(name):
     for k in (res.length, 6):
         ext = solve_general_extension(res, pos, solve_hook(res, k), k)
         assert ext.level_max == res.length
-        for table in (ext.gen_q, ext.chi, ext.var_q, ext.vgen_q):
-            assert not [key for key in table if key[0] == res.length]
+        assert not [key for key in ext.tables if key[0] == res.length]
 
 
 @pytest.mark.parametrize("solve", [solve_residues_explicit, solve_general_extension])

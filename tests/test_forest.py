@@ -11,16 +11,55 @@ from ktforest.cli import parse_spec
 from ktforest.forest import (AlgebraElement, TreeError, _mono_sort_key, _trees_through,
                              canonicalize_node,
                              enumerate_monomial_basis, enumerate_tree_basis,
-                             inner_vertex_count, is_leaf, koszul_sign, leaf, leaf_count,
+                             is_leaf, koszul_sign, leaf,
                              make_monomial, mono_degree, root_join, root_split,
                              tree_degree, tree_key, tree_str)
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
+from test_cli import BUNDLED_SPECS
 from vertex_walk import contract_vertex, vertices
 
 
 def gens_of(res, depth):
     return res.generators(depth)
+
+
+# -- recursive walks: the oracles for tree_key and the basis listing order -----
+
+def leaf_count(tree) -> int:
+    return 1 if tree[0] == "L" else sum(leaf_count(c) for c in tree[1])
+
+
+def inner_vertex_count(tree) -> int:
+    """Inner vertices below the root."""
+    if tree[0] == "L":
+        return 0
+    return sum(inner_vertex_count(c) + (0 if is_leaf(c) else 1) for c in tree[1])
+
+
+def shape_str(tree) -> str:
+    return "*" if tree[0] == "L" else "(" + "".join(shape_str(c) for c in tree[1]) + ")"
+
+
+def decorations(tree) -> tuple:
+    return (tree[1],) if tree[0] == "L" else sum((decorations(c) for c in tree[1]), ())
+
+
+def walked_key(tree) -> tuple:
+    return leaf_count(tree), shape_str(tree), tuple(g.key for g in decorations(tree))
+
+
+@pytest.mark.parametrize("name", BUNDLED_SPECS)
+def test_tree_key_and_listing_order_match_the_walks(name):
+    res = parse_spec(ktforest.example_path(name)).resolution
+    for degree in range(1, 9):
+        basis = enumerate_tree_basis(res, degree)
+        for t in basis:
+            assert tree_key(t) == walked_key(t), tree_str(t)
+            if not is_leaf(t):
+                assert tree_key(t)[1].count("(") - 1 == inner_vertex_count(t), tree_str(t)
+        assert list(basis) == sorted(basis, key=lambda t: (leaf_count(t), inner_vertex_count(t),
+                                                           shape_str(t)) + walked_key(t)[2:])
 
 
 def test_koszul_sign_odd_odd_swap():

@@ -25,6 +25,7 @@ from ktforest.forest import (AlgebraElement, enumerate_monomial_basis, enumerate
 from ktforest.kt import solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
+from conftest import entries
 from test_extension import make_positive
 
 K = 5
@@ -89,18 +90,18 @@ def reach_loop_extension(res, pos, hook, neg_degree_max) -> ReachLoopData:
                     x = AlgebraElement.scalar(Poly.variable(ring, j))
                     value = preimage(-_sum_lower_level_squares(ext, k, x))
                     if not value.is_zero():
-                        ext.var_q[(k, j)] = value
+                        ext.tables[(k, j)] = value
                 for g in pos.gens:
                     x = AlgebraElement.from_positive(ring, g)
                     value = preimage(-_sum_lower_level_squares(ext, k, x))
                     if not value.is_zero():
-                        ext.vgen_q[(k, g)] = value
+                        ext.tables[(k, g)] = value
             elif 1 <= i <= res.length:
                 for g in res.generators(i):
                     ext.solved_gens.add((k, g))
                     value = preimage(closed_of(k, AlgebraElement.from_tree(ring, leaf(g))))
                     if not value.is_zero():
-                        ext.gen_q[(k, g)] = value
+                        ext.tables[(k, g)] = value
             if i >= 3:
                 for node in enumerate_tree_basis(res, i):
                     if is_leaf(node):
@@ -138,13 +139,13 @@ def test_lazy_corrections_equal_the_reach_loop(name):
     res, positive, hook = inputs(name)
     reference = reach_loop_extension(res, positive, hook, K)
     lazy = solve_general_extension(res, positive, hook, K)
-    assert lazy.var_q == reference.var_q
-    assert lazy.vgen_q == reference.vgen_q
+    assert entries(lazy, "variable") == entries(reference, "variable")
+    assert entries(lazy, "positive") == entries(reference, "positive")
     zero = AlgebraElement.zero(res.ring)
     for key in reference.solved_gens:
-        assert lazy.gen_q.get(key, zero) == reference.gen_q.get(key, zero), key
+        assert lazy.tables.get(key, zero) == reference.tables.get(key, zero), key
     # the lazy solver also solves the generators past the reach window
-    for k, g in set(lazy.gen_q) - reference.solved_gens:
+    for k, g in set(entries(lazy, "module")) - reference.solved_gens:
         assert k - g.module_degree > K
     for k, node in reference.solved_trees:
         assert lazy.q_level_on_tree(range(k, k + 1), node) \
@@ -162,7 +163,7 @@ def test_explicit_and_general_q_agree_on_every_basis_monomial(name):
     res, positive, hook = inputs(name)
     explicit = solve_residues_explicit(res, positive, hook, K)
     general = solve_general_extension(res, positive, hook, K)
-    assert general.chi == explicit.chi
+    assert entries(general, "tree") == entries(explicit, "tree")
     one = Poly.const(res.ring, 1)
     count = 0
     for degree in range(1, K + 1):

@@ -7,9 +7,10 @@ raises -1 to a power, since every sign comes from `resolution.parity_sign`
 or the signed merge; no module writes to a `terms` dict in place, since
 `forest.collect` shares one Poly per one-term coefficient among every
 element that holds it; a cold start of the command line imports neither
-`dataclasses` nor `inspect`; and every module parses under the grammar of
+`dataclasses` nor `inspect`; every module parses under the grammar of
 Python 3.10, the oldest version `pyproject.toml` accepts (grammar only, not
-library APIs).
+library APIs); and every underscore-named function, method or class is
+named somewhere in the package outside its own def.
 """
 
 from __future__ import annotations
@@ -159,3 +160,35 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def unreferenced_private_names(trees: dict) -> list:
+    """`module:line name` of every underscore-named function, method or class
+    (dunders aside) that no code in `trees` names outside its own def."""
+    def named(root):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(root)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    everywhere = [name for tree in trees.values() for name in named(tree)]
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")
+                    and everywhere.count(node.name) == named(node).count(node.name)):
+                unused.append(f"{module}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_private_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(trees) == []
+
+
+def test_unused_private_helper_is_found():
+    trees = {"a.py": ast.parse("def _helper(n):\n    return _helper(n - 1)\n\n"
+                               "def _used():\n    pass\n\n"
+                               "class _Kept:\n    def _method(self):\n        pass\n\n"
+                               "    def __init__(self):\n        pass\n"),
+             "b.py": ast.parse("from a import _used\n_used()\nk = _Kept()\n")}
+    assert unreferenced_private_names(trees) == ["a.py:1 _helper", "a.py:8 _method"]

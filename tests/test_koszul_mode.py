@@ -11,6 +11,7 @@ from ktforest.grammar import SymbolTable, parse_element, parse_tree
 from ktforest.kt import solve_hook, verify_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId, ModuleElement, build_koszul_complex
+from conftest import entries
 
 
 REGULAR_GENS = {1: ["xi11", "xi12", "xi21", "xi22"], 2: ["eta1", "eta2"]}
@@ -117,7 +118,7 @@ def test_koszul_comparison_mode(regular_koszul, regular_pos_symbols):
     assert report.passed, report.summary()
     assert report.checked == "9 generator pairs"
     # no corrections of nonnegative level on trees
-    assert not ext.chi
+    assert not entries(ext, "tree")
     # restriction to the core equals the ingested tables
     for label, text in REGULAR_QK_LEVEL0.items():
         g = kres.gen_by_label(label)
@@ -172,7 +173,7 @@ def test_regular_sequence_general_mode_agrees(ring_xy, regular_pos_symbols):
     hook = solve_hook(res, 5)
     explicit = solve_residues_explicit(res, pos, hook, 5)
     general = solve_general_extension(res, pos, hook, 5)
-    assert not general.var_q and not general.vgen_q
+    assert not entries(general, "variable") and not entries(general, "positive")
     for depth in (1, 2):
         for g in res.generators(depth):
             for k in range(0, 2):

@@ -25,6 +25,7 @@ from ktforest.forest import (AlgebraElement, apply_derivation, collect, enumerat
 from ktforest.kt import SolveError, TreeDifferential, solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
+from conftest import entries
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 K = 5
@@ -293,7 +294,7 @@ def coefficient_oracle(ext, k, c):
     if k == 0:
         images = ext.pos.q_on_vars.items()
     else:
-        images = [(j, val) for (kk, j), val in ext.var_q.items() if kk == k]
+        images = [(j, val) for (kk, j), val in entries(ext, "variable").items() if kk == k]
     out = AlgebraElement.zero(ext.res.ring)
     for j, image in images:
         out = out + image.scale(c.partial(j))
@@ -341,7 +342,7 @@ def test_coefficient_image_is_the_sum_of_its_levels(monkeypatch, name, solve):
     check(ext)
     assert solved == list(range(ext.level_max + 1))
     if name == "ideal-only quadratic":
-        assert any(k > 0 for k, _j in ext.var_q)  # levels above 0 are read
+        assert any(k > 0 for k, _j in entries(ext, "variable"))  # levels above 0 are read
 
 
 @pytest.mark.parametrize("solve", [solve_residues_explicit, solve_general_extension])
@@ -356,14 +357,14 @@ def test_the_explicit_guard_fires_on_a_perturbed_tree_table(monkeypatch, solve):
 
     def doubled(ext, k, node):
         value = solve_tree(ext, k, node)
-        if (k, node) in ext.chi:
-            ext.chi[(k, node)] = ext.chi[(k, node)].scale(2)
+        if (k, node) in ext.tables:
+            ext.tables[(k, node)] = ext.tables[(k, node)].scale(2)
         return value
 
     spec = parse_spec(ktforest.example_path("taylor_shear.kt"))
     res = spec.resolution
     hook = solve_hook(res, K)
-    assert solve(res, spec.positive, hook, K).chi  # unperturbed: solved
+    assert entries(solve(res, spec.positive, hook, K), "tree")  # unperturbed: solved
     monkeypatch.setattr(extension, "_solve_tree", doubled)
     with pytest.raises(SolveError) as err:
         solve(res, spec.positive, hook, K)

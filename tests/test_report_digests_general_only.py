@@ -2,11 +2,11 @@
 
 The input is `quadratic.kt` with `Q x = x*xi1 + y*xi2 + x^2*xi1`: its
 derivation squares to zero modulo the ideal but not on O, so it is the one
-input that reaches the tree step on demand (`by_step`) and the variable and
-positive-generator tables above level 0 (`var_q`, `vgen_q`).  Explicit mode
-stops at its gate (exit 3); general mode solves, and fails its square-zero
-and inclusion/projection verdicts (exit 1; the paper's general construction
-is still open).  The digests and exit codes were recorded with the solver
+input that reaches the tree step on demand (`by_step`) and the entries of
+`ExtensionData.tables` on variables and positive generators above level 0.
+Explicit mode stops at its gate (exit 3); general mode solves, and fails its
+square-zero and inclusion/projection verdicts (exit 1; the paper's general
+construction is still open).  The digests and exit codes were recorded with the solver
 that re-evaluated every closed element on the module generators after each
 level, and with the verifiers that each wrote out their own residue loop.
 """
