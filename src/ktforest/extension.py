@@ -29,11 +29,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .forest import (AlgebraElement, Node, accumulate, add_tree_formula, apply_derivation,
-                     collect, enumerate_tree_basis, is_leaf, leaf, parity_sign, sum_elements,
-                     sums_to_zero, tree_str)
+from .forest import (AlgebraElement, Node, accumulate, add_element, add_tree_formula,
+                     apply_derivation, collect, enumerate_tree_basis, is_leaf, join_sums, leaf,
+                     node, parity_sign, sum_elements, sums_to_zero, tree_str)
 from .kt import (CheckResult, HookMap, SolveError, _retract_failures, homotopy, hook_product,
-                 hook_window, hooked_joins, project_to_resolution, residue, seeded,
+                 hook_window, project_to_resolution, residue, seeded,
                  two_leaf_product)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
@@ -581,14 +581,15 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
         """delta's retract residue (`retract_residue`) plus Q+ h x + h Q+ x,
         and the joins h x through `hook_value` less those through the hook,
         which the residue holds: the correction tables, and any difference
-        between the hook the projection reads and delta's."""
+        between the hook the projection reads and delta's.  h x is the joined
+        tree, and h Q+ x is joined from Q+ x's sums (`join_sums`)."""
         acc = seeded(delta.retract_residue(mono, neg_degree_max))
-        x = AlgebraElement._of(ring, {mono: one})
-        hx = homotopy(x)
-        ext._apply_levels(levels, hx, acc=acc)
-        homotopy(ext._apply_levels(levels, x), acc)
-        hooked_joins(hook_value, hx, acc)
-        hooked_joins(ext.hook.element, hx, acc, -1)
+        join_sums(ext._apply_levels(levels, AlgebraElement._of(ring, {mono: one}), acc={}), acc)
+        if len(mono[0]) > 1:
+            joined = node(mono[0])
+            add_element(acc, ext.q_level_on_tree(levels, joined))
+            add_element(acc, hook_value(joined))
+            add_element(acc, ext.hook.element(joined), -1)
         return residue(ring, acc)
 
     count, failures = _retract_failures(ext.res, neg_degree_max, incl_proj,

@@ -297,12 +297,18 @@ def sums_to_zero(acc: dict) -> bool:
     return True
 
 
+def add_element(acc: dict, elem: "AlgebraElement", sign: int = 1) -> dict:
+    """Add an element's terms times `sign` into an accumulator; returns it."""
+    for mono, c in elem.terms.items():
+        accumulate(acc, mono, c.terms, sign)
+    return acc
+
+
 def sum_elements(ring: RingSpec, elems: Iterable["AlgebraElement"]) -> "AlgebraElement":
     """The sum of elements, built in place by `accumulate`."""
     acc: dict = {}
     for elem in elems:
-        for mono, c in elem.terms.items():
-            accumulate(acc, mono, c.terms)
+        add_element(acc, elem)
     return collect(ring, acc)
 
 
@@ -419,13 +425,21 @@ def root_join(elem: AlgebraElement, acc: Optional[dict] = None,
     joined tree follows the canonical positives, so ((tree,), pos) is
     canonical as it stands.  `acc` and `sign` are those of `apply_derivation`.
     """
-    out = {} if acc is None else acc
-    for (trees, pos), c in elem.terms.items():
-        if len(trees) < 2:
-            raise TreeError("root_join needs at least two tree factors")
-        accumulate(out, ((node(trees),), pos), c.terms,
-                   sign * parity_sign(mono_pos_degree((trees, pos))))
-    return collect(elem.ring, out) if acc is None else acc
+    if any(len(trees) < 2 for trees, _pos in elem.terms):
+        raise TreeError("root_join needs at least two tree factors")
+    out = join_sums({m: c.terms for m, c in elem.terms.items()}, {} if acc is None else acc, sign)
+    return collect(elem.ring, out) if acc is None else out
+
+
+def join_sums(sums: dict, acc: dict, sign: int = 1) -> dict:
+    """Add the sums' products of at least two trees, joined at a new root with
+    `root_join`'s sign, into `acc` and return it; sums that all cancelled are
+    skipped, so no tree is joined that the collected element would not join."""
+    for (trees, pos), slot in sums.items():
+        if len(trees) > 1 and any(slot.values()):
+            accumulate(acc, ((node(trees),), pos), slot,
+                       sign * parity_sign(mono_pos_degree((trees, pos))))
+    return acc
 
 
 def root_split(elem: AlgebraElement) -> AlgebraElement:
@@ -502,8 +516,8 @@ def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement
 
 def add_tree_formula(acc: dict, node: Node,
                      child_image: Callable[[Node], AlgebraElement],
-                     root_value: Callable[[Node], AlgebraElement]):
-    """Add the substitution terms of the tree formula on an inner tree.
+                     root_value: Callable[[Node], AlgebraElement], sign: int = 1):
+    """Add the substitution terms of the tree formula on an inner tree, times `sign`.
 
     The formula replaces each leaf decoration g by its value, and the
     subtree t at each inner vertex and at the root by minus its hook value,
@@ -527,11 +541,11 @@ def add_tree_formula(acc: dict, node: Node,
     for i, child in enumerate(node[1]):
         image = child_image(child)
         if image.terms:
-            substitute_at_path(acc, node, (i,), image, parity_sign(weight), weight)
+            substitute_at_path(acc, node, (i,), image, sign * parity_sign(weight), weight)
         weight += tree_degree(child)
     value = root_value(node)
     if value.terms:
-        substitute_at_path(acc, node, (), value, -1, 0)
+        substitute_at_path(acc, node, (), value, -sign, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .forest import (AlgebraElement, Monomial, Node, accumulate, add_tree_formula,
+from .forest import (AlgebraElement, Monomial, Node, accumulate, add_element, add_tree_formula,
                      apply_derivation, canonicalize_node, collect, enumerate_monomial_basis,
-                     enumerate_tree_basis, is_leaf, leaf, mono_label, mono_mul, mono_pos_degree,
-                     node, parity_sign, root_join, root_split, sum_elements, sums_to_zero,
-                     tree_degree, tree_key, tree_str)
+                     enumerate_tree_basis, is_leaf, join_sums, leaf, mono_label, mono_mul,
+                     mono_pos_degree, node, parity_sign, root_join, root_split, sum_elements,
+                     sums_to_zero, tree_degree, tree_key, tree_str)
 from .poly import Poly, RingSpec
 from .resolution import FreeResolution, GeneratorId, ModuleElement
 
@@ -125,9 +125,10 @@ class TreeDifferential:
     """Evaluator for the differential determined by a hook table.
 
     It owns the level -1 residues of the identities it checks, each computed
-    on first read: δ(δ t) per tree and δ h x + h δ x - x + ι p x per
-    monomial, collected, or None where they cancel.  The verifiers of Q
-    start from them and add only the terms of level >= 0.
+    on first read: δ(δ t) per tree, or None where it cancels, and
+    δ h x + h δ x - x + ι p x per monomial where it does not (a monomial
+    through `retracts_through`, the degree walked by `verify_retract`, reads
+    None without one).  The verifiers of Q add only the levels >= 0 to them.
     """
 
     def __init__(self, res: FreeResolution, hook: HookMap):
@@ -135,7 +136,8 @@ class TreeDifferential:
         self.hook = hook
         self._memo: Dict[Node, AlgebraElement] = {}
         self._squares: Dict[Node, Optional[AlgebraElement]] = {}
-        self._retracts: Dict[Monomial, Optional[AlgebraElement]] = {}
+        self._retracts: Dict[Monomial, AlgebraElement] = {}
+        self.retracts_through = 0
         # d of each generator, collected: the augmentation at depth 1
         self._leaf_values = {
             g: sum_elements(res.ring, [AlgebraElement.scalar(res.augment[g]) if d == -1
@@ -151,45 +153,53 @@ class TreeDifferential:
             cached = self._memo[node] = self._image(node)
         return cached
 
-    def _image(self, node: Node) -> AlgebraElement:
-        """The root split plus the tree formula over the children's images."""
+    def _image(self, node: Node, acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
+        """Root split plus tree formula over the children's images; `acc`, `sign` as in `apply`."""
         if is_leaf(node):
-            return self.leaf_value(node[1])
-        acc: dict = {}
-        accumulate(acc, (node[1], ()), Poly.one(self.res.ring).terms)
-        add_tree_formula(acc, node, self.on_tree, self.hook.element)
-        return collect(self.res.ring, acc)
+            value = self.leaf_value(node[1])
+            return value if acc is None else add_element(acc, value, sign)
+        out = {} if acc is None else acc
+        accumulate(out, (node[1], ()), Poly.one(self.res.ring).terms, sign)
+        add_tree_formula(out, node, self.on_tree, self.hook.element, sign)
+        return collect(self.res.ring, out) if acc is None else acc
 
     def apply(self, elem: AlgebraElement, acc: Optional[dict] = None,
               sign: int = 1) -> AlgebraElement:
         return apply_derivation(elem, self.on_tree, acc=acc, sign=sign)
 
     def square_residue(self, node: Node) -> Optional[AlgebraElement]:
-        return self._residue(self._squares, node, self._square)
+        if node not in self._squares:
+            self._squares[node] = residue(self.res.ring, self._square(node))
+        return self._squares[node]
 
     def retract_residue(self, mono: Monomial, neg_degree_max: int) -> Optional[AlgebraElement]:
-        return self._residue(self._retracts, mono, lambda m: self._retract(m, neg_degree_max))
-
-    def _residue(self, memo: dict, key, compute: Callable[..., dict]) -> Optional[AlgebraElement]:
-        if key not in memo:
-            memo[key] = residue(self.res.ring, compute(key))
-        return memo[key]
+        kept = self._retracts.get(mono)
+        if kept is None and -sum(map(tree_degree, mono[0])) > self.retracts_through:
+            kept = residue(self.res.ring, self._retract(mono, neg_degree_max))
+            if kept is not None:
+                self._retracts[mono] = kept
+        return kept
 
     def _square(self, node: Node) -> dict:
         return self.apply(self.on_tree(node), {})
 
     def _retract(self, mono: Monomial, neg_degree_max: int) -> dict:
-        """δ h x + h δ x - x + ι p x; h(x), one degree below the trees of x,
-        keeps its image through the truncation, not one degree past it."""
-        one = Poly.one(self.res.ring)
-        x = AlgebraElement._of(self.res.ring, {mono: one})
-        hx = homotopy(x)
-        image = self.on_tree if sum(map(tree_degree, mono[0])) > -neg_degree_max \
-            else lambda t: self._memo.get(t) or self._image(t)
-        acc = apply_derivation(hx, image, acc={})
-        homotopy(self.apply(x), acc)
-        accumulate(acc, mono, one.terms, -1)
-        project_to_resolution(self.hook.element, x, hx, acc)
+        """δ h x + h δ x - x + ι p x, building no element: x is trees with coefficient
+        1, so h x is their joined tree, ι p x its hook value (x for a leaf), and
+        h δ x is joined from δ x's sums; h x keeps its image through K, not K + 1."""
+        ring, trees, acc = self.res.ring, mono[0], {}
+        join_sums(self.apply(AlgebraElement._of(ring, {mono: Poly.one(ring)}), {}), acc)
+        if len(trees) > 1:
+            joined = node(trees)
+            image = (self.on_tree(joined) if sum(map(tree_degree, trees)) > -neg_degree_max
+                     else self._memo.get(joined))
+            if image is None:  # of degree K + 1, not kept
+                self._image(joined, acc)
+            else:
+                add_element(acc, image)
+            add_element(acc, self.hook.element(joined))
+        if len(trees) > 1 or not is_leaf(trees[0]):
+            accumulate(acc, mono, Poly.one(ring).terms, -1)
         return acc
 
 
@@ -309,21 +319,14 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
     """
     out = {} if acc is None else acc
     for part in (elem.project_module(), elem.project_scalar()):
-        for mono, c in part.terms.items():
-            accumulate(out, mono, c.terms, sign)
-    hooked_joins(hook_value, homotopy(elem) if joined is None else joined, out, sign)
-    return collect(elem.ring, out) if acc is None else acc
-
-
-def hooked_joins(hook_value: Callable[[Node], AlgebraElement], joined: AlgebraElement,
-                 acc: dict, sign: int = 1):
-    """Add the joined trees sent through `hook_value`, the projection's third part."""
-    for (trees, pos), c in joined.terms.items():
+        add_element(out, part, sign)
+    for (trees, pos), c in (homotopy(elem) if joined is None else joined).terms.items():
         s = sign * parity_sign(mono_pos_degree((trees, pos)))
         for m, d in hook_value(trees[0]).terms.items():
             mono, s2 = mono_mul(((), pos), m)
             if mono is not None:
-                accumulate(acc, mono, d.terms, s * s2, c.terms)
+                accumulate(out, mono, d.terms, s * s2, c.terms)
+    return collect(elem.ring, out) if acc is None else acc
 
 
 def _retract_failures(res: FreeResolution, neg_degree_max: int,
@@ -348,8 +351,10 @@ def verify_retract(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> C
     residues stay on the evaluator (`TreeDifferential.retract_residue`),
     where `verify_incl_proj` reads them.
     """
-    count, failures = _retract_failures(res, neg_degree_max,
-                                        hook.differential().retract_residue, "lhs - rhs = ")
+    differential = hook.differential()
+    count, failures = _retract_failures(res, neg_degree_max, differential.retract_residue,
+                                        "lhs - rhs = ")
+    differential.retracts_through = neg_degree_max
     return CheckResult("homotopy retract", not failures,
                        f"{count} algebra monomials through negative degree {neg_degree_max}",
                        failures)

@@ -11,7 +11,11 @@ mode the oracle reads the tables of the former reach-loop solver
 (`test_homotopy_corrections`), where they are solved.
 `verify_retract` and `verify_incl_proj` compute h(x) once per monomial;
 their verdicts, failure lists included, are compared with the former
-implementations, kept below as the oracle.
+implementations, kept below as the oracle.  Their residues are built with
+no intermediate element: h x is the joined tree, and h delta x and h Q+ x
+are joined straight from the Leibniz accumulator (`forest.join_sums`); each
+monomial's residue must equal the former composition of collected
+elements, kept below as the oracle.
 The level -1 residues, delta delta t per basis tree and the retract residue
 per basis monomial, are computed once per run and kept on the evaluator;
 `verify_extension` and `verify_incl_proj` add only the terms of level >= 0
@@ -26,17 +30,19 @@ from collections import Counter
 import pytest
 
 import ktforest
-from ktforest import cli, extension
+from ktforest import cli, extension, forest, kt
 from ktforest.cli import check_mode, parse_spec, run
 from ktforest.extension import (koszul_hook, koszul_mode, solve_general_extension,
                                 solve_residues_explicit, verify_extension, verify_incl_proj)
-from ktforest.forest import (AlgebraElement, apply_derivation, canonicalize_node, collect,
-                             enumerate_monomial_basis, enumerate_tree_basis, is_leaf, leaf,
-                             mono_label, node, sum_elements, tree_degree, tree_str)
+from ktforest.forest import (AlgebraElement, accumulate, apply_derivation, canonicalize_node,
+                             collect, enumerate_monomial_basis, enumerate_tree_basis, is_leaf,
+                             join_sums, leaf, mono_label, node, sum_elements, tree_degree,
+                             tree_str)
 from ktforest.grammar import parse_hook_table
 from ktforest.kt import (CheckResult, HookMap, TreeDifferential, homotopy,
                          project_to_resolution, solve_hook, verify_retract)
 from ktforest.poly import Poly
+from ktforest.resolution import GeneratorId
 from conftest import entries
 from test_extension import MONOMIAL3_HOOK_LINES, make_positive
 from test_failing_reports import (double_first_gen_q_entry, double_last_hook_entry,
@@ -81,9 +87,9 @@ def images_computed_twice(monkeypatch, name, neg_degree_max, **options):
     computed = Counter()
     image = TreeDifferential._image
 
-    def counting(self, node):
+    def counting(self, node, *args):
         computed[node] += 1
-        return image(self, node)
+        return image(self, node, *args)
 
     monkeypatch.setattr(TreeDifferential, "_image", counting)
     spec = example(name)
@@ -268,7 +274,8 @@ def former_verify_retract(res, hook, neg_degree_max):
                        failures)
 
 
-def former_verify_incl_proj(ext, neg_degree_max):
+def former_projection(ext):
+    """The projection through the hook plus every correction table."""
     ring = ext.res.ring
 
     def hook_total(node):
@@ -277,8 +284,12 @@ def former_verify_incl_proj(ext, neg_degree_max):
             out = out + ext.chi_level(k, node)
         return out
 
-    def proj(elem):
-        return project_to_resolution(hook_total, elem)
+    return lambda elem: project_to_resolution(hook_total, elem)
+
+
+def former_verify_incl_proj(ext, neg_degree_max):
+    ring = ext.res.ring
+    proj = former_projection(ext)
 
     failures = []
     count = 0
@@ -344,6 +355,109 @@ def test_incl_proj_matches_the_former_verifier(corrupt):
     assert incl_proj.passed == (not corrupt)
     if corrupt:
         assert len(incl_proj.failures) > 1
+
+
+# ---------------------------------------------------------------------------
+# the residues without intermediate elements: the former composition
+# ---------------------------------------------------------------------------
+
+def former_retract_residue(differential, x):
+    """delta h x + h delta x - x + iota p x composed from collected
+    elements, or None where it cancels.  Kept as the oracle."""
+    r = differential.apply(homotopy(x)) + homotopy(differential.apply(x)) - x \
+        + project_to_resolution(differential.hook.element, x)
+    return None if r.is_zero() else r
+
+
+def former_incl_proj_residue(ext, proj, x):
+    """Proj x - (x - h Q x - Q h x), or None where it cancels.  Kept as the
+    oracle."""
+    r = proj(x) - x + homotopy(ext.apply(x)) + ext.apply(homotopy(x))
+    return None if r.is_zero() else r
+
+
+def walked_residues(monkeypatch, module, verify, *args):
+    """The verdict of `verify` and each basis monomial's residue (collected,
+    or None) as the walk of `module._retract_failures` computes it."""
+    residues = {}
+    walk = module._retract_failures
+
+    def capturing(res, neg_degree_max, residue_of, mismatch):
+        for mono in basis_monomials(res, neg_degree_max):
+            residues[mono] = residue_of(mono, neg_degree_max)
+        return walk(res, neg_degree_max, lambda mono, _k: residues[mono], mismatch)
+
+    monkeypatch.setattr(module, "_retract_failures", capturing)
+    return verify(*args), residues
+
+
+def assert_joins_match(ring, sums):
+    """A Leibniz accumulator joined in place equals homotopy of its element."""
+    assert collect(ring, join_sums(sums, {})) == homotopy(collect(ring, sums))
+
+
+RESIDUE_CASES = [(name, mode) for name in ("quadratic.kt", "monomial_ideal.kt",
+                                           "taylor_shear.kt", "regular_sequence.kt",
+                                           "koszul_function.kt", "koszul_compare.kt")
+                 for mode in ("explicit", "general")]
+
+
+@pytest.mark.parametrize("name, mode", RESIDUE_CASES + [("quadratic.kt", "scaled image"),
+                                                       ("quadratic.kt", "doubled projection")])
+def test_residues_match_the_former_composition(monkeypatch, name, mode):
+    spec = example(name)
+    res, ring = spec.resolution, spec.resolution.ring
+    one = Poly.one(ring)
+    hook = solve_hook(res, K)
+    delta = hook.differential()
+    oracle = TreeDifferential(res, hook)
+    if mode == "scaled image":
+        # one doubled tree image, read by the kernel and the oracle alike,
+        # inside the degree K + 1 joins as well
+        pi1, pi2 = res.generators(1)[:2]
+        tree = canonicalize_node(node((leaf(pi1), leaf(pi2))))[0]
+        for evaluator in (delta, oracle):
+            evaluator._memo[tree] = evaluator.on_tree(tree).scale(2)
+    retract, residues = walked_residues(monkeypatch, kt, verify_retract, res, hook, K)
+    assert retract.passed == (mode != "scaled image")
+    assert delta.retracts_through == K
+    # only the residues that do not cancel are kept
+    assert delta._retracts == {m: r for m, r in residues.items() if r is not None}
+    for mono, r in residues.items():
+        x = AlgebraElement(ring, {mono: one})
+        assert r == former_retract_residue(oracle, x), mono_label(mono)
+        assert_joins_match(ring, oracle.apply(x, {}))
+    if mode == "scaled image":
+        return
+    solve = solve_general_extension if mode == "general" else solve_residues_explicit
+    ext = solve(res, spec.positive, hook, K)
+    proj = former_projection(ext)
+    if mode == "doubled projection":
+        # the projection alone reads a doubled hook
+        chi_level = ext.chi_level
+        ext.chi_level = lambda k, node: chi_level(k, node).scale(2 if k == -1 else 1)
+    incl_proj, residues = walked_residues(monkeypatch, extension, verify_incl_proj, ext, K)
+    assert incl_proj.passed == (mode != "doubled projection")
+    levels = range(0, ext.level_max + 1)
+    for mono, r in residues.items():
+        x = AlgebraElement(ring, {mono: one})
+        assert r == former_incl_proj_residue(ext, proj, x), mono_label(mono)
+        assert_joins_match(ring, ext._apply_levels(levels, x, acc={}))
+
+
+def test_a_cancelled_sum_is_not_joined():
+    ring = example("quadratic.kt").resolution.ring
+    one = Poly.one(ring).terms
+    # two leaves on generators of no resolution: their join is not interned
+    trees = (leaf(GeneratorId(-2, 0, "probe_a")), leaf(GeneratorId(-2, 1, "probe_b")))
+    sums = {}
+    for sign in (1, -1):
+        accumulate(sums, (trees, ()), one, sign)
+    acc = {}
+    assert join_sums(sums, acc) is acc
+    assert acc == {} and trees not in forest._joins
+    accumulate(sums, (trees, ()), one)
+    assert collect(ring, join_sums(sums, acc)) == AlgebraElement.from_tree(ring, node(trees))
 
 
 # ---------------------------------------------------------------------------
