@@ -8,11 +8,11 @@ verifies every homological identity symbolically over the rationals.
 
 from importlib import resources
 
-from .extension import (ExtensionData, PositivePart, boundary_equivalent,
-                        check_ideal_preserved, higher_product, koszul_hook,
-                        koszul_mode, solve_general_extension, solve_residues_explicit,
-                        verify_extension, verify_incl_proj, verify_product_defect)
-from .forest import AlgebraElement, koszul_sign
+from .extension import (ExtensionData, PositivePart, check_ideal_preserved, higher_product,
+                        koszul_hook, koszul_mode, solve_general_extension,
+                        solve_residues_explicit, verify_extension, verify_incl_proj,
+                        verify_product_defect)
+from .forest import AlgebraElement
 from .kt import (HookMap, TreeDifferential, hook_product, solve_hook, verify_hook,
                  verify_retract, verify_square_zero)
 from .poly import Poly, RingSpec, slice_basis, solve_lift

@@ -541,19 +541,6 @@ def verify_extension(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
     return CheckResult("total differential square zero", not failures, checked, failures)
 
 
-def boundary_equivalent(res: FreeResolution, a: AlgebraElement, b: AlgebraElement) -> bool:
-    """Whether two (module x positives) values differ by an exact term."""
-    diff = a - b
-    if diff.is_zero():
-        return True
-    if not diff.has_only_module_and_scalar():
-        return False
-    try:
-        return lift_delta_preimage(res, diff) is not None
-    except SolveError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # inclusion / projection homotopy equivalence
 # ---------------------------------------------------------------------------

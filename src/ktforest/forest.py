@@ -21,8 +21,8 @@ a symmetric algebra on positive generators.  A monomial is a pair
 and reorderings carry Koszul signs computed from homogeneous degrees.
 
 Every sign of a reordering comes from the signed merge `resolution._merge`:
-products merge two sorted factor tuples, and `canonicalize_node`,
-`make_monomial` and `koszul_sign` sort a factor sequence through its fold
+products merge two sorted factor tuples, and `canonicalize_node` and
+`make_monomial` sort a factor sequence through its fold
 `resolution.signed_sort`.
 """
 
@@ -91,23 +91,26 @@ def is_leaf(node: Node) -> bool:
     return node[0] == "L"
 
 
-@lru_cache(maxsize=None)
 def tree_degree(node: Node) -> int:
     """Homological degree: each vertex contributes -1, leaves their degree."""
-    if node[0] == "L":
-        return node[1].module_degree
-    return -1 + sum(tree_degree(c) for c in node[1])
+    return _tree_order(node)[1]
+
+
+def tree_key(node: Node):
+    """Canonical comparison key for subtrees and tree factors: (leaf count,
+    shape string, decoration keys)."""
+    return _tree_order(node)[0]
 
 
 @lru_cache(maxsize=None)
-def tree_key(node: Node):
-    """Canonical comparison key for subtrees and tree factors: (leaf count,
-    shape string, decoration keys), built from the children's keys."""
+def _tree_order(node: Node) -> tuple:
+    """(tree_key, tree_degree) from the children's pairs, kept on first read only:
+    most interned trees are never compared or asked for their degree."""
     if node[0] == "L":
-        return 1, "*", (node[1].key,)
-    keys = [tree_key(c) for c in node[1]]
-    return (sum(k[0] for k in keys), "(" + "".join(k[1] for k in keys) + ")",
-            sum((k[2] for k in keys), ()))
+        return (1, "*", (node[1].key,)), node[1].module_degree
+    keys, degrees = zip(*map(_tree_order, node[1]))
+    return ((sum(k[0] for k in keys), "(" + "".join(k[1] for k in keys) + ")",
+             sum((k[2] for k in keys), ())), sum(degrees) - 1)
 
 
 def tree_str(node: Node) -> str:
@@ -118,14 +121,6 @@ def tree_str(node: Node) -> str:
 
 class TreeError(ValueError):
     pass
-
-
-def koszul_sign(degrees: Sequence[int], permutation: Sequence[int]) -> int:
-    """Sign with x_{perm(0)} ... x_{perm(k-1)} = sign * x_0 ... x_{k-1}."""
-    perm = list(permutation)
-    if sorted(perm) != list(range(len(degrees))):
-        raise ValueError("not a permutation of the index set")
-    return signed_sort(perm, lambda i: (i, degrees[i]))[1]
 
 
 @lru_cache(maxsize=None)
@@ -150,10 +145,6 @@ def canonicalize_node(tree: Node) -> Tuple[Optional[Node], int]:
 # ---------------------------------------------------------------------------
 # the graded symmetric algebra
 # ---------------------------------------------------------------------------
-
-def mono_degree(mono: Monomial) -> int:
-    return sum(map(tree_degree, mono[0])) + mono_pos_degree(mono)
-
 
 def mono_pos_degree(mono: Monomial) -> int:
     _, pos = mono
@@ -199,12 +190,6 @@ def _factor_order(factor: tuple) -> tuple:
     kind, obj = factor
     key, degree = _gen_order(obj) if kind == "p" else _tree_order(obj)
     return (kind == "t", key), degree
-
-
-@lru_cache(maxsize=None)
-def _tree_order(node: Node) -> tuple:
-    """(tree_key, tree_degree) in one cache lookup."""
-    return tree_key(node), tree_degree(node)
 
 
 def _gen_order(g: GeneratorId) -> tuple:
@@ -496,7 +481,7 @@ def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement
         kids = node[1]
         after = 0
         for c in kids[i + 1:]:
-            after ^= tree_degree(c)
+            after ^= _tree_order(c)[1]
         steps.append((kids[:i] + kids[i + 1:], after & 1))
         node = kids[i]
     steps.reverse()
@@ -542,7 +527,7 @@ def add_tree_formula(acc: dict, node: Node,
         image = child_image(child)
         if image.terms:
             substitute_at_path(acc, node, (i,), image, sign * parity_sign(weight), weight)
-        weight += tree_degree(child)
+        weight += _tree_order(child)[1]
     value = root_value(node)
     if value.terms:
         substitute_at_path(acc, node, (), value, -sign, 0)
@@ -606,7 +591,7 @@ def apply_derivation(elem: AlgebraElement,
             if by_degree:
                 t_odd = 0
                 for t in mt:
-                    t_odd ^= tree_degree(t)
+                    t_odd ^= _tree_order(t)[1]
                 p_odd = 0
                 for g in mp:
                     p_odd ^= g[0]
@@ -679,7 +664,7 @@ def apply_derivation(elem: AlgebraElement,
                 img = on_tree_extra(t)
                 if img is not None and img.terms:
                     insert(img, rest, passed, ct)
-            passed += tree_degree(t)
+            passed += _tree_order(t)[1]
     return collect(elem.ring, out) if acc is None else acc
 
 

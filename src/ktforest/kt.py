@@ -13,7 +13,8 @@ the root split and the hook at the root are added.
 The hook is solved degree by degree: for every basis tree, the required
 value is a preimage under the resolution differential of an expression in
 hook values of strictly lower degree, found by exact lifting.  Values on
-trees too deep for the resolution are forced to zero.
+trees too deep for the resolution are forced to zero, and the solve stops
+at degree length + 2, past which the recursion is zero by degree.
 """
 
 from __future__ import annotations
@@ -124,20 +125,18 @@ class HookMap:
 class TreeDifferential:
     """Evaluator for the differential determined by a hook table.
 
-    It owns the level -1 residues of the identities it checks, each computed
-    on first read: δ(δ t) per tree, or None where it cancels, and
-    δ h x + h δ x - x + ι p x per monomial where it does not (a monomial
-    through `retracts_through`, the degree walked by `verify_retract`, reads
-    None without one).  The verifiers of Q add only the levels >= 0 to them.
+    It owns the level -1 residues of the identities it checks, δ(δ t) per
+    tree and δ h x + h δ x - x + ι p x per monomial, kept only where they do
+    not cancel (`_kept`).  The verifiers of Q add only the levels >= 0 to them.
     """
 
     def __init__(self, res: FreeResolution, hook: HookMap):
         self.res = res
         self.hook = hook
         self._memo: Dict[Node, AlgebraElement] = {}
-        self._squares: Dict[Node, Optional[AlgebraElement]] = {}
+        self._squares: Dict[Node, AlgebraElement] = {}
         self._retracts: Dict[Monomial, AlgebraElement] = {}
-        self.retracts_through = 0
+        self.squares_through = self.retracts_through = 0
         # d of each generator, collected: the augmentation at depth 1
         self._leaf_values = {
             g: sum_elements(res.ring, [AlgebraElement.scalar(res.augment[g]) if d == -1
@@ -168,16 +167,21 @@ class TreeDifferential:
         return apply_derivation(elem, self.on_tree, acc=acc, sign=sign)
 
     def square_residue(self, node: Node) -> Optional[AlgebraElement]:
-        if node not in self._squares:
-            self._squares[node] = residue(self.res.ring, self._square(node))
-        return self._squares[node]
+        return self._kept(self._squares, -tree_degree(node), self.squares_through,
+                          self._square, node)
 
     def retract_residue(self, mono: Monomial, neg_degree_max: int) -> Optional[AlgebraElement]:
-        kept = self._retracts.get(mono)
-        if kept is None and -sum(map(tree_degree, mono[0])) > self.retracts_through:
-            kept = residue(self.res.ring, self._retract(mono, neg_degree_max))
+        return self._kept(self._retracts, -sum(map(tree_degree, mono[0])),
+                          self.retracts_through, self._retract, mono, neg_degree_max)
+
+    def _kept(self, store: dict, depth: int, through: int, compute: Callable, key, *args):
+        """The residue of `key`, None where it cancels; kept if it does not, so at a
+        depth through `through` (walked by its verifier) a key without one reads None."""
+        kept = store.get(key)
+        if kept is None and depth > through:
+            kept = residue(self.res.ring, compute(key, *args))
             if kept is not None:
-                self._retracts[mono] = kept
+                store[key] = kept
         return kept
 
     def _square(self, node: Node) -> dict:
@@ -239,24 +243,21 @@ def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
     """Solve the hook recursion for every basis tree through `hook_window`.
 
     Values land in the module one degree up; beyond the resolution length
-    they are forced to zero and the recursion is checked to be consistent.
+    they are forced to zero and the recursion is checked to be consistent at
+    degree length + 2.  Deeper, it lands where no generators are: zero.
     """
     hook = HookMap(res, {})
     differential = hook.differential()
-    for degree in range(3, hook_window(res, neg_degree_max) + 1):
-        trees = [t for t in enumerate_tree_basis(res, degree) if not is_leaf(t)]
-        if not trees:
-            continue
-        for node in trees:
+    for degree in range(3, min(hook_window(res, neg_degree_max), res.length + 2) + 1):
+        for node in (t for t in enumerate_tree_basis(res, degree) if not is_leaf(t)):
             rhs = hook_equation_rhs(differential, node)
-            source_depth = degree - 1
-            if source_depth > res.length:
+            if degree > res.length + 1:
                 if not rhs.is_zero():
                     raise SolveError("hook", tree_str(node),
                                      "forced-zero value but the recursion is nonzero; "
                                      "input resolution is not exact")
                 continue
-            lifted = res.lift(rhs, source_depth)
+            lifted = res.lift(rhs, degree - 1)
             if lifted is None:
                 raise SolveError("hook", tree_str(node),
                                  "no preimage under d; resolution not exact "
@@ -367,6 +368,7 @@ def verify_square_zero(differential: TreeDifferential, neg_degree_max: int) -> C
                 for degree in range(1, neg_degree_max + 1)
                 for t in enumerate_tree_basis(differential.res, degree)
                 for r in (differential.square_residue(t),) if r is not None]
+    differential.squares_through = neg_degree_max
     return CheckResult("tree differential square zero", not failures,
                        f"basis trees through negative degree {neg_degree_max}", failures)
 

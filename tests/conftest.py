@@ -1,5 +1,5 @@
-"""Shared fixtures: the bundled example data, built programmatically, and
-the command line run in this process."""
+"""Shared fixtures: the bundled example data, built programmatically, the
+command line run in this process, and helpers the tests share."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from ktforest.cli import main
+from ktforest.extension import lift_delta_preimage
+from ktforest.forest import AlgebraElement, Monomial, mono_pos_degree, tree_degree
+from ktforest.kt import SolveError
 from ktforest.poly import Poly, RingSpec
 from ktforest.resolution import FreeResolution, GeneratorId, ModuleElement
 
@@ -35,6 +38,24 @@ def make_resolution(ring: RingSpec, layers, diff_lines, augment_lines) -> FreeRe
         diff[g] = ModuleElement(ring, terms)
     augment = {by_label[label]: Poly.parse(text, ring) for label, text in augment_lines.items()}
     return FreeResolution(ring, gens_by_degree, diff, augment)
+
+
+def mono_degree(mono: Monomial) -> int:
+    """The homological degree of a monomial: its trees' and its positives'."""
+    return sum(map(tree_degree, mono[0])) + mono_pos_degree(mono)
+
+
+def boundary_equivalent(res: FreeResolution, a: AlgebraElement, b: AlgebraElement) -> bool:
+    """Whether two (module x positives) values differ by an exact term."""
+    diff = a - b
+    if diff.is_zero():
+        return True
+    if not diff.has_only_module_and_scalar():
+        return False
+    try:
+        return lift_delta_preimage(res, diff) is not None
+    except SolveError:
+        return False
 
 
 def source_kind(source) -> str:

@@ -5,12 +5,16 @@ The engine computes every reordering sign with one signed merge
 that, `koszul_sign`, `canonicalize_node` and `make_monomial` sorted by
 swapping adjacent factors, each swap of two odd factors costing a sign.
 That sort is kept here, independent of the engine, for the tests to
-compare the engine's signs with (`test_sign_oracle.py`).
+compare the engine's signs with (`test_sign_oracle.py`).  `koszul_sign`,
+the sign of a permutation of graded factors by the engine's fold, is the
+one the tests use; it is compared with the bubble sort's.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
+
+from ktforest.resolution import signed_sort
 
 
 def bubble_sort_with_sign(items: list) -> Tuple[Optional[list], int]:
@@ -36,3 +40,11 @@ def bubble_sort_with_sign(items: list) -> Tuple[Optional[list], int]:
 def reference_koszul_sign(degrees: Sequence[int], permutation: Sequence[int]) -> int:
     """Sign with x_{perm(0)} ... x_{perm(k-1)} = sign * x_0 ... x_{k-1}."""
     return bubble_sort_with_sign([(i, degrees[i], i) for i in permutation])[1]
+
+
+def koszul_sign(degrees: Sequence[int], permutation: Sequence[int]) -> int:
+    """Sign with x_{perm(0)} ... x_{perm(k-1)} = sign * x_0 ... x_{k-1}."""
+    perm = list(permutation)
+    if sorted(perm) != list(range(len(degrees))):
+        raise ValueError("not a permutation of the index set")
+    return signed_sort(perm, lambda i: (i, degrees[i]))[1]

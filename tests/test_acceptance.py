@@ -13,8 +13,7 @@ import pytest
 
 import ktforest
 from ktforest.cli import main as cli_main, parse_spec, run as run_pipeline
-from ktforest.extension import (ExtensionData, boundary_equivalent, higher_product,
-                                koszul_hook, koszul_mode, solve_general_extension,
+from ktforest.extension import (ExtensionData, higher_product, koszul_hook, koszul_mode, solve_general_extension,
                                 solve_residues_explicit, verify_extension,
                                 verify_product_defect)
 from ktforest.forest import AlgebraElement, enumerate_tree_basis, leaf
@@ -24,7 +23,7 @@ from ktforest.kt import (HookMap, TreeDifferential, solve_hook, verify_hook, ver
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement, quotient_dims
 
-from conftest import entries, make_resolution
+from conftest import boundary_equivalent, entries, make_resolution
 
 
 def report_line(number, elapsed, budget, detail):

@@ -17,10 +17,11 @@ are joined straight from the Leibniz accumulator (`forest.join_sums`); each
 monomial's residue must equal the former composition of collected
 elements, kept below as the oracle.
 The level -1 residues, delta delta t per basis tree and the retract residue
-per basis monomial, are computed once per run and kept on the evaluator;
-`verify_extension` and `verify_incl_proj` add only the terms of level >= 0
-to them, and must equal the unsplit Q Q x loop and the full run, kept below
-as the oracles.
+per basis monomial, are computed once per run and kept on the evaluator
+where they do not cancel; `verify_extension` and `verify_incl_proj` add
+only the terms of level >= 0 to them, and must equal the unsplit Q Q x
+loop and the full run, kept below as the oracles, with the square-zero
+check run before them or not at all.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from ktforest.kt import (CheckResult, HookMap, TreeDifferential, homotopy,
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
 from conftest import entries
+from test_cli import BUNDLED_SPECS
 from test_extension import MONOMIAL3_HOOK_LINES, make_positive
 from test_failing_reports import (double_first_gen_q_entry, double_last_hook_entry,
                                   double_one_tree_image)
@@ -106,7 +108,7 @@ def test_each_tree_image_is_computed_once_per_run(monkeypatch, name):
     assert not images_computed_twice(monkeypatch, name, K)
 
 
-@pytest.mark.parametrize("verify", ["retract extension", "incl_proj"])
+@pytest.mark.parametrize("verify", ["retract extension", "incl_proj", "extension"])
 def test_tree_images_are_kept_without_the_square_zero_check(monkeypatch, verify):
     # the retract residues keep each joined tree through K: before, these
     # runs computed 173 and 47 basis-tree images twice
@@ -464,6 +466,26 @@ def test_a_cancelled_sum_is_not_joined():
 # level -1 once: the residues kept on the evaluator
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("name", BUNDLED_SPECS)
+def test_a_passing_run_keeps_no_square_residue(monkeypatch, name):
+    # the square-zero check walks every basis tree through K, so a tree
+    # without a kept residue reads None: a passing run keeps none
+    walked = []
+    verify = cli.verify_square_zero
+
+    def walking(differential, neg_degree_max):
+        walked.append(differential)
+        return verify(differential, neg_degree_max)
+
+    monkeypatch.setattr(cli, "verify_square_zero", walking)
+    spec = example(name)
+    check_mode(spec)
+    assert run(spec).all_passed()
+    [delta] = walked
+    assert delta.squares_through == spec.neg_degree_max
+    assert delta._squares == {}
+
+
 def test_level_minus_one_residues_are_computed_once_per_run(monkeypatch):
     computed = {"_square": Counter(), "_retract": Counter()}
     for name, seen in computed.items():
@@ -542,7 +564,10 @@ def general_only_spec(depth):
     ("solved", None, None),
     ("doubled hook entry", "solve_hook", double_last_hook_entry),
     ("doubled gen_q entry", "solve_residues_explicit", double_first_gen_q_entry),
-    ("general-only input", None, None)])
+    ("general-only input", None, None),
+    # without the square-zero check, which keeps the residues it walks
+    ("extension alone", None, None),
+    ("extension alone, doubled hook entry", "solve_hook", double_last_hook_entry)])
 def test_extension_matches_the_unsplit_square(monkeypatch, case, target, perturb):
     if perturb is not None:
         monkeypatch.setattr(cli, target, perturb(getattr(cli, target)))
@@ -555,11 +580,13 @@ def test_extension_matches_the_unsplit_square(monkeypatch, case, target, perturb
 
     monkeypatch.setattr(cli, "verify_extension", both)
     spec = general_only_spec(3) if case == "general-only input" else example("quadratic.kt")
+    if case.startswith("extension alone"):
+        spec.options.update(verify="extension")
     check_mode(spec)
     run(spec)
     [(split, unsplit)] = compared
     assert split == unsplit
-    assert split[0] == (case == "solved")
+    assert split[0] == (case in ("solved", "extension alone"))
 
 
 @pytest.mark.parametrize("perturb", [None, double_one_tree_image])

@@ -9,8 +9,7 @@ import pytest
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.extension import (ExtensionData, PositivePart, boundary_equivalent,
-                                check_ideal_preserved, higher_product, koszul_hook, koszul_mode,
+from ktforest.extension import (ExtensionData, PositivePart, check_ideal_preserved, higher_product, koszul_hook, koszul_mode,
                                 solve_general_extension, solve_residues_explicit,
                                 verify_extension, verify_incl_proj, verify_product_defect)
 from ktforest.forest import AlgebraElement, leaf
@@ -18,7 +17,7 @@ from ktforest.grammar import SymbolTable, parse_element, parse_tree
 from ktforest.kt import SolveError, solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId, build_koszul_complex
-from conftest import entries, source_kind
+from conftest import boundary_equivalent, entries, source_kind
 from test_cli import BUNDLED_SPECS
 
 

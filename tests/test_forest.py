@@ -11,11 +11,13 @@ from ktforest.cli import parse_spec
 from ktforest.forest import (AlgebraElement, TreeError, _mono_sort_key, _trees_through,
                              canonicalize_node,
                              enumerate_monomial_basis, enumerate_tree_basis,
-                             is_leaf, koszul_sign, leaf,
-                             make_monomial, mono_degree, root_join, root_split,
+                             is_leaf, leaf,
+                             make_monomial, root_join, root_split,
                              tree_degree, tree_key, tree_str)
 from ktforest.poly import Poly
 from ktforest.resolution import GeneratorId
+from conftest import mono_degree
+from sign_oracle import koszul_sign
 from test_cli import BUNDLED_SPECS
 from vertex_walk import contract_vertex, vertices
 

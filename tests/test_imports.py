@@ -6,7 +6,8 @@ only.  Uses count in code and in annotations, quoted ones included;
 raises -1 to a power, since every sign comes from `resolution.parity_sign`
 or the signed merge; no module writes to a `terms` dict in place, since
 `forest.collect` shares one Poly per one-term coefficient among every
-element that holds it; a cold start of the command line imports neither
+element that holds it; every process-global cache (`functools.lru_cache`
+or `cache`) is on a named allowlist with its reason; a cold start of the command line imports neither
 `dataclasses` nor `inspect`; every module parses under the grammar of
 Python 3.10, the oldest version `pyproject.toml` accepts (grammar only, not
 library APIs); and every underscore-named function, method or class is
@@ -151,6 +152,61 @@ def test_write_to_terms_is_found():
                      "p.terms.clear()\nv = p.terms[e]\np.terms.get(e)\nacc[e] = 1\n"
                      "acc.pop(e)\nq.terms = {}\n")
     assert terms_writes(tree) == list(range(1, 9))
+
+
+# A cache of functools lives as long as the process and, keyed by trees,
+# holds every tree it has seen: each one needs a reason to exist.
+PROCESS_CACHES = {
+    "poly._slice": "keyed by (variables, degree), not by trees: one exponent tuple per slice",
+    "forest._tree_order": "the one store of tree_key and tree_degree, built on first read "
+                          "from the children's pairs: most interned trees are never compared",
+    "forest.canonicalize_node": "perfbench/tracing.py reads its cache_info()",
+}
+CACHE_NAMES = {"lru_cache", "cache"}
+
+
+def process_caches(module: str, tree: ast.Module) -> list:
+    """`module.function` of every function a functools cache decorates
+    (`module.Class.method` for a method), and `module:line` of every other
+    call of one, such as a cache wrapped around a function."""
+    def cache(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return (isinstance(node, ast.Name) and node.id in CACHE_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in CACHE_NAMES)
+
+    found, decorators = [], set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                cached = [d for d in child.decorator_list if cache(d)]
+                decorators.update(map(id, cached))
+                if cached:
+                    found.append(name)
+            walk(child, name)
+
+    walk(tree, module)
+    return found + [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and cache(node) and id(node) not in decorators]
+
+
+def test_every_process_global_cache_is_allowed():
+    found = [name for module in MODULES + ["__init__.py"] for name in process_caches(
+        module[:-3], ast.parse((PACKAGE / module).read_text(encoding="utf-8")))]
+    assert sorted(found) == sorted(PROCESS_CACHES)
+
+
+def test_process_global_cache_is_found():
+    tree = ast.parse("from functools import cache, lru_cache\nimport functools\n"
+                     "@lru_cache(maxsize=None)\ndef f(t):\n    pass\n"
+                     "@functools.lru_cache\ndef g(t):\n    pass\n"
+                     "class C:\n    @cache\n    def h(self):\n        pass\n"
+                     "    def k(self):\n        pass\n"
+                     "w = lru_cache(maxsize=4)(len)\n"
+                     "if w:\n    @cache\n    def j():\n        pass\n")
+    assert process_caches("m", tree) == ["m.f", "m.g", "m.C.h", "m.j", "m:15"]
 
 
 def test_cold_start_imports_neither_dataclasses_nor_inspect():

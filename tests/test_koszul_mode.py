@@ -157,11 +157,10 @@ def test_koszul_mode_rejects_a_value_off_the_generators(regular_koszul, regular_
 def test_regular_sequence_general_mode_agrees(ring_xy, regular_pos_symbols):
     """General mode on the regular-sequence data matches the explicit mode
     on every generator image, up to exact terms."""
-    from ktforest.extension import (boundary_equivalent, solve_general_extension,
-                                    solve_residues_explicit)
+    from ktforest.extension import solve_general_extension, solve_residues_explicit
     from ktforest.kt import solve_hook
 
-    from conftest import make_resolution
+    from conftest import boundary_equivalent, make_resolution
 
     res = make_resolution(
         ring_xy,

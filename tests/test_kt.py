@@ -7,15 +7,17 @@ import random
 import pytest
 
 import ktforest
+from ktforest import kt
 from ktforest.cli import parse_spec
 from ktforest.forest import (AlgebraElement, canonicalize_node, enumerate_monomial_basis,
                              enumerate_tree_basis, is_leaf, leaf, make_monomial, parity_sign,
-                             tree_str)
-from ktforest.kt import (HookMap, TreeDifferential, homotopy, hook_product,
-                         project_to_resolution, solve_hook, verify_hook,
-                         verify_hook_product_leibniz, verify_retract, verify_square_zero)
+                             tree_degree, tree_str)
+from ktforest.kt import (HookMap, SolveError, TreeDifferential, homotopy, hook_equation_rhs,
+                         hook_product, hook_window, project_to_resolution, solve_hook,
+                         verify_hook, verify_hook_product_leibniz, verify_retract,
+                         verify_square_zero)
 from ktforest.poly import Poly
-from ktforest.resolution import ModuleElement
+from ktforest.resolution import FreeResolution, ModuleElement
 
 
 def elem(res, node, coeff=None):
@@ -265,7 +267,7 @@ def test_leibniz_rule_randomized(quadratic_resolution, quadratic_hook):
             out = out + AlgebraElement(ring, {mono: coeff.scale(sign)})
         return out
 
-    from ktforest.forest import mono_degree
+    from conftest import mono_degree
 
     for _ in range(150):
         a, b = random_element(), random_element()
@@ -311,10 +313,88 @@ def test_corrupted_hook_breaks_square_zero(quadratic_resolution):
     report = verify_square_zero(differential, 4)
     assert not report.passed
     assert any("V(pi1,pi2)" in item for item, _ in report.failures)
+    # the failures of the former store, which kept a None for each of the
+    # 10 other trees, and of delta applied twice on a fresh evaluator
+    oracle = TreeDifferential(res, hook)
+    assert report.failures == [
+        (tree_str(t), f"residue {r}") for degree in range(1, 5)
+        for t in enumerate_tree_basis(res, degree)
+        for r in (oracle.apply(oracle.on_tree(t)),) if not r.is_zero()]
+    assert len(report.failures) == 5
+    # only the failing trees' residues are kept, and a second walk reads them
+    assert differential.squares_through == 4
+    assert [tree_str(t) for t in differential._squares] == [t for t, _ in report.failures]
+    again = verify_square_zero(differential, 4)
+    assert (again.passed, again.checked, again.failures) == \
+        (report.passed, report.checked, report.failures)
+
+
+def former_solve_hook(res, neg_degree_max):
+    """`solve_hook` before it stopped at degree length + 2: it evaluated the
+    recursion on every inner basis tree through `hook_window` and checked
+    each one past length + 1 to be zero.  Kept as the oracle; returns the
+    table and the number of trees it evaluated past length + 2."""
+    hook = HookMap(res, {})
+    differential = hook.differential()
+    past = 0
+    for degree in range(3, hook_window(res, neg_degree_max) + 1):
+        for node in enumerate_tree_basis(res, degree):
+            if is_leaf(node):
+                continue
+            rhs = hook_equation_rhs(differential, node)
+            if degree > res.length + 1:
+                assert rhs.is_zero(), tree_str(node)
+                past += degree > res.length + 2
+                continue
+            lifted = res.lift(rhs, degree - 1)
+            assert lifted is not None, tree_str(node)
+            hook.set_value(node, lifted)
+    return hook, past
+
+
+# spec: (trees the former loop evaluated past length + 2, trees solve_hook
+# evaluates), at K = 8
+HOOK_STOP = {"koszul_compare.kt": (62, 3), "koszul_function.kt": (0, 0),
+             "monomial_ideal.kt": (3346, 89), "quadratic.kt": (543, 10),
+             "regular_sequence.kt": (62, 3), "taylor_shear.kt": (931, 40)}
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_STOP))
+def test_the_hook_solve_stops_at_length_plus_two(monkeypatch, name):
+    res = parse_spec(ktforest.example_path(name)).resolution
+    former, past = former_solve_hook(res, 8)
+    evaluated = []
+    rhs = kt.hook_equation_rhs
+
+    def counting(differential, node):
+        evaluated.append(node)
+        return rhs(differential, node)
+
+    monkeypatch.setattr(kt, "hook_equation_rhs", counting)
+    hook = solve_hook(res, 8)
+    assert (past, len(evaluated)) == HOOK_STOP[name]
+    assert hook.table == former.table
+    assert all(-tree_degree(t) <= res.length + 2 for t in evaluated)
+
+
+@pytest.mark.parametrize("name, length, tree", [("quadratic.kt", 1, "V(pi1,pi2)"),
+                                                ("monomial_ideal.kt", 2, "V(e1,e24)")])
+def test_the_forced_zero_check_fails_at_length_plus_two(name, length, tree):
+    # cut below its last module, the resolution is not exact at its new
+    # length, where the recursion of a tree of degree length + 2 lands
+    res = parse_spec(ktforest.example_path(name)).resolution
+    gens = {-depth: res.generators(depth) for depth in range(1, length + 1)}
+    kept = {g for depth_gens in gens.values() for g in depth_gens}
+    cut = FreeResolution(res.ring, gens, {g: d for g, d in res.diff.items() if g in kept},
+                         res.augment)
+    with pytest.raises(SolveError) as err:
+        solve_hook(cut, 6)
+    assert (err.value.stage, err.value.item) == ("hook", tree)
+    assert err.value.detail.startswith("forced-zero value but the recursion is nonzero")
 
 
 def test_differential_raises_degree_by_one(quadratic_resolution, quadratic_hook):
-    from ktforest.forest import mono_degree
+    from conftest import mono_degree
 
     res = quadratic_resolution
     differential = TreeDifferential(res, quadratic_hook)

@@ -7,11 +7,13 @@ import random
 import pytest
 
 from ktforest.forest import (AlgebraElement, canonicalize_node, enumerate_tree_basis,
-                             koszul_sign, leaf, make_monomial, mono_degree,
-                             parity_sign, root_join, root_split, tree_degree)
+                             leaf, make_monomial, parity_sign, root_join, root_split,
+                             tree_degree)
 from ktforest.kt import TreeDifferential, hook_product, solve_hook
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement
+from conftest import mono_degree
+from sign_oracle import koszul_sign
 
 CASES = 1000
 

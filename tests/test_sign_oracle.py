@@ -13,12 +13,12 @@ from itertools import permutations, product
 
 import pytest
 
-from ktforest.forest import (canonicalize_node, koszul_sign, leaf, make_monomial, node,
-                             tree_degree, tree_key)
+from ktforest.forest import (canonicalize_node, leaf, make_monomial, node, tree_degree,
+                             tree_key)
 from ktforest.poly import Poly, RingSpec
 from ktforest.resolution import GeneratorId, build_koszul_complex, signed_sort
 
-from sign_oracle import bubble_sort_with_sign, reference_koszul_sign
+from sign_oracle import bubble_sort_with_sign, koszul_sign, reference_koszul_sign
 
 
 def expected_sort(factors, order):
