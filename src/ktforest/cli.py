@@ -33,7 +33,6 @@ from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleEleme
 
 class SpecError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
 
 
@@ -192,12 +191,11 @@ def _check_same_ideal(ring: RingSpec, ideal: List[Poly], lines: List[int],
                             "of the [ideal] generators", lines[0])
 
 
-OPTIONS = ("mode", "neg_degree_max", "poly_cap", "verify")
-VERIFIERS = ("square_zero", "retract", "hook_product", "extension", "incl_proj", "star")
+OPTIONS = ("mode", "neg_degree_max", "poly_cap")
 
 
 def check_mode(spec: ProblemSpec) -> None:
-    """Reject a mode, truncation or verifier name, from the spec or the command line."""
+    """Reject a mode or truncation, from the spec or the command line."""
     for key, least in (("neg_degree_max", 1), ("poly_cap", 0)):
         try:
             valid = getattr(spec, key) >= least
@@ -206,10 +204,6 @@ def check_mode(spec: ProblemSpec) -> None:
         if not valid:
             raise SpecError(f"{key} must be an integer of at least {least}, "
                             f"got {spec.options[key]!r}")
-    unknown = sorted(set(spec.options.get("verify", "").split()) - set(VERIFIERS))
-    if unknown:
-        raise SpecError(f"unknown verifier name(s) {', '.join(unknown)}; "
-                        f"known: {' '.join(VERIFIERS)}")
     mode = spec.mode
     if mode not in ("explicit", "general", "koszul-compare"):
         raise SpecError(f"unknown mode {mode!r}")
@@ -464,15 +458,14 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
     mode: it solves (explicit or general) or ingests (`koszul_mode`).
     Each stage is timed under its `--timings` key, a stage that fails too.
     The first stage that fails, or a lifting step with no solution, ends
-    the run.  The optional `verify` option (space-separated names) restricts
-    the verifiers that run; everything applicable runs by default, and the
-    ideal-preservation gate always.  Every pipeline function is called
-    through its module-global name, which `perfbench/tracing.py` rebinds.
+    the run.  Every applicable verifier runs, in one fixed order; the
+    product-defect check applies from level 1 or a tree entry on.  Every
+    pipeline function is called through its module-global name, which
+    `perfbench/tracing.py` rebinds.
     """
     report = RunReport(spec.name, spec.mode, dict(spec.options))
     res, depth, cap = spec.resolution, spec.neg_degree_max, spec.poly_cap
     report.truncation = {"neg_degree_max": depth, "poly_degree_max": cap}
-    wanted = set(spec.options.get("verify", "").split() or VERIFIERS)
     timed, stage = report.timed, report.add_stage
 
     def stop(name):
@@ -518,12 +511,9 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
 
         report.hook_lines = hook.lines()
         with timed("negative_part_checks"):
-            if "square_zero" in wanted:
-                report.add_verdict(verify_square_zero(hook.differential(), depth))
-            if "retract" in wanted:
-                report.add_verdict(verify_retract(res, hook, depth))
-            if "hook_product" in wanted:
-                report.add_verdict(verify_hook_product_leibniz(res, hook))
+            report.add_verdict(verify_square_zero(hook.differential(), depth))
+            report.add_verdict(verify_retract(res, hook, depth))
+            report.add_verdict(verify_hook_product_leibniz(res, hook))
 
         if spec.positive is None:
             return report
@@ -547,12 +537,9 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
 
         with timed("extension_checks"):
             report.residues = ext.residue_records()
-            if "extension" in wanted:
-                report.add_verdict(verify_extension(ext, depth))
-            if "incl_proj" in wanted:
-                report.add_verdict(verify_incl_proj(ext, max(depth - 1, 1)))
-            if "star" in wanted and (ext.level_max >= 1
-                                     or any(isinstance(s, Node) for _k, s in ext.tables)):
+            report.add_verdict(verify_extension(ext, depth))
+            report.add_verdict(verify_incl_proj(ext, max(depth - 1, 1)))
+            if ext.level_max >= 1 or any(isinstance(s, Node) for _k, s in ext.tables):
                 report.add_verdict(verify_product_defect(ext, 1))
     except SolveError as exc:
         stage(exc.stage, "no-solution", f"{exc.item}: {exc.detail}")

@@ -255,17 +255,17 @@ class ExtensionData:
             return self.hook.differential().apply(elem, acc, sign)
         return self._apply_levels(range(k, k + 1), elem, None, acc, sign)
 
-    def apply(self, elem: AlgebraElement, acc: Optional[dict] = None,
-              sign: int = 1) -> AlgebraElement:
+    def apply(self, elem: AlgebraElement, acc: Optional[dict] = None) -> AlgebraElement:
         """The total differential in one Leibniz pass.
 
         Each tree factor gets its level -1 image, from the hook's evaluator,
         and its image summed over levels 0..level_max; positive factors and
-        coefficients get their images summed over those levels.  `acc` and
-        `sign` are those of `apply_derivation`, here and in `apply_level`.
+        coefficients get their images summed over those levels.  `acc` is
+        that of `apply_derivation`, here and in `apply_level`, which also
+        takes its `sign`.
         """
         return self._apply_levels(range(0, self.level_max + 1), elem,
-                                  self.hook.differential().on_tree, acc, sign)
+                                  self.hook.differential().on_tree, acc)
 
     def _apply_levels(self, levels: range, elem: AlgebraElement,
                       delta: Optional[Callable[[Node], AlgebraElement]] = None,

@@ -401,29 +401,27 @@ class AlgebraElement(Combination):
 # the root maps
 # ---------------------------------------------------------------------------
 
-def root_join(elem: AlgebraElement, acc: Optional[dict] = None,
-              sign: int = 1) -> AlgebraElement:
+def root_join(elem: AlgebraElement) -> AlgebraElement:
     """Join each product of at least two trees into one tree at a new root.
 
     A map of degree -1; positive factors pass with the Koszul sign of an odd
     operator.  Monomials with fewer than two tree factors are rejected.  The
     joined tree follows the canonical positives, so ((tree,), pos) is
-    canonical as it stands.  `acc` and `sign` are those of `apply_derivation`.
+    canonical as it stands.
     """
     if any(len(trees) < 2 for trees, _pos in elem.terms):
         raise TreeError("root_join needs at least two tree factors")
-    out = join_sums({m: c.terms for m, c in elem.terms.items()}, {} if acc is None else acc, sign)
-    return collect(elem.ring, out) if acc is None else out
+    return collect(elem.ring, join_sums({m: c.terms for m, c in elem.terms.items()}, {}))
 
 
-def join_sums(sums: dict, acc: dict, sign: int = 1) -> dict:
+def join_sums(sums: dict, acc: dict) -> dict:
     """Add the sums' products of at least two trees, joined at a new root with
     `root_join`'s sign, into `acc` and return it; sums that all cancelled are
     skipped, so no tree is joined that the collected element would not join."""
     for (trees, pos), slot in sums.items():
         if len(trees) > 1 and any(slot.values()):
             accumulate(acc, ((node(trees),), pos), slot,
-                       sign * parity_sign(mono_pos_degree((trees, pos))))
+                       parity_sign(mono_pos_degree((trees, pos))))
     return acc
 
 
@@ -501,8 +499,8 @@ def substitute_at_path(acc: dict, node: Node, path: tuple, value: AlgebraElement
 
 def add_tree_formula(acc: dict, node: Node,
                      child_image: Callable[[Node], AlgebraElement],
-                     root_value: Callable[[Node], AlgebraElement], sign: int = 1):
-    """Add the substitution terms of the tree formula on an inner tree, times `sign`.
+                     root_value: Callable[[Node], AlgebraElement]):
+    """Add the substitution terms of the tree formula on an inner tree.
 
     The formula replaces each leaf decoration g by its value, and the
     subtree t at each inner vertex and at the root by minus its hook value,
@@ -526,11 +524,11 @@ def add_tree_formula(acc: dict, node: Node,
     for i, child in enumerate(node[1]):
         image = child_image(child)
         if image.terms:
-            substitute_at_path(acc, node, (i,), image, sign * parity_sign(weight), weight)
+            substitute_at_path(acc, node, (i,), image, parity_sign(weight), weight)
         weight += _tree_order(child)[1]
     value = root_value(node)
     if value.terms:
-        substitute_at_path(acc, node, (), value, -sign, 0)
+        substitute_at_path(acc, node, (), value, -1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,14 @@ class TreeDifferential:
             cached = self._memo[node] = self._image(node)
         return cached
 
-    def _image(self, node: Node, acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
-        """Root split plus tree formula over the children's images; `acc`, `sign` as in `apply`."""
+    def _image(self, node: Node, acc: Optional[dict] = None) -> AlgebraElement:
+        """Root split plus tree formula over the children's images; `acc` as in `apply`."""
         if is_leaf(node):
             value = self.leaf_value(node[1])
-            return value if acc is None else add_element(acc, value, sign)
+            return value if acc is None else add_element(acc, value)
         out = {} if acc is None else acc
-        accumulate(out, (node[1], ()), Poly.one(self.res.ring).terms, sign)
-        add_tree_formula(out, node, self.on_tree, self.hook.element, sign)
+        accumulate(out, (node[1], ()), Poly.one(self.res.ring).terms)
+        add_tree_formula(out, node, self.on_tree, self.hook.element)
         return collect(self.res.ring, out) if acc is None else acc
 
     def apply(self, elem: AlgebraElement, acc: Optional[dict] = None,
@@ -299,16 +299,14 @@ def verify_hook(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> Chec
 # homotopy retract
 # ---------------------------------------------------------------------------
 
-def homotopy(elem: AlgebraElement, acc: Optional[dict] = None,
-             sign: int = 1) -> AlgebraElement:
+def homotopy(elem: AlgebraElement) -> AlgebraElement:
     """Join every monomial with at least two tree factors at a new root."""
-    return root_join(elem.project_products(), acc, sign)
+    return root_join(elem.project_products())
 
 
 def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
                           elem: AlgebraElement,
-                          joined: Optional[AlgebraElement] = None,
-                          acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
+                          joined: Optional[AlgebraElement] = None) -> AlgebraElement:
     """The retract projection: module part, scalar part, and hooked joins.
 
     The products are joined at a new root and sent through the degree +1
@@ -316,18 +314,18 @@ def project_to_resolution(hook_value: Callable[[Node], AlgebraElement],
     an odd operator.  The hook (`HookMap.element`) gives the projection of
     the tree differential's retract, the hook plus every correction table
     that of the extension.  `joined` is homotopy(elem) when the caller
-    already has it.  `acc` and `sign` are those of `apply_derivation`.
+    already has it.
     """
-    out = {} if acc is None else acc
+    out: dict = {}
     for part in (elem.project_module(), elem.project_scalar()):
-        add_element(out, part, sign)
+        add_element(out, part)
     for (trees, pos), c in (homotopy(elem) if joined is None else joined).terms.items():
-        s = sign * parity_sign(mono_pos_degree((trees, pos)))
+        s = parity_sign(mono_pos_degree((trees, pos)))
         for m, d in hook_value(trees[0]).terms.items():
             mono, s2 = mono_mul(((), pos), m)
             if mono is not None:
                 accumulate(out, mono, d.terms, s * s2, c.terms)
-    return collect(elem.ring, out) if acc is None else acc
+    return collect(elem.ring, out)
 
 
 def _retract_failures(res: FreeResolution, neg_degree_max: int,

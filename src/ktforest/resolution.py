@@ -147,12 +147,10 @@ class ComplexReport:
 
 
 class HomologyReport:
-    def __init__(self, graded: bool, poly_degree_max: int, dims: Optional[dict] = None,
-                 exact: bool = True):
+    def __init__(self, graded: bool, exact: bool = True):
         self.graded = graded
-        self.poly_degree_max = poly_degree_max
         # (homological_degree, internal_degree) -> (dim_kernel, dim_image, dim_homology)
-        self.dims = {} if dims is None else dims
+        self.dims: dict = {}
         self.exact = exact
 
     def failures(self) -> list:
@@ -342,9 +340,8 @@ class FreeResolution:
         """
         weights = self.internal_weights()
         if weights is None:
-            return HomologyReport(graded=False, poly_degree_max=poly_degree_max,
-                                  dims={}, exact=False)
-        report = HomologyReport(graded=True, poly_degree_max=poly_degree_max)
+            return HomologyReport(graded=False, exact=False)
+        report = HomologyReport(graded=True)
         ranks = {}  # (depth, k) -> (rank of d on the slice, source dimension)
         lowest = min(0, *weights.values())
         for depth in range(1, self.length + 1):
@@ -407,25 +404,23 @@ class KoszulComplex(FreeResolution):
         return None if indices is None else (sign, self.gen_of_subset[indices])
 
 
-def build_koszul_complex(phis: Sequence[Poly], labels: Optional[Sequence[str]] = None) -> KoszulComplex:
+def build_koszul_complex(phis: Sequence[Poly]) -> KoszulComplex:
     """Koszul complex on n polynomials: ranks C(n,i), d a contraction.
 
     d(e_S) = sum_j (-1)^(j-1) phi_{s_j} e_{S minus s_j}; the augmentation sends
-    e_i to phi_i.  d*d = 0 holds for any input, regular sequence or not.
+    e_i to phi_i, and e_S is labelled e followed by the indices in S.  d*d = 0
+    holds for any input, regular sequence or not.
     """
     if not phis:
         raise ResolutionError("need at least one polynomial")
     ring = phis[0].ring
     n = len(phis)
-    if labels is None:
-        labels = [f"e{i + 1}" for i in range(n)]
     gens_by_degree: dict = {}
     subset_of_gen: dict = {}
     for size in range(1, n + 1):
         gens = []
         for idx, subset in enumerate(combinations(range(1, n + 1), size)):
-            label = labels[subset[0] - 1] if size == 1 else "e" + "".join(map(str, subset))
-            g = GeneratorId(-size, idx, label)
+            g = GeneratorId(-size, idx, "e" + "".join(map(str, subset)))
             gens.append(g)
             subset_of_gen[g] = subset
         gens_by_degree[-size] = gens

@@ -182,7 +182,7 @@ def test_general_gate_checks_the_square_on_positive_generators(tmp_path, capsys)
     """taylor_shear.kt with Q xi = eta, Q eta = zeta and no Q x: Q^2(xi) =
     zeta has coefficient 1, outside the ideal.  General mode stops at its
     input gate and names xi, as explicit mode does."""
-    text = open(spec_path("taylor_shear.kt"), encoding="utf-8").read()
+    text = Path(spec_path("taylor_shear.kt")).read_text(encoding="utf-8")
     path = tmp_path / "taylor_shear.kt"
     path.write_text(text.replace(
         "generators 1 = xi\nQ x = y*xi\n",
@@ -302,18 +302,6 @@ def test_koszul_compare_spec():
     assert spec.mode == "koszul-compare"
     report = run(spec)
     assert report.all_passed(), emit(report, "text")
-
-
-def test_verify_flags_restrict_verdicts():
-    spec = parse_spec(spec_path("koszul_function.kt"))
-    spec.options["verify"] = "square_zero extension"
-    report = run(spec)
-    names = {v["name"] for v in report.verdicts}
-    assert "tree differential square zero" in names
-    assert "total differential square zero" in names
-    assert "homotopy retract" not in names
-    # the ideal-preservation gate always runs
-    assert "ideal preservation" in names
 
 
 def test_exactness_failure_stops_pipeline():
@@ -467,26 +455,8 @@ def test_explicit_and_general_reports_differ_only_in_the_mode(capsys, depth):
     assert [a.split(":")[0] for a, _ in differing] == ["mode", "solve_extension"]
 
 
-def test_unselected_verifiers_do_not_run(monkeypatch):
-    import ktforest.cli as cli
-
-    def boom(*args, **kwargs):
-        raise AssertionError("an unselected verifier ran")
-
-    for name in ("verify_retract", "verify_hook_product_leibniz", "verify_incl_proj",
-                 "verify_product_defect"):
-        monkeypatch.setattr(cli, name, boom)
-    spec = parse_spec(spec_path("koszul_function.kt"))
-    spec.options["verify"] = "square_zero extension"
-    report = run(spec)
-    assert report.all_passed(), emit(report, "text")
-    assert [v["name"] for v in report.verdicts] == [
-        "tree differential square zero", "ideal preservation",
-        "total differential square zero"]
-
-
 def _quadratic_with_options(tmp_path, *option_lines):
-    text = open(spec_path("quadratic.kt"), encoding="utf-8").read()
+    text = Path(spec_path("quadratic.kt")).read_text(encoding="utf-8")
     head = text.split("[options]")[0]
     path = tmp_path / "spec.kt"
     path.write_text(head + "[options]\n" + "".join(f"{line}\n" for line in option_lines))
@@ -494,7 +464,7 @@ def _quadratic_with_options(tmp_path, *option_lines):
 
 
 def test_zero_denominator_is_an_input_error(tmp_path):
-    text = open(spec_path("quadratic.kt"), encoding="utf-8").read()
+    text = Path(spec_path("quadratic.kt")).read_text(encoding="utf-8")
     bad = tmp_path / "bad.kt"
     bad.write_text(text.replace("gens = x^2, x*y, y^2", "gens = x^2, 1/0*y^2"))
     code, out, err = run_cli("run", str(bad))
@@ -525,10 +495,15 @@ def test_bad_truncation_is_an_input_error(tmp_path, options, flags):
 
 
 def test_unknown_verifier_name_is_an_input_error(tmp_path):
-    path = _quadratic_with_options(tmp_path, "neg_degree_max = 4", "verify = square_zero retrac")
+    """A `verify` row, which once selected verifiers by name, is an unknown
+    option: every run checks every applicable verdict."""
+    path = _quadratic_with_options(tmp_path, "neg_degree_max = 4", "verify = hook_product")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    number = lines.index("verify = hook_product") + 1
     code, out, err = run_cli("run", path)
     assert code == 2 and out == "" and "Traceback" not in err
-    assert "input error" in err and "retrac" in err
+    assert (f"input error: line {number}: unknown option 'verify'; "
+            "known: mode neg_degree_max poly_cap") in err
 
 
 def test_repeated_option_is_rejected(tmp_path):
@@ -536,7 +511,7 @@ def test_repeated_option_is_rejected(tmp_path):
                                    "poly_cap = 5")
     with pytest.raises(SpecError) as err:
         parse_spec(path)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     first, second = [i + 1 for i, line in enumerate(lines) if line.startswith("poly_cap")]
     assert str(err.value) == f"line {second}: option 'poly_cap' already given on line {first}"
     code, out, err_text = run_cli("run", path)
@@ -588,7 +563,7 @@ def test_verify_checks_the_hook_through_length_plus_one_at_low_truncation(tmp_pa
     assert code == 0
     assert out == "hook recursion: pass (26 basis trees through negative degree 4)\n"
 
-    text = open(hook, encoding="utf-8").read()
+    text = Path(hook).read_text(encoding="utf-8")
     assert "V(e1,e3) -> x*e13\n" in text
     wrong = tmp_path / "hook.txt"
     wrong.write_text(text.replace("V(e1,e3) -> x*e13\n", "V(e1,e3) -> y*e13\n"))
@@ -602,7 +577,7 @@ def test_verify_checks_the_hook_through_length_plus_one_at_low_truncation(tmp_pa
 def _edited_spec(tmp_path, name, line, replacement):
     """A bundled spec with one of its lines replaced; also returns the line
     number of the replacement's last line."""
-    lines = open(spec_path(name), encoding="utf-8").read().splitlines()
+    lines = Path(spec_path(name)).read_text(encoding="utf-8").splitlines()
     at = lines.index(line)
     new = replacement.splitlines()
     lines[at:at + 1] = new
@@ -821,10 +796,10 @@ def test_ideal_with_other_generators_of_the_same_ideal_is_accepted():
 
 def test_unknown_option_is_an_input_error(tmp_path):
     path = _quadratic_with_options(tmp_path, "mode = explicit", "neg_degre_max = 2")
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     number = lines.index("neg_degre_max = 2") + 1
     message = (f"line {number}: unknown option 'neg_degre_max'; "
-               "known: mode neg_degree_max poly_cap verify")
+               "known: mode neg_degree_max poly_cap")
     with pytest.raises(SpecError) as err:
         parse_spec(path)
     assert str(err.value) == message

@@ -3,7 +3,7 @@
 The final hook's level -1 evaluator is shared by every reader of the table,
 so a run computes each tree image once; `HookMap.set_value` discards it.
 The retract residues keep the image of each joined tree through the
-truncation, so a run without the square-zero check does so too.
+truncation, so verifiers called without the square-zero check do so too.
 `ExtensionData` has one evaluator for Q summed over a range of levels:
 `apply_level(k)` must equal the former per-level evaluator, kept below as
 the oracle, at every level, and `apply` the sum of its levels; in general
@@ -21,7 +21,7 @@ per basis monomial, are computed once per run and kept on the evaluator
 where they do not cancel; `verify_extension` and `verify_incl_proj` add
 only the terms of level >= 0 to them, and must equal the unsplit Q Q x
 loop and the full run, kept below as the oracles, with the square-zero
-check run before them or not at all.
+check run before them (a run) or not at all (the verifiers called directly).
 """
 
 from __future__ import annotations
@@ -83,9 +83,34 @@ def basis_elements(res, neg_degree_max):
 # the shared level -1 evaluator
 # ---------------------------------------------------------------------------
 
-def images_computed_twice(monkeypatch, name, neg_degree_max, **options):
-    """The trees through the truncation whose image a passing run computes
-    more than once; the joined trees of degree K + 1 are not kept."""
+def checks_without_square_zero(spec, *verifiers):
+    """The checks of `verifiers` (among retract, extension and incl_proj),
+    called directly, in the order and with the arguments of `cli.run`, on a
+    freshly solved hook and extension of `spec`.  The square-zero walk is
+    left out, and the retract walk unless named: each verifier starts with
+    the residues of the walks left out still unwalked, read on demand."""
+    res, depth = spec.resolution, spec.neg_degree_max
+    hook = cli.solve_hook(res, depth)
+    solve = (cli.solve_general_extension if spec.mode == "general"
+             else cli.solve_residues_explicit)
+    ext = solve(res, spec.positive, hook, depth)
+    delta = hook.differential()
+    calls = {"retract": lambda: cli.verify_retract(res, hook, depth),
+             "extension": lambda: cli.verify_extension(ext, depth),
+             "incl_proj": lambda: cli.verify_incl_proj(ext, max(depth - 1, 1))}
+    checks = []
+    for name, call in calls.items():
+        if name in verifiers:
+            assert delta.squares_through == 0
+            assert delta.retracts_through == 0 or "retract" in verifiers
+            checks.append(call())
+    return checks
+
+
+def images_computed_twice(monkeypatch, neg_degree_max, passing):
+    """The trees through the truncation whose image `passing()`, which must
+    return True, computes more than once; the joined trees of degree K + 1
+    are not kept."""
     computed = Counter()
     image = TreeDifferential._image
 
@@ -94,10 +119,7 @@ def images_computed_twice(monkeypatch, name, neg_degree_max, **options):
         return image(self, node, *args)
 
     monkeypatch.setattr(TreeDifferential, "_image", counting)
-    spec = example(name)
-    spec.options.update(neg_degree_max=neg_degree_max, **options)
-    check_mode(spec)
-    assert run(spec).all_passed()
+    assert passing()
     assert computed
     return [node for node, n in computed.items()
             if n > 1 and tree_degree(node) >= -neg_degree_max]
@@ -105,15 +127,24 @@ def images_computed_twice(monkeypatch, name, neg_degree_max, **options):
 
 @pytest.mark.parametrize("name", ["quadratic.kt", "monomial_ideal.kt"])
 def test_each_tree_image_is_computed_once_per_run(monkeypatch, name):
-    assert not images_computed_twice(monkeypatch, name, K)
+    spec = example(name)
+    spec.options.update(neg_degree_max=K)
+    check_mode(spec)
+    assert not images_computed_twice(monkeypatch, K, lambda: run(spec).all_passed())
 
 
 @pytest.mark.parametrize("verify", ["retract extension", "incl_proj", "extension"])
 def test_tree_images_are_kept_without_the_square_zero_check(monkeypatch, verify):
     # the retract residues keep each joined tree through K: before, these
-    # runs computed 173 and 47 basis-tree images twice
-    assert not images_computed_twice(monkeypatch, "quadratic.kt", 7, mode="explicit",
-                                     verify=verify)
+    # verifiers computed 173 and 47 basis-tree images twice
+    spec = example("quadratic.kt")
+    spec.options.update(mode="explicit", neg_degree_max=7)
+    check_mode(spec)
+
+    def passing():
+        return all(c.passed for c in checks_without_square_zero(spec, *verify.split()))
+
+    assert not images_computed_twice(monkeypatch, 7, passing)
 
 
 def test_set_value_discards_the_shared_evaluator():
@@ -580,10 +611,11 @@ def test_extension_matches_the_unsplit_square(monkeypatch, case, target, perturb
 
     monkeypatch.setattr(cli, "verify_extension", both)
     spec = general_only_spec(3) if case == "general-only input" else example("quadratic.kt")
-    if case.startswith("extension alone"):
-        spec.options.update(verify="extension")
     check_mode(spec)
-    run(spec)
+    if case.startswith("extension alone"):
+        checks_without_square_zero(spec, "extension")
+    else:
+        run(spec)
     [(split, unsplit)] = compared
     assert split == unsplit
     assert split[0] == (case in ("solved", "extension alone"))
@@ -593,16 +625,18 @@ def test_extension_matches_the_unsplit_square(monkeypatch, case, target, perturb
 def test_incl_proj_alone_gives_the_full_run_verdict(monkeypatch, perturb):
     if perturb is not None:
         monkeypatch.setattr(cli, "solve_hook", perturb(cli.solve_hook))
+    checks = []
 
-    def incl_proj_verdicts(**options):
-        spec = example("quadratic.kt")
-        spec.options.update(options)
-        check_mode(spec)
-        return [v for v in run(spec).verdicts if v["name"] == "inclusion/projection homotopy"]
+    def recorded(*args, _verify=cli.verify_incl_proj):
+        checks.append(_verify(*args))
+        return checks[-1]
 
-    full = incl_proj_verdicts()
-    assert incl_proj_verdicts(verify="incl_proj") == full
-    assert [v["passed"] for v in full] == [perturb is None]
+    monkeypatch.setattr(cli, "verify_incl_proj", recorded)
+    run(example("quadratic.kt"))
+    checks_without_square_zero(example("quadratic.kt"), "incl_proj")
+    full, alone = checks
+    assert verdict(alone) == verdict(full)
+    assert full.passed == (perturb is None)
 
 
 def test_set_value_discards_the_residue_memos():

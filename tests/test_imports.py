@@ -10,8 +10,10 @@ element that holds it; every process-global cache (`functools.lru_cache`
 or `cache`) is on a named allowlist with its reason; a cold start of the command line imports neither
 `dataclasses` nor `inspect`; every module parses under the grammar of
 Python 3.10, the oldest version `pyproject.toml` accepts (grammar only, not
-library APIs); and every underscore-named function, method or class is
-named somewhere in the package outside its own def.
+library APIs); every underscore-named function, method or class is
+named somewhere in the package outside its own def; and every defaulted
+parameter is passed by some call in the package, or is on a named
+allowlist with its reason.
 """
 
 from __future__ import annotations
@@ -248,3 +250,96 @@ def test_unused_private_helper_is_found():
                                "    def __init__(self):\n        pass\n"),
              "b.py": ast.parse("from a import _used\n_used()\nk = _Kept()\n")}
     assert unreferenced_private_names(trees) == ["a.py:1 _helper", "a.py:8 _method"]
+
+
+# A defaulted parameter that no call in the package passes, with the reason
+# it stays: it is set from outside the package.
+UNPASSED_PARAMETERS = {
+    "cli.parse_spec(text)": "tests parse spec text without a file",
+    "cli.run(hook_table)": "a pinned hook table, checked instead of solved; the command line "
+                           "has no flag for it yet (ROADMAP item 11)",
+    "cli.main(argv)": "the entry point: the console script passes none, tests pass theirs",
+    "forest.AlgebraElement.from_tree(coeff)": "a public constructor",
+    "forest.AlgebraElement.from_positive(coeff)": "a public constructor",
+}
+
+
+def unpassed_parameters(trees: dict) -> list:
+    """`module.function(parameter)` of every defaulted parameter of a
+    function or method in `trees` that no call in `trees` passes, by
+    keyword or by position.  Calls are matched by name, so a shared name
+    counts as a use, and a constructor is called by its class name; a
+    function also named other than as a callee (an alias, a `partial`, a
+    callback) counts as passing everything."""
+    calls, escaped = {}, set()
+    for tree in trees.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                calls.setdefault(_name_of(node.func), []).append(node)
+        escaped.update(_name_of(n) for n in ast.walk(tree)
+                       if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in callees)
+
+    def passed(name, index, param, kwonly):
+        for call in calls.get(name, []):
+            keywords = {k.arg for k in call.keywords}
+            if param in keywords or None in keywords:  # None: a ** argument
+                return True
+            if not kwonly and (len(call.args) > index
+                               or any(isinstance(a, ast.Starred) for a in call.args)):
+                return True
+        return False
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}.{child.name}"
+                name = cls if child.name == "__init__" else child.name
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                offset = 1 if cls and not static else 0  # self or cls is bound
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = [(i - offset, a.arg, False) for i, a in enumerate(positional)
+                             if i >= len(positional) - len(args.defaults)]
+                defaulted += [(0, a.arg, True) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                if name not in escaped:
+                    found.extend(f"{qualname}({param})" for index, param, kwonly in defaulted
+                                 if not passed(name, index, param, kwonly))
+                visit(child, qualname, None)
+            else:
+                visit(child, prefix, cls)
+
+    found = []
+    for module, tree in sorted(trees.items()):
+        visit(tree, module[:-3], None)
+    return found
+
+
+def _name_of(node: ast.AST):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_defaulted_parameter_is_passed():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert sorted(unpassed_parameters(trees)) == sorted(UNPASSED_PARAMETERS)
+
+
+def test_unpassed_parameter_is_found():
+    trees = {"a.py": ast.parse(
+        "def f(x, acc=None, sign=1, *, labels=None):\n    pass\n\n"
+        "def g(x, y=0):\n    pass\n\n"
+        "def h(x, z=0):\n    pass\n\n"
+        "class C:\n    def __init__(self, n=0, m=1):\n        pass\n\n"
+        "    def apply(self, elem, sign=1):\n        pass\n\n"
+        "    @staticmethod\n    def s(a, b=2):\n        pass\n\n"
+        "def nested():\n    def inner(v=0):\n        pass\n    return inner\n"),
+        "b.py": ast.parse(
+            "from a import C, f, g, h\n"
+            "f(1, {})\nf(1, labels=[])\ng(*rest)\nalias = h\n"
+            "C(3).apply(x, -1)\nC(2).s(1)\n")}
+    assert unpassed_parameters(trees) == ["a.f(sign)", "a.C.__init__(m)", "a.C.s(b)"]

@@ -143,7 +143,7 @@ def failing_shape(case, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "solve_hook", no_hook)
         return run_main(capsys, ktforest.example_path("quadratic.kt"), "--neg-degree-max", "4")
     if case == "extension solver":
-        text = open(ktforest.example_path("taylor_shear.kt"), encoding="utf-8").read()
+        text = Path(ktforest.example_path("taylor_shear.kt")).read_text(encoding="utf-8")
         path.write_text(text.replace(*TAYLOR_SQUARE))
         return run_main(capsys, path, "--neg-degree-max", "4")
     path.write_text({"broken complex": BROKEN_COMPLEX, "not exact": NOT_EXACT,
