@@ -218,8 +218,13 @@ def _parse_resolution(sections, ring, ideal):
     rows = sections.get("resolution")
     if rows is None:
         raise SpecError("missing [resolution] section")
-    use_koszul = any(key == "koszul" and value.lower() in ("true", "yes", "1")
-                     for _n, key, value in rows)
+    use_koszul = False
+    for number, key, value in rows:
+        if key == "koszul":
+            use_koszul = value.lower() in ("true", "yes", "1")
+            if not use_koszul and value.lower() not in ("false", "no", "0"):
+                raise SpecError(f"koszul must be true, yes, 1, false, no or 0, got {value!r}",
+                                number)
     if use_koszul:
         explicit = [key for _n, key, _v in rows if key != "koszul"]
         if explicit:
@@ -496,7 +501,7 @@ def run(spec: ProblemSpec, hook_table: Optional[HookMap] = None) -> RunReport:
 
         hook, given = hook_table, "user-supplied table"
         if spec.mode == "koszul-compare":  # the given table is the exterior product
-            hook, given = koszul_hook(res, depth), "exterior product on corollas"
+            hook, given = koszul_hook(res), "exterior product on corollas"
         if hook is not None:
             with timed("hook"):
                 check = verify_hook(res, hook, depth)
@@ -556,46 +561,37 @@ def emit(report: RunReport, fmt: str = "text", include_timings: bool = False) ->
 # entry point
 # ---------------------------------------------------------------------------
 
-def _apply_overrides(spec: ProblemSpec, args) -> None:
-    if args.mode:
-        spec.options["mode"] = args.mode
-    if args.neg_degree_max is not None:
-        spec.options["neg_degree_max"] = args.neg_degree_max
-    if args.poly_cap is not None:
-        spec.options["poly_cap"] = args.poly_cap
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ktforest",
         description="exact tree-based Koszul-Tate resolutions and graded extensions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("spec", help="problem spec file")
-        p.add_argument("--mode", choices=["explicit", "general", "koszul-compare"])
-        p.add_argument("--neg-degree-max", dest="neg_degree_max", type=int)
-        p.add_argument("--poly-cap", dest="poly_cap", type=int)
-
     p_run = sub.add_parser("run", help="run the full pipeline")
-    common(p_run)
+    p_run.add_argument("spec", help="problem spec file")
+    p_run.add_argument("--mode", choices=["explicit", "general", "koszul-compare"])
+    p_run.add_argument("--neg-degree-max", type=int)
+    p_run.add_argument("--poly-cap", type=int)
     p_run.add_argument("--format", choices=["text", "json"], default="text")
     p_run.add_argument("--out", help="write the report to a file")
     p_run.add_argument("--timings", action="store_true",
                        help="include timings (breaks byte-stability)")
 
     p_verify = sub.add_parser("verify", help="verify a hook table against a spec")
-    common(p_verify)
+    p_verify.add_argument("spec", help="problem spec file")
     p_verify.add_argument("--hook", required=True, help="hook table file")
+    p_verify.add_argument("--neg-degree-max", type=int)
 
     p_basis = sub.add_parser("basis", help="print the tree basis of one degree")
-    common(p_basis)
+    p_basis.add_argument("spec", help="problem spec file")
     p_basis.add_argument("--degree", type=int, required=True)
 
     args = parser.parse_args(argv)
     try:
         spec = parse_spec(args.spec)
-        _apply_overrides(spec, args)
+        for key in OPTIONS:  # a flag given replaces the spec's option
+            if getattr(args, key, None) is not None:
+                spec.options[key] = getattr(args, key)
         check_mode(spec)
     except (SpecError, ParseError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

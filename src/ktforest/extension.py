@@ -33,8 +33,7 @@ from .forest import (AlgebraElement, Node, accumulate, add_element, add_tree_for
                      apply_derivation, collect, enumerate_tree_basis, is_leaf, join_sums, leaf,
                      node, parity_sign, sum_elements, sums_to_zero, tree_str)
 from .kt import (CheckResult, HookMap, SolveError, _retract_failures, homotopy, hook_product,
-                 hook_window, project_to_resolution, residue, seeded,
-                 two_leaf_product)
+                 project_to_resolution, residue, seeded, two_leaf_product)
 from .poly import Poly, RingSpec
 from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
                          ideal_member)
@@ -600,16 +599,15 @@ def verify_incl_proj(ext: ExtensionData, neg_degree_max: int) -> CheckResult:
 # higher products
 # ---------------------------------------------------------------------------
 
-def higher_product(ext: ExtensionData, a: ModuleElement, b: ModuleElement,
+def higher_product(ext: ExtensionData, a: AlgebraElement, b: AlgebraElement,
                    k: int, acc: Optional[dict] = None, sign: int = 1) -> AlgebraElement:
     """The level-k binary product read off the hook corrections.
 
     Level 0 is the product of the plain hook; level k >= 1 reads the level
-    (k-1) correction table on two-leaf trees.
+    (k-1) correction table on two-leaf trees.  Operands are (module x
+    positives)-valued; `acc` and `sign` are those of `two_leaf_product`.
     """
-    return two_leaf_product(AlgebraElement.from_module_element(a),
-                            AlgebraElement.from_module_element(b),
-                            partial(ext.chi_level, k - 1), acc, sign)
+    return two_leaf_product(a, b, partial(ext.chi_level, k - 1), acc, sign)
 
 
 def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
@@ -619,30 +617,29 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
       delta(a *_k b) - [i>=2] d(a) *_k b - (-1)^i [j>=2] a *_k d(b)
         = sum over m+n=k-1 of
           -(Q_m)(a *_n b) + (Q_m)(a) *_n b + (-1)^i a *_n (Q_m)(b),
-    scalar-valued differentials dropping out of the product.
+    scalar-valued differentials dropping out of the product.  d(a) is read
+    from the hook's evaluator, which is d on trivial trees.
     """
-    res, ring = ext.res, ext.res.ring
+    ring = ext.res.ring
     failures = []
-    gens = res.module_generators()
+    gens = ext.res.module_generators()
+    d = ext.hook.differential().leaf_value
+    unit = {g: AlgebraElement.from_tree(ring, leaf(g)) for g in gens}
     for a in gens:
         for b in gens:
             i = -a.module_degree
-            ea, eb = ModuleElement.of_gen(ring, a), ModuleElement.of_gen(ring, b)
-            ea_alg = AlgebraElement.from_module_element(ea)
-            eb_alg = AlgebraElement.from_module_element(eb)
+            ea, eb = unit[a], unit[b]
             # lhs - rhs, both sides added into one accumulator
             residue = ext.apply_level(-1, higher_product(ext, ea, eb, k), {})
             if a.module_degree <= -2:
-                higher_product(ext, res.diff[a], eb, k, residue, -1)
+                higher_product(ext, d(a), eb, k, residue, -1)
             if b.module_degree <= -2:
-                higher_product(ext, ea, res.diff[b], k, residue, -parity_sign(i))
+                higher_product(ext, ea, d(b), k, residue, -parity_sign(i))
             for m in range(0, k):
                 n = k - 1 - m
-                chi = partial(ext.chi_level, n - 1)
                 ext.apply_level(m, higher_product(ext, ea, eb, n), residue)
-                two_leaf_product(ext.q_level_on_gen(m, a), eb_alg, chi, residue, -1)
-                two_leaf_product(ea_alg, ext.q_level_on_gen(m, b), chi, residue,
-                                 -parity_sign(i))
+                higher_product(ext, ext.q_level_on_gen(m, a), eb, n, residue, -1)
+                higher_product(ext, ea, ext.q_level_on_gen(m, b), n, residue, -parity_sign(i))
             if not sums_to_zero(residue):
                 failures.append((f"{a.label} *_{k} {b.label}",
                                  f"defect mismatch: {collect(ring, residue)}"))
@@ -654,21 +651,24 @@ def verify_product_defect(ext: ExtensionData, k: int) -> CheckResult:
 # Koszul-complex comparison mode
 # ---------------------------------------------------------------------------
 
-def _exterior(kres: KoszulComplex, *gens: GeneratorId) -> ModuleElement:
-    """The exterior product of generators, in order (`wedge_gens`)."""
+def _exterior(kres: KoszulComplex, *gens: GeneratorId) -> AlgebraElement:
+    """The exterior product of generators, in order (`wedge_gens`), on a trivial tree."""
     product = kres.wedge_gens(*gens)
     if product is None:
-        return ModuleElement.zero(kres.ring)
-    return ModuleElement.of_gen(kres.ring, product[1], Poly.const(kres.ring, product[0]))
+        return AlgebraElement.zero(kres.ring)
+    return AlgebraElement.from_tree(kres.ring, leaf(product[1]),
+                                    Poly.const(kres.ring, product[0]))
 
 
-def koszul_hook(kres: KoszulComplex, neg_degree_max: int) -> HookMap:
+def koszul_hook(kres: KoszulComplex) -> HookMap:
     """The hook determined by the exterior product: nonzero only on corollas.
 
-    Filled through `hook_window`, like a solved hook.
+    On a corolla of leaves of depths d_i the product lands at depth
+    sum d_i, which is at most the length, so every entry sits on a tree of
+    degree at most length + 1: the walk stops there, at any truncation.
     """
     table = {}
-    for degree in range(3, hook_window(kres, neg_degree_max) + 1):
+    for degree in range(3, kres.length + 2):
         for node in enumerate_tree_basis(kres, degree):
             if is_leaf(node) or any(not is_leaf(c) for c in node[1]):
                 continue
@@ -694,7 +694,7 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart, hook: HookMap,
     ring = kres.ring
     ext = ExtensionData(kres, pos, hook)
     gens = kres.module_generators()
-    unit = {g: AlgebraElement.from_module_element(ModuleElement.of_gen(ring, g)) for g in gens}
+    unit = {g: AlgebraElement.from_tree(ring, leaf(g)) for g in gens}
     for k, table in sorted(qk_tables.items()):
         for g in gens:
             subset = kres.subset_of_gen[g]
@@ -712,13 +712,9 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart, hook: HookMap,
             if value:
                 ext.tables[(k, g)] = value
         ext.level_max = max(ext.level_max, k)
-    failures = []
-    for a in gens:
-        for b in gens:
-            ea, eb = ModuleElement.of_gen(ring, a), ModuleElement.of_gen(ring, b)
-            if hook_product(hook, ea, eb) != _exterior(kres, a, b):
-                failures.append((f"{a.label} * {b.label}",
-                                 "hook product differs from the exterior product"))
+    failures = [(f"{a.label} * {b.label}", "hook product differs from the exterior product")
+                for a in gens for b in gens
+                if hook_product(hook, unit[a], unit[b]) != _exterior(kres, a, b)]
     report = CheckResult("koszul comparison", not failures,
                          f"{len(gens) ** 2} generator pairs", failures)
     return ext, report

@@ -62,10 +62,16 @@ def parse_module_element(text: str, symbols: SymbolTable) -> ModuleElement:
 
     A scalar term, a positive factor or a product of trees raises ParseError.
     """
+    return _parse_trivial_trees(text, symbols).module_part()
+
+
+def _parse_trivial_trees(text: str, symbols: SymbolTable) -> AlgebraElement:
+    """A module element as an algebra element on trivial trees; as
+    `parse_module_element`, malformed input raises ParseError."""
     elem = parse_element(text, symbols)
     if any(pos or len(trees) != 1 or not is_leaf(trees[0]) for trees, pos in elem.terms):
         raise ParseError(f"not a module element: {text!r}")
-    return elem.module_part()
+    return elem
 
 
 def parse_tree(text: str, symbols: SymbolTable) -> Optional[Node]:
@@ -111,7 +117,8 @@ def _parse_written_tree(text: str, symbols: SymbolTable) -> Node:
 
 
 def parse_hook_table(lines, symbols: SymbolTable) -> dict:
-    """Parse `V(a,b) -> value` lines into a tree-to-module table.
+    """Parse `V(a,b) -> value` lines into a table of trees to algebra
+    elements on trivial trees, the hook values of `HookMap`.
 
     Keys are the trees as written, children in any order: `HookMap.set_value`
     brings each to its canonical form and applies the Koszul sign of the
@@ -128,7 +135,7 @@ def parse_hook_table(lines, symbols: SymbolTable) -> dict:
                 raise ParseError(f"hook line needs '->': {line!r}")
             tree_text, value_text = line.split("->", 1)
             node = _parse_written_tree(tree_text.strip(), symbols)
-            value = parse_module_element(value_text.strip(), symbols)
+            value = _parse_trivial_trees(value_text.strip(), symbols)
             cnode, _sign = canonicalize_node(node)
             if cnode is None:
                 if not value.is_zero():

@@ -27,7 +27,7 @@ from .forest import (AlgebraElement, Monomial, Node, accumulate, add_element, ad
                      mono_pos_degree, node, parity_sign, root_join, root_split, sum_elements,
                      sums_to_zero, tree_degree, tree_key, tree_str)
 from .poly import Poly, RingSpec
-from .resolution import FreeResolution, GeneratorId, ModuleElement
+from .resolution import FreeResolution, GeneratorId
 
 
 class SolveError(RuntimeError):
@@ -55,20 +55,22 @@ class CheckResult:
         return text
 
 
-def check_hook_degree(cnode: Node, value: ModuleElement):
-    """A ValueError unless the value on a canonical tree has the tree's degree + 1."""
+def check_hook_degree(cnode: Node, value: AlgebraElement):
+    """A ValueError unless each term of the value on a canonical tree is a single
+    leaf of the tree's degree + 1, with no positives."""
     degree = tree_degree(cnode) + 1
-    if value.degrees() - {degree}:
+    if any(pos or len(trees) != 1 or not is_leaf(trees[0]) or trees[0][1].module_degree != degree
+           for trees, pos in value.terms):
         raise ValueError(f"hook value for {tree_str(cnode)} must be homogeneous of degree {degree}")
 
 
 class HookMap:
     """O-linear table assigning a module element to each basis tree.
 
-    Missing entries are zero; entries on trees whose value module does not
-    exist are forced to zero and never stored.  Each entry is also kept as
-    an algebra element, and every tree without an entry reads one shared
-    zero of each kind.
+    A value is kept as its image under the inclusion of the resolution: an
+    algebra element on trivial trees.  Missing entries are zero; entries on
+    trees whose value module does not exist are forced to zero and never
+    stored.  Every tree without an entry reads one shared zero.
 
     The map owns the level -1 evaluator of its table (`differential`), so
     that every reader of the final table (the verifiers and the extension)
@@ -77,10 +79,8 @@ class HookMap:
 
     def __init__(self, res: FreeResolution, table: Optional[dict] = None):
         self.res = res
-        self.table: Dict[Node, ModuleElement] = {}
-        self._elements: Dict[Node, AlgebraElement] = {}
-        self._zero = ModuleElement.zero(res.ring)
-        self._zero_element = AlgebraElement.zero(res.ring)
+        self.table: Dict[Node, AlgebraElement] = {}
+        self._zero = AlgebraElement.zero(res.ring)
         self._differential: Optional[TreeDifferential] = None
         for node, val in (table or {}).items():
             self.set_value(node, val)
@@ -91,7 +91,7 @@ class HookMap:
             self._differential = TreeDifferential(self.res, self)
         return self._differential
 
-    def set_value(self, node: Node, value: ModuleElement):
+    def set_value(self, node: Node, value: AlgebraElement):
         self._differential = None
         cnode, sign = canonicalize_node(node)
         if cnode is None:
@@ -102,20 +102,15 @@ class HookMap:
             value = value.scale(sign)
         if value.is_zero():
             self.table.pop(cnode, None)
-            self._elements.pop(cnode, None)
         else:
             check_hook_degree(cnode, value)
             self.table[cnode] = value
-            self._elements[cnode] = AlgebraElement.from_module_element(value)
-
-    def value(self, node: Node) -> ModuleElement:
-        return self.table.get(node, self._zero)
 
     def element(self, node: Node) -> AlgebraElement:
-        """The value on a tree as an algebra element."""
-        return self._elements.get(node, self._zero_element)
+        """The value on a canonical tree."""
+        return self.table.get(node, self._zero)
 
-    def entries(self) -> List[Tuple[Node, ModuleElement]]:
+    def entries(self) -> List[Tuple[Node, AlgebraElement]]:
         return sorted(self.table.items(), key=lambda kv: (-tree_degree(kv[0]), tree_key(kv[0])))
 
     def lines(self) -> List[str]:
@@ -221,12 +216,11 @@ def seeded(stored: Optional[AlgebraElement]) -> dict:
 # solving and verifying the hook
 # ---------------------------------------------------------------------------
 
-def hook_equation_rhs(differential: TreeDifferential, node: Node) -> ModuleElement:
+def hook_equation_rhs(differential: TreeDifferential, node: Node) -> AlgebraElement:
     """The forced value of d(hook(tree)): the retract projection of the
     differential of the root split, which reads lower hook values only."""
     split = root_split(AlgebraElement.from_tree(differential.res.ring, node))
-    return project_to_resolution(differential.hook.element,
-                                 differential.apply(split)).module_part()
+    return project_to_resolution(differential.hook.element, differential.apply(split))
 
 
 def hook_window(res: FreeResolution, neg_degree_max: int) -> int:
@@ -257,12 +251,12 @@ def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
                                      "forced-zero value but the recursion is nonzero; "
                                      "input resolution is not exact")
                 continue
-            lifted = res.lift(rhs, degree - 1)
+            lifted = res.lift(rhs.module_part(), degree - 1)
             if lifted is None:
                 raise SolveError("hook", tree_str(node),
                                  "no preimage under d; resolution not exact "
                                  "or polynomial cap too small")
-            hook.set_value(node, lifted)
+            hook.set_value(node, AlgebraElement.from_module_element(lifted))
     # set_value discarded the map's evaluator, but this one stays valid for
     # the final table: it holds images of the children of solved trees,
     # which read hook values of lower degree only, all set before them
@@ -272,7 +266,8 @@ def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
 
 def verify_hook(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> CheckResult:
     """Check d(hook(t)) against the recursion for every basis tree through
-    `hook_window`."""
+    `hook_window`.  d(hook(t)) is the evaluator's image of the value, since
+    the tree differential is d on trivial trees, O-linearly."""
     differential = hook.differential()
     failures = []
     count = 0
@@ -283,12 +278,7 @@ def verify_hook(res: FreeResolution, hook: HookMap, neg_degree_max: int) -> Chec
                 continue
             count += 1
             rhs = hook_equation_rhs(differential, node)
-            value = hook.value(node)
-            mod, scalar = res.apply_diff(value)
-            lhs = mod
-            if not scalar.is_zero():
-                failures.append((tree_str(node), f"hook value hits the base ring: {scalar}"))
-                continue
+            lhs = differential.apply(hook.element(node))
             if lhs != rhs:
                 failures.append((tree_str(node), f"d(hook) = {lhs} but recursion gives {rhs}"))
     return CheckResult("hook recursion", not failures,
@@ -375,21 +365,15 @@ def verify_square_zero(differential: TreeDifferential, neg_degree_max: int) -> C
 # the induced product on the resolution
 # ---------------------------------------------------------------------------
 
-def hook_product(hook: HookMap, a, b):
+def hook_product(hook: HookMap, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The binary product read off the hook on two-leaf trees.
 
-    Operands are module elements; base-ring operands multiply as scalars.
+    Operands are algebra elements on trivial trees plus base-ring scalars,
+    which multiply as in the algebra.
     """
-    if isinstance(a, Poly) and isinstance(b, Poly):
-        return a * b
-    if isinstance(a, Poly):
-        return b.scale(a)
-    if isinstance(b, Poly):
-        return a.scale(b)
-    product = two_leaf_product(AlgebraElement.from_module_element(a),
-                               AlgebraElement.from_module_element(b),
-                               hook.element)
-    return product.module_part()
+    a0, b0 = a.project_scalar(), b.project_scalar()
+    a1 = a - a0
+    return two_leaf_product(a1, b - b0, hook.element) + a0 * b + a1 * b0
 
 
 def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
@@ -434,30 +418,29 @@ def verify_hook_product_leibniz(res: FreeResolution, hook: HookMap) -> CheckResu
 
     Each generator pair's product is computed once; by bilinearity the
     products with d(a) and d(b) are sums of those, and a base-ring value
-    of d multiplies as a scalar.
+    of d multiplies as a scalar.  d is read from the evaluator, which is d
+    on trivial trees.
     """
     failures = []
+    differential = hook.differential()
     gens = res.module_generators()
-    elements = {g: ModuleElement.of_gen(res.ring, g) for g in gens}
-    products = {(a, b): hook_product(hook, elements[a], elements[b])
-                for a in gens for b in gens}
-    diffs = {g: res.apply_diff(elements[g]) for g in gens}
+    unit = {g: AlgebraElement.from_tree(res.ring, leaf(g)) for g in gens}
+    products = {(a, b): hook_product(hook, unit[a], unit[b]) for a in gens for b in gens}
 
-    def with_diff(a: GeneratorId, g: GeneratorId, left: bool) -> ModuleElement:
+    def with_diff(a: GeneratorId, g: GeneratorId, left: bool) -> AlgebraElement:
         """d(a) * g if `left`, else g * d(a), from the generator products."""
-        a_mod, a_scalar = diffs[a]
-        if not a_scalar.is_zero():
-            return elements[g].scale(a_scalar)
-        return sum((products[(c, g) if left else (g, c)].scale(p)
-                    for c, p in a_mod.terms.items()), ModuleElement.zero(res.ring))
+        return sum_elements(res.ring, (
+            (products[(trees[0][1], g) if left else (g, trees[0][1])] if trees
+             else unit[g]).scale(p)
+            for (trees, _pos), p in differential.leaf_value(a).terms.items()))
 
     for a in gens:
         for b in gens:
-            lhs_mod, lhs_scalar = res.apply_diff(products[a, b])
+            lhs = differential.apply(products[a, b])
             rhs = with_diff(a, b, True) \
                 + with_diff(b, a, False).scale(parity_sign(a.module_degree))
-            if not (lhs_scalar.is_zero() and lhs_mod == rhs):
-                failures.append((f"{a.label} * {b.label}",
-                                 f"d(product) = {lhs_mod} + {lhs_scalar} vs {rhs}"))
+            if lhs != rhs:
+                failures.append((f"{a.label} * {b.label}", f"d(product) = "
+                                 f"{lhs.project_module()} + {lhs.project_scalar()} vs {rhs}"))
     return CheckResult("hook product Leibniz", not failures,
                        f"{len(gens) ** 2} generator pairs", failures)

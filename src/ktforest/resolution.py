@@ -126,9 +126,6 @@ class ModuleElement(Combination):
             return ModuleElement.zero(self.ring)
         return ModuleElement(self.ring, {g: p * q for g, q in self.terms.items()})
 
-    def degrees(self) -> set:
-        return {g.module_degree for g in self.terms}
-
     def _chunks(self) -> list:
         return [self.terms[g].times_chunk(g.label)
                 for g in sorted(self.terms, key=lambda g: g.key)]

@@ -44,7 +44,8 @@ def test_acceptance_1_regular_sequence_hook_unique():
     res = spec.resolution
     hook = solve_hook(res, 6)
     target = parse_tree("V(pi1,pi2)", spec.symbols)
-    assert hook.value(target) == ModuleElement.of_gen(res.ring, res.gen_by_label("pi"))
+    assert hook.element(target) == AlgebraElement.from_module_element(
+        ModuleElement.of_gen(res.ring, res.gen_by_label("pi")))
     assert list(hook.table) == [target], "the hook must vanish everywhere else"
     differential = TreeDifferential(res, hook)
     square = verify_square_zero(differential, 6)
@@ -114,8 +115,7 @@ def test_acceptance_3_monomial_ideal_length3():
     for label, text in expected0.items():
         assert ext.q_level_on_gen(0, res.gen_by_label(label)) == parse_element(
             text, symbols), label
-    e2 = ModuleElement.of_gen(res.ring, res.gen_by_label("e2"))
-    e4 = ModuleElement.of_gen(res.ring, res.gen_by_label("e4"))
+    e2, e4 = parse_element("e2", symbols), parse_element("e4", symbols)
     assert higher_product(ext, e2, e4, 1) == parse_element("-xi*e134", symbols)
     defect = verify_product_defect(ext, 1)
     assert defect.passed, defect.summary()
@@ -131,7 +131,7 @@ def test_acceptance_3_monomial_ideal_length3():
 def test_acceptance_4_koszul_comparison():
     t0 = time.monotonic()
     spec = parse_spec(spec_path("koszul_compare.kt"))
-    hook = koszul_hook(spec.resolution, 6)
+    hook = koszul_hook(spec.resolution)
     check = verify_hook(spec.resolution, hook, 6)
     assert check.passed, check.summary()
     ext, comparison = koszul_mode(spec.resolution, spec.positive, hook, spec.koszul_tables)

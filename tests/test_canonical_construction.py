@@ -310,7 +310,7 @@ def koszul_complex(n):
     d = data("koszul_compare.kt")
     kres = d.res if n == 2 else build_koszul_complex(
         [Poly.parse(text, d.ring) for text in KOSZUL_SEQUENCE[:n]])
-    return kres, koszul_hook(kres, K)
+    return kres, koszul_hook(kres)
 
 
 @SETTINGS

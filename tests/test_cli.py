@@ -15,6 +15,7 @@ from ktforest import cli
 from ktforest.cli import ProblemSpec, SpecError, emit, main, parse_spec, run
 from ktforest.extension import solve_residues_explicit
 from ktforest.kt import SolveError, solve_hook
+from ktforest.resolution import KoszulComplex
 
 from conftest import run_main as run_cli
 
@@ -274,6 +275,26 @@ def test_cli_basis():
     assert out.splitlines() == ["V(pi1,pi2)", "V(pi1,pi3)", "V(pi2,pi3)"]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("basis", ["--degree", "3", "--poly-cap", "2"]),
+    ("basis", ["--degree", "3", "--neg-degree-max", "4"]),
+    ("basis", ["--degree", "3", "--mode", "explicit"]),
+    ("verify", ["--hook", "HOOK", "--poly-cap", "2"]),
+    ("verify", ["--hook", "HOOK", "--mode", "koszul-compare"]),
+])
+def test_subcommands_reject_flags_they_do_not_read(command, flags):
+    flags = [spec_path("quadratic_hook.txt") if f == "HOOK" else f for f in flags]
+    code, out, err = run_cli(command, spec_path("quadratic.kt"), *flags)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flags[-2:])}" in err
+
+
+def test_verify_reads_its_truncation_flag():
+    code, out, _ = run_cli("verify", spec_path("quadratic.kt"),
+                           "--hook", spec_path("quadratic_hook.txt"), "--neg-degree-max", "4")
+    assert (code, out) == (0, "hook recursion: pass (10 basis trees through negative degree 4)\n")
+
+
 def test_package_runs_as_module():
     proc = subprocess.run([sys.executable, "-m", "ktforest", "basis", spec_path("quadratic.kt"),
                            "--degree", "3"], capture_output=True, text=True)
@@ -347,6 +368,34 @@ def test_run_with_pinned_hook_table():
     assert report.all_passed()
     assert any(s["stage"] == "hook" and s["status"] == "verified"
                for s in report.stages)
+
+
+@pytest.mark.parametrize("value", ["ture", "banana", "2", ""])
+def test_koszul_row_with_an_unknown_value_names_its_line(tmp_path, value):
+    # read as "not Koszul", such a row would leave a spec with no explicit
+    # rows to fail later as "resolution has no modules", with no line
+    path, number = _edited_spec(tmp_path, "koszul_compare.kt", "koszul = true",
+                                f"koszul = {value}")
+    message = f"line {number}: koszul must be true, yes, 1, false, no or 0, got {value!r}"
+    with pytest.raises(SpecError) as err:
+        parse_spec(path)
+    assert str(err.value) == message
+    code, out, err_text = run_cli("run", path)
+    assert (code, out, err_text) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("value, koszul", [("TRUE", True), ("Yes", True), ("1", True),
+                                           ("false", False), ("No", False), ("0", False)])
+def test_koszul_row_reads_each_spelling(tmp_path, value, koszul):
+    # a true row replaces koszul_compare.kt's; a false one joins the
+    # explicit rows of quadratic.kt
+    if koszul:
+        path, _ = _edited_spec(tmp_path, "koszul_compare.kt", "koszul = true",
+                               f"koszul = {value}")
+    else:
+        path, _ = _edited_spec(tmp_path, "quadratic.kt", "[resolution]",
+                               f"[resolution]\nkoszul = {value}")
+    assert isinstance(parse_spec(path).resolution, KoszulComplex) == koszul
 
 
 def test_koszul_compare_requires_sections():

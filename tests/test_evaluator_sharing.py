@@ -152,7 +152,7 @@ def test_set_value_discards_the_shared_evaluator():
     hook = solve_hook(res, K)
     node = max(hook.table, key=tree_degree)
     before = hook.differential().on_tree(node)
-    hook.set_value(node, hook.value(node).scale(2))
+    hook.set_value(node, hook.element(node).scale(2))
     after = hook.differential().on_tree(node)
     assert after != before
     assert after == TreeDifferential(res, hook).on_tree(node)
@@ -221,7 +221,7 @@ def solved_extension(name, mode):
     spec = example(name)
     res, positive = spec.resolution, spec.positive
     if mode == "koszul-compare":
-        ext = koszul_mode(res, positive, koszul_hook(res, K), spec.koszul_tables)[0]
+        ext = koszul_mode(res, positive, koszul_hook(res), spec.koszul_tables)[0]
         return ext, ext
     if name == "quadratic.kt" and mode == "general":
         # squares to zero only modulo the ideal: corrections on the variables
@@ -650,7 +650,7 @@ def test_set_value_discards_the_residue_memos():
     stale._memo[tree] = stale.on_tree(tree).scale(2)
     assert any(stale.square_residue(t) is not None for t in trees)
     assert any(stale.retract_residue(m, K) is not None for m in monos)
-    hook.set_value(tree, hook.value(tree))
+    hook.set_value(tree, hook.element(tree))
     fresh = hook.differential()
     assert all(fresh.square_residue(t) is None for t in trees)
     assert all(fresh.retract_residue(m, K) is None for m in monos)

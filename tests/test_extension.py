@@ -315,10 +315,8 @@ def test_monomial3_tree_correction(monomial3_resolution, monomial3_positive, mon
 def test_monomial3_star_product(monomial3_resolution, monomial3_positive, monomial3_ext):
     res, ext = monomial3_resolution, monomial3_ext
     symbols = res_symbols(res, monomial3_positive)
-    from ktforest.resolution import ModuleElement
-
-    e2 = ModuleElement.of_gen(res.ring, res.gen_by_label("e2"))
-    e4 = ModuleElement.of_gen(res.ring, res.gen_by_label("e4"))
+    e2 = AlgebraElement.from_tree(res.ring, leaf(res.gen_by_label("e2")))
+    e4 = AlgebraElement.from_tree(res.ring, leaf(res.gen_by_label("e4")))
     assert higher_product(ext, e2, e4, 1) == expect(ext, symbols, "-xi*e134")
 
 
@@ -335,12 +333,11 @@ def test_monomial3_square_zero(monomial3_ext):
 def test_star_symmetry(monomial3_resolution, monomial3_ext):
     # swapping the two leaves costs exactly the Koszul sign of the swap
     res = monomial3_resolution
-    from ktforest.resolution import ModuleElement
-
     gens = [g for depth in range(1, 4) for g in res.generators(depth)]
     for a in gens:
         for b in gens:
-            ea, eb = ModuleElement.of_gen(res.ring, a), ModuleElement.of_gen(res.ring, b)
+            ea = AlgebraElement.from_tree(res.ring, leaf(a))
+            eb = AlgebraElement.from_tree(res.ring, leaf(b))
             left = higher_product(monomial3_ext, ea, eb, 1)
             right = higher_product(monomial3_ext, eb, ea, 1)
             from ktforest.forest import parity_sign
@@ -427,7 +424,7 @@ def solved_extension(spec, mode, depth):
     """The extension `run` solves in a mode, without its verdicts."""
     res, pos = spec.resolution, spec.positive
     if mode == "koszul-compare":
-        return koszul_mode(res, pos, koszul_hook(res, depth), spec.koszul_tables)[0]
+        return koszul_mode(res, pos, koszul_hook(res), spec.koszul_tables)[0]
     solve = solve_general_extension if mode == "general" else solve_residues_explicit
     return solve(res, pos, solve_hook(res, depth), depth)
 

@@ -4,7 +4,9 @@ A stand-in for a linter's unused-import rule, with the standard library
 only.  Uses count in code and in annotations, quoted ones included;
 `__init__.py` re-exports its imports and is left out.  Also: no module
 raises -1 to a power, since every sign comes from `resolution.parity_sign`
-or the signed merge; no module writes to a `terms` dict in place, since
+or the signed merge; above `resolution`, only the modules on a named
+allowlist import `ModuleElement`, since a module value there is an
+algebra element on trivial trees; no module writes to a `terms` dict in place, since
 `forest.collect` shares one Poly per one-term coefficient among every
 element that holds it; every process-global cache (`functools.lru_cache`
 or `cache`) is on a named allowlist with its reason; a cold start of the command line imports neither
@@ -120,6 +122,24 @@ def test_no_power_of_minus_one(module):
 def test_power_of_minus_one_is_found():
     tree = ast.parse("a = (-1) ** n\nb = pow(-1, n)\nc = -1 ** n\nd = 2 ** n\n")
     assert powers_of_minus_one(tree) == [1, 2]
+
+
+# Above `resolution`, a module value is held as its image on trivial trees,
+# an `AlgebraElement`; the resolution's own vector type is met only here.
+MODULE_ELEMENT_IMPORTERS = {
+    "forest": "the inclusion on trivial trees and its inverse "
+              "(`from_module_element`, `module_part`)",
+    "grammar": "the spec rows of the resolution's differential (`parse_module_element`)",
+    "cli": "the resolution built from its spec rows",
+    "extension": "the lift boundary: `lift_delta_preimage` lifts through the resolution",
+}
+
+
+def test_module_element_is_imported_only_at_the_resolution_boundary():
+    importers = {module[:-3] for module in MODULES if "ModuleElement" in imported_names(
+        ast.parse((PACKAGE / module).read_text(encoding="utf-8")))}
+    assert "kt" not in importers
+    assert importers == set(MODULE_ELEMENT_IMPORTERS)
 
 
 TERMS_WRITERS = {"update", "pop", "popitem", "setdefault", "clear"}
@@ -259,7 +279,6 @@ UNPASSED_PARAMETERS = {
     "cli.run(hook_table)": "a pinned hook table, checked instead of solved; the command line "
                            "has no flag for it yet (ROADMAP item 11)",
     "cli.main(argv)": "the entry point: the console script passes none, tests pass theirs",
-    "forest.AlgebraElement.from_tree(coeff)": "a public constructor",
     "forest.AlgebraElement.from_positive(coeff)": "a public constructor",
 }
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import ktforest
+from ktforest.cli import parse_spec
 from ktforest.extension import (PositivePart, koszul_hook, koszul_mode,
                                 solve_residues_explicit, verify_extension)
-from ktforest.forest import AlgebraElement
+from ktforest.forest import AlgebraElement, enumerate_tree_basis, is_leaf, tree_degree
 from ktforest.grammar import SymbolTable, parse_element, parse_tree
 from ktforest.kt import solve_hook, verify_hook
 from ktforest.poly import Poly
@@ -76,10 +78,10 @@ def test_regular_positive_square_zero(regular_pos_symbols):
 
 def test_koszul_hook_is_wedge(regular_koszul, regular_pos_symbols):
     pos, symbols = regular_pos_symbols
-    hook = koszul_hook(regular_koszul, 6)
+    hook = koszul_hook(regular_koszul)
     node = parse_tree("V(e1,e2)", symbols)
-    assert hook.value(node) == ModuleElement.of_gen(
-        regular_koszul.ring, regular_koszul.gen_by_label("e12"))
+    assert hook.element(node) == AlgebraElement.from_module_element(ModuleElement.of_gen(
+        regular_koszul.ring, regular_koszul.gen_by_label("e12")))
     report = verify_hook(regular_koszul, hook, 6)
     assert report.passed, report.summary()
     # nonzero entries only on trees without inner vertices
@@ -92,7 +94,7 @@ def test_koszul_hook_is_wedge(regular_koszul, regular_pos_symbols):
 def test_koszul_hook_three_leaf_associativity(ring_xyz):
     # on a longer complex the three-leaf value is the iterated product
     kres = build_koszul_complex([Poly.parse(t, ring_xyz) for t in ("x", "y", "z")])
-    hook = koszul_hook(kres, 6)
+    hook = koszul_hook(kres)
     report = verify_hook(kres, hook, 6)
     assert report.passed, report.summary()
     gens = {g.label: g for depth in range(1, 4) for g in kres.generators(depth)}
@@ -100,7 +102,34 @@ def test_koszul_hook_three_leaf_associativity(ring_xyz):
     symbols = SymbolTable(ring_xyz, table)
     node = parse_tree("V(e1,e2,e3)", symbols)
     sign, e123 = kres.wedge_gens(gens["e1"], gens["e2"], gens["e3"])
-    assert hook.value(node) == ModuleElement.of_gen(ring_xyz, e123, Poly.const(ring_xyz, sign))
+    assert hook.element(node) == AlgebraElement.from_module_element(
+        ModuleElement.of_gen(ring_xyz, e123, Poly.const(ring_xyz, sign)))
+
+
+def former_koszul_hook_table(kres, neg_degree_max):
+    """`koszul_hook`'s table as walked before it stopped at length + 1: every
+    corolla through max(K, length + 1), valued in its exterior product."""
+    table = {}
+    for degree in range(3, max(neg_degree_max, kres.length + 1) + 1):
+        for tree in enumerate_tree_basis(kres, degree):
+            if is_leaf(tree) or not all(is_leaf(c) for c in tree[1]):
+                continue
+            product = kres.wedge_gens(*(c[1] for c in tree[1]))
+            if product is not None:
+                table[tree] = AlgebraElement.from_module_element(ModuleElement.of_gen(
+                    kres.ring, product[1], Poly.const(kres.ring, product[0])))
+    return table
+
+
+@pytest.mark.parametrize("name", ["koszul_compare.kt", "xyz"])
+def test_koszul_hook_stops_at_length_plus_one(ring_xyz, name):
+    # an exterior product on a corolla of depths d_i lands at depth sum d_i,
+    # at most the length, so the walk through K = 8 finds no further entry
+    kres = (parse_spec(ktforest.example_path(name)).resolution if name.endswith(".kt")
+            else build_koszul_complex([Poly.parse(t, ring_xyz) for t in ("x", "y", "z")]))
+    hook = koszul_hook(kres)
+    assert hook.table == former_koszul_hook_table(kres, 8)
+    assert max(-tree_degree(t) for t in hook.table) == kres.length + 1
 
 
 def test_koszul_comparison_mode(regular_koszul, regular_pos_symbols):
@@ -112,7 +141,7 @@ def test_koszul_comparison_mode(regular_koszul, regular_pos_symbols):
         1: {kres.gen_by_label(l): parse_element(t, symbols)
             for l, t in REGULAR_QK_LEVEL1.items()},
     }
-    hook = koszul_hook(kres, 6)
+    hook = koszul_hook(kres)
     assert verify_hook(kres, hook, 6).passed
     ext, report = koszul_mode(kres, pos, hook, tables)
     assert report.passed, report.summary()
@@ -139,7 +168,7 @@ def test_koszul_mode_rejects_invalid_tables(regular_koszul, regular_pos_symbols)
             kres.gen_by_label("e2"): parse_element(
                 REGULAR_QK_LEVEL0["e2"], symbols)},
     }
-    ext, report = koszul_mode(kres, pos, koszul_hook(kres, 5), tables)
+    ext, report = koszul_mode(kres, pos, koszul_hook(kres), tables)
     square = verify_extension(ext, 5)
     assert not square.passed
 
@@ -151,7 +180,7 @@ def test_koszul_mode_rejects_a_value_off_the_generators(regular_koszul, regular_
     kres = regular_koszul
     tables = {0: {kres.gen_by_label("e2"): parse_element(text, symbols)}}
     with pytest.raises(ValueError, match="Q0 e2 is not one generator times positives"):
-        koszul_mode(kres, pos, koszul_hook(kres, 5), tables)
+        koszul_mode(kres, pos, koszul_hook(kres), tables)
 
 
 def test_regular_sequence_general_mode_agrees(ring_xy, regular_pos_symbols):

@@ -7,16 +7,21 @@ for `parse_poly`, `ParseError` for the grammar of `ktforest.grammar`.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ktforest
 from ktforest.cli import parse_spec
 from ktforest.forest import AlgebraElement
-from ktforest.grammar import ParseError, parse_element, parse_hook_table, parse_tree
+from ktforest.grammar import (ParseError, parse_element, parse_hook_table,
+                              parse_module_element, parse_tree)
 from ktforest.poly import Poly, RingSpec, parse_expression, parse_poly
+from ktforest.resolution import ModuleElement
 
 MALFORMED = {
     "unclosed parenthesis": "(x+y",
@@ -149,3 +154,36 @@ def test_power_of_an_element_is_the_repeated_product(base, symbols):
     x, unit = parse_element(base, symbols), parse_element("1", symbols)
     for power in range(6):
         assert parse_element(f"({base})^{power}", symbols) == reduce(mul, [x] * power, unit)
+
+
+# ---------------------------------------------------------------------------
+# a module element and its image on trivial trees print the same text
+# ---------------------------------------------------------------------------
+
+QUADRATIC = parse_spec(ktforest.example_path("quadratic.kt"))
+RING = QUADRATIC.ring
+coefficients = st.builds(
+    lambda terms: Poly(RING, dict(terms)),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * RING.num_vars),
+                       st.sampled_from((1, -1, 3, -2, Fraction(1, 2), Fraction(-3, 2)))),
+             max_size=3))
+module_elements = st.builds(
+    lambda terms: ModuleElement(RING, dict(terms)),
+    st.lists(st.tuples(st.sampled_from(QUADRATIC.resolution.module_generators()),
+                       coefficients), max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(module_elements)
+@example(ModuleElement(RING, {QUADRATIC.symbols.generators["pi"]: Poly.parse("-x", RING),
+                              QUADRATIC.symbols.generators["pib"]: Poly.parse("1/2*y", RING)}))
+@example(ModuleElement(RING, {QUADRATIC.symbols.generators["pi1"]: Poly.parse("-x + y", RING),
+                              QUADRATIC.symbols.generators["pi2"]: Poly.parse("-3/2", RING)}))
+def test_a_module_element_prints_as_its_image_on_trivial_trees(u):
+    """Hook values, products and every failure text print the algebra
+    element on trivial trees where a module element was printed: the two
+    texts agree, and each parses back to its element."""
+    text = str(u)
+    assert str(AlgebraElement.from_module_element(u)) == text
+    assert parse_module_element(text, QUADRATIC.symbols) == u
+    assert parse_element(text, QUADRATIC.symbols) == AlgebraElement.from_module_element(u)

@@ -62,9 +62,9 @@ def test_total_differential_term_by_term(quadratic_setup):
     expected = expected + tree(("pi1", "pi3"), "pi2", "x")
     expected = expected - tree(("pi1", "pi3"), "pi1", "y")
     # hook substitution at the inner vertex: the hook of V(pi1,pi3)
-    hook_val = hook.value(inner)  # y*pi + x*pib
-    for g, p in hook_val.terms.items():
-        raw = ("N", (leaf(g), leaf(res.gen_by_label("pi"))))
+    hook_val = hook.element(inner)  # y*pi + x*pib
+    for ((hook_leaf,), _pos), p in hook_val.terms.items():
+        raw = ("N", (hook_leaf, leaf(res.gen_by_label("pi"))))
         expected = expected + AlgebraElement.from_tree(ring, raw, p)
     # level-0 corrections on the three leaves
     expected = expected + tree(("pi1", "pi3"), "pi", "2", "xi1")

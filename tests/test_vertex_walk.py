@@ -138,7 +138,7 @@ def extension(name, mode):
     spec = parse_spec(ktforest.example_path(name))
     res, _, hook = setup(name)
     if mode == "koszul-compare":
-        return koszul_mode(spec.resolution, spec.positive, koszul_hook(spec.resolution, K),
+        return koszul_mode(spec.resolution, spec.positive, koszul_hook(spec.resolution),
                            spec.koszul_tables)[0]
     solve = solve_general_extension if mode == "general" else solve_residues_explicit
     return solve(res, spec.positive, hook, K)
