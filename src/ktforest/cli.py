@@ -21,14 +21,14 @@ from typing import Dict, List, Optional
 from .extension import (PositivePart, check_ideal_preserved, koszul_hook, koszul_mode,
                         solve_general_extension, solve_residues_explicit, verify_extension,
                         verify_incl_proj, verify_product_defect)
-from .forest import AlgebraElement, Node, enumerate_tree_basis, is_leaf, tree_str
+from .forest import AlgebraElement, Node, enumerate_tree_basis, module_generator, tree_str
 from .grammar import (ParseError, SymbolTable, parse_element, parse_hook_table,
                       parse_module_element)
 from .kt import (HookMap, SolveError, solve_hook, verify_hook, verify_hook_product_leibniz,
                  verify_retract, verify_square_zero)
 from .poly import Poly, RingSpec
-from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
-                         build_koszul_complex, ideal_member, quotient_dims)
+from .resolution import (FreeResolution, GeneratorId, KoszulComplex, build_koszul_complex,
+                         ideal_member, quotient_dims)
 
 
 class SpecError(ValueError):
@@ -259,7 +259,7 @@ def _parse_resolution(sections, ring, ideal):
         else:
             raise SpecError(f"unknown resolution key {key!r}", number)
     symbols = SymbolTable(ring, by_label)
-    diff: Dict[GeneratorId, ModuleElement] = {}
+    diff: dict = {}
     augment: Dict[GeneratorId, Poly] = {}
     for number, kind, label, value in value_rows:
         gen = by_label.get(label)
@@ -338,7 +338,7 @@ def _parse_koszul_tables(sections, resolution, symbols):
         if gen.module_degree != -1:
             raise SpecError(f"tables are given on depth-1 generators, not {gen.label}", number)
         elem = _on_line(number, parse_element, value, symbols)
-        if any(len(trees) != 1 or not is_leaf(trees[0]) for trees, _pos in elem.terms):
+        if any(module_generator(m) is None for m in elem.terms):
             raise SpecError(f"not one generator times positives in each term: {value!r}", number)
         tables.setdefault(level, {})[gen] = elem
     return tables

@@ -31,12 +31,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .forest import (AlgebraElement, Node, accumulate, add_element, add_tree_formula,
                      apply_derivation, collect, enumerate_tree_basis, is_leaf, join_sums, leaf,
-                     node, parity_sign, sum_elements, sums_to_zero, tree_str)
+                     module_generator, node, parity_sign, sum_elements, sums_to_zero, tree_str)
 from .kt import (CheckResult, HookMap, SolveError, _retract_failures, homotopy, hook_product,
-                 project_to_resolution, residue, seeded, two_leaf_product)
+                 lift_delta_preimage, project_to_resolution, residue, seeded,
+                 two_leaf_product)
 from .poly import Poly, RingSpec
-from .resolution import (FreeResolution, GeneratorId, KoszulComplex, ModuleElement,
-                         ideal_member)
+from .resolution import FreeResolution, GeneratorId, KoszulComplex, ideal_member
 
 
 # ---------------------------------------------------------------------------
@@ -288,58 +288,6 @@ class ExtensionData:
         return sorted(({"level": k, "source": self.label(s), "value": str(val)}
                        for (k, s), val in self.tables.items() if not val.is_zero()),
                       key=lambda r: (r["level"], r["source"]))
-
-
-# ---------------------------------------------------------------------------
-# lifting preimages of the level -1 differential
-# ---------------------------------------------------------------------------
-
-def _group_by_positives(elem: AlgebraElement):
-    """Split (module + scalar) x positives into per-positive-monomial parts."""
-    groups: Dict[tuple, dict] = {}
-    for (trees, pos), c in elem.terms.items():
-        entry = groups.setdefault(pos, {"module": {}, "scalar": Poly.zero(elem.ring)})
-        if not trees:
-            entry["scalar"] = entry["scalar"] + c
-        elif len(trees) == 1 and is_leaf(trees[0]):
-            g = trees[0][1]
-            prev = entry["module"].get(g, Poly.zero(elem.ring))
-            entry["module"][g] = prev + c
-        else:
-            raise SolveError("lift", "target", f"unexpected tree component {tree_str(trees[0])}")
-    return groups
-
-
-def lift_delta_preimage(res: FreeResolution, target: AlgebraElement) -> Optional[AlgebraElement]:
-    """Solve delta(w) = target with w valued in module x positives.
-
-    The target must be (module + scalar) x positives; each positive
-    monomial is lifted independently through the resolution differential
-    (module components) or the augmentation (scalar components).
-    """
-    ring = res.ring
-    acc: dict = {}
-    for pos, entry in _group_by_positives(target).items():
-        sign = parity_sign(sum(g.module_degree for g in pos))
-        module = ModuleElement(ring, entry["module"])
-        scalar = entry["scalar"]
-        if not module.is_zero() and not scalar.is_zero():
-            raise SolveError("lift", "target", "mixed module and scalar components "
-                             "in one bidegree")
-        if not scalar.is_zero():
-            lifted = res.lift(scalar.scale(sign), 1)
-        elif not module.is_zero():
-            depths = {-g.module_degree for g in module.terms}
-            if len(depths) != 1:
-                raise SolveError("lift", "target", "mixed homological degrees")
-            lifted = res.lift(module.scale(sign), depths.pop() + 1)
-        else:
-            continue
-        if lifted is None:
-            return None
-        for g, p in lifted.terms.items():
-            accumulate(acc, ((leaf(g),), pos), p.terms)
-    return collect(ring, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +648,7 @@ def koszul_mode(kres: KoszulComplex, pos: PositivePart, hook: HookMap,
             subset = kres.subset_of_gen[g]
             if len(subset) == 1:
                 value = table.get(g)
-                if value and any(len(trees) != 1 or not is_leaf(trees[0])
-                                 for trees, _pos in value.terms):
+                if value and any(module_generator(m) is None for m in value.terms):
                     raise ValueError(f"Q{k} {g.label} is not one generator times positives")
             else:
                 first, rest = (kres.gen_of_subset[part] for part in (subset[:1], subset[1:]))

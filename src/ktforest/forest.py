@@ -151,6 +151,13 @@ def mono_pos_degree(mono: Monomial) -> int:
     return sum(g.module_degree for g in pos)
 
 
+def module_generator(mono: Monomial) -> Optional[GeneratorId]:
+    """The generator of a monomial made of one trivial tree times positives,
+    None for any other monomial."""
+    trees = mono[0]
+    return trees[0][1] if len(trees) == 1 and is_leaf(trees[0]) else None
+
+
 def mono_label(mono: Monomial) -> str:
     """A monomial as its factors joined by '*', positives first; '1' if empty."""
     trees, pos = mono
@@ -363,28 +370,14 @@ class AlgebraElement(Combination):
     def project_module(self) -> "AlgebraElement":
         """Monomials whose single tree factor is trivial (the module part)."""
         return AlgebraElement._of(self.ring, {
-            m: c for m, c in self.terms.items()
-            if len(m[0]) == 1 and is_leaf(m[0][0])})
+            m: c for m, c in self.terms.items() if module_generator(m) is not None})
 
     def project_scalar(self) -> "AlgebraElement":
         """Monomials with no tree factor (the purely positive part)."""
         return AlgebraElement._of(self.ring, {m: c for m, c in self.terms.items() if not m[0]})
 
-    def module_part(self) -> ModuleElement:
-        """Extract the module part; positive factors must be absent."""
-        out = ModuleElement.zero(self.ring)
-        for (trees, pos), c in self.terms.items():
-            if len(trees) == 1 and is_leaf(trees[0]):
-                if pos:
-                    raise TreeError("module part carries positive factors")
-                out = out + ModuleElement.of_gen(self.ring, trees[0][1], c)
-        return out
-
     def has_only_module_and_scalar(self) -> bool:
-        for (trees, _pos), _c in self.terms.items():
-            if len(trees) > 1 or (trees and not is_leaf(trees[0])):
-                return False
-        return True
+        return all(not m[0] or module_generator(m) is not None for m in self.terms)
 
     # -- display --------------------------------------------------------------------
 

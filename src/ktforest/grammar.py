@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .forest import AlgebraElement, Node, canonicalize_node, is_leaf, leaf, node, tree_str
+from .forest import AlgebraElement, Node, canonicalize_node, leaf, module_generator, node, tree_str
 from .kt import check_hook_degree
 from .poly import Poly, RingSpec, TokenCursor, parse_expression
 from .resolution import GeneratorId, ModuleElement
@@ -62,14 +62,15 @@ def parse_module_element(text: str, symbols: SymbolTable) -> ModuleElement:
 
     A scalar term, a positive factor or a product of trees raises ParseError.
     """
-    return _parse_trivial_trees(text, symbols).module_part()
+    return ModuleElement(symbols.ring, {module_generator(m): c for m, c in
+                                        _parse_trivial_trees(text, symbols).terms.items()})
 
 
 def _parse_trivial_trees(text: str, symbols: SymbolTable) -> AlgebraElement:
     """A module element as an algebra element on trivial trees; as
     `parse_module_element`, malformed input raises ParseError."""
     elem = parse_element(text, symbols)
-    if any(pos or len(trees) != 1 or not is_leaf(trees[0]) for trees, pos in elem.terms):
+    if any(m[1] or module_generator(m) is None for m in elem.terms):
         raise ParseError(f"not a module element: {text!r}")
     return elem
 

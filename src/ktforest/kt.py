@@ -23,11 +23,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .forest import (AlgebraElement, Monomial, Node, accumulate, add_element, add_tree_formula,
                      apply_derivation, canonicalize_node, collect, enumerate_monomial_basis,
-                     enumerate_tree_basis, is_leaf, join_sums, leaf, mono_label, mono_mul,
-                     mono_pos_degree, node, parity_sign, root_join, root_split, sum_elements,
-                     sums_to_zero, tree_degree, tree_key, tree_str)
+                     enumerate_tree_basis, is_leaf, join_sums, leaf, module_generator,
+                     mono_label, mono_mul, mono_pos_degree, node, parity_sign, root_join,
+                     root_split, sum_elements, sums_to_zero, tree_degree, tree_key, tree_str)
 from .poly import Poly, RingSpec
-from .resolution import FreeResolution, GeneratorId
+from .resolution import FreeResolution, GeneratorId, ModuleElement
 
 
 class SolveError(RuntimeError):
@@ -56,11 +56,14 @@ class CheckResult:
 
 
 def check_hook_degree(cnode: Node, value: AlgebraElement):
-    """A ValueError unless each term of the value on a canonical tree is a single
-    leaf of the tree's degree + 1, with no positives."""
+    """A ValueError unless the value on a canonical tree is zero on a leaf, where
+    the hook is not defined, and on an inner tree each term is a single leaf of
+    the tree's degree + 1, with no positives."""
+    if value and is_leaf(cnode):
+        raise ValueError(f"hook value on the trivial tree {tree_str(cnode)} must be zero")
     degree = tree_degree(cnode) + 1
-    if any(pos or len(trees) != 1 or not is_leaf(trees[0]) or trees[0][1].module_degree != degree
-           for trees, pos in value.terms):
+    gens = [None if mono[1] else module_generator(mono) for mono in value.terms]
+    if any(g is None or g.module_degree != degree for g in gens):
         raise ValueError(f"hook value for {tree_str(cnode)} must be homogeneous of degree {degree}")
 
 
@@ -197,7 +200,7 @@ class TreeDifferential:
             else:
                 add_element(acc, image)
             add_element(acc, self.hook.element(joined))
-        if len(trees) > 1 or not is_leaf(trees[0]):
+        if module_generator(mono) is None:
             accumulate(acc, mono, Poly.one(ring).terms, -1)
         return acc
 
@@ -233,6 +236,36 @@ def hook_window(res: FreeResolution, neg_degree_max: int) -> int:
     return max(neg_degree_max, res.length + 1)
 
 
+def lift_delta_preimage(res: FreeResolution, target: AlgebraElement) -> Optional[AlgebraElement]:
+    """Solve delta(w) = target with w valued in module x positives; None if unsolvable.
+
+    The target must be (module + scalar) x positives.  Each positive monomial's
+    terms must sit at one depth (0 for a scalar) and are lifted through d, or the
+    augmentation from depth 0.  Every hook value and correction is lifted here.
+    """
+    ring = res.ring
+    groups: Dict[tuple, Dict[int, dict]] = {}
+    for mono, c in target.terms.items():
+        g = module_generator(mono)
+        if g is None and mono[0]:
+            raise SolveError("lift", "target", f"unexpected tree component {tree_str(mono[0][0])}")
+        groups.setdefault(mono[1], {}).setdefault(-g.module_degree if g else 0, {})[g] = c
+    acc: dict = {}
+    for pos, by_depth in groups.items():
+        if len(by_depth) > 1:
+            raise SolveError("lift", "target", "mixed module and scalar components in one "
+                             "bidegree" if 0 in by_depth else "mixed homological degrees")
+        (depth, terms), = by_depth.items()
+        sign = parity_sign(sum(g.module_degree for g in pos))
+        lifted = res.lift(ModuleElement(ring, terms).scale(sign) if depth
+                          else terms[None].scale(sign), depth + 1)
+        if lifted is None:
+            return None
+        for g, p in lifted.terms.items():
+            accumulate(acc, ((leaf(g),), pos), p.terms)
+    return collect(ring, acc)
+
+
 def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
     """Solve the hook recursion for every basis tree through `hook_window`.
 
@@ -251,12 +284,12 @@ def solve_hook(res: FreeResolution, neg_degree_max: int) -> HookMap:
                                      "forced-zero value but the recursion is nonzero; "
                                      "input resolution is not exact")
                 continue
-            lifted = res.lift(rhs.module_part(), degree - 1)
+            lifted = lift_delta_preimage(res, rhs)
             if lifted is None:
                 raise SolveError("hook", tree_str(node),
                                  "no preimage under d; resolution not exact "
                                  "or polynomial cap too small")
-            hook.set_value(node, AlgebraElement.from_module_element(lifted))
+            hook.set_value(node, lifted)
     # set_value discarded the map's evaluator, but this one stays valid for
     # the final table: it holds images of the children of solved trees,
     # which read hook values of lower degree only, all set before them
@@ -388,11 +421,12 @@ def two_leaf_product(x: AlgebraElement, y: AlgebraElement,
     `sign` are those of `apply_derivation`.
     """
     out = {} if acc is None else acc
-    for (tx, px), cx in x.terms.items():
-        for (ty, py), cy in y.terms.items():
-            if len(tx) != 1 or not is_leaf(tx[0]) or len(ty) != 1 or not is_leaf(ty[0]):
+    for mx, cx in x.terms.items():
+        gx, px = module_generator(mx), mx[1]
+        for my, cy in y.terms.items():
+            gy, py = module_generator(my), my[1]
+            if gx is None or gy is None:
                 raise ValueError("product arguments must be module-valued")
-            gx, gy = tx[0][1], ty[0][1]
             cnode, s = canonicalize_node(node((leaf(gx), leaf(gy))))
             if cnode is None:
                 continue

@@ -327,7 +327,7 @@ class FreeResolution:
     # -- exactness oracle -------------------------------------------------------
 
     def check_exactness(self, poly_degree_max: int) -> HomologyReport:
-        """Slice-by-slice homology dimensions for degrees -1 .. -(L-1).
+        """Slice-by-slice homology dimensions for degrees -1 .. -L (at -L, dim ker d_L).
 
         Requires an internal grading; exactness is only claimed through the
         verified polynomial-degree window, which starts at the lowest weight

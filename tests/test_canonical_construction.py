@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 import ktforest
 from ktforest.cli import parse_spec
-from ktforest.extension import _group_by_positives, koszul_hook, koszul_mode, lift_delta_preimage
+from ktforest.extension import koszul_hook, koszul_mode, lift_delta_preimage
 from ktforest.forest import (AlgebraElement, _gen_order, _merge, _tree_order,
                              canonicalize_node, collect, enumerate_tree_basis,
                              is_leaf, leaf,
                              make_monomial, mono_pos_degree, parity_sign,
-                             root_join, root_split, substitute_at_path)
+                             root_join, root_split, substitute_at_path, tree_str)
 from ktforest.kt import SolveError, solve_hook, two_leaf_product
 from ktforest.poly import Poly
 from ktforest.resolution import ModuleElement, build_koszul_complex
@@ -137,6 +137,22 @@ def former_substitute(ring, node, path, value, sign, weight):
             mono, s = make_monomial(factors)
             yield mono, term_sign * s, c
     return summed(ring, terms())
+
+
+def _group_by_positives(elem: AlgebraElement):
+    """Split (module + scalar) x positives into per-positive-monomial parts."""
+    groups = {}
+    for (trees, pos), c in elem.terms.items():
+        entry = groups.setdefault(pos, {"module": {}, "scalar": Poly.zero(elem.ring)})
+        if not trees:
+            entry["scalar"] = entry["scalar"] + c
+        elif len(trees) == 1 and is_leaf(trees[0]):
+            g = trees[0][1]
+            prev = entry["module"].get(g, Poly.zero(elem.ring))
+            entry["module"][g] = prev + c
+        else:
+            raise SolveError("lift", "target", f"unexpected tree component {tree_str(trees[0])}")
+    return groups
 
 
 def former_lift_delta_preimage(res, target):

@@ -269,6 +269,17 @@ def test_cli_verify_names_the_line_of_a_wrong_degree_hook_value(tmp_path, lines,
                   "of degree -2\n"
 
 
+@pytest.mark.parametrize("line", ["pi -> pi1", "pib -> 7*pi3"])
+def test_cli_verify_names_the_line_of_a_hook_value_on_a_trivial_tree(tmp_path, line):
+    # the hook is defined on inner trees only; the bundled table has 4 lines
+    table = tmp_path / "hook.txt"
+    table.write_text(Path(spec_path("quadratic_hook.txt")).read_text() + line + "\n")
+    code, out, err = run_cli("verify", spec_path("quadratic.kt"), "--hook", str(table))
+    assert (code, out) == (2, "")
+    assert err == f"input error: line 5: hook value on the trivial tree {line.split()[0]} " \
+                  "must be zero\n"
+
+
 def test_cli_basis():
     code, out, _ = run_cli("basis", spec_path("quadratic.kt"), "--degree", "3")
     assert code == 0

@@ -127,19 +127,55 @@ def test_power_of_minus_one_is_found():
 # Above `resolution`, a module value is held as its image on trivial trees,
 # an `AlgebraElement`; the resolution's own vector type is met only here.
 MODULE_ELEMENT_IMPORTERS = {
-    "forest": "the inclusion on trivial trees and its inverse "
-              "(`from_module_element`, `module_part`)",
+    "forest": "the inclusion on trivial trees (`from_module_element`)",
     "grammar": "the spec rows of the resolution's differential (`parse_module_element`)",
-    "cli": "the resolution built from its spec rows",
-    "extension": "the lift boundary: `lift_delta_preimage` lifts through the resolution",
+    "kt": "the lift boundary: `lift_delta_preimage` lifts through the resolution",
 }
 
 
 def test_module_element_is_imported_only_at_the_resolution_boundary():
     importers = {module[:-3] for module in MODULES if "ModuleElement" in imported_names(
         ast.parse((PACKAGE / module).read_text(encoding="utf-8")))}
-    assert "kt" not in importers
+    assert "extension" not in importers
     assert importers == set(MODULE_ELEMENT_IMPORTERS)
+
+
+# Every preimage under the differential, a hook value or a correction, is
+# lifted through one routine: `FreeResolution.lift` has one caller.
+LIFT_CALLERS = {"kt.lift_delta_preimage"}
+
+
+def lift_callers(module: str, tree: ast.Module) -> set:
+    """`module.function` of the innermost function around every `.lift(` call
+    (`module.Class.method` for a method, `module:line` outside any function)."""
+    found = set()
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where or module}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "lift"):
+            found.add(where or f"{module}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(tree, None)
+    return found
+
+
+def test_the_resolution_is_lifted_through_one_routine():
+    callers = set()
+    for module in MODULES:
+        callers |= lift_callers(module[:-3], ast.parse((PACKAGE / module).read_text(
+            encoding="utf-8")))
+    assert callers == LIFT_CALLERS
+
+
+def test_lift_caller_is_found():
+    tree = ast.parse("class A:\n    def f(self, res):\n        return res.lift(t, 1)\n"
+                     "def g(res):\n    def inner():\n        return res.lift(t, 2)\n"
+                     "    return inner\nres.lift(t, 3)\nlift(t, 4)\nres.lifted(t)\n")
+    assert lift_callers("m", tree) == {"m.A.f", "m.g.inner", "m:8"}
 
 
 TERMS_WRITERS = {"update", "pop", "popitem", "setdefault", "clear"}

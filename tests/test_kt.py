@@ -13,11 +13,11 @@ from ktforest.forest import (AlgebraElement, canonicalize_node, enumerate_monomi
                              enumerate_tree_basis, is_leaf, leaf, make_monomial, parity_sign,
                              tree_degree, tree_str)
 from ktforest.kt import (HookMap, SolveError, TreeDifferential, homotopy, hook_equation_rhs,
-                         hook_product, hook_window, project_to_resolution, solve_hook,
-                         verify_hook, verify_hook_product_leibniz, verify_retract,
+                         hook_product, hook_window, lift_delta_preimage, project_to_resolution,
+                         solve_hook, verify_hook, verify_hook_product_leibniz, verify_retract,
                          verify_square_zero)
 from ktforest.poly import Poly
-from ktforest.resolution import FreeResolution, ModuleElement
+from ktforest.resolution import FreeResolution, GeneratorId, ModuleElement
 
 
 def elem(res, node, coeff=None):
@@ -90,6 +90,14 @@ def test_hook_element_follows_every_set_value(quadratic_resolution):
     assert hook.element(t).is_zero()
     assert hook.element(other).is_zero()
     assert not hook.table
+
+
+def test_hook_value_on_a_trivial_tree_is_rejected(quadratic_resolution):
+    res = quadratic_resolution
+    pi = leaf(res.gen_by_label("pi"))
+    with pytest.raises(ValueError, match="hook value on the trivial tree pi must be zero"):
+        HookMap(res, {pi: module(res, {"pi1": "1"})})
+    assert not HookMap(res, {pi: AlgebraElement.zero(res.ring)}).table
 
 
 def test_quadratic_corrupted_hook_fails(quadratic_resolution):
@@ -345,7 +353,9 @@ def former_solve_hook(res, neg_degree_max):
                 assert rhs.is_zero(), tree_str(node)
                 past += degree > res.length + 2
                 continue
-            lifted = res.lift(rhs.module_part(), degree - 1)
+            module_part = ModuleElement(res.ring, {trees[0][1]: c for (trees, _pos), c
+                                                   in rhs.project_module().terms.items()})
+            lifted = res.lift(module_part, degree - 1)
             assert lifted is not None, tree_str(node)
             hook.set_value(node, AlgebraElement.from_module_element(lifted))
     return hook, past
@@ -390,6 +400,32 @@ def test_the_forced_zero_check_fails_at_length_plus_two(name, length, tree):
         solve_hook(cut, 6)
     assert (err.value.stage, err.value.item) == ("hook", tree)
     assert err.value.detail.startswith("forced-zero value but the recursion is nonzero")
+
+
+def test_the_lift_names_what_it_cannot_lift(quadratic_resolution):
+    res = quadratic_resolution
+    one = AlgebraElement.scalar(Poly.one(res.ring))
+    xi = AlgebraElement.from_positive(res.ring, GeneratorId(1, 0, "xi"))
+    targets = {
+        "unexpected tree component V(pi1,pi2)": elem(res, corolla(res, "pi1", "pi2")),
+        "mixed module and scalar components in one bidegree":
+            (one + module(res, {"pi1": "x"})) * xi,
+        "mixed homological degrees": module(res, {"pi1": "x", "pi": "1"}),
+    }
+    for detail, target in targets.items():
+        with pytest.raises(SolveError) as err:
+            lift_delta_preimage(res, target)
+        assert (err.value.stage, err.value.item, err.value.detail) == ("lift", "target", detail)
+
+
+def test_the_hook_is_lifted_through_the_one_lift(monkeypatch, quadratic_resolution):
+    res = quadratic_resolution
+    monkeypatch.setattr(kt, "lift_delta_preimage", lambda res, target: None)
+    with pytest.raises(SolveError) as err:
+        solve_hook(res, 6)
+    first = next(t for t in enumerate_tree_basis(res, 3) if not is_leaf(t))
+    assert (err.value.stage, err.value.item) == ("hook", tree_str(first))
+    assert err.value.detail.startswith("no preimage under d; ")
 
 
 def test_differential_raises_degree_by_one(quadratic_resolution, quadratic_hook):
